@@ -36,6 +36,7 @@ from .bounds import (
 from .channel import (
     Dmc,
     GaussianChannel,
+    binary_entropy,
     bsc,
     capacity,
     control_pair,

@@ -31,7 +31,9 @@ from scipy import integrate
 from .channel import (
     Dmc,
     GaussianChannel,
+    binary_entropy,
     control_pair,
+    gaussian_information_density,
     information_density_table,
     kl_divergence,
     mutual_information,
@@ -163,13 +165,11 @@ def gaussian_overshoot_constant(chan, role):
 @lru_cache(maxsize=64)
 def _gaussian_comm_b(power, noise_variance):
     chan = GaussianChannel(power=power, noise_variance=noise_variance)
-    cap = chan.capacity
     s2 = noise_variance
     pw = power
 
     def dens_sq_pos(x, z):
-        y = x + z
-        i = cap - z * z / (2.0 * s2) + y * y / (2.0 * (pw + s2))
+        i = gaussian_information_density(chan, x, x + z)
         if i <= 0.0:
             return 0.0
         w = math.exp(-0.5 * (x * x / pw + z * z / s2)) / (
@@ -183,7 +183,7 @@ def _gaussian_comm_b(power, noise_variance):
         dens_sq_pos, -lim_z, lim_z, lambda z: -lim_x, lim_x,
         epsabs=1e-12, epsrel=1e-10,
     )
-    return _quad_check(val, err, "comm overshoot") / cap
+    return _quad_check(val, err, "comm overshoot") / chan.capacity
 
 
 @lru_cache(maxsize=64)
@@ -275,8 +275,7 @@ def converse_bound(cap_nats, eps, n_avg):
     """Largest log M any variable-length feedback code can reach: NC/(1-eps) + h_b(eps)/(1-eps)."""
     if not (0 < eps < 1):
         raise NotADistribution(f"eps must be in (0,1), got {eps}")
-    hb = -eps * math.log(eps) - (1 - eps) * math.log1p(-eps)
-    return (n_avg * cap_nats + hb) / (1.0 - eps)
+    return (n_avg * cap_nats + binary_entropy(eps)) / (1.0 - eps)
 
 
 # ---------------------------------------------------------------------------

@@ -176,26 +176,31 @@ def capacity(dmc, tol=1e-10, max_iter=10**6):
     )
 
 
-def control_pair(dmc):
-    """Most distinguishable ordered input pair.
+def control_pair(channel):
+    """Most distinguishable ordered input pair of a Dmc or of a kernel matrix.
 
     Returns (x_accept, x_reject, divergence) maximizing D(W_xa || W_xr) over
-    ordered pairs with xa != xr; ties break to the lexicographically smallest
-    (xa, xr). The maximum equals the best confirmation-phase error exponent.
+    ordered pairs with xa != xr; the maximum equals the best
+    confirmation-phase error exponent.  Kernel rows may contain zeros (an
+    empirical kernel): a divergence is +inf when the first row puts mass
+    where the second has none.  Ties within 1e-15 break to the
+    lexicographically smallest (xa, xr).
     """
-    w = dmc.matrix
-    logw = np.log(w)
-    nx = w.shape[0]
-    best = (-1.0, 0, 0)
-    for xa in range(nx):
-        for xr in range(nx):
-            if xa == xr:
-                continue
-            d = float(np.sum(w[xa] * (logw[xa] - logw[xr])))
-            if d > best[0] + 1e-15:
-                best = (d, xa, xr)
-    d, xa, xr = best
-    return xa, xr, d
+    w = channel.matrix if isinstance(channel, Dmc) else np.asarray(channel, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(w)
+        terms = w[:, None, :] * (logw[:, None, :] - logw[None, :, :])
+    div = np.where(w[:, None, :] > 0, terms, 0.0).sum(axis=2)
+    np.fill_diagonal(div, -math.inf)
+    xa, xr = divmod(int(np.argmax(div >= div.max() - 1e-15)), w.shape[0])
+    return xa, xr, float(div[xa, xr])
+
+
+def binary_entropy(q):
+    """h_b(q) = -q log q - (1 - q) log(1 - q) in nats; 0 outside (0, 1)."""
+    if q <= 0.0 or q >= 1.0:
+        return 0.0
+    return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
 
 
 def output_distribution(px, dmc):
@@ -225,15 +230,13 @@ def information_density_table(px, dmc):
 
 
 def gaussian_information_density(chan, x, y):
-    """Per-symbol information density of the Gaussian channel.
+    """Per-symbol information density of the Gaussian channel (array-valued).
 
     C(S) - (y - x)^2 / (2 sigma0^2) + y^2 / (2 (P + sigma0^2)) for the
     N(0, P) input ensemble.
     """
     s2 = chan.noise_variance
-    return float(
-        chan.capacity - (y - x) ** 2 / (2.0 * s2) + y * y / (2.0 * (chan.power + s2))
-    )
+    return chan.capacity - (y - x) ** 2 / (2.0 * s2) + y * y / (2.0 * (chan.power + s2))
 
 
 def load_dmc(path):

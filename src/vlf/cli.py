@@ -43,6 +43,7 @@ from .empirical import tail_exponents
 from .engine import (
     SchemeConfig,
     aggregate_outcomes,
+    metric_kind,
     run_monte_carlo,
     trial_outcomes,
 )
@@ -431,18 +432,17 @@ def _sim_params(opt, variant, channel, px):
         raise _CliError(
             "give all of --gamma1/--gamma2/--aA/--aR or none of them"
         )
-    if variant in ("vlf_dmc", "vlf_awgn"):
+    kind = metric_kind(variant)
+    if not kind.universal:
         n1 = _require(opt, "N1", "--N1")
         return asymptotic_schedule(n1, channel, px, eps=opt["eps"])
     log_m = _require(opt, "M", "--M")
     eps = _require(opt, "eps", "--eps")
     delta = opt["delta"] if opt["delta"] is not None else 0.1
-    if variant == "uvlf_awgn":
+    if kind.gaussian:
         return universal_schedule_gaussian(log_m, eps, delta=delta)
     num_x, num_y = channel.matrix.shape
-    d = opt["d"]
-    if d is None and variant == "uvlf_bsc":
-        d = 0.5
+    d = opt["d"] if opt["d"] is not None else kind.schedule_d
     return universal_schedule(log_m, num_x, num_y, eps, d=d, delta=delta)
 
 

@@ -177,3 +177,20 @@ def count_log_table(n_max):
     k = np.arange(1, n_max + 1, dtype=float)
     table[1:] = k * np.log(k)
     return table
+
+
+def count_mi(log_tbl, cells, rows, cols, n):
+    """n * I of joint types given by their counts, from L = count_log_table.
+
+    ``cells``, ``rows`` and ``cols`` are sequences of broadcastable count
+    arrays: the cell counts, the row sums and the column sums.  Returns
+    sum L[c] - sum L[r] - sum L[s] + L[n], each sum taken in order.
+    """
+
+    def total(counts):
+        out = log_tbl[counts[0]]
+        for c in counts[1:]:
+            out = out + log_tbl[c]
+        return out
+
+    return total(cells) - total(rows) - total(cols) + log_tbl[n]

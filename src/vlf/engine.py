@@ -7,27 +7,25 @@ tells the receiver (through a sequential probability ratio test on control
 symbols) whether the tentative decision was right, and — on rejection — a
 second communication phase that continues the same accumulators to gamma_2.
 
-Five metric/knowledge variants are supported:
-
-* ``vlf_dmc``    - known DMC, information-density metric;
-* ``uvlf_dmc``   - unknown DMC, empirical-mutual-information metric, channel
-                   estimated from a training sequence;
-* ``uvlf_bsc``   - unknown binary channel, flip-entropy metric
-                   n(log 2 - h_b(empirical flip rate));
-* ``vlf_awgn``   - known Gaussian channel, information-density metric;
-* ``uvlf_awgn``  - unknown-noise Gaussian channel, empirical-correlation
-                   metric -(n/2) log(1 - rho_hat^2).
-
-Only the true message's symbols cross the channel; the M-1 competitor
-accumulators are resolved by the strategies in ``ensemble`` (explicit
-matrices for small M, exact Poisson thinning of the crossing point process
-for huge M).  Each trial is driven by an independent RNG stream derived from
-(seed, trial_index), so results are bit-identical regardless of how trials
-are scheduled across workers.
+The variants differ only in their decoding metric.  ``METRICS`` maps each
+variant name to its ``Metric`` class: ``vlf_dmc`` (known DMC, information
+density), ``uvlf_dmc`` (unknown DMC, empirical mutual information of the
+joint type), ``uvlf_bsc`` (unknown binary channel, flip entropy
+n(log 2 - h_b(flip rate))), ``vlf_awgn`` (known Gaussian channel,
+information density) and ``uvlf_awgn`` (unknown noise, empirical correlation
+-(n/2) log(1 - rho_hat^2)); the universal ones estimate the channel from a
+training sequence.  Each metric has one vectorized kernel: the true
+message's walk is its one-row case, the literal competitor race its
+chunked-rows case and the passage-time helpers its lockstep case.  The M-1
+competitors are resolved by the strategies in ``ensemble``.  Each trial is
+driven by an independent RNG stream derived from (seed, trial_index), so
+results are bit-identical regardless of how trials are scheduled across
+workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,10 +37,13 @@ from .channel import (
     Dmc,
     GaussianChannel,
     _as_prob_vector,
+    binary_entropy,
     control_pair,
+    gaussian_information_density,
+    information_density_table,
     mutual_information,
 )
-from .empirical import count_log_table
+from .empirical import count_log_table, count_mi
 from .errors import (
     DimensionMismatch,
     HorizonExceeded,
@@ -53,12 +54,10 @@ from .errors import (
     VlfError,
 )
 
-VARIANTS = ("vlf_dmc", "uvlf_dmc", "uvlf_bsc", "vlf_awgn", "uvlf_awgn")
-_UNIVERSAL = ("uvlf_dmc", "uvlf_bsc", "uvlf_awgn")
-_GAUSSIAN_VARIANTS = ("vlf_awgn", "uvlf_awgn")
 _Z95 = 1.959963984540054
 _BLOCK = 256
 _HT_BLOCK = 64
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -94,47 +93,41 @@ class SchemeConfig:
     c2: float | None = 2.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise VlfError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
-            )
+        kind = metric_kind(self.variant)
         if self.competitor_mode not in ("auto", "literal", "ensemble"):
             raise VlfError(
                 f"competitor_mode must be auto, literal or ensemble, "
                 f"got {self.competitor_mode!r}"
             )
-        gaussian = self.variant in _GAUSSIAN_VARIANTS
-        if gaussian and not isinstance(self.channel, GaussianChannel):
+        if not isinstance(self.channel, kind.channel_type):
             raise DimensionMismatch(
-                f"variant {self.variant} needs a GaussianChannel"
+                f"variant {self.variant} needs a {kind.channel_type.__name__}"
             )
-        if not gaussian and not isinstance(self.channel, Dmc):
-            raise DimensionMismatch(f"variant {self.variant} needs a Dmc")
-        if not gaussian:
+        if not kind.gaussian:
             p = _as_prob_vector(self.px, "px")
             if abs(float(p.sum()) - 1.0) > 1e-9:
                 raise NotADistribution(f"px sums to {p.sum()}, not 1")
-            if p.size != self.channel.matrix.shape[0]:
+            shape = self.channel.matrix.shape
+            if p.size != shape[0]:
                 raise DimensionMismatch(
-                    f"px has {p.size} entries for "
-                    f"{self.channel.matrix.shape[0]} inputs"
+                    f"px has {p.size} entries for {shape[0]} inputs"
                 )
             object.__setattr__(self, "px", np.array(p, dtype=float))
-        if self.variant == "uvlf_bsc" and self.channel.matrix.shape != (2, 2):
-            raise DimensionMismatch(
-                "the flip-entropy variant needs a binary-input binary-output "
-                f"channel, got shape {self.channel.matrix.shape}"
-            )
+            if kind.shape is not None and shape != kind.shape:
+                raise DimensionMismatch(
+                    f"variant {self.variant} needs a channel of shape "
+                    f"{kind.shape}, got shape {shape}"
+                )
         if self.training_len < 0:
             raise VlfError(f"training_len must be >= 0, got {self.training_len}")
-        if self.variant in _UNIVERSAL:
-            need = 1 if gaussian else self.channel.matrix.shape[0]
+        if kind.universal:
+            need = 1 if kind.gaussian else self.channel.matrix.shape[0]
             if self.training_len < need:
                 raise InsufficientTraining(
                     f"variant {self.variant} needs training_len >= {need}, "
                     f"got {self.training_len}"
                 )
-            if not gaussian and self.channel.matrix.shape[0] < 2:
+            if not kind.gaussian and self.channel.matrix.shape[0] < 2:
                 raise DimensionMismatch(
                     "universal confirmation needs at least two channel inputs"
                 )
@@ -251,44 +244,6 @@ def estimate_channel(cfg, trial_index=0):
     return _draw_training(_trial_rng(cfg.seed, trial_index), cfg)
 
 
-def _kl_rows(p, q):
-    """KL(p || q) tolerating zeros: +inf when p puts mass where q has none."""
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def _empirical_control_pair(kernel):
-    """Most distinguishable ordered row pair of an empirical kernel.
-
-    Rows may contain zeros, so divergences can be infinite; ties (including
-    inf-inf) break to the lexicographically smallest (accept, reject) pair.
-    """
-    nx = kernel.shape[0]
-    best = (-math.inf, 0, 1)
-    for xa in range(nx):
-        for xr in range(nx):
-            if xa == xr:
-                continue
-            d = _kl_rows(kernel[xa], kernel[xr])
-            if d > best[0]:
-                best = (d, xa, xr)
-    return best[1], best[2]
-
-
-def _empirical_llr(kernel, x_accept, x_reject):
-    """Per-output log(kernel[xa][y]/kernel[xr][y]); outputs unseen under both
-    rows contribute zero (the test learns nothing from them)."""
-    pa, pr = kernel[x_accept], kernel[x_reject]
-    out = np.zeros(pa.size)
-    both = (pa > 0) & (pr > 0)
-    out[both] = np.log(pa[both]) - np.log(pr[both])
-    out[(pa > 0) & (pr == 0)] = math.inf
-    out[(pa == 0) & (pr > 0)] = -math.inf
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sequential probability ratio test
 
@@ -306,211 +261,317 @@ def sprt(llr_stream, a_accept, a_reject, n_max=None):
         raise VlfError(
             f"SPRT thresholds must be positive, got ({a_accept}, {a_reject})"
         )
-    s = 0.0
-    steps = 0
-    for v in llr_stream:
-        s += float(v)
-        steps += 1
-        if s > a_accept:
-            return "accept", steps, s
-        if s < -a_reject:
-            return "reject", steps, s
+    it = iter(llr_stream)
+    # one value per block: the stream is read no further than the decision
+    decision, steps, s = _block_sprt(
+        lambda b: np.fromiter(itertools.islice(it, b), float),
+        a_accept, a_reject, math.inf if n_max is None else n_max, block=1,
+    )
+    if decision is None:
         if n_max is not None and steps >= n_max:
             raise HorizonExceeded(
                 f"no SPRT decision within n_max = {n_max} steps"
             )
-    raise HorizonExceeded(f"LLR stream ended undecided after {steps} steps")
+        raise HorizonExceeded(f"LLR stream ended undecided after {steps} steps")
+    return decision, steps, s
 
 
-def _run_ht(rng, out_cdf, llr_values, a_accept, a_reject, budget):
-    """Vectorized SPRT on channel outputs drawn from out_cdf (the true
-    channel's row for the control input actually sent), scored with
-    llr_values.  Returns (decision, steps) or (None, budget) if undecided."""
+def _block_sprt(draw_llr, a_accept, a_reject, budget, block=_HT_BLOCK):
+    """SPRT over the LLR values that draw_llr(b) hands out, `block` at a time.
+
+    Returns (decision, steps, terminal sum); decision is None when `budget`
+    steps pass, or draw_llr runs dry, undecided.  An infinite LLR exits at
+    its own index, so the NaN sums that may follow it are never read.
+    """
     s = 0.0
     used = 0
     while used < budget:
-        b = min(_HT_BLOCK, budget - used)
-        y = ensemble._categorical(rng, out_cdf, b)
-        vals = llr_values[y]
+        vals = draw_llr(min(block, budget - used))
+        if vals.size == 0:
+            break
         with np.errstate(invalid="ignore"):
-            # an infinite score exits at its own index, so NaN entries past
-            # the first +-inf pair can never be selected
-            csum = s + np.cumsum(vals)
+            csum = s + np.add.accumulate(vals)
         exit_mask = (csum > a_accept) | (csum < -a_reject)
         if exit_mask.any():
             i = int(exit_mask.argmax())
-            return ("accept" if csum[i] > a_accept else "reject", used + i + 1)
+            decision = "accept" if csum[i] > a_accept else "reject"
+            return decision, used + i + 1, float(csum[i])
         s = float(csum[-1])
-        if not math.isfinite(s):
-            # +inf and -inf alternating can only arise from a zero-mass
-            # output; treat as no information and restart the block sum
-            s = 0.0
-        used += b
-    return None, budget
-
-
-def _run_ht_gaussian(rng, mean, noise_sd, slope, a_accept, a_reject, budget):
-    """SPRT for antipodal Gaussian controls: outputs N(mean, noise_sd^2),
-    per-symbol LLR slope * y."""
-    s = 0.0
-    used = 0
-    while used < budget:
-        b = min(_HT_BLOCK, budget - used)
-        y = mean + noise_sd * rng.standard_normal(b)
-        csum = s + np.cumsum(slope * y)
-        exit_mask = (csum > a_accept) | (csum < -a_reject)
-        if exit_mask.any():
-            i = int(exit_mask.argmax())
-            return ("accept" if csum[i] > a_accept else "reject", used + i + 1)
-        s = float(csum[-1])
-        used += b
-    return None, budget
+        used += vals.size
+    return None, used, s
 
 
 # ---------------------------------------------------------------------------
-# true-message metric paths
+# the metric registry
 
 
-def _scan_crossings(tau1, tau2, t_base, metric, gamma1, gamma2):
-    """Update first-crossing times given one block of metric values."""
-    if tau1 is None:
-        hit = metric > gamma1
-        if hit.any():
-            tau1 = t_base + int(hit.argmax()) + 1
-    if tau2 is None:
-        hit = metric > gamma2
-        if hit.any():
-            tau2 = t_base + int(hit.argmax()) + 1
-    return tau1, tau2
+def _categorical(rng, cdf, size):
+    u = rng.random(size)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def _true_path_dmc(rng, rt):
-    """Known-channel walk: cumulative information density of the true pair."""
-    tau1 = tau2 = None
-    carry = 0.0
-    t = 0
-    ys = []
-    while t < rt.n_max and tau2 is None:
-        b = min(_BLOCK, rt.n_max - t)
-        cells = ensemble._categorical(rng, rt.joint_cdf, b)
-        x, y = cells // rt.num_y, cells % rt.num_y
-        s = carry + np.cumsum(rt.dens[x, y])
-        tau1, tau2 = _scan_crossings(tau1, tau2, t, s, rt.g1, rt.g2)
-        carry = float(s[-1])
-        ys.append(y)
-        t += b
-    return tau1, tau2, np.concatenate(ys) if ys else np.zeros(0, dtype=int), None
+class Metric:
+    """Decoding metric of one variant over walks of at most n_max steps.
 
+    An instance holds the read-only tables every trial of a configuration
+    shares.  The kernel ``metric(state, x, y)`` extends `rows` paths by b
+    steps: state is ``(t, stats)``, the steps taken so far and a
+    (rows, width) array of sufficient statistics; x holds the codeword
+    symbols, shape (rows, b), and y the outputs, shape (1, b) or (rows, b).
+    It returns the metric after each step, shape (rows, b), and the new
+    state.  The base kernel sums per-symbol steps ``step(x, y)``, and its
+    ensemble strategy tilts toward ``draw_tilted(rng, y)``, the posterior of
+    the input given each output.  Subclasses add ``walk_drift(channel, px)``,
+    the samplers ``draw_true(rng, shape)`` (true symbols and outputs) and
+    ``draw_inputs(rng, rows, y)`` (competitor symbols), and the LLR sampler
+    ``confirmation(rng, emp, right)`` of the confirmation test.
+    """
 
-def _true_path_gaussian(rng, rt):
-    tau1 = tau2 = None
-    carry = 0.0
-    e_carry = 0.0
-    t = 0
-    ys, e2 = [], []
-    sd_x = math.sqrt(rt.power)
-    sd_z = math.sqrt(rt.noise_var)
-    while t < rt.n_max and tau2 is None:
-        b = min(_BLOCK, rt.n_max - t)
-        x = sd_x * rng.standard_normal(b)
-        y = x + sd_z * rng.standard_normal(b)
-        s = carry + np.cumsum(rt.dens_fn(x, y))
-        tau1, tau2 = _scan_crossings(tau1, tau2, t, s, rt.g1, rt.g2)
-        carry = float(s[-1])
-        ecum = e_carry + np.cumsum(x * x)
-        e_carry = float(ecum[-1])
-        ys.append(y)
-        e2.append(ecum)
-        t += b
-    y_all = np.concatenate(ys) if ys else np.zeros(0)
-    e_all = np.concatenate(e2) if e2 else np.zeros(0)
-    return tau1, tau2, y_all, e_all
+    channel_type = Dmc
+    gaussian = universal = False
+    shape = None  # the channel shape the metric needs, if any
+    schedule_d = None  # union-bound exponent d of the universal schedule
+    block = _BLOCK  # true-walk symbols per kernel call
+    width, dtype = 1, float
 
+    def __init__(self, channel, px, n_max, n_min=1):
+        self.channel, self.px, self.n_max, self.n_min = channel, px, n_max, n_min
 
-def _true_path_empirical_mi(rng, rt):
-    """Universal-DMC walk: n * I(joint type of true codeword vs outputs)."""
-    tau1 = tau2 = None
-    t = 0
-    counts = np.zeros(rt.num_x * rt.num_y, dtype=np.int64)
-    ys = []
-    L = rt.log_tbl
-    while t < rt.n_max and tau2 is None:
-        b = min(_HT_BLOCK * 2, rt.n_max - t)
-        cells = ensemble._categorical(rng, rt.joint_cdf, b)
-        onehot = np.zeros((b, counts.size), dtype=np.int64)
-        onehot[np.arange(b), cells] = 1
-        cum = counts[None, :] + np.cumsum(onehot, axis=0)
-        grid = cum.reshape(b, rt.num_x, rt.num_y)
-        n = np.arange(t + 1, t + b + 1)
-        metric = (
-            L[cum].sum(axis=1)
-            - L[grid.sum(axis=2)].sum(axis=1)
-            - L[grid.sum(axis=1)].sum(axis=1)
-            + L[n]
+    def start(self, rows):
+        return 0, np.zeros((rows, self.width), self.dtype)
+
+    def metric(self, state, x, y):
+        t, s = state
+        v = s + np.add.accumulate(self.step(x, y), axis=1)
+        return v, (t + v.shape[1], v[:, -1:])
+
+    def ensemble_unavailable(self):
+        """None, or why the metric has no ensemble strategy."""
+        return None
+
+    def ensemble_strategy(self, log_m, gamma1, gamma2):
+        """The ensemble race at these thresholds, as a callable (rng, y)."""
+        return lambda rng, y: ensemble.tilted_race(
+            rng, y, self, log_m, gamma1, gamma2
         )
-        tau1, tau2 = _scan_crossings(tau1, tau2, t, metric, rt.g1, rt.g2)
-        counts = cum[-1]
-        ys.append(cells % rt.num_y)
-        t += b
-    return tau1, tau2, np.concatenate(ys) if ys else np.zeros(0, dtype=int), None
 
 
-def _true_path_flip_entropy(rng, rt):
-    """Binary universal walk: n(log 2 - h_b(empirical flip rate))."""
-    tau1 = tau2 = None
-    t = 0
-    k = 0
-    ys = []
-    L = rt.log_tbl
-    ln2 = math.log(2.0)
-    while t < rt.n_max and tau2 is None:
-        b = min(_BLOCK, rt.n_max - t)
-        cells = ensemble._categorical(rng, rt.joint_cdf, b)
-        x, y = cells // 2, cells % 2
-        kcum = k + np.cumsum(x != y)
-        n = np.arange(t + 1, t + b + 1)
-        metric = n * ln2 - L[n] + L[kcum] + L[n - kcum]
-        tau1, tau2 = _scan_crossings(tau1, tau2, t, metric, rt.g1, rt.g2)
-        k = int(kcum[-1])
-        ys.append(y)
-        t += b
-    return tau1, tau2, np.concatenate(ys) if ys else np.zeros(0, dtype=int), None
+class _DmcMetric(Metric):
+    """Finite alphabets: categorical samplers, count tables for the universal
+    metrics, and a confirmation test between the control pair of the
+    decoder's kernel (the true one or the training estimate)."""
 
+    @staticmethod
+    def walk_drift(channel, px):
+        return mutual_information(px, channel)
 
-def _true_path_correlation(rng, rt):
-    """Universal Gaussian walk: -(n/2) log(1 - rho_hat^2), recognized from
-    min_eval_len on."""
-    tau1 = tau2 = None
-    t = 0
-    sxy = sxx = syy = 0.0
-    e_carry = 0.0
-    ys, e2 = [], []
-    sd_x = math.sqrt(rt.power)
-    sd_z = math.sqrt(rt.noise_var)
-    while t < rt.n_max and tau2 is None:
-        b = min(_BLOCK, rt.n_max - t)
-        x = sd_x * rng.standard_normal(b)
-        y = x + sd_z * rng.standard_normal(b)
-        cxy = sxy + np.cumsum(x * y)
-        cxx = sxx + np.cumsum(x * x)
-        cyy = syy + np.cumsum(y * y)
-        n = np.arange(t + 1, t + b + 1, dtype=float)
+    def __init__(self, channel, px, n_max, n_min=1):
+        super().__init__(channel, px, n_max, n_min)
+        self.w = channel.matrix
+        self.num_x, self.num_y = self.w.shape
+        self.joint_cdf = np.cumsum((px[:, None] * self.w).ravel())
+        self.px_cdf = np.cumsum(px)
+        if self.universal:
+            self.log_tbl = count_log_table(n_max + 1)
+        else:
+            self.known_test = self._test_tables(self.w)
+
+    def draw_true(self, rng, shape):
+        cells = _categorical(rng, self.joint_cdf, shape)
+        return cells // self.num_y, cells % self.num_y
+
+    def draw_inputs(self, rng, rows, y):
+        return _categorical(rng, self.px_cdf, (rows, y.shape[1]))
+
+    def _test_tables(self, kernel):
+        xa, xr, _ = control_pair(kernel)
+        pa, pr = kernel[xa], kernel[xr]
         with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = np.clip(cxy * cxy / (cxx * cyy), 0.0, 1.0)
-            metric = -0.5 * n * np.log1p(-r2)
-        np.nan_to_num(metric, copy=False, nan=-math.inf, posinf=math.inf)
-        if t + 1 < rt.n_min:
-            metric[: rt.n_min - t - 1] = -math.inf
-        tau1, tau2 = _scan_crossings(tau1, tau2, t, metric, rt.g1, rt.g2)
-        sxy, sxx, syy = float(cxy[-1]), float(cxx[-1]), float(cyy[-1])
-        ecum = e_carry + np.cumsum(x * x)
-        e_carry = float(ecum[-1])
-        ys.append(y)
-        e2.append(ecum)
-        t += b
-    y_all = np.concatenate(ys) if ys else np.zeros(0)
-    e_all = np.concatenate(e2) if e2 else np.zeros(0)
-    return tau1, tau2, y_all, e_all
+            llr = np.log(pa) - np.log(pr)
+        llr[(pa == 0) & (pr == 0)] = 0.0  # an output never seen tells nothing
+        return llr, (np.cumsum(self.w[xa]), np.cumsum(self.w[xr]))
+
+    def confirmation(self, rng, emp, right):
+        test = self.known_test if emp is None else self._test_tables(emp.kernel)
+        llr, cdf = test[0], test[1][0 if right else 1]
+        return lambda b: llr[_categorical(rng, cdf, b)]
+
+
+class _GaussianMetric(Metric):
+    """Codebooks N(0, P): normal samplers, and antipodal controls scored
+    with the known or estimated noise variance."""
+
+    channel_type = GaussianChannel
+    gaussian = True
+
+    @staticmethod
+    def walk_drift(channel, px):
+        return channel.capacity
+
+    def __init__(self, channel, px, n_max, n_min=1):
+        super().__init__(channel, px, n_max, n_min)
+        self.power = channel.power
+        self.sd_x = math.sqrt(channel.power)
+        self.sd_z = math.sqrt(channel.noise_variance)
+
+    def draw_true(self, rng, shape):
+        x = self.sd_x * rng.standard_normal(shape)
+        return x, x + self.sd_z * rng.standard_normal(shape)
+
+    def draw_inputs(self, rng, rows, y):
+        return rng.standard_normal((rows, y.shape[1])) * self.sd_x
+
+    def confirmation(self, rng, emp, right):
+        var = self.channel.noise_variance if emp is None else emp.noise_variance
+        slope = 2.0 * self.sd_x / var
+        mean = self.sd_x if right else -self.sd_x
+        return lambda b: slope * (mean + self.sd_z * rng.standard_normal(b))
+
+
+class AdditiveDmc(_DmcMetric):
+    """vlf_dmc: cumulative information density log W(y|x) / P_Y(y)."""
+
+    def __init__(self, channel, px, n_max, n_min=1):
+        super().__init__(channel, px, n_max, n_min)
+        self.dens = information_density_table(px, channel)
+        joint = px[:, None] * self.w
+        self.post_cdfs = np.cumsum((joint / (px @ self.w)[None, :]).T, axis=1)
+
+    def step(self, x, y):
+        return self.dens[x, y]
+
+    def draw_tilted(self, rng, y):
+        u = rng.random(y.shape)
+        return (u[..., None] >= self.post_cdfs[y]).sum(axis=-1)
+
+
+class AdditiveGaussian(_GaussianMetric):
+    """vlf_awgn: cumulative Gaussian information density."""
+
+    def step(self, x, y):
+        return gaussian_information_density(self.channel, x, y)
+
+    def draw_tilted(self, rng, y):
+        p, s2 = self.power, self.channel.noise_variance
+        post_sd = math.sqrt(p * s2 / (p + s2))
+        return y * (p / (p + s2)) + post_sd * rng.standard_normal(y.size)
+
+
+class EmpiricalMi(_DmcMetric):
+    """uvlf_dmc: n * I(joint type of the codeword and output prefixes)."""
+
+    universal = True
+    block = 2 * _HT_BLOCK
+    dtype = np.int64
+
+    def start(self, rows):
+        return 0, np.zeros((rows, self.num_x * self.num_y), self.dtype)
+
+    def metric(self, state, x, y):
+        t, counts = state
+        nx, ny = self.num_x, self.num_y
+        onehot = (x * ny + y)[..., None] == np.arange(nx * ny)
+        cum = counts[:, None, :] + np.cumsum(onehot, axis=1)
+        grid = cum.reshape(cum.shape[:2] + (nx, ny))
+        b = x.shape[1]
+        cells, rows, cols = (
+            np.moveaxis(a, 2, 0) for a in (cum, grid.sum(axis=3), grid.sum(axis=2))
+        )
+        n = np.arange(t + 1, t + b + 1)
+        return count_mi(self.log_tbl, cells, rows, cols, n), (t + b, cum[:, -1])
+
+    def ensemble_unavailable(self):
+        if (self.num_x, self.num_y) != (2, 2):
+            return "the count dynamic program needs a binary-binary channel"
+        return None
+
+    def ensemble_strategy(self, log_m, gamma1, gamma2):
+        return lambda rng, y: ensemble.ensemble_binary_mi_race(
+            rng, y, self, log_m, gamma1, gamma2
+        )
+
+
+class FlipEntropy(_DmcMetric):
+    """uvlf_bsc: n(log 2 - h_b(k/n)), k the flips between codeword and outputs."""
+
+    universal = True
+    shape = (2, 2)
+    schedule_d = 0.5  # the binary-symmetric specialization
+    dtype = np.int64
+
+    @staticmethod
+    def walk_drift(channel, px):
+        joint = px[:, None] * channel.matrix
+        return _LN2 - binary_entropy(float(joint[0, 1] + joint[1, 0]))
+
+    def count_metric(self, n, k):
+        L = self.log_tbl
+        return n * _LN2 - L[n] + L[k] + L[n - k]
+
+    def metric(self, state, x, y):
+        t, k = state
+        b = x.shape[1]
+        k = k + np.cumsum(x != y, axis=1)
+        return self.count_metric(np.arange(t + 1, t + b + 1), k), (t + b, k[:, -1:])
+
+    def draw_inputs(self, rng, rows, y):
+        # a uniform per symbol decides the flip; y xor flip has law px
+        px1 = self.px[1]
+        flip = rng.random((rows, y.shape[1])) < np.where(y == 1, 1.0 - px1, px1)
+        return y ^ flip
+
+    def ensemble_unavailable(self):
+        if np.all(np.abs(self.px - 0.5) < 1e-12):
+            return None
+        return "the shared absorption law needs a uniform codebook"
+
+    def ensemble_strategy(self, log_m, gamma1, gamma2):
+        absorption = ensemble.FlipEntropyAbsorption(self, gamma1)
+        return lambda rng, y: absorption.race(rng, y, log_m, gamma2)
+
+
+class Correlation(_GaussianMetric):
+    """uvlf_awgn: -(n/2) log(1 - rho_hat^2), recognized from length n_min on
+    (the metric is vacuously infinite at length 1)."""
+
+    universal = True
+    width = 3
+
+    def metric(self, state, x, y):
+        t, stats = state
+        sxy = stats[:, :1] + np.cumsum(x * y, axis=1)
+        sxx = stats[:, 1:2] + np.cumsum(x * x, axis=1)
+        syy = stats[:, 2:] + np.cumsum(y * y, axis=1)
+        n = np.arange(t + 1, t + x.shape[1] + 1, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = np.clip(sxy * sxy / (sxx * syy), 0.0, 1.0)
+            v = -0.5 * n * np.log1p(-r2)
+        np.nan_to_num(v, copy=False, nan=-math.inf, posinf=math.inf)
+        v[:, : max(0, self.n_min - t - 1)] = -math.inf
+        last = np.stack([sxy[:, -1], sxx[:, -1], syy[:, -1]], axis=1)
+        return v, (t + x.shape[1], last)
+
+    def ensemble_unavailable(self):
+        return "no exact crossing law is available for the correlation metric"
+
+
+METRICS = {
+    "vlf_dmc": AdditiveDmc,
+    "uvlf_dmc": EmpiricalMi,
+    "uvlf_bsc": FlipEntropy,
+    "vlf_awgn": AdditiveGaussian,
+    "uvlf_awgn": Correlation,
+}
+VARIANTS = tuple(METRICS)
+
+
+def metric_kind(variant):
+    """The Metric class registered for a variant name."""
+    if variant not in METRICS:
+        raise VlfError(
+            f"unknown variant {variant!r}; expected one of {VARIANTS}"
+        )
+    return METRICS[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -518,50 +579,19 @@ def _true_path_correlation(rng, rt):
 
 
 class _Runtime:
-    """Derived tables shared by every trial of a configuration (read-only)."""
+    """Thresholds, horizons, metric and competitor strategy of one
+    configuration, shared by all its trials (read-only)."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
+        kind = metric_kind(cfg.variant)
         p = cfg.params
-        self.g1, self.g2 = p.gamma1, p.gamma2
-        self.log_m = p.log_m
-        self.gaussian = isinstance(cfg.channel, GaussianChannel)
-        if self.gaussian:
-            ch = cfg.channel
-            self.power = ch.power
-            self.noise_var = ch.noise_variance
-            cap = ch.capacity
-            self.dens_fn = (
-                lambda x, y: cap
-                - (y - x) ** 2 / (2.0 * self.noise_var)
-                + y * y / (2.0 * (self.power + self.noise_var))
-            )
-            drift = cap
-        else:
-            w = cfg.channel.matrix
-            self.num_x, self.num_y = w.shape
-            self.w = w
-            self.dens = None
-            jp = cfg.px[:, None] * w
-            self.joint_cdf = np.cumsum(jp.ravel())
-            self.px_cdf = np.cumsum(cfg.px)
-            drift = mutual_information(cfg.px, cfg.channel)
-            if cfg.variant == "vlf_dmc":
-                from .channel import information_density_table
-
-                self.dens = information_density_table(cfg.px, cfg.channel)
-                py = cfg.px @ w
-                post = (jp / py[None, :]).T  # (num_y, num_x)
-                self.post_cdfs = np.cumsum(post, axis=1)
-            if cfg.variant == "uvlf_bsc":
-                drift = math.log(2.0) - _binary_entropy(
-                    float(jp[0, 1] + jp[1, 0])
-                )
+        self.cfg = cfg
+        self.g1, self.g2, self.log_m = p.gamma1, p.gamma2, p.log_m
+        drift = kind.walk_drift(cfg.channel, cfg.px)
         if drift <= 0:
             raise HorizonTooSmall(
                 f"metric drift {drift} is not positive; no finite horizon works"
             )
-        self.drift = drift
         self.n_max = (
             cfg.n_max
             if cfg.n_max is not None
@@ -574,200 +604,134 @@ class _Runtime:
             )
         self.c2_cap = (
             int(math.ceil(cfg.c2 * self.g2 / drift))
-            if cfg.c2 is not None and cfg.variant in _UNIVERSAL
+            if cfg.c2 is not None and kind.universal
             else None
         )
-        if cfg.variant in ("uvlf_dmc", "uvlf_bsc"):
-            self.log_tbl = count_log_table(self.n_max + 1)
-        if cfg.variant == "uvlf_awgn":
-            self.n_min = (
-                cfg.min_eval_len
-                if cfg.min_eval_len is not None
-                else max(1, int(self.log_m))
-            )
-        # known-channel confirmation tables
-        if not self.gaussian and cfg.variant == "vlf_dmc":
-            xa, xr, _ = control_pair(cfg.channel)
-            self.ht_known = (
-                np.cumsum(w[xa]),
-                np.cumsum(w[xr]),
-                np.log(w[xa]) - np.log(w[xr]),
-            )
+        n_min = (
+            cfg.min_eval_len
+            if cfg.min_eval_len is not None
+            else max(1, int(self.log_m))
+        )
+        self.metric = kind(cfg.channel, cfg.px, self.n_max, n_min)
         self.mode = self._resolve_mode()
-        if cfg.variant == "uvlf_bsc" and self.mode == "ensemble":
-            self.flip_absorption = ensemble.FlipEntropyAbsorption(
-                self.log_tbl, self.g1, self.n_max
-            )
+        self.ensemble_race = (
+            self.metric.ensemble_strategy(self.log_m, self.g1, self.g2)
+            if self.mode == "ensemble"
+            else None
+        )
 
     def _resolve_mode(self):
         cfg = self.cfg
         literal_ok = ensemble.check_message_count(self.log_m)
-        if cfg.variant in ("vlf_dmc", "vlf_awgn"):
-            ensemble_ok, why = True, ""
-        elif cfg.variant == "uvlf_dmc":
-            ensemble_ok = not self.gaussian and (self.num_x, self.num_y) == (2, 2)
-            why = "the count dynamic program needs a binary-binary channel"
-        elif cfg.variant == "uvlf_bsc":
-            ensemble_ok = bool(np.all(np.abs(self.cfg.px - 0.5) < 1e-12))
-            why = "the shared absorption law needs a uniform codebook"
-        else:  # uvlf_awgn
-            ensemble_ok = False
-            why = "no exact crossing law is available for the correlation metric"
-        if cfg.competitor_mode == "literal":
-            if not literal_ok:
-                raise StateExplosion(
-                    f"literal competitors need at most 4096 messages, "
-                    f"got log M = {self.log_m:.3f}"
-                )
-            return "literal"
-        if cfg.competitor_mode == "ensemble":
-            if not ensemble_ok:
-                raise StateExplosion(
-                    f"ensemble competitors unavailable for {cfg.variant}: {why}"
-                )
-            return "ensemble"
-        if literal_ok:
-            return "literal"
-        if ensemble_ok:
-            return "ensemble"
-        raise StateExplosion(
-            f"message count log M = {self.log_m:.3f} is too large for literal "
-            f"competitor simulation and {cfg.variant} has no ensemble "
-            f"strategy: {why}"
-        )
-
-
-def _binary_entropy(q):
-    if q <= 0.0 or q >= 1.0:
-        return 0.0
-    return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
+        mode = cfg.competitor_mode
+        if mode == "auto":
+            mode = "literal" if literal_ok else "ensemble"
+        if mode == "literal" and not literal_ok:
+            raise StateExplosion(
+                f"literal competitors need at most 4096 messages, "
+                f"got log M = {self.log_m:.3f}"
+            )
+        why = self.metric.ensemble_unavailable()
+        if mode == "ensemble" and why is not None:
+            raise StateExplosion(
+                f"ensemble competitors unavailable for {cfg.variant} "
+                f"at log M = {self.log_m:.3f}: {why}"
+            )
+        return mode
 
 
 # ---------------------------------------------------------------------------
 # one trial
 
 
-def _race(rng, rt, emp, y_h):
+def _true_walk(rng, rt):
+    """The true codeword's path, the one-row case of the metric kernel,
+    drawn block by block until it clears gamma_2 or reaches n_max: first
+    walk times above gamma_1 and gamma_2 (or None), the outputs drawn and,
+    for Gaussian codebooks, the running input energy (else None)."""
+    m = rt.metric
+    taus = [None, None]
+    state = m.start(1)
+    ys, energy = [], []
+    while state[0] < rt.n_max and taus[1] is None:
+        t = state[0]
+        x, y = m.draw_true(rng, (1, min(m.block, rt.n_max - t)))
+        s, state = m.metric(state, x, y)
+        for i, gamma in enumerate((rt.g1, rt.g2)):
+            if taus[i] is None and (hit := s[0] > gamma).any():
+                taus[i] = t + int(hit.argmax()) + 1
+        ys.append(y[0])
+        if m.gaussian:
+            carry = energy[-1][-1] if energy else 0.0
+            energy.append(carry + np.cumsum(x[0] * x[0]))
+    ecum = np.concatenate(energy) if energy else None
+    return taus[0], taus[1], np.concatenate(ys), ecum
+
+
+def _race(rng, rt, y_h):
     """Resolve the competitor side over the horizon covered by y_h."""
-    cfg = rt.cfg
-    if rt.mode == "literal":
-        m1 = ensemble.literal_count(rt.log_m)
-        if m1 == 0:
-            return ensemble.RaceResult(None, None)
-        if cfg.variant == "vlf_dmc":
-            return ensemble.literal_dmc_race(
-                rng, y_h, m1, rt.dens, rt.px_cdf, rt.g1, rt.g2
-            )
-        if cfg.variant == "vlf_awgn":
-            return ensemble.literal_gaussian_race(
-                rng, y_h, m1, rt.power, rt.dens_fn, rt.g1, rt.g2
-            )
-        if cfg.variant == "uvlf_dmc":
-            return ensemble.literal_empirical_mi_race(
-                rng, y_h, m1, rt.px_cdf, rt.log_tbl, rt.num_x, rt.num_y,
-                rt.g1, rt.g2
-            )
-        if cfg.variant == "uvlf_bsc":
-            return ensemble.literal_flip_entropy_race(
-                rng, y_h, m1, float(cfg.px[1]), rt.log_tbl, rt.g1, rt.g2
-            )
-        return ensemble.literal_correlation_race(
-            rng, y_h, m1, rt.power, rt.g1, rt.g2, rt.n_min
-        )
-    if cfg.variant == "vlf_dmc":
-        return ensemble.ensemble_dmc_race(
-            rng, y_h, rt.log_m, rt.dens, rt.post_cdfs, rt.px_cdf, rt.g1, rt.g2
-        )
-    if cfg.variant == "vlf_awgn":
-        return ensemble.ensemble_gaussian_race(
-            rng, y_h, rt.log_m, rt.power, rt.noise_var, rt.dens_fn,
-            rt.g1, rt.g2
-        )
-    if cfg.variant == "uvlf_dmc":
-        return ensemble.ensemble_binary_mi_race(
-            rng, y_h, rt.log_m, float(cfg.px[1]), rt.log_tbl, rt.g1, rt.g2,
-            y_h.size
-        )
-    return rt.flip_absorption.race(
-        rng, rt.log_m, rt.log_tbl, rt.g2, y_h.size
-    )
+    if rt.mode == "ensemble":
+        return rt.ensemble_race(rng, y_h)
+    m1 = ensemble.literal_count(rt.log_m)
+    return ensemble.literal_race(rng, y_h, m1, rt.metric, rt.g1, rt.g2)
 
 
 def _confirmation(rng, rt, emp, hypothesis_true, budget):
     """Play the confirmation phase; returns (decision or None, steps)."""
-    cfg = rt.cfg
-    p = cfg.params
     if budget < 1:
         return None, 0
-    if rt.gaussian:
-        sqp = math.sqrt(rt.power)
-        mean = sqp if hypothesis_true else -sqp
-        var_hat = rt.noise_var if emp is None else emp.noise_variance
-        slope = 2.0 * sqp / var_hat
-        return _run_ht_gaussian(
-            rng, mean, math.sqrt(rt.noise_var), slope,
-            p.a_accept, p.a_reject, budget
-        )
-    if emp is None:
-        cdf_a, cdf_r, llr = rt.ht_known
-    else:
-        xa, xr = _empirical_control_pair(emp.kernel)
-        llr = _empirical_llr(emp.kernel, xa, xr)
-        cdf_a = np.cumsum(rt.w[xa])
-        cdf_r = np.cumsum(rt.w[xr])
-    out_cdf = cdf_a if hypothesis_true else cdf_r
-    return _run_ht(rng, out_cdf, llr, p.a_accept, p.a_reject, budget)
-
-
-_TRUE_PATHS = {
-    "vlf_dmc": _true_path_dmc,
-    "vlf_awgn": _true_path_gaussian,
-    "uvlf_dmc": _true_path_empirical_mi,
-    "uvlf_bsc": _true_path_flip_entropy,
-    "uvlf_awgn": _true_path_correlation,
-}
-
-
-def _censored_outcome(rt, len_c1, len_ht, energy):
-    n = rt.n_max
-    c1 = min(len_c1, n)
-    ht = min(len_ht, n - c1)
-    return TrialOutcome(
-        correct=False,
-        tau=n,
-        len_c1=c1,
-        len_ht=ht,
-        len_c2=n - c1 - ht,
-        energy=energy,
-        censored=True,
-        stopped_at_zero=False,
+    p = rt.cfg.params
+    decision, steps, _ = _block_sprt(
+        rt.metric.confirmation(rng, emp, hypothesis_true),
+        p.a_accept, p.a_reject, budget,
     )
+    return decision, steps
 
 
 def simulate_trial(cfg, trial_index, _runtime=None):
     """Play one full protocol run; deterministic in (cfg.seed, trial_index)."""
     rt = _runtime if _runtime is not None else _Runtime(cfg)
     rng = _trial_rng(cfg.seed, trial_index)
-    emp = _draw_training(rng, cfg) if cfg.variant in _UNIVERSAL else None
+    emp = _draw_training(rng, cfg) if rt.metric.universal else None
 
     if rng.random() < cfg.params.eps0:
-        if cfg.honest_time_zero:
-            correct = rng.random() < math.exp(-rt.log_m)
-        else:
-            correct = False
+        correct = cfg.honest_time_zero and rng.random() < math.exp(-rt.log_m)
         return TrialOutcome(
             correct=correct, tau=0, len_c1=0, len_ht=0, len_c2=0,
             energy=0.0, censored=False, stopped_at_zero=True,
         )
 
-    tau1_true, tau2_true, y, ecum = _TRUE_PATHS[cfg.variant](rng, rt)
+    tau1_true, tau2_true, y, ecum = _true_walk(rng, rt)
+
+    def outcome(len_c1, len_ht, energy_at, walk_end=None, correct=False):
+        """The run's outcome, its input energy counted to walk time
+        energy_at; without a walk_end the run is censored at n_max."""
+        energy = 0.0
+        if ecum is not None:
+            energy = float(ecum[min(energy_at, ecum.size) - 1])
+            energy += len_ht * rt.metric.power
+        censored = walk_end is None
+        if censored:
+            len_c1 = min(len_c1, rt.n_max)
+            len_ht = min(len_ht, rt.n_max - len_c1)
+            walk_end = rt.n_max - len_ht
+        return TrialOutcome(
+            correct=bool(correct),
+            tau=int(walk_end + len_ht),
+            len_c1=int(len_c1),
+            len_ht=int(len_ht),
+            len_c2=int(walk_end - len_c1),
+            energy=energy,
+            censored=censored,
+            stopped_at_zero=False,
+        )
+
     if tau1_true is None:
-        energy = float(ecum[-1]) if ecum is not None and ecum.size else 0.0
-        return _censored_outcome(rt, rt.n_max, 0, energy)
+        return outcome(rt.n_max, 0, rt.n_max)
 
     # competitors only matter strictly before the true gamma_2 crossing
     horizon = (tau2_true - 1) if tau2_true is not None else y.size
-    race = _race(rng, rt, emp, y[:horizon])
+    race = _race(rng, rt, y[:horizon])
 
     c1_correct = race.t1 is None or race.t1 >= tau1_true
     tau_first = tau1_true if c1_correct else race.t1
@@ -776,72 +740,41 @@ def simulate_trial(cfg, trial_index, _runtime=None):
         rng, rt, emp, c1_correct, rt.n_max - tau_first
     )
     if decision is None:
-        energy = (
-            float(ecum[min(tau_first, ecum.size) - 1]) + len_ht * rt.power
-            if rt.gaussian
-            else 0.0
-        )
-        return _censored_outcome(rt, tau_first, len_ht, energy)
-
+        return outcome(tau_first, len_ht, tau_first)
     if decision == "accept":
         walk_end = tau_first
         correct = c1_correct
     else:
         cand = [t for t in (tau2_true, race.t2) if t is not None]
         if not cand:
-            energy = (
-                float(ecum[-1]) + len_ht * rt.power if rt.gaussian else 0.0
-            )
-            return _censored_outcome(rt, tau_first, len_ht, energy)
+            return outcome(tau_first, len_ht, rt.n_max)
         walk_end = min(cand)
         if rt.c2_cap is not None and walk_end > rt.c2_cap:
-            energy = (
-                float(ecum[min(rt.c2_cap, ecum.size) - 1]) + len_ht * rt.power
-                if rt.gaussian
-                else 0.0
-            )
-            return _censored_outcome(rt, tau_first, len_ht, energy)
+            return outcome(tau_first, len_ht, rt.c2_cap)
         correct = race.t2 is None or (
             tau2_true is not None and tau2_true <= race.t2
         )
-
-    tau = walk_end + len_ht
-    if tau > rt.n_max:
-        energy = (
-            float(ecum[min(walk_end, ecum.size) - 1]) + len_ht * rt.power
-            if rt.gaussian
-            else 0.0
-        )
-        return _censored_outcome(rt, walk_end, len_ht, energy)
-    energy = (
-        float(ecum[walk_end - 1]) + len_ht * rt.power if rt.gaussian else 0.0
-    )
-    return TrialOutcome(
-        correct=bool(correct),
-        tau=int(tau),
-        len_c1=int(tau_first),
-        len_ht=int(len_ht),
-        len_c2=int(walk_end - tau_first),
-        energy=float(energy),
-        censored=False,
-        stopped_at_zero=False,
-    )
+    if walk_end + len_ht > rt.n_max:
+        return outcome(walk_end, len_ht, walk_end)
+    return outcome(tau_first, len_ht, walk_end, walk_end, correct)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo aggregation
 
 
+def _record(o):
+    return (
+        float(o.correct), float(o.tau), float(o.len_c1), float(o.len_ht),
+        float(o.len_c2), o.energy, float(o.censored), float(o.stopped_at_zero),
+    )
+
+
 def _run_chunk(cfg, lo, hi):
     rt = _Runtime(cfg)
     out = np.empty((hi - lo, 8))
     for i in range(lo, hi):
-        o = simulate_trial(cfg, i, _runtime=rt)
-        out[i - lo] = (
-            float(o.correct), float(o.tau), float(o.len_c1), float(o.len_ht),
-            float(o.len_c2), o.energy, float(o.censored),
-            float(o.stopped_at_zero),
-        )
+        out[i - lo] = _record(simulate_trial(cfg, i, _runtime=rt))
     return out
 
 
@@ -901,14 +834,7 @@ def trial_outcomes(cfg, trials):
 
 def aggregate_outcomes(cfg, outcomes):
     """McEstimate over an explicit in-order TrialOutcome collection."""
-    rows = [
-        (
-            float(o.correct), float(o.tau), float(o.len_c1), float(o.len_ht),
-            float(o.len_c2), o.energy, float(o.censored),
-            float(o.stopped_at_zero),
-        )
-        for o in outcomes
-    ]
+    rows = [_record(o) for o in outcomes]
     if not rows:
         raise VlfError("aggregate_outcomes needs at least one outcome")
     return _aggregate(cfg, np.asarray(rows))
@@ -967,73 +893,40 @@ def _aggregate(cfg, rec):
 # lockstep passage-time utilities (used by drift diagnostics and tests)
 
 
-def empirical_mi_passage_times(dmc, px, gamma, trials, seed=0, max_steps=None):
-    """First times n * I(joint type) > gamma for `trials` independent walks.
+def _passage_times(kind, dmc, px, gamma, trials, seed, max_steps):
+    """First times `trials` independent walks of a metric exceed gamma.
 
-    All walks advance in lockstep (one joint-cell draw per walk per step), so
-    the cost is O(max reached time) vectorized over trials.  Walks that do
-    not cross within max_steps (default: generous multiple of gamma/I) are
-    reported at max_steps.
+    The lockstep case of the kernel: all walks advance together, one
+    joint-cell draw per live walk per step, so the cost is O(max reached
+    time) vectorized over trials.  Walks that do not cross within max_steps
+    (default: a generous multiple of gamma over the drift) are reported at
+    max_steps.
     """
     p = _as_prob_vector(px, "px")
-    w = dmc.matrix
-    drift = mutual_information(p, dmc)
     if max_steps is None:
-        max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
+        max_steps = int(math.ceil(50.0 * gamma / kind.walk_drift(dmc, p))) + 200
+    metric = kind(dmc, p, max_steps)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    nx, ny = w.shape
-    cells = nx * ny
-    jcdf = np.cumsum((p[:, None] * w).ravel())
-    L = count_log_table(max_steps + 1)
-    counts = np.zeros((trials, cells), dtype=np.int64)
+    stats = metric.start(trials)[1]
     taus = np.full(trials, max_steps, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)
-    for t in range(1, max_steps + 1):
+    for t in range(max_steps):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        draw = ensemble._categorical(rng, jcdf, idx.size)
-        counts[idx, draw] += 1
-        grid = counts[idx].reshape(idx.size, nx, ny)
-        metric = (
-            L[counts[idx]].sum(axis=1)
-            - L[grid.sum(axis=2)].sum(axis=1)
-            - L[grid.sum(axis=1)].sum(axis=1)
-            + L[t]
-        )
-        crossed = metric > gamma
-        if crossed.any():
-            hit = idx[crossed]
-            taus[hit] = t
-            alive[hit] = False
+        x, y = metric.draw_true(rng, (idx.size, 1))
+        s, (_, stats[idx]) = metric.metric((t, stats[idx]), x, y)
+        hit = idx[s[:, 0] > gamma]
+        taus[hit] = t + 1
+        alive[hit] = False
     return taus
+
+
+def empirical_mi_passage_times(dmc, px, gamma, trials, seed=0, max_steps=None):
+    """First times n * I(joint type) > gamma for `trials` independent walks."""
+    return _passage_times(EmpiricalMi, dmc, px, gamma, trials, seed, max_steps)
 
 
 def info_density_passage_times(dmc, px, gamma, trials, seed=0, max_steps=None):
     """First times the cumulative information density exceeds gamma."""
-    p = _as_prob_vector(px, "px")
-    from .channel import information_density_table
-
-    dens = information_density_table(p, dmc)
-    drift = mutual_information(p, dmc)
-    if max_steps is None:
-        max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    ny = dmc.matrix.shape[1]
-    jcdf = np.cumsum((p[:, None] * dmc.matrix).ravel())
-    s = np.zeros(trials)
-    taus = np.full(trials, max_steps, dtype=np.int64)
-    alive = np.ones(trials, dtype=bool)
-    dens_flat = dens.ravel()
-    for t in range(1, max_steps + 1):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        draw = ensemble._categorical(rng, jcdf, idx.size)
-        s[idx] += dens_flat[draw]
-        crossed = s[idx] > gamma
-        if crossed.any():
-            hit = idx[crossed]
-            taus[hit] = t
-            alive[hit] = False
-    return taus
+    return _passage_times(AdditiveDmc, dmc, px, gamma, trials, seed, max_steps)

@@ -16,6 +16,10 @@ Two interchangeable strategies produce them:
   probability e^{-overshoot}) or from exact absorption masses of a count
   dynamic program (empirical-mutual-information metrics).
 
+Both work on the kernel of an ``engine.Metric``: the literal race is its
+chunked-rows case, and the ensemble strategies continue each sampled gamma_1
+crosser toward gamma_2 with its one-row case.
+
 Competitor indices all exceed the true message's, so under the smallest-index
 decode rule a competitor only wins a phase by crossing strictly earlier.
 """
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .empirical import count_mi
 from .errors import StateExplosion
 
 _LAMBDA_CAP = 1e4
@@ -42,34 +47,16 @@ class RaceResult:
     t2: int | None
 
 
-def _first_crossing_times(metric_rows, threshold):
-    """Per-row first index with metric > threshold, as 1-based times; 0 if none."""
-    if metric_rows.shape[1] == 0:
-        return np.zeros(metric_rows.shape[0], dtype=int)
-    hit = metric_rows > threshold
-    any_hit = hit.any(axis=1)
-    first = hit.argmax(axis=1) + 1
-    return np.where(any_hit, first, 0)
+def _first_exceed(s, gamma):
+    """Earliest step (1-based column) at which any row of the metric paths s
+    exceeds gamma, or None."""
+    hit = (s > gamma).any(axis=0)
+    return int(hit.argmax()) + 1 if hit.any() else None
 
 
-def _merge_min(current, times):
-    pos = times[times > 0]
-    if pos.size == 0:
-        return current
-    m = int(pos.min())
-    return m if current is None or m < current else current
-
-
-def _categorical(rng, cdf, size):
-    u = rng.random(size)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-
-
-def _row_categorical(rng, row_cdfs, rows):
-    """One draw per element of `rows`, each from the categorical whose CDF is
-    row_cdfs[rows[i]]."""
-    u = rng.random(rows.shape)
-    return (u[..., None] >= row_cdfs[rows]).sum(axis=-1)
+def _earlier(a, b):
+    """The earlier of two crossing times, either of which may be None."""
+    return b if a is None or (b is not None and b < a) else a
 
 
 def check_message_count(log_m, cap=4096):
@@ -102,231 +89,110 @@ def poisson_crosser_rate(log_m, log_p_cross):
     return math.exp(t)
 
 
+def _first_to_gamma2(rng, metric, crossers, y, gamma2):
+    """Earliest walk time at which one of the gamma_1 crossers exceeds gamma_2.
+
+    ``crossers`` lists (t, metric value at t, kernel state at t).  A crosser
+    still at or below gamma_2 continues against the outputs y[t:] with fresh
+    codeword symbols, in one call of the one-row kernel.  None if no crosser
+    gets there within y.
+    """
+    best = None
+    for t, value, state in crossers:
+        if value <= gamma2:
+            rest = y[None, t:]
+            if rest.size == 0:
+                continue
+            s, _ = metric.metric(state, metric.draw_inputs(rng, 1, rest), rest)
+            hit = _first_exceed(s, gamma2)
+            if hit is None:
+                continue
+            t += hit
+        best = _earlier(best, t)
+    return best
+
+
+def _absorbed_crossers(rng, metric, y, gamma2, k, t, values, states, w):
+    """RaceResult of k crossers drawn from the absorption law of a count DP.
+
+    The absorbed masses w come with their walk times t and the metric values
+    and kernel states there; each drawn crosser continues toward gamma_2.
+    """
+    picks = rng.choice(w.size, size=k, p=w / w.sum())
+    crossers = [
+        (int(t[i]), float(values[i]), (int(t[i]), states[i:i + 1]))
+        for i in picks
+    ]
+    return RaceResult(
+        int(t[picks].min()), _first_to_gamma2(rng, metric, crossers, y, gamma2)
+    )
+
+
 # ---------------------------------------------------------------------------
-# literal strategies
+# literal strategy
 
 
-def literal_additive_race(rng, steps_fn, m1, horizon, gamma1, gamma2):
-    """Race m1 competitors whose metrics are cumulative sums of per-symbol
-    steps; steps_fn(rng, rows) draws a (rows, horizon) step matrix."""
-    if horizon < 1:
+def literal_race(rng, y, m1, metric, gamma1, gamma2):
+    """Race m1 explicit competitors against the outputs y: the chunked-rows
+    case of the metric kernel, _CHUNK codewords at a time."""
+    if y.size < 1:
         return RaceResult(None, None)
     t1 = t2 = None
-    left = m1
-    while left > 0:
+    for left in range(m1, 0, -_CHUNK):
         rows = min(left, _CHUNK)
-        left -= rows
-        s = np.cumsum(steps_fn(rng, rows), axis=1)
-        t1 = _merge_min(t1, _first_crossing_times(s, gamma1))
-        t2 = _merge_min(t2, _first_crossing_times(s, gamma2))
-    return RaceResult(t1, t2)
-
-
-def literal_dmc_race(rng, y, m1, dens, px_cdf, gamma1, gamma2):
-    def steps(rng, rows):
-        x = _categorical(rng, px_cdf, (rows, y.size))
-        return dens[x, y[None, :]]
-
-    return literal_additive_race(rng, steps, m1, y.size, gamma1, gamma2)
-
-
-def literal_gaussian_race(rng, y, m1, power, dens_fn, gamma1, gamma2):
-    def steps(rng, rows):
-        x = rng.standard_normal((rows, y.size)) * math.sqrt(power)
-        return dens_fn(x, y[None, :])
-
-    return literal_additive_race(rng, steps, m1, y.size, gamma1, gamma2)
-
-
-def literal_empirical_mi_race(rng, y, m1, px_cdf, log_tbl, num_x, num_y,
-                              gamma1, gamma2):
-    """Competitor metric: n * I(joint type of (codeword prefix, y prefix))."""
-    h = y.size
-    if h < 1:
-        return RaceResult(None, None)
-    n = np.arange(1, h + 1, dtype=np.int64)
-    y_onehots = [(y == b).astype(np.int64) for b in range(num_y)]
-    col = np.stack([np.cumsum(oh) for oh in y_onehots])  # (num_y, h) shared
-    col_term = sum(log_tbl[col[b]] for b in range(num_y))
-    t1 = t2 = None
-    left = m1
-    while left > 0:
-        rows = min(left, _CHUNK)
-        left -= rows
-        x = _categorical(rng, px_cdf, (rows, h))
-        metric = np.tile(log_tbl[n] - col_term, (rows, 1))
-        row_counts = []
-        for a in range(num_x):
-            xa = (x == a).astype(np.int64)
-            row_tot = np.cumsum(xa, axis=1)
-            row_counts.append(row_tot)
-            for b in range(num_y):
-                cell = np.cumsum(xa * y_onehots[b][None, :], axis=1)
-                metric += log_tbl[cell]
-        for row_tot in row_counts:
-            metric -= log_tbl[row_tot]
-        t1 = _merge_min(t1, _first_crossing_times(metric, gamma1))
-        t2 = _merge_min(t2, _first_crossing_times(metric, gamma2))
-    return RaceResult(t1, t2)
-
-
-def literal_flip_entropy_race(rng, y, m1, px1, log_tbl, gamma1, gamma2):
-    """Competitor metric: n(log 2 - h_b(empirical flip rate to y))."""
-    h = y.size
-    if h < 1:
-        return RaceResult(None, None)
-    n = np.arange(1, h + 1, dtype=np.int64)
-    p_flip = np.where(y == 1, 1.0 - px1, px1)[None, :]
-    base = n * math.log(2.0) - log_tbl[n]
-    t1 = t2 = None
-    left = m1
-    while left > 0:
-        rows = min(left, _CHUNK)
-        left -= rows
-        z = (rng.random((rows, h)) < p_flip).astype(np.int64)
-        k = np.cumsum(z, axis=1)
-        metric = base[None, :] + log_tbl[k] + log_tbl[n[None, :] - k]
-        t1 = _merge_min(t1, _first_crossing_times(metric, gamma1))
-        t2 = _merge_min(t2, _first_crossing_times(metric, gamma2))
-    return RaceResult(t1, t2)
-
-
-def literal_correlation_race(rng, y, m1, power, gamma1, gamma2, min_eval_len):
-    """Competitor metric: -(n/2) log(1 - rho_hat^2), evaluated from
-    min_eval_len onward (the metric is degenerate at tiny lengths)."""
-    h = y.size
-    if h < 1:
-        return RaceResult(None, None)
-    n = np.arange(1, h + 1, dtype=float)
-    syy = np.cumsum(y * y)
-    t1 = t2 = None
-    left = m1
-    while left > 0:
-        rows = min(left, _CHUNK)
-        left -= rows
-        x = rng.standard_normal((rows, h)) * math.sqrt(power)
-        sxy = np.cumsum(x * y[None, :], axis=1)
-        sxx = np.cumsum(x * x, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = np.clip(sxy * sxy / (sxx * syy[None, :]), 0.0, 1.0)
-            metric = -0.5 * n[None, :] * np.log1p(-r2)
-        metric[:, : min_eval_len - 1] = -np.inf
-        np.nan_to_num(metric, copy=False, nan=-np.inf, posinf=np.inf)
-        t1 = _merge_min(t1, _first_crossing_times(metric, gamma1))
-        t2 = _merge_min(t2, _first_crossing_times(metric, gamma2))
+        x = metric.draw_inputs(rng, rows, y[None, :])
+        s, _ = metric.metric(metric.start(rows), x, y[None, :])
+        t1 = _earlier(t1, _first_exceed(s, gamma1))
+        t2 = _earlier(t2, _first_exceed(s, gamma2))
     return RaceResult(t1, t2)
 
 
 # ---------------------------------------------------------------------------
-# ensemble strategies: additive metrics via exponential tilting
+# ensemble strategy for additive metrics: exponential tilting
 
 
-def _tilted_additive_crossers(rng, y, log_m, gamma1, draw_tilted, step_of):
-    """Sample the Poisson point process of competitors that clear gamma_1
-    within the horizon, exactly, by tilting + thinning.
+def tilted_race(rng, y, metric, log_m, gamma1, gamma2):
+    """RaceResult of an additive metric from the Poisson point process of
+    competitors that clear gamma_1 within the horizon, sampled exactly by
+    tilting + thinning.
 
-    Per competitor and conditional on y, the metric is a sum of i.i.d. steps
-    (law depending on y_t).  Under the tilted per-symbol law (the posterior on
-    inputs given y_t), exp(metric) is the likelihood ratio, so
-    P[cross by H] = E_tilted[e^{-S_tau} ; tau <= H]: propose Poisson
-    ((M-1)e^{-gamma_1}) tilted paths and keep each with probability
-    e^{-(S_tau - gamma_1)} 1{tau <= H}.  Returns [(tau, S_tau, x_rest)] with
-    the post-crossing continuation left to the caller.
+    Per competitor and conditional on y, the metric is a sum of independent
+    steps (law depending on y_t).  Under the tilted per-symbol law
+    (metric.draw_tilted: the posterior on inputs given y_t), exp(metric) is
+    the likelihood ratio, so P[cross by H] = E_tilted[e^{-S_tau} ; tau <= H]:
+    propose Poisson((M-1)e^{-gamma_1}) tilted paths and keep each with
+    probability e^{-(S_tau - gamma_1)} 1{tau <= H}.
     """
     lam = poisson_crosser_rate(log_m, -gamma1)
-    k = rng.poisson(lam)
-    out = []
-    for _ in range(k):
-        x = draw_tilted(rng)
-        s = np.cumsum(step_of(x, y))
-        hit = s > gamma1
-        if not hit.any():
+    crossers = []
+    for _ in range(rng.poisson(lam)):
+        x = metric.draw_tilted(rng, y)
+        s, _ = metric.metric(metric.start(1), x[None, :], y[None, :])
+        t = _first_exceed(s, gamma1)
+        if t is None or rng.random() >= math.exp(-(s[0, t - 1] - gamma1)):
             continue
-        t = int(hit.argmax())  # 0-based crossing index; walk time t+1
-        if rng.random() >= math.exp(-(float(s[t]) - gamma1)):
-            continue
-        out.append((t + 1, float(s[t])))
-    return out
-
-
-def ensemble_additive_race(rng, y, log_m, gamma1, gamma2, draw_tilted,
-                           draw_plain, step_of):
-    """RaceResult via tilting for additive metrics.  draw_tilted(rng) draws a
-    full-horizon input vector from the per-symbol posterior given y;
-    draw_plain(rng, length) draws from the codebook prior; step_of(x, y)
-    maps aligned input/output vectors to per-symbol metric steps."""
-    crossers = _tilted_additive_crossers(
-        rng, y, log_m, gamma1, draw_tilted, step_of
-    )
+        crossers.append((t, float(s[0, t - 1]), (t, s[:, t - 1:t])))
     if not crossers:
         return RaceResult(None, None)
-    t1 = min(c[0] for c in crossers)
-    t2 = None
-    h = y.size
-    for start, s0 in crossers:
-        if s0 > gamma2:  # one step can clear both thresholds at once
-            t2 = start if t2 is None or start < t2 else t2
-            continue
-        if start >= h:
-            continue
-        x_rest = draw_plain(rng, h - start)
-        s = s0 + np.cumsum(step_of(x_rest, y[start:]))
-        hit = s > gamma2
-        if hit.any():
-            cand = start + int(hit.argmax()) + 1
-            t2 = cand if t2 is None or cand < t2 else t2
-    return RaceResult(t1, t2)
-
-
-def ensemble_dmc_race(rng, y, log_m, dens, post_cdfs, px_cdf, gamma1, gamma2):
-    def draw_tilted(rng):
-        return _row_categorical(rng, post_cdfs, y)
-
-    def draw_plain(rng, length):
-        return _categorical(rng, px_cdf, length)
-
-    def step_of(x, yy):
-        return dens[x, yy]
-
-    return ensemble_additive_race(
-        rng, y, log_m, gamma1, gamma2, draw_tilted, draw_plain, step_of
-    )
-
-
-def ensemble_gaussian_race(rng, y, log_m, power, noise_var, dens_fn,
-                           gamma1, gamma2):
-    # posterior of the codebook symbol given the output: the usual Gaussian
-    # conditional N(y P/(P+s2), P s2/(P+s2)) — the e^{metric}-weighted prior
-    post_mean = power / (power + noise_var)
-    post_sd = math.sqrt(power * noise_var / (power + noise_var))
-
-    def draw_tilted(rng):
-        return y * post_mean + post_sd * rng.standard_normal(y.size)
-
-    def draw_plain(rng, length):
-        return rng.standard_normal(length) * math.sqrt(power)
-
-    return ensemble_additive_race(
-        rng, y, log_m, gamma1, gamma2, draw_tilted, draw_plain, dens_fn
+    return RaceResult(
+        min(c[0] for c in crossers),
+        _first_to_gamma2(rng, metric, crossers, y, gamma2),
     )
 
 
 # ---------------------------------------------------------------------------
-# ensemble strategies: empirical-mutual-information metrics via count DPs
+# ensemble strategies for empirical-mutual-information metrics: count DPs
 
 
-def _binary_mi_metric(log_tbl, u, v, j, n):
-    """n * I of the 2x2 type with cells (x=1,y=1)=u, (x=1,y=0)=v given j ones
-    among the n outputs; u, v may be arrays."""
-    return (
-        log_tbl[u] + log_tbl[v] + log_tbl[j - u] + log_tbl[n - j - v]
-        - log_tbl[u + v] - log_tbl[n - u - v]
-        - log_tbl[j] - log_tbl[n - j] + log_tbl[n]
-    )
+def _binary_type(u, v, j, n):
+    """Counts of the 2x2 joint type with u codeword ones against the j output
+    ones and v against the n - j output zeros: cells (x, y) = 00, 10, 01, 11
+    (v and n - j - v first, so a (u, v) grid sums two rows and two columns
+    before it broadcasts), row sums and column sums."""
+    return [n - j - v, v, j - u, u], [n - u - v, u + v], [n - j, j]
 
 
-def ensemble_binary_mi_race(rng, y, log_m, px1, log_tbl, gamma1, gamma2,
-                            horizon):
+def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     """Exact competitor race for the empirical-MI metric on a binary-input,
     binary-output channel, conditional on the realized outputs.
 
@@ -335,14 +201,13 @@ def ensemble_binary_mi_race(rng, y, log_m, px1, log_tbl, gamma1, gamma2,
     forward dynamic programming yields the exact absorption law of the first
     gamma_1 crossing.  Poisson((M-1) p_cross) crossers are sampled from it and
     continued explicitly toward gamma_2."""
-    h = min(horizon, y.size)
+    h = y.size
     if h < 1:
         return RaceResult(None, None)
+    log_tbl, px1 = metric.log_tbl, metric.px[1]
     j = 0
-    # probability mass over (u, v); grows one row/col at a time
-    mass = np.zeros((1, 1))
-    mass[0, 0] = 1.0
-    absorbed = []  # (time, u_array, v_array, mass_array)
+    mass = np.ones((1, 1))  # probability mass over (u, v), grown each step
+    absorbed = []  # (times, u, v, masses)
     total_absorbed = 0.0
     for t in range(1, h + 1):
         bit = int(y[t - 1])
@@ -358,45 +223,26 @@ def ensemble_binary_mi_race(rng, y, log_m, px1, log_tbl, gamma1, gamma2,
         mass = grown
         uu = np.arange(mass.shape[0])[:, None]
         vv = np.arange(mass.shape[1])[None, :]
-        metric = _binary_mi_metric(log_tbl, uu, vv, j, t)
-        hit = (metric > gamma1) & (mass > 0.0)
+        metric_grid = count_mi(log_tbl, *_binary_type(uu, vv, j, t), t)
+        hit = (metric_grid > gamma1) & (mass > 0.0)
         if hit.any():
             ui, vi = np.nonzero(hit)
             w = mass[ui, vi]
-            absorbed.append((t, ui.copy(), vi.copy(), w.copy()))
+            absorbed.append((np.full(w.size, t), ui, vi, w))
             total_absorbed += float(w.sum())
             mass[ui, vi] = 0.0
     if total_absorbed <= 0.0:
         return RaceResult(None, None)
-    lam = poisson_crosser_rate(log_m, math.log(total_absorbed))
-    k = rng.poisson(lam)
+    k = rng.poisson(poisson_crosser_rate(log_m, math.log(total_absorbed)))
     if k == 0:
         return RaceResult(None, None)
-    flat_t = np.concatenate([np.full(a[3].size, a[0]) for a in absorbed])
-    flat_u = np.concatenate([a[1] for a in absorbed])
-    flat_v = np.concatenate([a[2] for a in absorbed])
-    flat_w = np.concatenate([a[3] for a in absorbed])
-    picks = rng.choice(flat_w.size, size=k, p=flat_w / flat_w.sum())
-    t1 = int(flat_t[picks].min())
-    t2 = None
-    for idx in picks:
-        t, u, v = int(flat_t[idx]), int(flat_u[idx]), int(flat_v[idx])
-        jj = int(np.count_nonzero(y[:t]))
-        if _binary_mi_metric(log_tbl, u, v, jj, t) > gamma2:
-            t2 = t if t2 is None or t < t2 else t2
-            continue
-        for step in range(t + 1, h + 1):
-            bit = int(y[step - 1])
-            one = rng.random() < px1
-            if bit == 1:
-                jj += 1
-                u += 1 if one else 0
-            else:
-                v += 1 if one else 0
-            if _binary_mi_metric(log_tbl, u, v, jj, step) > gamma2:
-                t2 = step if t2 is None or step < t2 else t2
-                break
-    return RaceResult(t1, t2)
+    t, u, v, w = (np.concatenate(part) for part in zip(*absorbed))
+    ones = np.concatenate([[0], np.cumsum(y)])
+    counts = _binary_type(u, v, ones[t], t)
+    cells = np.stack(counts[0], axis=1)[:, [0, 2, 1, 3]]  # kernel order
+    return _absorbed_crossers(
+        rng, metric, y, gamma2, k, t, count_mi(log_tbl, *counts, t), cells, w
+    )
 
 
 class FlipEntropyAbsorption:
@@ -405,11 +251,11 @@ class FlipEntropyAbsorption:
     outputs, so the first-crossing law of n(log 2 - h_b(k/n)) > gamma_1 is
     output-independent and shared by every trial of a configuration."""
 
-    def __init__(self, log_tbl, gamma1, horizon):
-        self.gamma1 = gamma1
-        self.horizon = horizon
+    def __init__(self, metric, gamma1):
+        self.metric = metric
+        self.horizon = horizon = metric.n_max
         mass = np.ones(1)
-        times, ks, ws = [], [], []
+        absorbed = []  # (times, flip counts, masses)
         cum = np.zeros(horizon + 1)
         for t in range(1, horizon + 1):
             grown = np.zeros(t + 1)
@@ -417,46 +263,29 @@ class FlipEntropyAbsorption:
             grown[1:] += mass * 0.5
             mass = grown
             k = np.arange(t + 1)
-            metric = t * math.log(2.0) - log_tbl[t] + log_tbl[k] + log_tbl[t - k]
-            hit = (metric > gamma1) & (mass > 0.0)
+            hit = (metric.count_metric(t, k) > gamma1) & (mass > 0.0)
             cum[t] = cum[t - 1]
             if hit.any():
                 ki = np.nonzero(hit)[0]
                 w = mass[ki]
-                times.append(np.full(ki.size, t))
-                ks.append(ki.copy())
-                ws.append(w.copy())
+                absorbed.append((np.full(ki.size, t), ki, w))
                 cum[t] += float(w.sum())
                 mass[ki] = 0.0
-        self.t = np.concatenate(times) if times else np.zeros(0, dtype=int)
-        self.k = np.concatenate(ks) if ks else np.zeros(0, dtype=int)
-        self.w = np.concatenate(ws) if ws else np.zeros(0)
         self.cum = cum
+        self.absorbed = None
+        if absorbed:
+            t, k, w = (np.concatenate(part) for part in zip(*absorbed))
+            self.absorbed = (t, metric.count_metric(t, k), k[:, None], w)
 
-    def race(self, rng, log_m, log_tbl, gamma2, horizon):
-        h = min(horizon, self.horizon)
+    def race(self, rng, y, log_m, gamma2):
+        h = min(y.size, self.horizon)
         if h < 1 or self.cum[h] <= 0.0:
             return RaceResult(None, None)
-        lam = poisson_crosser_rate(log_m, math.log(self.cum[h]))
-        kk = rng.poisson(lam)
-        if kk == 0:
+        k = rng.poisson(poisson_crosser_rate(log_m, math.log(self.cum[h])))
+        if k == 0:
             return RaceResult(None, None)
-        ok = self.t <= h
-        w = self.w[ok]
-        picks = rng.choice(w.size, size=kk, p=w / w.sum())
-        ts, ks = self.t[ok][picks], self.k[ok][picks]
-        t1 = int(ts.min())
-        t2 = None
-        ln2 = math.log(2.0)
-        for t0, k0 in zip(ts, ks):
-            t, k = int(t0), int(k0)
-            if t * ln2 - log_tbl[t] + log_tbl[k] + log_tbl[t - k] > gamma2:
-                t2 = t if t2 is None or t < t2 else t2
-                continue
-            for step in range(t + 1, h + 1):
-                k += int(rng.random() < 0.5)
-                m = step * ln2 - log_tbl[step] + log_tbl[k] + log_tbl[step - k]
-                if m > gamma2:
-                    t2 = step if t2 is None or step < t2 else t2
-                    break
-        return RaceResult(t1, t2)
+        n = np.searchsorted(self.absorbed[0], h, side="right")  # t <= h
+        return _absorbed_crossers(
+            rng, self.metric, y[:h], gamma2, k,
+            *(part[:n] for part in self.absorbed),
+        )

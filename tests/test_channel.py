@@ -133,6 +133,17 @@ class TestControlPair:
         )
         assert d == pytest.approx(best, abs=1e-12)
 
+    def test_empirical_kernel_with_zeros(self):
+        # row 1 puts mass on output 1, which row 0 never produces
+        kernel = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert control_pair(kernel) == (1, 0, math.inf)
+        # both orders diverge: the tie breaks to the smallest pair
+        assert control_pair(np.array([[1.0, 0.0], [0.0, 1.0]])) == (0, 1, math.inf)
+        # an output neither row produces adds nothing
+        xa, xr, d = control_pair(np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]))
+        assert (xa, xr) == (0, 1)
+        assert d == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
+
 
 class TestGaussianInformationDensity:
     def test_mean_density_matches_capacity_by_quadrature(self):

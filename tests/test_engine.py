@@ -1,13 +1,17 @@
 """Monte Carlo engine: trial mechanics, determinism, estimates."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vlf
 from vlf.bounds import VlfParams, channel_stats, universal_schedule
 from vlf.channel import Dmc, GaussianChannel, bsc
 from vlf.engine import (
+    VARIANTS,
     SchemeConfig,
     aggregate_outcomes,
     empirical_mi_passage_times,
@@ -41,6 +45,23 @@ def _cfg(**kw):
                 params=_params(), seed=0)
     base.update(kw)
     return SchemeConfig(**base)
+
+
+# channel, codebook and training length of each variant's test setup
+VARIANT_SETUPS = {
+    "vlf_dmc": (CH, UNIFORM2, 0),
+    "uvlf_dmc": (CH, UNIFORM2, 64),
+    "uvlf_bsc": (CH, UNIFORM2, 64),
+    "vlf_awgn": (GaussianChannel(1.0), None, 0),
+    "uvlf_awgn": (GaussianChannel(1.0), None, 64),
+}
+ENSEMBLE_VARIANTS = ("vlf_dmc", "vlf_awgn", "uvlf_dmc", "uvlf_bsc")
+
+
+def _variant_cfg(variant, params, **kw):
+    channel, px, training = VARIANT_SETUPS[variant]
+    return SchemeConfig(variant=variant, channel=channel, px=px, params=params,
+                        training_len=training, **kw)
 
 
 class TestSprt:
@@ -119,6 +140,30 @@ class TestConfigValidation:
     def test_trial_count_validated(self):
         with pytest.raises(VlfError):
             run_monte_carlo(_cfg(), 0)
+
+
+class TestVariantRegistry:
+    def test_no_comparison_against_a_variant_name(self):
+        # variant dispatch goes through engine.METRICS, never through
+        # if-chains on variant strings
+        def names_a_variant(node):
+            if isinstance(node, ast.Constant):
+                return node.value in VARIANTS
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(names_a_variant(e) for e in node.elts)
+            return False
+
+        ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+        found = []
+        for path in sorted(Path(vlf.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Compare)
+                    and any(isinstance(op, ops) for op in node.ops)
+                    and any(map(names_a_variant, [node.left, *node.comparators]))
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestCompetitorModeResolution:
@@ -223,10 +268,16 @@ class TestTrialOutcomes:
 
 
 class TestDeterminismAndAggregation:
-    def test_worker_count_does_not_change_the_estimate(self):
-        cfg = _cfg()
-        a = run_monte_carlo(cfg, 400, workers=1)
-        b = run_monte_carlo(cfg, 400, workers=2)
+    @pytest.mark.parametrize(
+        "variant,mode",
+        [(v, "literal") for v in VARIANT_SETUPS]
+        + [(v, "ensemble") for v in ENSEMBLE_VARIANTS],
+    )
+    def test_worker_count_does_not_change_the_estimate(self, variant, mode):
+        cfg = _variant_cfg(variant, _params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
+                           seed=5, competitor_mode=mode)
+        a = run_monte_carlo(cfg, 200, workers=1)
+        b = run_monte_carlo(cfg, 200, workers=2)
         assert a == b
 
     def test_streaming_aggregation_equals_batch(self):
@@ -242,10 +293,15 @@ class TestDeterminismAndAggregation:
 
 
 class TestCompetitorStrategiesAgree:
-    def test_small_scale_and_large_scale_runs_are_consistent(self):
-        common = dict(params=_params(log2m=6.0, g1=7.0, g2=12.0, a=3.0))
-        lit = run_monte_carlo(_cfg(competitor_mode="literal", **common), 4000)
-        ens = run_monte_carlo(_cfg(competitor_mode="ensemble", **common), 4000)
+    @pytest.mark.parametrize("variant", ENSEMBLE_VARIANTS)
+    def test_small_scale_and_large_scale_runs_are_consistent(self, variant):
+        params = _params(log2m=6.0, g1=7.0, g2=12.0, a=3.0)
+        lit = run_monte_carlo(
+            _variant_cfg(variant, params, seed=0, competitor_mode="literal"), 4000
+        )
+        ens = run_monte_carlo(
+            _variant_cfg(variant, params, seed=0, competitor_mode="ensemble"), 4000
+        )
         # same protocol, two competitor implementations: CIs must overlap
         assert lit.eps_lo <= ens.eps_hi and ens.eps_lo <= lit.eps_hi
         assert lit.n_lo <= ens.n_hi and ens.n_lo <= lit.n_hi
