@@ -28,7 +28,6 @@ from .bounds import (
     channel_stats,
     converse_bound,
     optimize_params,
-    overshoot_constants,
     single_phase_bound,
     universal_schedule,
     universal_schedule_gaussian,
@@ -65,14 +64,14 @@ from .engine import (
     McEstimate,
     SchemeConfig,
     TrialOutcome,
-    aggregate_outcomes,
+    aggregate_records,
     empirical_mi_passage_times,
     estimate_channel,
     info_density_passage_times,
     run_monte_carlo,
     simulate_trial,
     sprt,
-    trial_outcomes,
+    trial_records,
 )
 from .errors import (
     DimensionMismatch,

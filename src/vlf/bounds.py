@@ -29,7 +29,6 @@ import numpy as np
 from scipy import integrate
 
 from .channel import (
-    Dmc,
     GaussianChannel,
     binary_entropy,
     control_pair,
@@ -74,16 +73,6 @@ class VlfParams:
         if not (0.0 <= self.eps0 <= 1.0):
             raise NotADistribution(f"eps0 must be in [0, 1], got {self.eps0}")
 
-    @classmethod
-    def from_message_count(cls, m, gamma1, gamma2, a_accept, a_reject, eps0=0.0):
-        if m < 1:
-            raise NotADistribution(f"message count must be >= 1, got {m}")
-        return cls(math.log(m), gamma1, gamma2, a_accept, a_reject, eps0)
-
-    @property
-    def m_log2(self):
-        return self.log_m / LN2
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -99,13 +88,6 @@ class BoundReport:
     @property
     def rate_bits(self):
         return self.rate / LN2
-
-
-@dataclass(frozen=True)
-class OvershootConstants:
-    communication: float
-    accept: float
-    reject: float
 
 
 @dataclass(frozen=True)
@@ -144,22 +126,6 @@ def _quad_check(value, err, label):
             f"{label}: integral {value} with error estimate {err} above 1e-9 relative"
         )
     return value
-
-
-def gaussian_overshoot_constant(chan, role):
-    """b-constant of the Gaussian walks by adaptive quadrature.
-
-    role 'comm': per-symbol information density under the N(0, P) ensemble.
-    role 'ht_accept' / 'ht_reject': the control LLR, distributed N(2S, 4S)
-    under its own hypothesis for both roles by symmetry.
-    The ess sup branch is +inf for these continuous laws, so only the ratio
-    E[(X^+)^2]/E[X] applies.
-    """
-    if role == "comm":
-        return _gaussian_comm_b(chan.power, chan.noise_variance)
-    if role in ("ht_accept", "ht_reject"):
-        return _gaussian_ht_b(chan.snr)
-    raise NotADistribution(f"unknown role {role!r}")
 
 
 @lru_cache(maxsize=64)
@@ -219,14 +185,23 @@ def dmc_stats(dmc, px):
 
 
 def gaussian_stats(chan):
+    """Walk constants for a Gaussian channel, b-constants by adaptive quadrature.
+
+    The communication walk steps by the per-symbol information density under
+    the N(0, P) ensemble.  Each confirmation walk steps by the control LLR,
+    distributed N(2S, 4S) under its own hypothesis, so by symmetry accept and
+    reject share one constant.  The ess sup branch is +inf for these
+    continuous laws, so only the ratio E[(X^+)^2]/E[X] applies.
+    """
     d = chan.control_divergence
+    b_ht = _gaussian_ht_b(chan.snr)
     return ChannelStats(
         drift=chan.capacity,
-        b=gaussian_overshoot_constant(chan, "comm"),
+        b=_gaussian_comm_b(chan.power, chan.noise_variance),
         div_accept=d,
         div_reject=d,
-        b_accept=gaussian_overshoot_constant(chan, "ht_accept"),
-        b_reject=gaussian_overshoot_constant(chan, "ht_reject"),
+        b_accept=b_ht,
+        b_reject=b_ht,
     )
 
 
@@ -246,29 +221,37 @@ def scaled_m_exp(log_m, g):
     return math.exp(t) - math.exp(-min(g, _EXP_CAP))
 
 
-def overshoot_constants(channel, px=None):
-    s = channel_stats(channel, px)
-    return OvershootConstants(s.b, s.b_accept, s.b_reject)
+def _theorem1_terms(log_m, g1, dg, a_acc, a_rej, s):
+    """(eps', N') of Theorem 1 at gamma_1 = g1, gamma_2 = g1 + dg and the
+    confirmation thresholds a_acc, a_rej, for the walk constants s."""
+    eps_prime = scaled_m_exp(log_m, g1 + a_acc) + scaled_m_exp(log_m, g1 + dg)
+    wrong1 = scaled_m_exp(log_m, g1)
+    n_prime = (
+        (g1 + s.b) / s.drift
+        + (wrong1 + math.exp(-a_rej)) * (dg + s.b) / s.drift
+        + (a_acc + s.b_accept) / s.div_accept
+        + wrong1 * (a_rej + s.b_reject) / s.div_reject
+    )
+    return eps_prime, n_prime
+
+
+def _report(log_m, eps_prime, n_prime, eps0):
+    """The BoundReport of (eps', N') time-shared with stop-at-zero weight eps0."""
+    eps = eps0 + (1.0 - eps0) * eps_prime
+    n_avg = (1.0 - eps0) * n_prime
+    rate = log_m / n_avg if n_avg > 0 else (math.inf if log_m > 0 else 0.0)
+    return BoundReport(log_m, eps_prime, n_prime, eps, n_avg, rate)
 
 
 def achievability_bound(params, channel, px=None, stats=None):
     """Evaluate the three-phase achievability bound at fixed parameters."""
     s = stats if stats is not None else channel_stats(channel, px)
-    lm = params.log_m
-    g1, g2 = params.gamma1, params.gamma2
-    a_acc, a_rej = params.a_accept, params.a_reject
-    eps_prime = scaled_m_exp(lm, g1 + a_acc) + scaled_m_exp(lm, g2)
-    wrong1 = scaled_m_exp(lm, g1)
-    n_prime = (
-        (g1 + s.b) / s.drift
-        + (wrong1 + math.exp(-a_rej)) * (g2 - g1 + s.b) / s.drift
-        + (a_acc + s.b_accept) / s.div_accept
-        + wrong1 * (a_rej + s.b_reject) / s.div_reject
+    g1 = params.gamma1
+    eps_prime, n_prime = _theorem1_terms(
+        params.log_m, g1, params.gamma2 - g1, params.a_accept,
+        params.a_reject, s,
     )
-    eps = params.eps0 + (1.0 - params.eps0) * eps_prime
-    n_avg = (1.0 - params.eps0) * n_prime
-    rate = lm / n_avg if n_avg > 0 else (math.inf if lm > 0 else 0.0)
-    return BoundReport(lm, eps_prime, n_prime, eps, n_avg, rate)
+    return _report(params.log_m, eps_prime, n_prime, params.eps0)
 
 
 def converse_bound(cap_nats, eps, n_avg):
@@ -398,16 +381,9 @@ def _min_time_given_logm(log_m, target_eps, s):
         g1, dg, a_acc, a_rej = x
         if min(g1, dg, a_acc, a_rej) <= 0:
             return math.inf
-        eps_prime = scaled_m_exp(log_m, g1 + a_acc) + scaled_m_exp(log_m, g1 + dg)
+        eps_prime, n_prime = _theorem1_terms(log_m, g1, dg, a_acc, a_rej, s)
         if not eps_prime < target_eps:
             return math.inf
-        wrong1 = scaled_m_exp(log_m, g1)
-        n_prime = (
-            (g1 + s.b) / s.drift
-            + (wrong1 + math.exp(-a_rej)) * (dg + s.b) / s.drift
-            + (a_acc + s.b_accept) / s.div_accept
-            + wrong1 * (a_rej + s.b_reject) / s.div_reject
-        )
         eps0 = (target_eps - eps_prime) / (1.0 - eps_prime)
         return (1.0 - eps0) * n_prime
 
@@ -447,6 +423,32 @@ def _min_time_given_logm(log_m, target_eps, s):
     return v, x
 
 
+def _check_targets(target_eps, target_n):
+    if not (0 < target_eps < 1):
+        raise NotADistribution(f"target_eps must be in (0,1), got {target_eps}")
+    if not (target_n > 0):
+        raise NotADistribution(f"target_n must be positive, got {target_n}")
+
+
+def _largest_log_m(min_time, target_n, drift):
+    """Bisect log M (60 steps) for the largest value whose min_time(log M)
+    = (shared time, argmin) meets target_n.  Returns (log M, its argmin)."""
+    v, lo_x = min_time(LN2)
+    if not v <= target_n:
+        raise Infeasible(
+            f"even two messages miss the targets (best n_avg {v:.3f} > {target_n})"
+        )
+    lo, hi = LN2, target_n * drift * 1.5 + 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        v, x = min_time(mid)
+        if v <= target_n:
+            lo, lo_x = mid, x
+        else:
+            hi = mid
+    return lo, lo_x
+
+
 def optimize_params(channel, px, target_eps, target_n):
     """Maximize log M subject to eps <= target_eps and n_avg <= target_n.
 
@@ -454,33 +456,15 @@ def optimize_params(channel, px, target_eps, target_n):
     descent with golden-section line searches started from the
     schedule-flavored point.  Returns the best feasible (params, report).
     """
-    if not (0 < target_eps < 1):
-        raise NotADistribution(f"target_eps must be in (0,1), got {target_eps}")
-    if not (target_n > 0):
-        raise NotADistribution(f"target_n must be positive, got {target_n}")
+    _check_targets(target_eps, target_n)
     s = channel_stats(channel, px)
-    lo, hi = 0.0, target_n * s.drift * 1.5 + 10.0
-    lo_x = None
-    v, x = _min_time_given_logm(LN2, target_eps, s)
-    if v <= target_n:
-        lo, lo_x = LN2, x
-    else:
-        raise Infeasible(
-            f"even two messages miss the targets (best n_avg {v:.3f} > {target_n})"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        v, x = _min_time_given_logm(mid, target_eps, s)
-        if v <= target_n:
-            lo, lo_x = mid, x
-        else:
-            hi = mid
-    g1, dg, a_acc, a_rej = lo_x
-    eps_prime = scaled_m_exp(lo, g1 + a_acc) + scaled_m_exp(lo, g1 + dg)
+    log_m, (g1, dg, a_acc, a_rej) = _largest_log_m(
+        lambda lm: _min_time_given_logm(lm, target_eps, s), target_n, s.drift
+    )
+    eps_prime = _theorem1_terms(log_m, g1, dg, a_acc, a_rej, s)[0]
     eps0 = max(0.0, (target_eps - eps_prime) / (1.0 - eps_prime))
-    params = VlfParams(lo, g1, g1 + dg, a_acc, a_rej, eps0)
-    report = achievability_bound(params, channel, px, stats=s)
-    return params, report
+    params = VlfParams(log_m, g1, g1 + dg, a_acc, a_rej, eps0)
+    return params, achievability_bound(params, channel, px, stats=s)
 
 
 def single_phase_bound(channel, px, target_eps, target_n):
@@ -489,10 +473,7 @@ def single_phase_bound(channel, px, target_eps, target_n):
     eps' = (M-1) e^{-gamma}, N' = (gamma + b)/C, same stop-at-time-zero
     sharing.  Returns the report of the best feasible log M.
     """
-    if not (0 < target_eps < 1):
-        raise NotADistribution(f"target_eps must be in (0,1), got {target_eps}")
-    if not (target_n > 0):
-        raise NotADistribution(f"target_n must be positive, got {target_n}")
+    _check_targets(target_eps, target_n)
     s = channel_stats(channel, px)
 
     def min_time(log_m):
@@ -509,24 +490,7 @@ def single_phase_bound(channel, px, target_eps, target_n):
         g, v = _golden_min(timed, edge + 1e-9, edge + 60.0, iters=70)
         return v, g
 
-    v, _ = min_time(LN2)
-    if v > target_n:
-        raise Infeasible(
-            f"even two messages miss the targets (best n_avg {v:.3f} > {target_n})"
-        )
-    lo, hi = LN2, target_n * s.drift * 1.5 + 10.0
-    lo_g = min_time(LN2)[1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        v, g = min_time(mid)
-        if v <= target_n:
-            lo, lo_g = mid, g
-        else:
-            hi = mid
-    eps_prime = scaled_m_exp(lo, lo_g)
+    log_m, g = _largest_log_m(min_time, target_n, s.drift)
+    eps_prime = scaled_m_exp(log_m, g)
     eps0 = max(0.0, (target_eps - eps_prime) / (1.0 - eps_prime))
-    n_prime = (lo_g + s.b) / s.drift
-    eps = eps0 + (1.0 - eps0) * eps_prime
-    n_avg = (1.0 - eps0) * n_prime
-    rate = lo / n_avg if n_avg > 0 else 0.0
-    return BoundReport(lo, eps_prime, n_prime, eps, n_avg, rate)
+    return _report(log_m, eps_prime, (g + s.b) / s.drift, eps0)

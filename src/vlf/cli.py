@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,10 +43,10 @@ from .channel import Dmc, GaussianChannel, capacity, parse_channel_spec
 from .empirical import tail_exponents
 from .engine import (
     SchemeConfig,
-    aggregate_outcomes,
+    TrialOutcome,
+    aggregate_records,
     metric_kind,
-    run_monte_carlo,
-    trial_outcomes,
+    trial_records,
 )
 from .errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
 from .oracle import exact_mi_tail, mi_tail_bound
@@ -317,23 +318,33 @@ def _bound_row(scheme, chan_spec, n_value, report, params):
     ] + sched
 
 
+def _explicit_params(opt):
+    """VlfParams from --gamma1/--gamma2/--aA/--aR (with --M, --eps0), or
+    None when none of the four thresholds is given."""
+    explicit = [opt["gamma1"], opt["gamma2"], opt["a_accept"], opt["a_reject"]]
+    if all(v is None for v in explicit):
+        return None
+    if any(v is None for v in explicit):
+        raise _CliError(
+            "give all of --gamma1/--gamma2/--aA/--aR or none of them"
+        )
+    return VlfParams(
+        log_m=_require(opt, "M", "--M"), gamma1=explicit[0],
+        gamma2=explicit[1], a_accept=explicit[2], a_reject=explicit[3],
+        eps0=opt["eps0"] if opt["eps0"] is not None else 0.0,
+    )
+
+
 def _cmd_bound(opt):
     channel, px, spec = _resolve_channel(opt)
-    explicit = [opt["gamma1"], opt["gamma2"], opt["a_accept"], opt["a_reject"]]
-    if all(v is not None for v in explicit):
-        log_m = _require(opt, "M", "--M")
-        params = VlfParams(
-            log_m=log_m, gamma1=explicit[0], gamma2=explicit[1],
-            a_accept=explicit[2], a_reject=explicit[3],
-            eps0=opt["eps0"] if opt["eps0"] is not None else 0.0,
-        )
-    elif opt["N1"] is not None:
+    params = _explicit_params(opt)
+    if params is None:
+        if opt["N1"] is None:
+            raise _CliError(
+                "bound needs either --gamma1/--gamma2/--aA/--aR (with --M) "
+                "or --N1"
+            )
         params = asymptotic_schedule(opt["N1"], channel, px, eps=opt["eps"])
-    else:
-        raise _CliError(
-            "bound needs either --gamma1/--gamma2/--aA/--aR (with --M) "
-            "or --N1"
-        )
     report = achievability_bound(params, channel, px)
     _append_csv(opt["out"], _BOUND_HEADER,
                 [_bound_row("thm1", spec, report.n_avg, report, params)])
@@ -420,18 +431,9 @@ _SIM_HEADER = [
 
 
 def _sim_params(opt, variant, channel, px):
-    explicit = [opt["gamma1"], opt["gamma2"], opt["a_accept"], opt["a_reject"]]
-    if all(v is not None for v in explicit):
-        log_m = _require(opt, "M", "--M")
-        return VlfParams(
-            log_m=log_m, gamma1=explicit[0], gamma2=explicit[1],
-            a_accept=explicit[2], a_reject=explicit[3],
-            eps0=opt["eps0"] if opt["eps0"] is not None else 0.0,
-        )
-    if any(v is not None for v in explicit):
-        raise _CliError(
-            "give all of --gamma1/--gamma2/--aA/--aR or none of them"
-        )
+    params = _explicit_params(opt)
+    if params is not None:
+        return params
     kind = metric_kind(variant)
     if not kind.universal:
         n1 = _require(opt, "N1", "--N1")
@@ -467,21 +469,13 @@ def _cmd_simulate(opt):
         c2=opt["c2"] if opt["c2"] is not None else 2.0,
     )
     workers = opt["workers"] if opt["workers"] is not None else 1
+    rec = trial_records(cfg, trials, workers=workers)
     if opt["trace"]:
-        outs = []
         with open(opt["trace"], "w", encoding="utf-8") as fh:
-            for i, o in enumerate(trial_outcomes(cfg, trials)):
-                fh.write(json.dumps({
-                    "trial": i, "correct": o.correct, "tau": o.tau,
-                    "len_c1": o.len_c1, "len_ht": o.len_ht,
-                    "len_c2": o.len_c2, "energy": o.energy,
-                    "censored": o.censored,
-                    "stopped_at_zero": o.stopped_at_zero,
-                }) + "\n")
-                outs.append(o)
-        est = aggregate_outcomes(cfg, outs)
-    else:
-        est = run_monte_carlo(cfg, trials, workers=workers)
+            for i, row in enumerate(rec):
+                outcome = asdict(TrialOutcome.from_record(row))
+                fh.write(json.dumps({"trial": i, **outcome}) + "\n")
+    est = aggregate_records(cfg, rec)
     p = params
     row = [
         variant, spec, _fmt_rate(p.log_m), _fmt_rate(p.gamma1),

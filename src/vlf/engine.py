@@ -156,6 +156,15 @@ class TrialOutcome:
     censored: bool
     stopped_at_zero: bool
 
+    @classmethod
+    def from_record(cls, row):
+        """The outcome one row of ``trial_records`` stores."""
+        correct, tau, len_c1, len_ht, len_c2, energy, censored, zero = (
+            float(v) for v in row
+        )
+        return cls(bool(correct), int(tau), int(len_c1), int(len_ht),
+                   int(len_c2), energy, bool(censored), bool(zero))
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -795,52 +804,40 @@ def _wilson(errors, trials):
     return p, lo, hi
 
 
-def run_monte_carlo(cfg, trials, workers=1):
-    """Aggregate `trials` independent protocol runs into an McEstimate.
+def trial_records(cfg, trials, workers=1):
+    """Records of trials 0..trials-1 in index order, one row per trial with
+    the TrialOutcome fields as floats (see ``TrialOutcome.from_record``).
 
-    Per-trial randomness depends only on (cfg.seed, trial index), and trials
-    are reduced in index order, so the estimate is bit-identical for any
-    worker count.
+    Per-trial randomness depends only on (cfg.seed, trial index), so the
+    records are bit-identical for any worker count.
     """
     if trials < 1:
         raise VlfError(f"trials must be >= 1, got {trials}")
-    _Runtime(cfg)  # validate the configuration before spawning workers
     if workers <= 1:
-        rec = _run_chunk(cfg, 0, trials)
-    else:
-        n_chunks = min(trials, workers * 4)
-        bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _run_chunk,
-                    [cfg] * n_chunks,
-                    bounds[:-1].tolist(),
-                    bounds[1:].tolist(),
-                )
+        return _run_chunk(cfg, 0, trials)
+    _Runtime(cfg)  # validate the configuration before spawning workers
+    n_chunks = min(trials, workers * 4)
+    bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(
+            pool.map(
+                _run_chunk,
+                [cfg] * n_chunks,
+                bounds[:-1].tolist(),
+                bounds[1:].tolist(),
             )
-        rec = np.concatenate(parts, axis=0)
-    return _aggregate(cfg, rec)
+        )
+    return np.concatenate(parts, axis=0)
 
 
-def trial_outcomes(cfg, trials):
-    """Yield TrialOutcome for trial indices 0..trials-1 (single process)."""
-    if trials < 1:
-        raise VlfError(f"trials must be >= 1, got {trials}")
-    rt = _Runtime(cfg)
-    for i in range(trials):
-        yield simulate_trial(cfg, i, _runtime=rt)
+def run_monte_carlo(cfg, trials, workers=1):
+    """Aggregate `trials` independent protocol runs into an McEstimate,
+    bit-identical for any worker count."""
+    return aggregate_records(cfg, trial_records(cfg, trials, workers))
 
 
-def aggregate_outcomes(cfg, outcomes):
-    """McEstimate over an explicit in-order TrialOutcome collection."""
-    rows = [_record(o) for o in outcomes]
-    if not rows:
-        raise VlfError("aggregate_outcomes needs at least one outcome")
-    return _aggregate(cfg, np.asarray(rows))
-
-
-def _aggregate(cfg, rec):
+def aggregate_records(cfg, rec):
+    """McEstimate over the in-order records of ``trial_records``."""
     trials = rec.shape[0]
     correct, tau = rec[:, 0], rec[:, 1]
     energy, censored = rec[:, 5], rec[:, 6]

@@ -9,7 +9,7 @@ engine, so they must be independent of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -151,45 +151,16 @@ def sprt_mc(spec, samples, seed=0, chunk=1_000_000):
 
 
 def exact_passage_time(values, probs, gamma, max_steps=None):
-    """Exact E[first time the walk strictly exceeds gamma] by the same DP,
-    with no lower threshold.  Returns (expected_steps, residual)."""
-    vals = [float(v) for v in values]
-    prbs = [float(p) for p in probs]
-    mean = sum(v * p for v, p in zip(vals, prbs))
+    """Exact E[first time the walk strictly exceeds gamma]: ``exact_sprt``
+    with no lower threshold (a_reject = inf).  Returns (expected_steps,
+    residual)."""
+    mean = sum(float(v) * float(p) for v, p in zip(values, probs))
     if mean <= 0:
         raise NonPositiveDrift(f"mean step {mean} <= 0")
     if max_steps is None:
         max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
-    live = {0: (0.0, 1.0)}
-    crossed = 0.0
-    steps_sum = 0.0
-    step = 0
-    while live and step < max_steps:
-        step += 1
-        nxt = {}
-        for _, (s, pr) in live.items():
-            for v, pv in zip(vals, prbs):
-                if pv == 0.0:
-                    continue
-                s2 = s + v
-                w = pr * pv
-                if s2 > gamma:
-                    crossed += w
-                    steps_sum += w * step
-                else:
-                    k = _qkey(s2)
-                    if k in nxt:
-                        nxt[k] = (nxt[k][0], nxt[k][1] + w)
-                    else:
-                        nxt[k] = (s2, w)
-        if len(nxt) > _STATE_CAP:
-            raise StateExplosion(f"{len(nxt)} reachable walk values exceeds {_STATE_CAP}")
-        live = nxt
-        if sum(pr for _, pr in live.values()) <= _ABSORB_TOL:
-            break
-    residual = sum(pr for _, pr in live.values())
-    steps_sum += residual * step
-    return steps_sum, residual
+    res = exact_sprt(LatticeWalkSpec(values, probs, gamma, math.inf, max_steps))
+    return res.expected_steps, res.residual
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from vlf.bounds import (
 from vlf.channel import (
     GaussianChannel,
     bsc,
-    capacity,
     control_pair,
     information_density_table,
 )

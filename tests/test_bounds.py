@@ -14,13 +14,12 @@ from vlf.bounds import (
     converse_bound,
     optimize_params,
     overshoot_constant,
-    overshoot_constants,
     scaled_m_exp,
     single_phase_bound,
     universal_schedule,
     universal_schedule_gaussian,
 )
-from vlf.channel import GaussianChannel, bsc
+from vlf.channel import Dmc, GaussianChannel, bsc
 from vlf.errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
 
 LN2 = math.log(2.0)
@@ -66,13 +65,16 @@ class TestOvershootConstant:
         assert s.div_accept == pytest.approx(2.0, abs=1e-9)
 
     def test_container_mirrors_stats(self):
-        s = channel_stats(CH, UNIFORM2)
-        o = overshoot_constants(CH, UNIFORM2)
-        assert (o.communication, o.accept, o.reject) == (
-            s.b,
-            s.b_accept,
-            s.b_reject,
+        # an asymmetric channel, where the accept and reject walks differ
+        ch = Dmc(np.array([[0.9, 0.1], [0.3, 0.7]]))
+        s = channel_stats(ch, UNIFORM2)
+        row_a, row_r = ch.matrix[s.x_accept], ch.matrix[s.x_reject]
+        llr = np.log(row_a) - np.log(row_r)
+        assert (s.b_accept, s.b_reject) == (
+            overshoot_constant(llr, row_a),
+            overshoot_constant(-llr, row_r),
         )
+        assert s.b_accept != s.b_reject
 
 
 class TestAchievabilityBound:

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from vlf import engine
 from vlf.cli import main
 
 BSC = "bsc:0.11"
@@ -44,6 +45,15 @@ class TestBoundVerb:
 
     def test_missing_schedule_inputs(self, tmp_path):
         assert main(["bound", "--channel", BSC]) == 1
+
+    def test_partial_threshold_set_rejected(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bound", "--channel", BSC, "--N1", "2000",
+                     "--gamma1", "3", "--out", str(out)]) == 1
+        assert "all of --gamma1/--gamma2/--aA/--aR or none" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_infeasible_error_floor_maps_to_exit_two(self):
         assert main(["bound", "--channel", BSC, "--N1", "1000",
@@ -137,6 +147,31 @@ class TestSimulateVerb:
             assert first["tau"] == (
                 first["len_c1"] + first["len_ht"] + first["len_c2"]
             )
+
+    def test_trace_honours_workers_and_matches_untraced_run(
+        self, tmp_path, monkeypatch
+    ):
+        pools = []
+
+        class RecordingPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        args = [a if a != "400" else "60" for a in self._ARGS]
+
+        def run(name, *extra):
+            out = tmp_path / f"{name}.csv"
+            assert main(args + list(extra) + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        w1 = run("w1", "--workers", "1", "--trace", str(tmp_path / "w1.jsonl"))
+        w2 = run("w2", "--workers", "2", "--trace", str(tmp_path / "w2.jsonl"))
+        assert w1 == w2 == run("plain")
+        assert ((tmp_path / "w2.jsonl").read_bytes()
+                == (tmp_path / "w1.jsonl").read_bytes())
+        assert pools == [2]
 
     def test_message_count_forms_agree(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -1,6 +1,7 @@
 """Monte Carlo engine: trial mechanics, determinism, estimates."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,19 +9,20 @@ import numpy as np
 import pytest
 
 import vlf
-from vlf.bounds import VlfParams, channel_stats, universal_schedule
+from vlf.bounds import VlfParams, channel_stats
 from vlf.channel import Dmc, GaussianChannel, bsc
 from vlf.engine import (
     VARIANTS,
     SchemeConfig,
-    aggregate_outcomes,
+    TrialOutcome,
+    aggregate_records,
     empirical_mi_passage_times,
     estimate_channel,
     info_density_passage_times,
     run_monte_carlo,
     simulate_trial,
     sprt,
-    trial_outcomes,
+    trial_records,
 )
 from vlf.errors import (
     HorizonExceeded,
@@ -166,6 +168,28 @@ class TestVariantRegistry:
         assert found == []
 
 
+class TestNoUnusedImports:
+    def test_every_package_import_is_used(self):
+        # no linter ships with the project; this is pyflakes' unused-import
+        # check.  __init__.py is skipped: its imports are the re-exports.
+        found = []
+        for path in sorted(Path(vlf.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+        assert found == []
+
+
 class TestCompetitorModeResolution:
     def test_huge_message_count_cannot_run_literally(self):
         cfg = _cfg(params=_params(log2m=100.0, g1=72.0, g2=76.0, a=5.0),
@@ -223,7 +247,8 @@ class TestTrainingEstimates:
 class TestTrialOutcomes:
     def test_lengths_partition_the_stopping_time(self):
         cfg = _cfg()
-        for o in trial_outcomes(cfg, 200):
+        for i in range(200):
+            o = simulate_trial(cfg, i)
             if o.stopped_at_zero:
                 assert o.tau == 0
             else:
@@ -232,7 +257,7 @@ class TestTrialOutcomes:
 
     def test_stop_at_time_zero_always(self):
         cfg = _cfg(params=_params(eps0=1.0))
-        outs = list(trial_outcomes(cfg, 50))
+        outs = [TrialOutcome.from_record(r) for r in trial_records(cfg, 50)]
         assert all(o.stopped_at_zero and o.tau == 0 for o in outs)
         assert not any(o.correct for o in outs)
 
@@ -262,7 +287,7 @@ class TestTrialOutcomes:
 
     def test_simulate_trial_matches_generator(self):
         cfg = _cfg()
-        gen = list(trial_outcomes(cfg, 5))
+        gen = [TrialOutcome.from_record(r) for r in trial_records(cfg, 5)]
         solo = [simulate_trial(cfg, i) for i in range(5)]
         assert gen == solo
 
@@ -282,7 +307,9 @@ class TestDeterminismAndAggregation:
 
     def test_streaming_aggregation_equals_batch(self):
         cfg = _cfg()
-        streamed = aggregate_outcomes(cfg, trial_outcomes(cfg, 300))
+        streamed = aggregate_records(cfg, np.array(
+            [dataclasses.astuple(simulate_trial(cfg, i)) for i in range(300)]
+        ))
         batch = run_monte_carlo(cfg, 300)
         assert streamed == batch
 

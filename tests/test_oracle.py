@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vlf.bounds import channel_stats, overshoot_constant
+from vlf.bounds import channel_stats
 from vlf.channel import bsc, control_pair, information_density_table
 from vlf.empirical import empirical_mi, joint_type
 from vlf.errors import VlfError
