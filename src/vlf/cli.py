@@ -283,12 +283,27 @@ def _resolve_channel(opt):
     return channel, None, spec
 
 
+def _needs_header(path, header):
+    """True when the CSV at path is missing or empty, False when it starts
+    with `header`; any other header is refused, before anything is written."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return True
+    with open(path, newline="", encoding="utf-8") as fh:
+        existing = next(csv.reader(fh), [])
+    if existing != header:
+        raise _CliError(
+            f"{path} has the header {','.join(existing)!r}, not "
+            f"{','.join(header)!r}; refusing to append to it"
+        )
+    return False
+
+
 def _append_csv(path, header, rows):
     if path is None:
         for row in rows:
             print(",".join(row))
         return
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    fresh = _needs_header(path, header)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         if fresh:
@@ -388,6 +403,8 @@ def _cmd_sweep(opt):
             raise _CliError(f"unknown scheme {s!r} (use thm1, vlsf, converse)")
     done = set()
     out = opt["out"]
+    if out is not None:
+        _needs_header(out, _BOUND_HEADER)  # refuse before the sweep runs
     if opt["resume"] and out and os.path.exists(out):
         with open(out, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
@@ -468,6 +485,8 @@ def _cmd_simulate(opt):
         n_max_mult=opt["n_max_mult"] if opt["n_max_mult"] is not None else 50.0,
         c2=opt["c2"] if opt["c2"] is not None else 2.0,
     )
+    if opt["out"] is not None:
+        _needs_header(opt["out"], _SIM_HEADER)  # refuse before the run
     workers = opt["workers"] if opt["workers"] is not None else 1
     rec = trial_records(cfg, trials, workers=workers)
     if opt["trace"]:

@@ -25,6 +25,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +50,7 @@ from .errors import (
     HorizonExceeded,
     HorizonTooSmall,
     InsufficientTraining,
+    InvalidWorkerCount,
     NotADistribution,
     StateExplosion,
     VlfError,
@@ -359,10 +361,10 @@ class Metric:
         return None
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):
-        """The ensemble race at these thresholds, as a callable (rng, y)."""
-        return lambda rng, y: ensemble.tilted_race(
-            rng, y, self, log_m, gamma1, gamma2
-        )
+        """The ensemble race at these thresholds, as a picklable callable
+        (rng, y)."""
+        return functools.partial(ensemble.tilted_race, metric=self,
+                                 log_m=log_m, gamma1=gamma1, gamma2=gamma2)
 
 
 class _DmcMetric(Metric):
@@ -495,9 +497,8 @@ class EmpiricalMi(_DmcMetric):
         return None
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):
-        return lambda rng, y: ensemble.ensemble_binary_mi_race(
-            rng, y, self, log_m, gamma1, gamma2
-        )
+        return functools.partial(ensemble.ensemble_binary_mi_race, metric=self,
+                                 log_m=log_m, gamma1=gamma1, gamma2=gamma2)
 
 
 class FlipEntropy(_DmcMetric):
@@ -536,7 +537,7 @@ class FlipEntropy(_DmcMetric):
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):
         absorption = ensemble.FlipEntropyAbsorption(self, gamma1)
-        return lambda rng, y: absorption.race(rng, y, log_m, gamma2)
+        return functools.partial(absorption.race, log_m=log_m, gamma2=gamma2)
 
 
 class Correlation(_GaussianMetric):
@@ -589,7 +590,8 @@ def metric_kind(variant):
 
 class _Runtime:
     """Thresholds, horizons, metric and competitor strategy of one
-    configuration, shared by all its trials (read-only)."""
+    configuration, shared by all its trials (read-only).  Picklable, so a
+    pool can hand it to workers started by spawn or forkserver too."""
 
     def __init__(self, cfg):
         kind = metric_kind(cfg.variant)
@@ -779,8 +781,20 @@ def _record(o):
     )
 
 
+# The runtime of the configuration a pool worker serves, set once per
+# worker by the pool initializer; None outside pool workers.
+_WORKER_RUNTIME = None
+
+
+def _set_worker_runtime(rt):
+    global _WORKER_RUNTIME
+    _WORKER_RUNTIME = rt
+
+
 def _run_chunk(cfg, lo, hi):
-    rt = _Runtime(cfg)
+    """Records of trials lo..hi-1, from the worker's runtime, or from a
+    runtime built here outside a pool."""
+    rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
     out = np.empty((hi - lo, 8))
     for i in range(lo, hi):
         out[i - lo] = _record(simulate_trial(cfg, i, _runtime=rt))
@@ -809,16 +823,24 @@ def trial_records(cfg, trials, workers=1):
     the TrialOutcome fields as floats (see ``TrialOutcome.from_record``).
 
     Per-trial randomness depends only on (cfg.seed, trial index), so the
-    records are bit-identical for any worker count.
+    records are bit-identical for any worker count.  The configuration's
+    runtime (thresholds, metric tables and competitor strategy, including
+    uvlf_bsc's absorption law) is built once per call: with workers > 1 it
+    is built in this process and handed to each pool worker by the pool
+    initializer, and the 4 * workers chunks of trials share it.
     """
     if trials < 1:
         raise VlfError(f"trials must be >= 1, got {trials}")
-    if workers <= 1:
+    if workers < 1:
+        raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return _run_chunk(cfg, 0, trials)
-    _Runtime(cfg)  # validate the configuration before spawning workers
+    rt = _Runtime(cfg)  # also validates the configuration before spawning
     n_chunks = min(trials, workers * 4)
     bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_set_worker_runtime,
+                             initargs=(rt,)) as pool:
         parts = list(
             pool.map(
                 _run_chunk,

@@ -249,32 +249,48 @@ class FlipEntropyAbsorption:
     """One-time forward DP for the flip-entropy metric with a uniform
     codebook: competitor flips are i.i.d. Bernoulli(1/2) regardless of the
     outputs, so the first-crossing law of n(log 2 - h_b(k/n)) > gamma_1 is
-    output-independent and shared by every trial of a configuration."""
+    output-independent and shared by every trial of a configuration.
+
+    The DP keeps mass only on the live band [lo, lo + mass.size) of flip
+    counts.  The metric is convex in k, so the cells it absorbs are the
+    band's tails, and the band is trimmed to its first and last nonzero
+    cell after each absorption.  Cells outside the band hold exactly zero,
+    so every sum equals the full-grid DP's bit for bit.
+    """
 
     def __init__(self, metric, gamma1):
         self.metric = metric
         self.horizon = horizon = metric.n_max
-        mass = np.ones(1)
-        absorbed = []  # (times, flip counts, masses)
+        flips = np.arange(horizon + 1)
+        mass, lo = np.ones(1), 0
+        absorbed = []  # (time, flip counts, masses)
         cum = np.zeros(horizon + 1)
         for t in range(1, horizon + 1):
-            grown = np.zeros(t + 1)
-            grown[:-1] += mass * 0.5
-            grown[1:] += mass * 0.5
-            mass = grown
-            k = np.arange(t + 1)
+            half = mass * 0.5
+            mass = np.zeros(half.size + 1)
+            mass[:-1] = half
+            mass[1:] += half
+            k = flips[lo:lo + mass.size]
             hit = (metric.count_metric(t, k) > gamma1) & (mass > 0.0)
             cum[t] = cum[t - 1]
-            if hit.any():
-                ki = np.nonzero(hit)[0]
+            ki = hit.nonzero()[0]
+            if ki.size:
                 w = mass[ki]
-                absorbed.append((np.full(ki.size, t), ki, w))
+                absorbed.append((t, ki + lo, w))
                 cum[t] += float(w.sum())
                 mass[ki] = 0.0
+                live = mass.nonzero()[0]
+                if live.size == 0:
+                    cum[t + 1:] = cum[t]
+                    break
+                lo += int(live[0])
+                mass = mass[live[0]:live[-1] + 1]
         self.cum = cum
         self.absorbed = None
         if absorbed:
-            t, k, w = (np.concatenate(part) for part in zip(*absorbed))
+            times, ks, ws = zip(*absorbed)
+            t = np.repeat(times, [part.size for part in ks])
+            k, w = np.concatenate(ks), np.concatenate(ws)
             self.absorbed = (t, metric.count_metric(t, k), k[:, None], w)
 
     def race(self, rng, y, log_m, gamma2):

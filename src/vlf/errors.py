@@ -69,6 +69,10 @@ class InsufficientTraining(VlfError):
     """Channel estimation requested with too short a training sequence."""
 
 
+class InvalidWorkerCount(VlfError):
+    """A Monte Carlo run asked for fewer than one worker process."""
+
+
 class HorizonExceeded(VlfError):
     """A sequential test consumed more symbols than its horizon allows."""
 

@@ -216,6 +216,23 @@ class TestSimulateVerb:
             "--M", "2^8", "--gamma1", "8", "--trials", "10", "--seed", "0",
         ]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_worker_count_below_one_rejected(self, workers, capsys):
+        args = [a if a != "400" else "20" for a in self._ARGS]
+        assert main(args + ["--workers", workers]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_append_to_a_csv_of_another_schema_refused(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bound", "--channel", BSC, "--N1", "2000",
+                     "--out", str(out)]) == 0
+        before = out.read_bytes()
+        args = [a if a != "400" else "20" for a in self._ARGS]
+        trace = tmp_path / "t.jsonl"
+        assert main(args + ["--out", str(out), "--trace", str(trace)]) == 1
+        assert out.read_bytes() == before
+        assert not trace.exists()  # refused before the run
+
 
 class TestOracleVerb:
     def test_exact_tails_stay_under_bound(self, tmp_path):

@@ -3,16 +3,20 @@
 import ast
 import dataclasses
 import math
+import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vlf
+from vlf import engine
 from vlf.bounds import VlfParams, channel_stats
 from vlf.channel import Dmc, GaussianChannel, bsc
 from vlf.engine import (
     VARIANTS,
+    FlipEntropy,
     SchemeConfig,
     TrialOutcome,
     aggregate_records,
@@ -24,6 +28,7 @@ from vlf.engine import (
     sprt,
     trial_records,
 )
+from vlf.ensemble import FlipEntropyAbsorption
 from vlf.errors import (
     HorizonExceeded,
     HorizonTooSmall,
@@ -58,6 +63,9 @@ VARIANT_SETUPS = {
     "uvlf_awgn": (GaussianChannel(1.0), None, 64),
 }
 ENSEMBLE_VARIANTS = ("vlf_dmc", "vlf_awgn", "uvlf_dmc", "uvlf_bsc")
+# every (variant, competitor mode) pair the engine runs
+VARIANT_MODES = ([(v, "literal") for v in VARIANT_SETUPS]
+                 + [(v, "ensemble") for v in ENSEMBLE_VARIANTS])
 
 
 def _variant_cfg(variant, params, **kw):
@@ -292,18 +300,48 @@ class TestTrialOutcomes:
         assert gen == solo
 
 
+def _pair_cfg(variant, mode):
+    return _variant_cfg(variant, _params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
+                        seed=5, competitor_mode=mode)
+
+
 class TestDeterminismAndAggregation:
-    @pytest.mark.parametrize(
-        "variant,mode",
-        [(v, "literal") for v in VARIANT_SETUPS]
-        + [(v, "ensemble") for v in ENSEMBLE_VARIANTS],
-    )
+    @pytest.mark.parametrize("variant,mode", VARIANT_MODES)
     def test_worker_count_does_not_change_the_estimate(self, variant, mode):
-        cfg = _variant_cfg(variant, _params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
-                           seed=5, competitor_mode=mode)
+        cfg = _pair_cfg(variant, mode)
         a = run_monte_carlo(cfg, 200, workers=1)
         b = run_monte_carlo(cfg, 200, workers=2)
         assert a == b
+
+    @pytest.mark.parametrize("variant,mode", VARIANT_MODES)
+    def test_runtime_pickles_to_an_equivalent_copy(self, variant, mode):
+        # a pool started by spawn or forkserver pickles the runtime it hands
+        # to its workers
+        cfg = _pair_cfg(variant, mode)
+        rt = engine._Runtime(cfg)
+        copy = pickle.loads(pickle.dumps(rt))
+        assert copy.mode == mode
+        for i in range(6):
+            assert (simulate_trial(cfg, i, _runtime=copy)
+                    == simulate_trial(cfg, i, _runtime=rt))
+
+    def test_pool_workers_use_the_runtime_built_in_the_parent(self, monkeypatch):
+        # forked workers inherit the patch: a runtime built in one fails it
+        test_pid = os.getpid()
+        builds = []
+        build = engine._Runtime.__init__
+
+        def parent_only(rt, cfg):
+            if os.getpid() != test_pid:
+                raise AssertionError("a pool worker built a runtime")
+            builds.append(cfg)
+            build(rt, cfg)
+
+        monkeypatch.setattr(engine._Runtime, "__init__", parent_only)
+        cfg = _pair_cfg("uvlf_bsc", "ensemble")
+        pooled = trial_records(cfg, 40, workers=2)
+        assert len(builds) == 1
+        assert np.array_equal(pooled, trial_records(cfg, 40, workers=1))
 
     def test_streaming_aggregation_equals_batch(self):
         cfg = _cfg()
@@ -332,6 +370,51 @@ class TestCompetitorStrategiesAgree:
         # same protocol, two competitor implementations: CIs must overlap
         assert lit.eps_lo <= ens.eps_hi and ens.eps_lo <= lit.eps_hi
         assert lit.n_lo <= ens.n_hi and ens.n_lo <= lit.n_hi
+
+
+def _full_grid_absorption(metric, gamma1):
+    """Reference for FlipEntropyAbsorption: the flip-count DP over every
+    count 0..t at every step t, with no band."""
+    mass = np.ones(1)
+    absorbed = []  # (times, flip counts, masses)
+    cum = np.zeros(metric.n_max + 1)
+    for t in range(1, metric.n_max + 1):
+        grown = np.zeros(t + 1)
+        grown[:-1] += mass * 0.5
+        grown[1:] += mass * 0.5
+        mass = grown
+        k = np.arange(t + 1)
+        hit = (metric.count_metric(t, k) > gamma1) & (mass > 0.0)
+        cum[t] = cum[t - 1]
+        ki = np.nonzero(hit)[0]
+        if ki.size:
+            absorbed.append((np.full(ki.size, t), ki, mass[ki]))
+            cum[t] += float(mass[ki].sum())
+            mass[ki] = 0.0
+    return cum, absorbed
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestFlipEntropyAbsorption:
+    # 0.5 absorbs all mass at t = 1 (the metric is log 2 there); 500 exceeds
+    # the largest value at n_max, 300 log 2, so nothing is absorbed
+    @pytest.mark.parametrize("gamma1", [0.5, 3.0, 10.0, 25.0, 500.0])
+    def test_band_dp_equals_full_grid_dp(self, gamma1):
+        metric = FlipEntropy(CH, UNIFORM2, 300)
+        band = FlipEntropyAbsorption(metric, gamma1)
+        cum, absorbed = _full_grid_absorption(metric, gamma1)
+        assert _same(band.cum, cum)
+        if not absorbed:
+            assert band.absorbed is None
+            return
+        t, k, w = (np.concatenate(part) for part in zip(*absorbed))
+        times, values, counts, masses = band.absorbed
+        assert _same(times, t) and _same(counts, k[:, None])
+        assert _same(masses, w)
+        assert _same(values, metric.count_metric(t, k))
 
 
 class TestAllVariantsRun:
