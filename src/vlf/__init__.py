@@ -41,7 +41,6 @@ from .channel import (
     control_pair,
     entropy,
     gaussian_information_density,
-    information_density,
     information_density_table,
     kl_divergence,
     load_dmc,
@@ -70,13 +69,11 @@ from .engine import (
     info_density_passage_times,
     run_monte_carlo,
     simulate_trial,
-    sprt,
     trial_records,
 )
 from .errors import (
     DimensionMismatch,
     EpsTooSmall,
-    HorizonExceeded,
     HorizonTooSmall,
     Infeasible,
     InsufficientTraining,

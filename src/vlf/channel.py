@@ -29,11 +29,19 @@ DIST_SUM_TOL = 1e-9
 
 
 def _as_prob_vector(p, name="p"):
+    """p as a float vector, checked to be a distribution: nonnegative
+    entries summing to 1 within DIST_SUM_TOL, so all finite (a NaN or
+    infinite entry makes the sum fail the check)."""
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"{name} must be a nonempty 1-D vector")
     if np.any(v < 0):
         raise NotADistribution(f"{name} has negative entries")
+    s = float(v.sum())
+    if not abs(s - 1.0) <= DIST_SUM_TOL:  # NaN fails it too
+        raise NotADistribution(
+            f"{name} sums to {s}, off by more than {DIST_SUM_TOL}"
+        )
     return v
 
 
@@ -64,14 +72,6 @@ class Dmc:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "matrix", w)
-
-    @property
-    def num_inputs(self):
-        return self.matrix.shape[0]
-
-    @property
-    def num_outputs(self):
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,6 @@ def kl_divergence(p, q):
 def entropy(p):
     """Shannon entropy -sum p log p in nats. Requires a normalized vector."""
     v = _as_prob_vector(p, "p")
-    s = v.sum()
-    if abs(s - 1.0) > DIST_SUM_TOL:
-        raise NotADistribution(f"probabilities sum to {s}, off by more than {DIST_SUM_TOL}")
     nz = v[v > 0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -210,14 +207,6 @@ def output_distribution(px, dmc):
             f"px has {p.size} entries for {dmc.matrix.shape[0]} inputs"
         )
     return p @ dmc.matrix
-
-
-def information_density(px, dmc, x, y):
-    """log( W(y|x) / P_Y(y) ) for the output marginal induced by px."""
-    py = output_distribution(px, dmc)
-    if py[y] == 0:
-        raise ZeroOutputMass(f"output {y} has zero marginal mass under px")
-    return float(np.log(dmc.matrix[x, y]) - np.log(py[y]))
 
 
 def information_density_table(px, dmc):

@@ -94,22 +94,28 @@ def _parse_message_count(s):
     return math.log(m)
 
 
-def _parse_grid(s, caster=float):
+def _parse_grid(s):
     """'start:stop:step' inclusive grid, or a single value."""
     parts = s.split(":")
     if len(parts) == 1:
-        return [caster(parts[0])]
+        return [float(parts[0])]
     if len(parts) != 3:
         raise _CliError(f"grid must be start:stop:step, got {s!r}")
     start, stop, step = (float(p) for p in parts)
     if step <= 0 or stop < start:
         raise _CliError(f"bad grid {s!r}")
     vals = np.arange(start, stop + step * 0.5, step)
-    return [caster(v) for v in vals]
+    return [float(v) for v in vals]
 
 
 def _parse_px(s):
+    """Comma-separated weights, normalized to sum to 1."""
     v = np.array([float(p) for p in s.split(",")], dtype=float)
+    if not (np.all(np.isfinite(v)) and np.all(v >= 0) and v.sum() > 0):
+        raise _CliError(
+            f"--px needs finite nonnegative weights with a positive sum, "
+            f"got {s!r}"
+        )
     return v / v.sum() if abs(v.sum() - 1.0) > 1e-12 else v
 
 
@@ -139,87 +145,66 @@ def _load_config(path):
     return out
 
 
-# option tables: dest -> (flag, caster, help); casters run on config-file
+# the option table: dest -> (flag, caster, help); casters run on config-file
 # strings; command-line flags are parsed as raw strings and cast the same way
-_COMMON = {
+_OPTIONS = {
     "channel": ("--channel", str, "channel spec: bsc:<p> | dmc:<path> | awgn:<snr>"),
     "out": ("--out", str, "CSV file to append results to"),
-}
-_VERB_OPTS = {
-    "bound": {
-        **_COMMON,
-        "px": ("--px", _parse_px, "input distribution, comma-separated"),
-        "M": ("--M", _parse_message_count, "message count (e.g. 2^100)"),
-        "gamma1": ("--gamma1", float, "first communication threshold (nats)"),
-        "gamma2": ("--gamma2", float, "second communication threshold (nats)"),
-        "a_accept": ("--aA", float, "SPRT accept threshold"),
-        "a_reject": ("--aR", float, "SPRT reject threshold"),
-        "eps0": ("--eps0", float, "stop-at-time-zero probability"),
-        "N1": ("--N1", float, "derive the schedule from this horizon"),
-        "eps": ("--eps", float, "target error probability"),
-    },
-    "optimize": {
-        **_COMMON,
-        "px": ("--px", _parse_px, "input distribution, comma-separated"),
-        "eps": ("--eps", float, "target error probability"),
-        "N": ("--N", float, "target average blocklength"),
-    },
-    "simulate": {
-        **_COMMON,
-        "px": ("--px", _parse_px, "codebook input distribution"),
-        "variant": ("--variant", str,
-                    "vlf_dmc | uvlf_dmc | uvlf_bsc | vlf_awgn | uvlf_awgn"),
-        "M": ("--M", _parse_message_count, "message count (e.g. 2^100)"),
-        "gamma1": ("--gamma1", float, "explicit threshold (with gamma2/aA/aR)"),
-        "gamma2": ("--gamma2", float, "explicit threshold"),
-        "a_accept": ("--aA", float, "explicit SPRT accept threshold"),
-        "a_reject": ("--aR", float, "explicit SPRT reject threshold"),
-        "eps0": ("--eps0", float, "explicit stop-at-time-zero probability"),
-        "N1": ("--N1", float, "known-channel schedule horizon"),
-        "eps": ("--eps", float, "target error probability for the schedule"),
-        "d": ("--d", float, "universal schedule union-bound exponent"),
-        "delta": ("--delta", float, "universal schedule slack (default 0.1)"),
-        "training": ("--training", int, "training sequence length"),
-        "trials": ("--trials", int, "number of Monte Carlo trials"),
-        "seed": ("--seed", int, "RNG seed (required)"),
-        "workers": ("--workers", int, "parallel worker processes"),
-        "trace": ("--trace", str, "write per-trial JSON lines here"),
-        "honest_time_zero": ("--honest-time-zero", _parse_bool,
-                             "time-zero branch guesses uniformly"),
-        "competitor_mode": ("--competitor-mode", str,
-                            "auto | literal | ensemble"),
-        "n_max": ("--n-max", int, "hard horizon override"),
-        "n_max_mult": ("--n-max-mult", float, "horizon multiple of gamma2/C"),
-        "c2": ("--c2", float, "universal second-phase cap multiple"),
-        "min_eval_len": ("--min-eval-len", int,
-                         "first length the uvlf_awgn metric is evaluated at"),
-    },
-    "sweep": {
-        **_COMMON,
-        "px": ("--px", _parse_px, "input distribution, comma-separated"),
-        "eps": ("--eps", float, "target error probability"),
-        "N": ("--N", str, "blocklength grid start:stop:step"),
-        "schemes": ("--schemes", str, "comma list from thm1,vlsf,converse"),
-        "resume": ("--resume", _parse_bool, "skip rows already in the CSV"),
-    },
-    "oracle": {
-        **_COMMON,
-        "px": ("--px", _parse_px, "input marginal, comma-separated"),
-        "n": ("--n", int, "sequence length for the exact tail"),
-        "gamma": ("--gamma", str, "threshold grid start:stop:step"),
-    },
+    "px": ("--px", _parse_px, "input distribution, comma-separated"),
+    "variant": ("--variant", str,
+                "vlf_dmc | uvlf_dmc | uvlf_bsc | vlf_awgn | uvlf_awgn"),
+    "M": ("--M", _parse_message_count, "message count (e.g. 2^100)"),
+    "gamma1": ("--gamma1", float,
+               "first communication threshold (nats; with gamma2/aA/aR)"),
+    "gamma2": ("--gamma2", float, "second communication threshold (nats)"),
+    "a_accept": ("--aA", float, "SPRT accept threshold"),
+    "a_reject": ("--aR", float, "SPRT reject threshold"),
+    "eps0": ("--eps0", float, "stop-at-time-zero probability"),
+    "N1": ("--N1", float, "derive the known-channel schedule from this horizon"),
+    "eps": ("--eps", float, "target error probability"),
+    "N": ("--N", float, "target average blocklength"),
+    "N_grid": ("--N", _parse_grid, "blocklength grid start:stop:step"),
+    "d": ("--d", float, "universal schedule union-bound exponent"),
+    "delta": ("--delta", float, "universal schedule slack"),
+    "training": ("--training", int, "training sequence length"),
+    "trials": ("--trials", int, "number of Monte Carlo trials"),
+    "seed": ("--seed", int, "RNG seed (required)"),
+    "workers": ("--workers", int, "parallel worker processes"),
+    "trace": ("--trace", str, "write per-trial JSON lines here"),
+    "honest_time_zero": ("--honest-time-zero", _parse_bool,
+                         "time-zero branch guesses uniformly"),
+    "competitor_mode": ("--competitor-mode", str, "auto | literal | ensemble"),
+    "n_max": ("--n-max", int, "walk horizon"),
+    "c2": ("--c2", float, "universal second-phase cap multiple"),
+    "schemes": ("--schemes", str, "comma list from thm1,vlsf,converse"),
+    "resume": ("--resume", _parse_bool, "skip rows already in the CSV"),
+    "n": ("--n", int, "sequence length for the exact tail"),
+    "gamma": ("--gamma", _parse_grid, "threshold grid start:stop:step"),
 }
 _FLAG_TRUE = {"honest_time_zero", "resume"}
+_THRESHOLDS = ("M", "gamma1", "gamma2", "a_accept", "a_reject", "eps0")
+_VERB_OPTS = {
+    "bound": ("channel", "out", "px", *_THRESHOLDS, "N1", "eps"),
+    "optimize": ("channel", "out", "px", "eps", "N"),
+    "simulate": (
+        "channel", "out", "px", "variant", *_THRESHOLDS, "N1", "eps", "d",
+        "delta", "training", "trials", "seed", "workers", "trace",
+        "honest_time_zero", "competitor_mode", "n_max", "c2",
+    ),
+    "sweep": ("channel", "out", "px", "eps", "N_grid", "schemes", "resume"),
+    "oracle": ("channel", "out", "px", "n", "gamma"),
+}
 
 
 def _build_parser():
     top = _Parser(prog="vlf", description=__doc__.split("\n\n")[0])
     subs = top.add_subparsers(dest="verb")
-    for verb, opts in _VERB_OPTS.items():
+    for verb, names in _VERB_OPTS.items():
         sp = subs.add_parser(verb, add_help=True)
         sp.add_argument("--config", type=str, default=None,
                         help="flat key = value option file; flags override it")
-        for dest, (flag, _, helptext) in opts.items():
+        for dest in names:
+            flag, _, helptext = _OPTIONS[dest]
             if dest in _FLAG_TRUE:
                 sp.add_argument(flag, dest=dest, action="store_const",
                                 const="true", default=None, help=helptext)
@@ -233,35 +218,29 @@ def _merge_options(args, verb):
     """Config-file values under command-line values, all cast by the verb's
     option table; unknown config keys are rejected.  Keys may use either the
     internal name (``a_accept``) or the flag spelling (``aA``, ``n-max``)."""
-    opts = _VERB_OPTS[verb]
+    opts = {dest: _OPTIONS[dest] for dest in _VERB_OPTS[verb]}
     alias = {}
     for dest, (flag, _, _h) in opts.items():
         alias[dest] = dest
         alias[flag.lstrip("-")] = dest
         alias[flag.lstrip("-").replace("-", "_")] = dest
     raw_file = _load_config(args.config) if args.config else {}
-    filevals = {}
     unknown = sorted(k for k in raw_file if k not in alias)
     if unknown:
         raise _CliError(
             f"unknown config key(s) for {verb}: {', '.join(unknown)}"
         )
-    for k, v in raw_file.items():
-        filevals[alias[k]] = v
-    merged = {}
-    for dest, (_flag, caster, _help) in opts.items():
+    filevals = {alias[k]: v for k, v in raw_file.items()}
+    merged = dict.fromkeys(opts)
+    for dest, (flag, caster, _help) in opts.items():
         raw = getattr(args, dest)
         if raw is None:
             raw = filevals.get(dest)
-        if raw is None:
-            merged[dest] = None
-        else:
+        if raw is not None:
             try:
                 merged[dest] = caster(raw)
-            except _CliError:
-                raise
-            except Exception as exc:
-                raise _CliError(f"bad value for {dest}: {raw!r} ({exc})") from exc
+            except ValueError as exc:
+                raise _CliError(f"bad value for {flag}: {raw!r} ({exc})") from exc
     return merged
 
 
@@ -333,6 +312,14 @@ def _bound_row(scheme, chan_spec, n_value, report, params):
     ] + sched
 
 
+def _given(opt, **names):
+    """Keyword arguments from the options the user set: keyword -> option
+    name, so a library call keeps its own default for every option left
+    unset."""
+    return {kw: opt[name] for kw, name in names.items()
+            if opt[name] is not None}
+
+
 def _explicit_params(opt):
     """VlfParams from --gamma1/--gamma2/--aA/--aR (with --M, --eps0), or
     None when none of the four thresholds is given."""
@@ -346,7 +333,7 @@ def _explicit_params(opt):
     return VlfParams(
         log_m=_require(opt, "M", "--M"), gamma1=explicit[0],
         gamma2=explicit[1], a_accept=explicit[2], a_reject=explicit[3],
-        eps0=opt["eps0"] if opt["eps0"] is not None else 0.0,
+        **_given(opt, eps0="eps0"),
     )
 
 
@@ -395,7 +382,7 @@ def _channel_capacity(channel):
 def _cmd_sweep(opt):
     channel, px, spec = _resolve_channel(opt)
     eps = _require(opt, "eps", "--eps")
-    grid = _parse_grid(_require(opt, "N", "--N"), caster=float)
+    grid = _require(opt, "N_grid", "--N")
     schemes = [s.strip() for s in
                _require(opt, "schemes", "--schemes").split(",") if s.strip()]
     for s in schemes:
@@ -457,12 +444,12 @@ def _sim_params(opt, variant, channel, px):
         return asymptotic_schedule(n1, channel, px, eps=opt["eps"])
     log_m = _require(opt, "M", "--M")
     eps = _require(opt, "eps", "--eps")
-    delta = opt["delta"] if opt["delta"] is not None else 0.1
+    slack = _given(opt, delta="delta")
     if kind.gaussian:
-        return universal_schedule_gaussian(log_m, eps, delta=delta)
+        return universal_schedule_gaussian(log_m, eps, **slack)
     num_x, num_y = channel.matrix.shape
     d = opt["d"] if opt["d"] is not None else kind.schedule_d
-    return universal_schedule(log_m, num_x, num_y, eps, d=d, delta=delta)
+    return universal_schedule(log_m, num_x, num_y, eps, d=d, **slack)
 
 
 def _cmd_simulate(opt):
@@ -472,23 +459,14 @@ def _cmd_simulate(opt):
     trials = _require(opt, "trials", "--trials")
     params = _sim_params(opt, variant, channel, px)
     cfg = SchemeConfig(
-        variant=variant,
-        channel=channel,
-        px=px,
-        params=params,
-        training_len=opt["training"] if opt["training"] is not None else 0,
-        n_max=opt["n_max"],
-        seed=seed,
-        honest_time_zero=bool(opt["honest_time_zero"]),
-        competitor_mode=opt["competitor_mode"] or "auto",
-        min_eval_len=opt["min_eval_len"],
-        n_max_mult=opt["n_max_mult"] if opt["n_max_mult"] is not None else 50.0,
-        c2=opt["c2"] if opt["c2"] is not None else 2.0,
+        variant=variant, channel=channel, px=px, params=params, seed=seed,
+        **_given(opt, training_len="training", n_max="n_max",
+                 honest_time_zero="honest_time_zero",
+                 competitor_mode="competitor_mode", c2="c2"),
     )
     if opt["out"] is not None:
         _needs_header(opt["out"], _SIM_HEADER)  # refuse before the run
-    workers = opt["workers"] if opt["workers"] is not None else 1
-    rec = trial_records(cfg, trials, workers=workers)
+    rec = trial_records(cfg, trials, **_given(opt, workers="workers"))
     if opt["trace"]:
         with open(opt["trace"], "w", encoding="utf-8") as fh:
             for i, row in enumerate(rec):
@@ -526,7 +504,7 @@ def _cmd_oracle(opt):
     if not isinstance(channel, Dmc):
         raise _CliError("oracle needs a finite-alphabet channel")
     n = _require(opt, "n", "--n")
-    grid = _parse_grid(_require(opt, "gamma", "--gamma"), caster=float)
+    grid = _require(opt, "gamma", "--gamma")
     py = px @ channel.matrix
     k_exp, _d = tail_exponents(px.size, py.size)
     exact = exact_mi_tail(n, px, py, np.asarray(grid, dtype=float))

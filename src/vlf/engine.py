@@ -26,7 +26,6 @@ workers.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -47,11 +46,9 @@ from .channel import (
 from .empirical import count_log_table, count_mi
 from .errors import (
     DimensionMismatch,
-    HorizonExceeded,
     HorizonTooSmall,
     InsufficientTraining,
     InvalidWorkerCount,
-    NotADistribution,
     StateExplosion,
     VlfError,
 )
@@ -59,6 +56,7 @@ from .errors import (
 _Z95 = 1.959963984540054
 _BLOCK = 256
 _HT_BLOCK = 64
+_HORIZON_MULT = 50.0  # default n_max in units of gamma2 / C
 _LN2 = math.log(2.0)
 
 
@@ -71,14 +69,13 @@ class SchemeConfig:
     ``competitor_mode`` picks how the M-1 wrong codewords are resolved:
     "literal" materializes them (M bounded), "ensemble" samples the Poisson
     process of threshold crossers (huge M), "auto" prefers literal when M is
-    small enough.  ``min_eval_len`` applies to uvlf_awgn only, where the
-    correlation metric is vacuously infinite at length 1: crossings are only
-    recognized from this length on (default: floor(log M), the natural
-    schedule block length).  ``n_max_mult`` sets the default horizon
-    n_max = ceil(n_max_mult * gamma2 / C) when ``n_max`` is not given.
-    ``c2`` truncates the second communication phase of the universal variants
-    at walk time c2 * gamma2 / C (the analysis horizon of the universal
-    scheme; must exceed 1); None disables the extra cap.
+    small enough.  ``n_max`` is the walk horizon, by default
+    ceil(50 * gamma2 / C).  ``c2`` truncates the second communication phase
+    of the universal variants at walk time c2 * gamma2 / C (the analysis
+    horizon of the universal scheme; must exceed 1); None disables the extra
+    cap.  uvlf_awgn recognizes crossings from length floor(log M) on, the
+    schedule's block length, since its correlation metric is vacuously
+    infinite at length 1.
     """
 
     variant: str
@@ -90,8 +87,6 @@ class SchemeConfig:
     seed: int = 0
     honest_time_zero: bool = False
     competitor_mode: str = "auto"
-    min_eval_len: int | None = None
-    n_max_mult: float = 50.0
     c2: float | None = 2.0
 
     def __post_init__(self):
@@ -107,8 +102,6 @@ class SchemeConfig:
             )
         if not kind.gaussian:
             p = _as_prob_vector(self.px, "px")
-            if abs(float(p.sum()) - 1.0) > 1e-9:
-                raise NotADistribution(f"px sums to {p.sum()}, not 1")
             shape = self.channel.matrix.shape
             if p.size != shape[0]:
                 raise DimensionMismatch(
@@ -135,12 +128,6 @@ class SchemeConfig:
                 )
         if self.n_max is not None and self.n_max < 1:
             raise HorizonTooSmall(f"n_max must be positive, got {self.n_max}")
-        if self.min_eval_len is not None and self.min_eval_len < 1:
-            raise VlfError(
-                f"min_eval_len must be >= 1, got {self.min_eval_len}"
-            )
-        if not (self.n_max_mult > 0):
-            raise VlfError(f"n_max_mult must be positive, got {self.n_max_mult}")
         if self.c2 is not None and not (self.c2 > 1):
             raise VlfError(f"c2 must exceed 1, got {self.c2}")
 
@@ -259,36 +246,10 @@ def estimate_channel(cfg, trial_index=0):
 # sequential probability ratio test
 
 
-def sprt(llr_stream, a_accept, a_reject, n_max=None):
-    """Run the confirmation-phase SPRT over a per-symbol LLR sequence.
-
-    Accumulates the log-likelihood-ratio sum and exits the first step it
-    leaves [-a_reject, a_accept] (strictly).  Returns
-    (decision, steps, terminal_llr) with decision "accept" iff the sum ended
-    above a_accept.  Raises HorizonExceeded when n_max steps pass — or the
-    stream ends — without a decision.
-    """
-    if not (a_accept > 0 and a_reject > 0):
-        raise VlfError(
-            f"SPRT thresholds must be positive, got ({a_accept}, {a_reject})"
-        )
-    it = iter(llr_stream)
-    # one value per block: the stream is read no further than the decision
-    decision, steps, s = _block_sprt(
-        lambda b: np.fromiter(itertools.islice(it, b), float),
-        a_accept, a_reject, math.inf if n_max is None else n_max, block=1,
-    )
-    if decision is None:
-        if n_max is not None and steps >= n_max:
-            raise HorizonExceeded(
-                f"no SPRT decision within n_max = {n_max} steps"
-            )
-        raise HorizonExceeded(f"LLR stream ended undecided after {steps} steps")
-    return decision, steps, s
-
-
-def _block_sprt(draw_llr, a_accept, a_reject, budget, block=_HT_BLOCK):
-    """SPRT over the LLR values that draw_llr(b) hands out, `block` at a time.
+def _block_sprt(draw_llr, a_accept, a_reject, budget):
+    """The confirmation phase's SPRT over the LLR values that draw_llr(b)
+    hands out, _HT_BLOCK at a time; exits the first step the sum leaves
+    [-a_reject, a_accept] strictly, "accept" iff above a_accept.
 
     Returns (decision, steps, terminal sum); decision is None when `budget`
     steps pass, or draw_llr runs dry, undecided.  An infinite LLR exits at
@@ -297,7 +258,7 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget, block=_HT_BLOCK):
     s = 0.0
     used = 0
     while used < budget:
-        vals = draw_llr(min(block, budget - used))
+        vals = draw_llr(min(_HT_BLOCK, budget - used))
         if vals.size == 0:
             break
         with np.errstate(invalid="ignore"):
@@ -606,7 +567,7 @@ class _Runtime:
         self.n_max = (
             cfg.n_max
             if cfg.n_max is not None
-            else int(math.ceil(cfg.n_max_mult * self.g2 / drift))
+            else int(math.ceil(_HORIZON_MULT * self.g2 / drift))
         )
         if self.n_max < 10.0 * self.g2 / drift:
             raise HorizonTooSmall(
@@ -618,13 +579,12 @@ class _Runtime:
             if cfg.c2 is not None and kind.universal
             else None
         )
-        n_min = (
-            cfg.min_eval_len
-            if cfg.min_eval_len is not None
-            else max(1, int(self.log_m))
-        )
-        self.metric = kind(cfg.channel, cfg.px, self.n_max, n_min)
+        # uvlf_awgn's first evaluated length is the schedule's block length
+        self.metric = kind(cfg.channel, cfg.px, self.n_max,
+                           max(1, int(self.log_m)))
         self.mode = self._resolve_mode()
+        self.m1 = (ensemble.literal_count(self.log_m)
+                   if self.mode == "literal" else None)
         self.ensemble_race = (
             self.metric.ensemble_strategy(self.log_m, self.g1, self.g2)
             if self.mode == "ensemble"
@@ -683,20 +643,7 @@ def _race(rng, rt, y_h):
     """Resolve the competitor side over the horizon covered by y_h."""
     if rt.mode == "ensemble":
         return rt.ensemble_race(rng, y_h)
-    m1 = ensemble.literal_count(rt.log_m)
-    return ensemble.literal_race(rng, y_h, m1, rt.metric, rt.g1, rt.g2)
-
-
-def _confirmation(rng, rt, emp, hypothesis_true, budget):
-    """Play the confirmation phase; returns (decision or None, steps)."""
-    if budget < 1:
-        return None, 0
-    p = rt.cfg.params
-    decision, steps, _ = _block_sprt(
-        rt.metric.confirmation(rng, emp, hypothesis_true),
-        p.a_accept, p.a_reject, budget,
-    )
-    return decision, steps
+    return ensemble.literal_race(rng, y_h, rt.m1, rt.metric, rt.g1, rt.g2)
 
 
 def simulate_trial(cfg, trial_index, _runtime=None):
@@ -747,8 +694,9 @@ def simulate_trial(cfg, trial_index, _runtime=None):
     c1_correct = race.t1 is None or race.t1 >= tau1_true
     tau_first = tau1_true if c1_correct else race.t1
 
-    decision, len_ht = _confirmation(
-        rng, rt, emp, c1_correct, rt.n_max - tau_first
+    decision, len_ht, _ = _block_sprt(
+        rt.metric.confirmation(rng, emp, c1_correct),
+        cfg.params.a_accept, cfg.params.a_reject, rt.n_max - tau_first,
     )
     if decision is None:
         return outcome(tau_first, len_ht, tau_first)

@@ -59,9 +59,10 @@ def _earlier(a, b):
     return b if a is None or (b is not None and b < a) else a
 
 
-def check_message_count(log_m, cap=4096):
-    """True when e^{log_m} - 1 competitors are few enough to materialize."""
-    return log_m <= math.log(cap + 0.5)
+def check_message_count(log_m):
+    """True when e^{log_m} - 1 competitors are few enough to materialize
+    (at most 4096 messages)."""
+    return log_m <= math.log(4096.5)
 
 
 def literal_count(log_m):

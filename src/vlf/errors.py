@@ -73,10 +73,6 @@ class InvalidWorkerCount(VlfError):
     """A Monte Carlo run asked for fewer than one worker process."""
 
 
-class HorizonExceeded(VlfError):
-    """A sequential test consumed more symbols than its horizon allows."""
-
-
 class StateExplosion(VlfError):
     """Exact lattice analysis would need more states than the configured cap."""
 

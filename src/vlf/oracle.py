@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import beta as beta_dist
 
+from .channel import _as_prob_vector
 from .errors import (
     NonPositiveDrift,
     NotADistribution,
@@ -41,12 +42,9 @@ class LatticeWalkSpec:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
+        p = _as_prob_vector(self.probs, "step probabilities")
+        if np.shape(self.values) != p.shape:
             raise NotADistribution("values and probs must be matching 1-D vectors")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise NotADistribution(f"step probabilities sum to {p.sum()}")
         if not (self.a_accept > 0 and self.a_reject > 0):
             raise NotADistribution("thresholds must be positive")
 
@@ -61,14 +59,6 @@ class SprtExact:
     p_reject: float
     expected_steps: float
     residual: float
-
-    @property
-    def p_accept_upper(self):
-        return self.p_accept + self.residual
-
-    @property
-    def p_reject_upper(self):
-        return self.p_reject + self.residual
 
 
 def _qkey(x):

@@ -115,6 +115,14 @@ class TestMutualInformation:
             output_distribution(px, dmc), px @ dmc.matrix
         )
 
+    # [0.3, 0.3] gave 0.5145 nats, above the capacity 0.3466; NaN and
+    # infinite entries make the sum NaN or infinite
+    @pytest.mark.parametrize("px", [[0.3, 0.3], [math.nan, 1.0],
+                                    [math.inf, 1.0]])
+    def test_input_must_be_a_distribution(self, px):
+        with pytest.raises(NotADistribution):
+            mutual_information(px, bsc(0.11))
+
 
 class TestControlPair:
     def test_binary_symmetric_pair_and_divergence(self):

@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from vlf import engine
+from vlf.bounds import VlfParams
+from vlf.channel import bsc
 from vlf.cli import main
 
 BSC = "bsc:0.11"
@@ -54,6 +58,17 @@ class TestBoundVerb:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("px", ["0,0", "nan,1", "inf,1", "2,-1"])
+    def test_px_needs_finite_nonnegative_weights(self, px, capsys):
+        # 0,0 divided by its zero sum, with a numpy RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bound", "--channel", BSC, "--px", px,
+                         "--N1", "2000"])
+        assert code == 1
+        assert "--px" in capsys.readouterr().err
+        assert not [w for w in caught if w.category is RuntimeWarning]
 
     def test_infeasible_error_floor_maps_to_exit_two(self):
         assert main(["bound", "--channel", BSC, "--N1", "1000",
@@ -209,6 +224,35 @@ class TestSimulateVerb:
         row = _rows(out)[0]
         assert float(row["logM_nats"]) == pytest.approx(60 * math.log(2), abs=1e-4)
         assert float(row["gamma1"]) > 0
+
+    def test_unset_options_take_the_library_defaults(self, tmp_path):
+        # no --training, --c2, --competitor-mode, --honest-time-zero,
+        # --workers or --eps0: the row is that of a SchemeConfig built from
+        # its required fields only
+        args = [a if a != "400" else "300" for a in self._ARGS]
+        args = [a if a != "42" else "0" for a in args]  # SchemeConfig's seed
+        out = tmp_path / "s.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        cfg = engine.SchemeConfig(
+            variant="vlf_dmc", channel=bsc(0.11), px=np.array([0.5, 0.5]),
+            params=VlfParams(8 * math.log(2.0), 8.0, 14.0, 3.0, 3.0),
+        )
+        est = engine.run_monte_carlo(cfg, 300)
+        row = _rows(out)[0]
+        assert row["eps0"] == "0.00e+00"
+        assert [row[k] for k in ("eps_hat", "eps_lo", "eps_hi", "censor_rate")] == [
+            f"{v:.2e}" for v in (est.eps_hat, est.eps_lo, est.eps_hi,
+                                 est.censor_rate)
+        ]
+        assert [row[k] for k in ("n_hat", "n_lo", "n_hi")] == [
+            f"{v:.6f}" for v in (est.n_hat, est.n_lo, est.n_hi)
+        ]
+
+    @pytest.mark.parametrize("flag", [["--n-max-mult", "10"],
+                                      ["--min-eval-len", "3"]])
+    def test_removed_knobs_rejected(self, flag):
+        args = [a if a != "400" else "20" for a in self._ARGS]
+        assert main(args + flag) == 1
 
     def test_partial_threshold_set_rejected(self):
         assert main([

@@ -77,6 +77,8 @@ class TestExactSprt:
         with pytest.raises(VlfError):
             LatticeWalkSpec((1.0,), (0.9,), 1.0, 1.0)
         with pytest.raises(VlfError):
+            LatticeWalkSpec((1.0, -1.0), (math.nan, 1.0), 1.0, 1.0)
+        with pytest.raises(VlfError):
             LatticeWalkSpec((1.0,), (1.0,), -1.0, 1.0)
 
 
