@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 
 from .channel import (
     GaussianChannel,
@@ -347,80 +348,13 @@ def universal_schedule_gaussian(log_m, eps, delta=0.1):
 
 # ---------------------------------------------------------------------------
 # numeric optimization
-
-
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn, lo, hi, iters=40):
-    a, b = lo, hi
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _min_time_given_logm(log_m, target_eps, s):
-    """Smallest (1-eps0) N' reachable at this log M with eps <= target_eps.
-
-    eps0 is always pushed to its cap (eps_t - eps')/(1 - eps') because the
-    shared time decreases in eps0; the search runs over
-    (gamma_1, gamma_2 - gamma_1, a_accept, a_reject).
-    """
-
-    def timed(x):
-        g1, dg, a_acc, a_rej = x
-        if min(g1, dg, a_acc, a_rej) <= 0:
-            return math.inf
-        eps_prime, n_prime = _theorem1_terms(log_m, g1, dg, a_acc, a_rej, s)
-        if not eps_prime < target_eps:
-            return math.inf
-        eps0 = (target_eps - eps_prime) / (1.0 - eps_prime)
-        return (1.0 - eps0) * n_prime
-
-    # schedule-flavored starting point, then a spread of fallbacks
-    slack = math.log(2.0 / target_eps)
-    starts = [
-        np.array([log_m + math.log1p(math.log1p(log_m)), slack, slack, slack]),
-        np.array([log_m + slack, 2.0 * slack, slack, slack]),
-        np.array([log_m + 2.0 * slack, 4.0 * slack, 2.0 * slack, 2.0 * slack]),
-    ]
-    best_x, best_v = None, math.inf
-    for x0 in starts:
-        v0 = timed(x0)
-        if v0 < best_v:
-            best_x, best_v = x0.copy(), v0
-    if best_x is None or not math.isfinite(best_v):
-        return math.inf, None
-    x, v = best_x, best_v
-    for _ in range(8):
-        improved = False
-        for i in range(4):
-            lo, hi = x[i] / 4.0, x[i] * 4.0
-
-            def line(t, i=i):
-                y = x.copy()
-                y[i] = t
-                return timed(y)
-
-            t, vt = _golden_min(line, lo, hi)
-            if vt < v - 1e-10:
-                x = x.copy()
-                x[i] = t
-                v = vt
-                improved = True
-        if not improved:
-            break
-    return v, x
+#
+# In u = gamma_1 - log(M-1) and dg = gamma_2 - gamma_1, (M-1) e^{-gamma_1} =
+# e^{-u}, so eps' and N' - log(M-1)/C are free of M: they are
+# _theorem1_terms at M = 2, where log(M-1) = 0 and gamma_1 = u.  With eps0 at
+# its cap, 1 - eps0 = (1 - eps)/(1 - eps'), n_avg <= N reads
+#     log(M-1) <= G = K (1 - eps') - C (N' - log(M-1)/C),   K = C N/(1 - eps),
+# so the largest log M is softplus(max G), with no search over M.
 
 
 def _check_targets(target_eps, target_n):
@@ -430,40 +364,122 @@ def _check_targets(target_eps, target_n):
         raise NotADistribution(f"target_n must be positive, got {target_n}")
 
 
-def _largest_log_m(min_time, target_n, drift):
-    """Bisect log M (60 steps) for the largest value whose min_time(log M)
-    = (shared time, argmin) meets target_n.  Returns (log M, its argmin)."""
-    v, lo_x = min_time(LN2)
-    if not v <= target_n:
+def _eps0_cap(target_eps, eps_prime):
+    """The largest stop-at-zero weight with eps0 + (1 - eps0) eps' <= eps."""
+    return max(0.0, (target_eps - eps_prime) / (1.0 - eps_prime))
+
+
+def _log_m_from(g_max, target_n):
+    """log M = softplus(max G); fewer than two messages is Infeasible."""
+    if not g_max >= 0.0:
         raise Infeasible(
-            f"even two messages miss the targets (best n_avg {v:.3f} > {target_n})"
+            f"even two messages miss the targets at n_avg <= {target_n}"
         )
-    lo, hi = LN2, target_n * drift * 1.5 + 10.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        v, x = min_time(mid)
-        if v <= target_n:
-            lo, lo_x = mid, x
-        else:
-            hi = mid
-    return lo, lo_x
+    return g_max + math.log1p(math.exp(-g_max))
+
+
+def _back_off(report_at, log_m, target_eps, target_n):
+    """The optimum lies on the boundary eps = target_eps or n_avg = target_n,
+    which rounding can overshoot.  With the thresholds fixed, return the
+    largest float log M' <= log_m (to one ulp) whose report_at(log M') meets
+    both targets under a plain <=."""
+
+    def ok(lm):
+        rep = report_at(lm)
+        return rep.eps <= target_eps and rep.n_avg <= target_n
+
+    if ok(log_m):
+        return log_m
+    bad, step = log_m, math.ulp(log_m)
+    while not ok(good := max(0.0, log_m - step)):
+        if good == 0.0:
+            raise Infeasible(
+                f"no log M meets eps <= {target_eps} and n_avg <= {target_n}"
+            )
+        bad, step = good, 2.0 * step
+    while (mid := 0.5 * (good + bad)) not in (good, bad):
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+    return good
+
+
+def _stationary_point(lam, k, s):
+    """(u, dg, a_accept, a_reject) maximizing G - lam eps'.  With
+    K_lam = K + lam, c_A = C/D_accept and c_R = C/D_reject:
+      * a_accept = log(K_lam/c_A) - u and a_reject = u + log((dg + b)/c_R);
+      * dg minimizes phi(x) = K_lam e^{-x} + x + c_R log(x + b) over x >= 0,
+        free of u.  phi' = e^{-x} (psi(x) - K_lam) with
+        psi(x) = e^x (1 + c_R/(x + b)) falling then rising, so the interior
+        candidate is the root on psi's rising branch, and 0 the other one;
+      * u is the root of e^{-u} (Q + c_R u) = 1 - c_A, Q = K_lam e^{-dg} + dg
+        + b + c_R (log((dg + b)/c_R) + b_reject), where that side falls.
+    """
+    kl = k + lam
+    c_acc, c_rej = s.drift / s.div_accept, s.drift / s.div_reject
+
+    def phi(x):
+        return kl * math.exp(-x) + x + c_rej * math.log(x + s.b)
+
+    def log_psi(x):
+        return x + math.log1p(c_rej / (x + s.b))
+
+    log_kl = math.log(kl)
+    valley = max(0.0, 0.5 * (math.sqrt(c_rej * (c_rej + 4.0)) - c_rej) - s.b)
+    dg = 0.0
+    if log_psi(valley) < log_kl:
+        x = brentq(lambda x: log_psi(x) - log_kl, valley, log_kl)
+        dg = x if phi(x) < phi(0.0) else 0.0
+    w = dg + s.b
+    log_w = math.log(w / c_rej)
+    q = kl * math.exp(-dg) + w + c_rej * (log_w + s.b_reject)
+    if not q > max(c_rej, 1.0 - c_acc):
+        raise Infeasible(f"K + lambda = {kl:.3f} leaves no phase-1 threshold")
+    # log(Q + c_R u) - u falls for Q > c_R; it is > 0 at lo > 0, < 0 at hi
+    lo = math.log(q) - math.log1p(-c_acc)
+    u = brentq(lambda x: math.log(q + c_rej * x) - x - math.log1p(-c_acc),
+               lo, lo / (1.0 - c_rej / q) + 1.0)
+    a_acc = log_kl - math.log(c_acc) - u
+    if not a_acc > 0.0:
+        raise Infeasible(f"K + lambda = {kl:.3f} leaves no a_accept > 0")
+    return u, dg, a_acc, u + log_w
 
 
 def optimize_params(channel, px, target_eps, target_n):
     """Maximize log M subject to eps <= target_eps and n_avg <= target_n.
 
-    Outer bisection on log M over the feasibility boundary, inner coordinate
-    descent with golden-section line searches started from the
-    schedule-flavored point.  Returns the best feasible (params, report).
+    G is maximized at the stationary point of G - lam eps' with multiplier
+    lam = 0, or, when that point has eps' > target_eps, at the lam > 0 found
+    by a root search on eps' = target_eps.  Returns (params, report).
     """
     _check_targets(target_eps, target_n)
     s = channel_stats(channel, px)
-    log_m, (g1, dg, a_acc, a_rej) = _largest_log_m(
-        lambda lm: _min_time_given_logm(lm, target_eps, s), target_n, s.drift
+    k = s.drift * target_n / (1.0 - target_eps)
+
+    def eps_prime_at(lam):
+        return _theorem1_terms(LN2, *_stationary_point(lam, k, s), s)[0]
+
+    lam = 0.0
+    if eps_prime_at(lam) > target_eps:
+        # eps' < (c_A + 1 + c_R/b)/K_lam, so eps' < target_eps at lam_hi
+        lam_hi = (s.drift / s.div_accept + 1.0
+                  + s.drift / (s.div_reject * s.b)) / target_eps - k
+        lam = brentq(lambda l: math.log(eps_prime_at(l) / target_eps),
+                     0.0, lam_hi)
+    u, dg, a_acc, a_rej = _stationary_point(lam, k, s)
+    eps_prime, n_rest = _theorem1_terms(LN2, u, dg, a_acc, a_rej, s)
+    g_max = k * (1.0 - eps_prime) - s.drift * n_rest
+    g1 = g_max + u
+    # dg = 0 is a supremum at gamma_2 -> gamma_1; take the next float up
+    g2 = g1 + dg if dg > 0.0 else math.nextafter(g1, math.inf)
+
+    def params_at(lm):
+        e = _theorem1_terms(lm, g1, g2 - g1, a_acc, a_rej, s)[0]
+        return VlfParams(lm, g1, g2, a_acc, a_rej, _eps0_cap(target_eps, e))
+
+    log_m = _back_off(
+        lambda lm: achievability_bound(params_at(lm), channel, px, stats=s),
+        _log_m_from(g_max, target_n), target_eps, target_n,
     )
-    eps_prime = _theorem1_terms(log_m, g1, dg, a_acc, a_rej, s)[0]
-    eps0 = max(0.0, (target_eps - eps_prime) / (1.0 - eps_prime))
-    params = VlfParams(log_m, g1, g1 + dg, a_acc, a_rej, eps0)
+    params = params_at(log_m)
     return params, achievability_bound(params, channel, px, stats=s)
 
 
@@ -471,26 +487,21 @@ def single_phase_bound(channel, px, target_eps, target_n):
     """Best single-phase (decode-at-threshold, no confirmation) rate.
 
     eps' = (M-1) e^{-gamma}, N' = (gamma + b)/C, same stop-at-time-zero
-    sharing.  Returns the report of the best feasible log M.
+    sharing.  In u = gamma - log(M-1), G = K (1 - e^{-u}) - u - b peaks in
+    closed form at e^{-u} = min(1/K, target_eps).  Returns the report of the
+    best feasible log M.
     """
     _check_targets(target_eps, target_n)
     s = channel_stats(channel, px)
+    k = s.drift * target_n / (1.0 - target_eps)
+    u = max(math.log(k), -math.log(target_eps))
+    g_max = k * (1.0 - scaled_m_exp(LN2, u)) - (u + s.b)
+    g = g_max + u
 
-    def min_time(log_m):
-        def timed(g):
-            eps_prime = scaled_m_exp(log_m, g)
-            if not eps_prime < target_eps:
-                return math.inf
-            eps0 = (target_eps - eps_prime) / (1.0 - eps_prime)
-            return (1.0 - eps0) * (g + s.b) / s.drift
+    def report_at(lm):
+        eps_prime = scaled_m_exp(lm, g)
+        return _report(lm, eps_prime, (g + s.b) / s.drift,
+                       _eps0_cap(target_eps, eps_prime))
 
-        # exact feasibility edge: (M-1) e^{-g} < eps  <=>  g > log((M-1)/eps)
-        edge = log_m + math.log1p(-math.exp(-log_m)) - math.log(target_eps) \
-            if log_m > 0 else 1e-6
-        g, v = _golden_min(timed, edge + 1e-9, edge + 60.0, iters=70)
-        return v, g
-
-    log_m, g = _largest_log_m(min_time, target_n, s.drift)
-    eps_prime = scaled_m_exp(log_m, g)
-    eps0 = max(0.0, (target_eps - eps_prime) / (1.0 - eps_prime))
-    return _report(log_m, eps_prime, (g + s.b) / s.drift, eps0)
+    return report_at(_back_off(report_at, _log_m_from(g_max, target_n),
+                               target_eps, target_n))

@@ -95,17 +95,19 @@ def _parse_message_count(s):
 
 
 def _parse_grid(s):
-    """'start:stop:step' inclusive grid, or a single value."""
-    parts = s.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise _CliError(f"grid must be start:stop:step, got {s!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise _CliError(f"bad grid {s!r}")
-    vals = np.arange(start, stop + step * 0.5, step)
-    return [float(v) for v in vals]
+    """'start:stop:step' inclusive grid, or a single value; every value must
+    be finite and positive."""
+    vals = [float(p) for p in s.split(":")]
+    if len(vals) not in (1, 3):
+        raise ValueError("a grid is start:stop:step or one value")
+    if not all(math.isfinite(v) and v > 0 for v in vals):
+        raise ValueError("grid values must be finite and positive")
+    if len(vals) == 1:
+        return vals
+    start, stop, step = vals
+    if stop < start:
+        raise ValueError("grid stop is below its start")
+    return [float(v) for v in np.arange(start, stop + step * 0.5, step)]
 
 
 def _parse_px(s):

@@ -582,25 +582,24 @@ class _Runtime:
         # uvlf_awgn's first evaluated length is the schedule's block length
         self.metric = kind(cfg.channel, cfg.px, self.n_max,
                            max(1, int(self.log_m)))
-        self.mode = self._resolve_mode()
-        self.m1 = (ensemble.literal_count(self.log_m)
-                   if self.mode == "literal" else None)
+        m1 = ensemble.literal_count(self.log_m)
+        self.mode = self._resolve_mode(m1 is not None)
+        self.m1 = m1 if self.mode == "literal" else None
         self.ensemble_race = (
             self.metric.ensemble_strategy(self.log_m, self.g1, self.g2)
             if self.mode == "ensemble"
             else None
         )
 
-    def _resolve_mode(self):
+    def _resolve_mode(self, literal_ok):
         cfg = self.cfg
-        literal_ok = ensemble.check_message_count(self.log_m)
         mode = cfg.competitor_mode
         if mode == "auto":
             mode = "literal" if literal_ok else "ensemble"
         if mode == "literal" and not literal_ok:
             raise StateExplosion(
-                f"literal competitors need at most 4096 messages, "
-                f"got log M = {self.log_m:.3f}"
+                f"literal competitors need an integer count of at most 4096 "
+                f"messages, got M = e^{self.log_m:.6f}"
             )
         why = self.metric.ensemble_unavailable()
         if mode == "ensemble" and why is not None:

@@ -59,19 +59,14 @@ def _earlier(a, b):
     return b if a is None or (b is not None and b < a) else a
 
 
-def check_message_count(log_m):
-    """True when e^{log_m} - 1 competitors are few enough to materialize
-    (at most 4096 messages)."""
-    return log_m <= math.log(4096.5)
-
-
 def literal_count(log_m):
+    """M - 1 when literal competitors can run: an integer message count of
+    at most 4096; None otherwise."""
+    if log_m > math.log(4096.5):
+        return None
     m = int(round(math.exp(log_m)))
     if abs(math.exp(log_m) - m) > 1e-6 * max(m, 1):
-        raise StateExplosion(
-            f"literal competitor simulation needs an integer message count, "
-            f"got M = e^{log_m:.6f}"
-        )
+        return None
     return m - 1
 
 

@@ -82,7 +82,7 @@ class TestOptimizeVerb:
                      "--N", "500", "--out", str(out)]) == 0
         row = _rows(out)[0]
         assert row["scheme"] == "thm1"
-        assert float(row["logM_nats"]) == pytest.approx(168.081008, abs=1e-4)
+        assert float(row["logM_nats"]) == pytest.approx(168.119757, abs=1e-4)
         assert row["gamma1"] != ""
 
     def test_unreachable_targets_exit_two(self):
@@ -121,6 +121,28 @@ class TestSweepVerb:
     def test_unknown_scheme_rejected(self, tmp_path):
         assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
                      "--N", "500", "--schemes", "thm1,magic"]) == 1
+
+    @pytest.mark.parametrize(
+        "grid", ["nan", "-5", "0", "inf", "200:nan:200", "0:400:200",
+                 "200:400:0", "200:400:-100"],
+    )
+    def test_non_finite_or_non_positive_grid_rejected(self, grid, tmp_path,
+                                                      capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
+                     "--N", grid, "--schemes", "converse",
+                     "--out", str(out)]) == 1
+        assert "--N" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeat_sweeps_are_byte_identical(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in paths:
+            assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
+                         "--N", "200:1000:200",
+                         "--schemes", "thm1,vlsf,converse",
+                         "--out", str(out)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestSimulateVerb:
@@ -197,6 +219,19 @@ class TestSimulateVerb:
         assert main(base + ["--M", "2^10", "--out", str(a)]) == 0
         assert main(base + ["--M", "1024", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_auto_mode_runs_a_non_integer_message_count_on_the_ensemble(
+            self, tmp_path):
+        args = ["simulate", "--variant", "vlf_dmc", "--channel", BSC,
+                "--M", "2^8.5", "--gamma1", "8", "--gamma2", "14",
+                "--aA", "3", "--aR", "3", "--trials", "10", "--seed", "1"]
+        auto = tmp_path / "auto.csv"
+        ens = tmp_path / "ens.csv"
+        assert main(args + ["--out", str(auto)]) == 0
+        assert main(args + ["--competitor-mode", "ensemble",
+                            "--out", str(ens)]) == 0
+        assert auto.read_bytes() == ens.read_bytes()
+        assert main(args + ["--competitor-mode", "literal"]) == 1
 
     def test_seed_is_required(self):
         args = [a for a in self._ARGS if a not in ("--seed", "42")]
