@@ -31,6 +31,7 @@ from scipy.optimize import brentq
 
 from .channel import (
     GaussianChannel,
+    _as_prob_vector,
     binary_entropy,
     control_pair,
     gaussian_information_density,
@@ -108,11 +109,9 @@ class ChannelStats:
 def overshoot_constant(values, probs):
     """b(X) = min{ E[(X^+)^2]/E[X], ess sup X } for a finite discrete law."""
     v = np.asarray(values, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if v.shape != p.shape or v.ndim != 1:
+    p = _as_prob_vector(probs, "probs")
+    if v.shape != p.shape:
         raise NotADistribution("values and probs must be matching 1-D vectors")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise NotADistribution(f"probs sum to {p.sum()}, expected 1")
     mean = float(np.dot(v, p))
     if mean <= 0:
         raise NonPositiveDrift(f"E[X] = {mean} <= 0")

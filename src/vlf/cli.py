@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -198,7 +199,10 @@ _VERB_OPTS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every verb, built once per process: parse_args keeps
+    no state between calls, so each main call parses afresh."""
     top = _Parser(prog="vlf", description=__doc__.split("\n\n")[0])
     subs = top.add_subparsers(dest="verb")
     for verb, names in _VERB_OPTS.items():

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _as_prob_vector
 from .errors import (
     DegenerateSequence,
     DimensionMismatch,
@@ -147,11 +148,7 @@ def type_class_log_bound(type_probs, n):
     dominates log |T_n(Q)| for every type and improves on exp(n H(Q)) by the
     polynomial factor.
     """
-    q = np.asarray(type_probs, dtype=float)
-    if q.ndim != 1 or q.size == 0:
-        raise DimensionMismatch("type must be a 1-D distribution")
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-        raise NotADistribution(f"type sums to {q.sum()}, expected 1")
+    q = _as_prob_vector(type_probs, "type")
     scaled = q * n
     if np.any(np.abs(scaled - np.round(scaled)) > 1e-9):
         a = int(np.argmax(np.abs(scaled - np.round(scaled))))

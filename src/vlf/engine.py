@@ -69,12 +69,16 @@ class SchemeConfig:
     ``competitor_mode`` picks how the M-1 wrong codewords are resolved:
     "literal" materializes them (M bounded), "ensemble" samples the Poisson
     process of threshold crossers (huge M), "auto" prefers literal when M is
-    small enough.  ``n_max`` is the walk horizon, by default
-    ceil(50 * gamma2 / C).  ``c2`` truncates the second communication phase
-    of the universal variants at walk time c2 * gamma2 / C (the analysis
-    horizon of the universal scheme; must exceed 1); None disables the extra
-    cap.  uvlf_awgn recognizes crossings from length floor(log M) on, the
-    schedule's block length, since its correlation metric is vacuously
+    small enough.  ``n_max`` is the horizon, by default
+    ceil(50 * gamma2 / C): a run whose walk plus control symbols do not
+    stop by it is censored at tau = n_max, counted as an error, its symbols
+    charged in protocol order (phase 1, control, phase 2) and its energy
+    summed over the charged symbols only.  ``c2`` truncates the second
+    communication phase of the universal variants at walk time
+    c2 * gamma2 / C (the analysis horizon of the universal scheme; must
+    exceed 1): a run that would pass it is censored too; None disables the
+    extra cap.  uvlf_awgn recognizes crossings from length floor(log M) on,
+    the schedule's block length, since its correlation metric is vacuously
     infinite at length 1.
     """
 
@@ -202,44 +206,16 @@ def _trial_rng(seed, trial_index):
 # training / channel estimation
 
 
-def _draw_training(rng, cfg):
-    """Draw the training phase for one trial; returns an EmpiricalChannel.
-
-    The draw order is fixed and shared with simulate_trial so that
-    estimate_channel reproduces exactly the estimate a trial used.  DMC
-    training sends each input round-robin (ell_x = floor(l/|X|) plus one for
-    the first l mod |X| inputs) and only the per-row output counts matter, so
-    each row is drawn as one multinomial.  Gaussian training sends zeros and
-    estimates the noise variance, whose law is sigma0^2 chi2_l / l.
-    """
-    lt = cfg.training_len
-    if isinstance(cfg.channel, GaussianChannel):
-        if lt < 1:
-            raise InsufficientTraining(
-                f"Gaussian training needs training_len >= 1, got {lt}"
-            )
-        var = cfg.channel.noise_variance * rng.chisquare(lt) / lt
-        return EmpiricalChannel(
-            kernel=None, noise_variance=float(var), counts=np.array([lt])
-        )
-    w = cfg.channel.matrix
-    nx = w.shape[0]
-    if lt < nx:
-        raise InsufficientTraining(
-            f"DMC training needs training_len >= {nx} inputs, got {lt}"
-        )
-    ells = np.full(nx, lt // nx)
-    ells[: lt % nx] += 1
-    rows = np.empty_like(w)
-    for x in range(nx):
-        counts = rng.multinomial(ells[x], w[x])
-        rows[x] = counts / ells[x]
-    return EmpiricalChannel(kernel=rows, noise_variance=None, counts=ells)
-
-
 def estimate_channel(cfg, trial_index=0):
-    """The channel estimate the given trial's training phase produces."""
-    return _draw_training(_trial_rng(cfg.seed, trial_index), cfg)
+    """The channel estimate the given trial's training phase produces, by
+    the draw a trial makes first (see ``Metric.draw_training``)."""
+    kind = metric_kind(cfg.variant)
+    if not kind.universal:
+        raise InsufficientTraining(
+            f"variant {cfg.variant} knows its channel and draws no training"
+        )
+    return kind.draw_training(_trial_rng(cfg.seed, trial_index), cfg.channel,
+                              cfg.training_len)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +270,11 @@ class Metric:
     state.  The base kernel sums per-symbol steps ``step(x, y)``, and its
     ensemble strategy tilts toward ``draw_tilted(rng, y)``, the posterior of
     the input given each output.  Subclasses add ``walk_drift(channel, px)``,
-    the samplers ``draw_true(rng, shape)`` (true symbols and outputs) and
-    ``draw_inputs(rng, rows, y)`` (competitor symbols), and the LLR sampler
-    ``confirmation(rng, emp, right)`` of the confirmation test.
+    the training draw ``draw_training(rng, channel, training_len)`` (an
+    EmpiricalChannel), the samplers ``draw_true(rng, shape)`` (true symbols
+    and outputs) and ``draw_inputs(rng, rows, y)`` (competitor symbols), and
+    the LLR sampler ``confirmation(rng, emp, right)`` of the confirmation
+    test.
     """
 
     channel_type = Dmc
@@ -317,15 +295,17 @@ class Metric:
         v = s + np.add.accumulate(self.step(x, y), axis=1)
         return v, (t + v.shape[1], v[:, -1:])
 
-    def ensemble_unavailable(self):
-        """None, or why the metric has no ensemble strategy."""
-        return None
-
     def ensemble_strategy(self, log_m, gamma1, gamma2):
         """The ensemble race at these thresholds, as a picklable callable
-        (rng, y)."""
+        (rng, y); raises StateExplosion when the metric has none."""
         return functools.partial(ensemble.tilted_race, metric=self,
                                  log_m=log_m, gamma1=gamma1, gamma2=gamma2)
+
+    @staticmethod
+    def _no_ensemble(log_m, why):
+        raise StateExplosion(
+            f"ensemble competitors unavailable at log M = {log_m:.3f}: {why}"
+        )
 
 
 class _DmcMetric(Metric):
@@ -336,6 +316,20 @@ class _DmcMetric(Metric):
     @staticmethod
     def walk_drift(channel, px):
         return mutual_information(px, channel)
+
+    @staticmethod
+    def draw_training(rng, channel, lt):
+        """Each input sent round-robin (ell_x = floor(lt/|X|), plus one for
+        the first lt mod |X| inputs); only the per-row output counts
+        matter, so each row is one multinomial draw."""
+        w = channel.matrix
+        nx = w.shape[0]
+        ells = np.full(nx, lt // nx)
+        ells[: lt % nx] += 1
+        rows = np.empty_like(w)
+        for x in range(nx):
+            rows[x] = rng.multinomial(ells[x], w[x]) / ells[x]
+        return EmpiricalChannel(kernel=rows, noise_variance=None, counts=ells)
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
@@ -379,6 +373,15 @@ class _GaussianMetric(Metric):
     @staticmethod
     def walk_drift(channel, px):
         return channel.capacity
+
+    @staticmethod
+    def draw_training(rng, channel, lt):
+        """lt zeros sent; the noise variance estimate has the law
+        sigma0^2 chi2_lt / lt."""
+        var = channel.noise_variance * rng.chisquare(lt) / lt
+        return EmpiricalChannel(
+            kernel=None, noise_variance=float(var), counts=np.array([lt])
+        )
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
@@ -452,12 +455,11 @@ class EmpiricalMi(_DmcMetric):
         n = np.arange(t + 1, t + b + 1)
         return count_mi(self.log_tbl, cells, rows, cols, n), (t + b, cum[:, -1])
 
-    def ensemble_unavailable(self):
-        if (self.num_x, self.num_y) != (2, 2):
-            return "the count dynamic program needs a binary-binary channel"
-        return None
-
     def ensemble_strategy(self, log_m, gamma1, gamma2):
+        if (self.num_x, self.num_y) != (2, 2):
+            self._no_ensemble(
+                log_m, "the count dynamic program needs a binary-binary channel"
+            )
         return functools.partial(ensemble.ensemble_binary_mi_race, metric=self,
                                  log_m=log_m, gamma1=gamma1, gamma2=gamma2)
 
@@ -491,12 +493,11 @@ class FlipEntropy(_DmcMetric):
         flip = rng.random((rows, y.shape[1])) < np.where(y == 1, 1.0 - px1, px1)
         return y ^ flip
 
-    def ensemble_unavailable(self):
-        if np.all(np.abs(self.px - 0.5) < 1e-12):
-            return None
-        return "the shared absorption law needs a uniform codebook"
-
     def ensemble_strategy(self, log_m, gamma1, gamma2):
+        if not np.all(np.abs(self.px - 0.5) < 1e-12):
+            self._no_ensemble(
+                log_m, "the shared absorption law needs a uniform codebook"
+            )
         absorption = ensemble.FlipEntropyAbsorption(self, gamma1)
         return functools.partial(absorption.race, log_m=log_m, gamma2=gamma2)
 
@@ -522,8 +523,10 @@ class Correlation(_GaussianMetric):
         last = np.stack([sxy[:, -1], sxx[:, -1], syy[:, -1]], axis=1)
         return v, (t + x.shape[1], last)
 
-    def ensemble_unavailable(self):
-        return "no exact crossing law is available for the correlation metric"
+    def ensemble_strategy(self, log_m, gamma1, gamma2):
+        self._no_ensemble(
+            log_m, "no exact crossing law is available for the correlation metric"
+        )
 
 
 METRICS = {
@@ -550,14 +553,15 @@ def metric_kind(variant):
 
 
 class _Runtime:
-    """Thresholds, horizons, metric and competitor strategy of one
-    configuration, shared by all its trials (read-only).  Picklable, so a
-    pool can hand it to workers started by spawn or forkserver too."""
+    """Thresholds, horizons, metric and competitor race of one
+    configuration, shared by all its trials (read-only).  ``race(rng, y)``
+    is the resolved strategy, literal or ensemble, over the outputs y.
+    Picklable, so a pool can hand it to workers started by spawn or
+    forkserver too."""
 
     def __init__(self, cfg):
         kind = metric_kind(cfg.variant)
         p = cfg.params
-        self.cfg = cfg
         self.g1, self.g2, self.log_m = p.gamma1, p.gamma2, p.log_m
         drift = kind.walk_drift(cfg.channel, cfg.px)
         if drift <= 0:
@@ -583,31 +587,22 @@ class _Runtime:
         self.metric = kind(cfg.channel, cfg.px, self.n_max,
                            max(1, int(self.log_m)))
         m1 = ensemble.literal_count(self.log_m)
-        self.mode = self._resolve_mode(m1 is not None)
-        self.m1 = m1 if self.mode == "literal" else None
-        self.ensemble_race = (
-            self.metric.ensemble_strategy(self.log_m, self.g1, self.g2)
-            if self.mode == "ensemble"
-            else None
-        )
-
-    def _resolve_mode(self, literal_ok):
-        cfg = self.cfg
-        mode = cfg.competitor_mode
-        if mode == "auto":
-            mode = "literal" if literal_ok else "ensemble"
-        if mode == "literal" and not literal_ok:
+        self.mode = cfg.competitor_mode
+        if self.mode == "auto":
+            self.mode = "literal" if m1 is not None else "ensemble"
+        if self.mode == "ensemble":
+            self.race = self.metric.ensemble_strategy(self.log_m, self.g1,
+                                                      self.g2)
+        elif m1 is None:
             raise StateExplosion(
                 f"literal competitors need an integer count of at most 4096 "
                 f"messages, got M = e^{self.log_m:.6f}"
             )
-        why = self.metric.ensemble_unavailable()
-        if mode == "ensemble" and why is not None:
-            raise StateExplosion(
-                f"ensemble competitors unavailable for {cfg.variant} "
-                f"at log M = {self.log_m:.3f}: {why}"
+        else:
+            self.race = functools.partial(
+                ensemble.literal_race, m1=m1, metric=self.metric,
+                gamma1=self.g1, gamma2=self.g2,
             )
-        return mode
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +633,50 @@ def _true_walk(rng, rt):
     return taus[0], taus[1], np.concatenate(ys), ecum
 
 
-def _race(rng, rt, y_h):
-    """Resolve the competitor side over the horizon covered by y_h."""
-    if rt.mode == "ensemble":
-        return rt.ensemble_race(rng, y_h)
-    return ensemble.literal_race(rng, y_h, rt.m1, rt.metric, rt.g1, rt.g2)
+def _outcome(rt, ecum, len_c1, len_ht, stop, correct=False):
+    """The record of a run by the censoring rule ``simulate_trial`` states:
+    phase 1 took len_c1 walk symbols, the confirmation test len_ht control
+    symbols (its budget keeps len_c1 + len_ht <= n_max), and the walk stops
+    at walk time `stop`, or None when it does not stop.  ecum is the
+    running input energy of the walk as drawn (None for finite alphabets).
+    """
+    censored = stop is None or stop + len_ht > rt.n_max
+    if censored:
+        stop = rt.n_max - len_ht
+    energy = 0.0
+    if ecum is not None:
+        walked = min(stop, ecum.size)
+        energy = float(ecum[walked - 1]) + len_ht * rt.metric.power
+    return TrialOutcome(
+        correct=bool(correct) and not censored,
+        tau=int(stop + len_ht),
+        len_c1=int(len_c1),
+        len_ht=int(len_ht),
+        len_c2=int(stop - len_c1),
+        energy=energy,
+        censored=censored,
+        stopped_at_zero=False,
+    )
 
 
 def simulate_trial(cfg, trial_index, _runtime=None):
-    """Play one full protocol run; deterministic in (cfg.seed, trial_index)."""
+    """Play one full protocol run; deterministic in (cfg.seed, trial_index).
+
+    The run's timeline is phase 1 (up to walk time tau_first, the first
+    gamma_1 crossing of the true walk or a competitor), the confirmation
+    test's control symbols, then, on rejection, phase 2 (the walk continued
+    to the first gamma_2 crossing).  Censoring rule: a run that does not
+    stop, or whose walk plus control symbols pass n_max, is censored at
+    tau = n_max and counts as an error.  Its symbols are charged in
+    protocol order (phase 1, the control symbols, then phase 2 up to
+    n_max), and the Gaussian energy sums exactly the charged symbols: the
+    walk's, as far as it was drawn, plus len_ht * P.
+    """
     rt = _runtime if _runtime is not None else _Runtime(cfg)
+    m = rt.metric
     rng = _trial_rng(cfg.seed, trial_index)
-    emp = _draw_training(rng, cfg) if rt.metric.universal else None
+    emp = (m.draw_training(rng, cfg.channel, cfg.training_len)
+           if m.universal else None)
 
     if rng.random() < cfg.params.eps0:
         correct = cfg.honest_time_zero and rng.random() < math.exp(-rt.log_m)
@@ -659,62 +686,31 @@ def simulate_trial(cfg, trial_index, _runtime=None):
         )
 
     tau1_true, tau2_true, y, ecum = _true_walk(rng, rt)
-
-    def outcome(len_c1, len_ht, energy_at, walk_end=None, correct=False):
-        """The run's outcome, its input energy counted to walk time
-        energy_at; without a walk_end the run is censored at n_max."""
-        energy = 0.0
-        if ecum is not None:
-            energy = float(ecum[min(energy_at, ecum.size) - 1])
-            energy += len_ht * rt.metric.power
-        censored = walk_end is None
-        if censored:
-            len_c1 = min(len_c1, rt.n_max)
-            len_ht = min(len_ht, rt.n_max - len_c1)
-            walk_end = rt.n_max - len_ht
-        return TrialOutcome(
-            correct=bool(correct),
-            tau=int(walk_end + len_ht),
-            len_c1=int(len_c1),
-            len_ht=int(len_ht),
-            len_c2=int(walk_end - len_c1),
-            energy=energy,
-            censored=censored,
-            stopped_at_zero=False,
-        )
-
     if tau1_true is None:
-        return outcome(rt.n_max, 0, rt.n_max)
+        return _outcome(rt, ecum, rt.n_max, 0, None)
 
     # competitors only matter strictly before the true gamma_2 crossing
     horizon = (tau2_true - 1) if tau2_true is not None else y.size
-    race = _race(rng, rt, y[:horizon])
+    race = rt.race(rng, y[:horizon])
 
     c1_correct = race.t1 is None or race.t1 >= tau1_true
     tau_first = tau1_true if c1_correct else race.t1
 
     decision, len_ht, _ = _block_sprt(
-        rt.metric.confirmation(rng, emp, c1_correct),
+        m.confirmation(rng, emp, c1_correct),
         cfg.params.a_accept, cfg.params.a_reject, rt.n_max - tau_first,
     )
-    if decision is None:
-        return outcome(tau_first, len_ht, tau_first)
+    stop, correct = None, False
     if decision == "accept":
-        walk_end = tau_first
-        correct = c1_correct
-    else:
+        stop, correct = tau_first, c1_correct
+    elif decision == "reject":
         cand = [t for t in (tau2_true, race.t2) if t is not None]
-        if not cand:
-            return outcome(tau_first, len_ht, rt.n_max)
-        walk_end = min(cand)
-        if rt.c2_cap is not None and walk_end > rt.c2_cap:
-            return outcome(tau_first, len_ht, rt.c2_cap)
-        correct = race.t2 is None or (
-            tau2_true is not None and tau2_true <= race.t2
-        )
-    if walk_end + len_ht > rt.n_max:
-        return outcome(walk_end, len_ht, walk_end)
-    return outcome(tau_first, len_ht, walk_end, walk_end, correct)
+        if cand and (rt.c2_cap is None or min(cand) <= rt.c2_cap):
+            stop = min(cand)
+            correct = race.t2 is None or (
+                tau2_true is not None and tau2_true <= race.t2
+            )
+    return _outcome(rt, ecum, tau_first, len_ht, stop, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +815,7 @@ def aggregate_records(cfg, rec):
     else:
         half = _Z95 * float(tau.std(ddof=1)) / math.sqrt(trials)
         n_lo, n_hi = n_hat - half, n_hat + half
-    gaussian = isinstance(cfg.channel, GaussianChannel)
+    gaussian = metric_kind(cfg.variant).gaussian
     power_hat = power_lo = power_hi = None
     if gaussian:
         tot_tau = float(tau.sum())

@@ -171,8 +171,8 @@ def exact_mi_tail(n, px, py, gamma_grid):
     by summing exact multinomial masses over every joint type of length n."""
     from .empirical import JointType, empirical_mi
 
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
+    px = _as_prob_vector(px, "px")
+    py = _as_prob_vector(py, "py")
     kx, ky = px.size, py.size
     cells = kx * ky
     count = (n + 1) ** (cells - 1)
@@ -256,11 +256,9 @@ def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
     """Estimate rho = E[S_{tau+}^2] / (2 E[S_{tau+}]) by simulating ascending
     ladder epochs (first strictly positive partial sum) of the walk."""
     v = np.asarray(values, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if v.shape != p.shape or v.ndim != 1:
+    p = _as_prob_vector(probs, "step probabilities")
+    if v.shape != p.shape:
         raise NotADistribution("values and probs must be matching 1-D vectors")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise NotADistribution(f"step probabilities sum to {p.sum()}")
     mean = float(np.dot(v, p))
     if mean <= 0:
         raise NonPositiveDrift(f"mean step {mean} <= 0")

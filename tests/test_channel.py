@@ -22,7 +22,10 @@ from vlf.channel import (
     output_distribution,
     parse_channel_spec,
 )
+from vlf.bounds import overshoot_constant
+from vlf.empirical import type_class_log_bound
 from vlf.errors import NotADistribution, VlfError
+from vlf.oracle import exact_mi_tail, renewal_overshoot
 
 UNIFORM2 = np.array([0.5, 0.5])
 
@@ -122,6 +125,23 @@ class TestMutualInformation:
     def test_input_must_be_a_distribution(self, px):
         with pytest.raises(NotADistribution):
             mutual_information(px, bsc(0.11))
+
+
+class TestOneDistributionCheck:
+    # every function taking a probability vector checks it through
+    # channel._as_prob_vector; before, the first returned nan, the second
+    # 0.0, the third 0.062775 (0.484375 for the normalized input) and the
+    # fourth raised numpy's ValueError
+    @pytest.mark.parametrize("call", [
+        lambda: overshoot_constant([1.0, -1.0], [math.nan, 1.0]),
+        lambda: type_class_log_bound([math.nan, 1.0], 4),
+        lambda: exact_mi_tail(4, [0.3, 0.3], [0.5, 0.5], [0.5]),
+        lambda: renewal_overshoot([1.0, -1.0], [math.nan, 1.0], samples=10),
+    ], ids=["overshoot_constant", "type_class_log_bound", "exact_mi_tail",
+            "renewal_overshoot"])
+    def test_bad_distribution_raises(self, call):
+        with pytest.raises(VlfError):
+            call()
 
 
 class TestControlPair:

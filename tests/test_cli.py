@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vlf import engine
+from vlf import cli, engine
 from vlf.bounds import VlfParams
 from vlf.channel import bsc
 from vlf.cli import main
@@ -376,3 +376,20 @@ class TestErrorHandling:
         assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
                      "--N", "500", "--schemes", "converse"]) == 0
         assert "converse,bsc:0.11,500.000000" in capsys.readouterr().out
+
+
+class TestRepeatedCalls:
+    def test_back_to_back_calls_do_not_leak_options(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()  # built once
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("eps = 1e-3\n")
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--channel", BSC, "--N", "500",
+                "--schemes", "converse", "--out", str(out)]
+        assert main(args + ["--config", str(cfg), "--resume"]) == 0
+        # the first call's --config value does not reach the second
+        assert main(args) == 1
+        assert "--eps is required" in capsys.readouterr().err
+        # nor does its --resume: the row is written again
+        assert main(args + ["--eps", "1e-3"]) == 0
+        assert len(_rows(out)) == 2

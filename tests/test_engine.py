@@ -14,9 +14,22 @@ import pytest
 import vlf
 from vlf import engine
 from vlf.bounds import VlfParams, channel_stats
-from vlf.channel import Dmc, GaussianChannel, bsc
+from vlf.channel import (
+    Dmc,
+    GaussianChannel,
+    binary_entropy,
+    bsc,
+    gaussian_information_density,
+    information_density_table,
+)
+from vlf.empirical import empirical_mi, joint_type, universal_gaussian_metric
 from vlf.engine import (
+    METRICS,
     VARIANTS,
+    AdditiveDmc,
+    AdditiveGaussian,
+    Correlation,
+    EmpiricalMi,
     FlipEntropy,
     SchemeConfig,
     TrialOutcome,
@@ -187,6 +200,24 @@ class TestVariantRegistry:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
+    def test_no_isinstance_dispatch_on_a_channel_class(self):
+        # channel-family behaviour lives on the metric classes; a check of a
+        # config against its registered kind (kind.channel_type) stays
+        channel_classes = {"Dmc", "GaussianChannel"}
+        found = []
+        for name in ("engine.py", "ensemble.py"):
+            path = Path(vlf.__file__).parent / name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and channel_classes & set(_referenced_names(node.args[1]))
+                ):
+                    found.append(f"{name}:{node.lineno}")
+        assert found == []
+
 
 class TestNoUnusedImports:
     def test_every_package_import_is_used(self):
@@ -302,6 +333,10 @@ class TestTrainingEstimates:
         est = estimate_channel(cfg)
         assert float(np.max(np.abs(est.kernel - CH.matrix))) < 0.005
 
+    def test_known_channel_config_draws_no_training(self):
+        with pytest.raises(InsufficientTraining):
+            estimate_channel(_cfg(training_len=100))
+
     def test_gaussian_noise_variance_estimate(self):
         cfg = SchemeConfig(
             variant="uvlf_awgn", channel=GaussianChannel(1.0, 2.0), px=None,
@@ -364,6 +399,69 @@ class TestTrialOutcomes:
 def _pair_cfg(variant, mode):
     return _variant_cfg(variant, _params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
                         seed=5, competitor_mode=mode)
+
+
+def _walk_energy(cfg, rt, trial_index):
+    """The running input energy of a trial's true walk, replayed from the
+    trial's RNG stream."""
+    rng = engine._trial_rng(cfg.seed, trial_index)
+    if rt.metric.universal:
+        rt.metric.draw_training(rng, cfg.channel, cfg.training_len)
+    rng.random()  # the stop-at-time-zero draw
+    return engine._true_walk(rng, rt)[3]
+
+
+class TestCensoringRule:
+    @pytest.mark.parametrize("variant", ["vlf_dmc", "vlf_awgn"])
+    def test_reject_then_overrun_is_charged_in_protocol_order(
+        self, variant, monkeypatch
+    ):
+        # the test rejects 5 steps before its budget n_max - tau_first, so
+        # the walk's gamma_2 crossing plus the control symbols pass n_max
+        budgets = []
+
+        def late_reject(draw_llr, a_accept, a_reject, budget):
+            budgets.append(budget)
+            return "reject", budget - 5, -a_reject - 1.0
+
+        monkeypatch.setattr(engine, "_block_sprt", late_reject)
+        cfg = _pair_cfg(variant, "literal")
+        rt = engine._Runtime(cfg)
+        o = simulate_trial(cfg, 0, _runtime=rt)
+        n_max = rt.n_max
+        assert o.censored and not o.correct
+        assert o.tau == n_max
+        assert o.len_c1 == n_max - budgets[0]  # the phase-1 time
+        assert o.len_ht == budgets[0] - 5
+        assert o.len_c2 == n_max - o.len_c1 - o.len_ht
+        if rt.metric.gaussian:
+            walk = float(_walk_energy(cfg, rt, 0)[o.len_c1 + o.len_c2 - 1])
+            assert o.energy - o.len_ht * rt.metric.power == pytest.approx(
+                walk, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("variant", ["vlf_awgn", "uvlf_awgn"])
+    def test_censored_energy_counts_only_the_charged_symbols(self, variant):
+        # long confirmation tests at a tight horizon censor about a third of
+        # the runs, through every branch that reaches n_max
+        cfg = _variant_cfg(
+            variant, VlfParams(6.0 * LN2, 2.0, 13.0, 680.0, 680.0),
+            seed=2, n_max=376,
+        )
+        rt = engine._Runtime(cfg)
+        censored = 0
+        for i in range(60):
+            o = simulate_trial(cfg, i, _runtime=rt)
+            if not o.censored:
+                continue
+            censored += 1
+            assert o.tau == rt.n_max == o.len_c1 + o.len_ht + o.len_c2
+            ecum = _walk_energy(cfg, rt, i)
+            walk = float(ecum[min(o.len_c1 + o.len_c2, ecum.size) - 1])
+            assert o.energy - o.len_ht * rt.metric.power == pytest.approx(
+                walk, rel=1e-12
+            )
+        assert censored >= 10
 
 
 class TestDeterminismAndAggregation:
@@ -431,6 +529,61 @@ class TestCompetitorStrategiesAgree:
         # same protocol, two competitor implementations: CIs must overlap
         assert lit.eps_lo <= ens.eps_hi and ens.eps_lo <= lit.eps_hi
         assert lit.n_lo <= ens.n_hi and ens.n_lo <= lit.n_hi
+
+
+def _flip_entropy_reference(m, x, y):
+    n = np.arange(1, x.size + 1)
+    k = np.cumsum(x != y)
+    return np.array([i * (LN2 - binary_entropy(j / i)) for i, j in zip(n, k)])
+
+
+# each metric's reference definition along one path: the metric after
+# steps 1..n, NaN where the kernel does not evaluate it (uvlf_awgn below
+# n_min)
+KERNEL_REFERENCES = {
+    AdditiveDmc: lambda m, x, y: np.cumsum(
+        information_density_table(m.px, m.channel)[x, y]),
+    AdditiveGaussian: lambda m, x, y: np.cumsum(
+        gaussian_information_density(m.channel, x, y)),
+    EmpiricalMi: lambda m, x, y: np.array([
+        n * empirical_mi(joint_type(x[:n], y[:n], m.num_x, m.num_y))
+        for n in range(1, x.size + 1)]),
+    FlipEntropy: _flip_entropy_reference,
+    Correlation: lambda m, x, y: np.array([
+        universal_gaussian_metric(x[:n], y[:n]) if n >= m.n_min else math.nan
+        for n in range(1, x.size + 1)]),
+}
+
+
+class TestMetricKernelsMatchTheirDefinitions:
+    LENGTH, SPLIT, ROWS = 150, 37, 5
+
+    def _run(self, metric, x, y):
+        """The kernel over x and y in two calls, carrying its state."""
+        state = metric.start(x.shape[0])
+        a, state = metric.metric(state, x[:, :self.SPLIT], y[:, :self.SPLIT])
+        b, _ = metric.metric(state, x[:, self.SPLIT:], y[:, self.SPLIT:])
+        return np.concatenate([a, b], axis=1)
+
+    def _check(self, metric, got, x, y):
+        want = KERNEL_REFERENCES[type(metric)](metric, x, y)
+        live = ~np.isnan(want)
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-12,
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_row_and_chunked_rows(self, variant):
+        channel, px, _ = VARIANT_SETUPS[variant]
+        metric = METRICS[variant](channel, px, 400, n_min=6)
+        rng = np.random.default_rng(11)
+        # one row: the true walk's case, symbols and outputs drawn jointly
+        x, y = metric.draw_true(rng, (1, self.LENGTH))
+        self._check(metric, self._run(metric, x, y)[0], x[0], y[0])
+        # chunked rows: the literal race's case, competitors against one y
+        xs = metric.draw_inputs(rng, self.ROWS, y)
+        got = self._run(metric, xs, y)
+        for r in range(self.ROWS):
+            self._check(metric, got[r], xs[r], y[0])
 
 
 def _full_grid_absorption(metric, gamma1):
