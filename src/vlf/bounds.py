@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 from scipy.optimize import brentq
 
 from .channel import (
@@ -34,7 +33,6 @@ from .channel import (
     _as_prob_vector,
     binary_entropy,
     control_pair,
-    gaussian_information_density,
     information_density_table,
     kl_divergence,
     mutual_information,
@@ -45,7 +43,6 @@ from .errors import (
     Infeasible,
     NonPositiveDrift,
     NotADistribution,
-    QuadratureFailure,
 )
 
 LN2 = math.log(2.0)
@@ -102,8 +99,6 @@ class ChannelStats:
     div_reject: float           # and under the reject hypothesis
     b_accept: float
     b_reject: float
-    x_accept: int = 0           # control inputs (DMC only; Gaussian uses +-sqrt(P))
-    x_reject: int = 1
 
 
 def overshoot_constant(values, probs):
@@ -118,52 +113,6 @@ def overshoot_constant(values, probs):
     pos = np.clip(v, 0.0, None)
     ratio = float(np.dot(pos * pos, p)) / mean
     return min(ratio, float(v[p > 0].max()))
-
-
-def _quad_check(value, err, label):
-    if not math.isfinite(value) or err > max(1e-9 * abs(value), 1e-300):
-        raise QuadratureFailure(
-            f"{label}: integral {value} with error estimate {err} above 1e-9 relative"
-        )
-    return value
-
-
-@lru_cache(maxsize=64)
-def _gaussian_comm_b(power, noise_variance):
-    chan = GaussianChannel(power=power, noise_variance=noise_variance)
-    s2 = noise_variance
-    pw = power
-
-    def dens_sq_pos(x, z):
-        i = gaussian_information_density(chan, x, x + z)
-        if i <= 0.0:
-            return 0.0
-        w = math.exp(-0.5 * (x * x / pw + z * z / s2)) / (
-            2.0 * math.pi * math.sqrt(pw * s2)
-        )
-        return i * i * w
-
-    lim_x = 12.0 * math.sqrt(pw)
-    lim_z = 12.0 * math.sqrt(s2)
-    val, err = integrate.dblquad(
-        dens_sq_pos, -lim_z, lim_z, lambda z: -lim_x, lim_x,
-        epsabs=1e-12, epsrel=1e-10,
-    )
-    return _quad_check(val, err, "comm overshoot") / chan.capacity
-
-
-@lru_cache(maxsize=64)
-def _gaussian_ht_b(snr):
-    mu = 2.0 * snr
-    sig = 2.0 * math.sqrt(snr)
-
-    def sq_pos(w):
-        return w * w * math.exp(-0.5 * ((w - mu) / sig) ** 2) / (
-            sig * math.sqrt(2.0 * math.pi)
-        )
-
-    val, err = integrate.quad(sq_pos, 0.0, mu + 14.0 * sig, epsabs=1e-13, epsrel=1e-11)
-    return _quad_check(val, err, "confirmation overshoot") / mu
 
 
 def dmc_stats(dmc, px):
@@ -181,27 +130,49 @@ def dmc_stats(dmc, px):
     llr = np.log(row_a) - np.log(row_r)
     b_acc = overshoot_constant(llr, row_a)
     b_rej = overshoot_constant(-llr, row_r)
-    return ChannelStats(drift, b, d_acc, d_rej, b_acc, b_rej, xa, xr)
+    return ChannelStats(drift, b, d_acc, d_rej, b_acc, b_rej)
 
 
 def gaussian_stats(chan):
-    """Walk constants for a Gaussian channel, b-constants by adaptive quadrature.
+    """Walk constants for a Gaussian channel, in closed form in the SNR S.
 
-    The communication walk steps by the per-symbol information density under
-    the N(0, P) ensemble.  Each confirmation walk steps by the control LLR,
-    distributed N(2S, 4S) under its own hypothesis, so by symmetry accept and
-    reject share one constant.  The ess sup branch is +inf for these
-    continuous laws, so only the ratio E[(X^+)^2]/E[X] applies.
+    The communication walk steps by the per-symbol information density
+    under the N(0, P) ensemble, i = C + (W^2 - Z^2)/2 with W = Y/sqrt(P + s2)
+    and Z = (Y - X)/sqrt(s2).  W - Z and W + Z are jointly Gaussian and
+    uncorrelated (W and Z have unit variance), so i = C + k U V with
+    k = sqrt(S/(1 + S)) and U, V i.i.d. N(0, 1).  UV has density
+    K0(|w|)/pi, hence with a = C/k
+        E[(i^+)^2] = (1/pi) int_{-a}^inf (C + k w)^2 K0(|w|) dw,
+    exact through int_0^inf w^j K0 = pi/2, 1, pi/2 (j = 0, 1, 2),
+    int_0^a w K0 = 1 - a K1(a) and
+    int_0^a w^2 K0 = int_0^a K0 - a^2 K1(a) - a K0(a).
+    Each confirmation walk steps by the control LLR X ~ N(2S, 4S) under its
+    own hypothesis, so by symmetry accept and reject share one constant:
+    E[(X^+)^2] = (mu^2 + sigma^2) Phi(mu/sigma) + mu sigma phi(mu/sigma),
+    and divided by mu = 2S that is 2(1 + S) Phi(sqrt S) + 2 sqrt(S) phi(sqrt S).
+    The ess sup branch is +inf for these continuous laws, so only the ratio
+    E[(X^+)^2]/E[X] applies.
     """
+    snr, c = chan.snr, chan.capacity
+    k = math.sqrt(snr / (1.0 + snr))
+    a = c / k
+    k0, k1 = special.k0(a), special.k1(a)
+    int_k0 = special.iti0k0(a)[1]
+    # w >= 0, then -a <= w < 0 folded onto (0, a]
+    right = 0.5 * math.pi * (c * c + k * k) + 2.0 * c * k
+    left = (c * c * int_k0 - 2.0 * c * k * (1.0 - a * k1)
+            + k * k * (int_k0 - a * a * k1 - a * k0))
+    r = math.sqrt(snr)
+    b_ht = (2.0 * (1.0 + snr) * special.ndtr(r)
+            + 2.0 * r * math.exp(-0.5 * snr) / math.sqrt(2.0 * math.pi))
     d = chan.control_divergence
-    b_ht = _gaussian_ht_b(chan.snr)
     return ChannelStats(
-        drift=chan.capacity,
-        b=_gaussian_comm_b(chan.power, chan.noise_variance),
+        drift=c,
+        b=float(right + left) / (math.pi * c),
         div_accept=d,
         div_reject=d,
-        b_accept=b_ht,
-        b_reject=b_ht,
+        b_accept=float(b_ht),
+        b_reject=float(b_ht),
     )
 
 
@@ -243,9 +214,9 @@ def _report(log_m, eps_prime, n_prime, eps0):
     return BoundReport(log_m, eps_prime, n_prime, eps, n_avg, rate)
 
 
-def achievability_bound(params, channel, px=None, stats=None):
+def achievability_bound(params, channel, px=None):
     """Evaluate the three-phase achievability bound at fixed parameters."""
-    s = stats if stats is not None else channel_stats(channel, px)
+    s = channel_stats(channel, px)
     g1 = params.gamma1
     eps_prime, n_prime = _theorem1_terms(
         params.log_m, g1, params.gamma2 - g1, params.a_accept,
@@ -265,7 +236,7 @@ def converse_bound(cap_nats, eps, n_avg):
 # parameter schedules
 
 
-def asymptotic_schedule(n1, channel, px=None, eps=None, stats=None):
+def asymptotic_schedule(n1, channel, px=None, eps=None):
     """Known-channel parameter recipe driven by the phase-1 length N1.
 
     gamma_1 = log M + log log N1, gamma_2 = log M + log N1,
@@ -274,7 +245,7 @@ def asymptotic_schedule(n1, channel, px=None, eps=None, stats=None):
     exact rational form eps0 = (eps - f)/(1 - f), f = (1/N1)(1 + 1/log N1);
     eps=None leaves eps0 = 0.
     """
-    s = stats if stats is not None else channel_stats(channel, px)
+    s = channel_stats(channel, px)
     if n1 < math.e - 1e-9:
         raise HorizonTooSmall(f"N1 = {n1} below e, where log log N1 turns negative")
     log_n1 = math.log(n1)
@@ -305,7 +276,7 @@ def asymptotic_schedule_for_message_count(log_m, channel, px=None, eps=None):
             n1 = nxt
             break
         n1 = nxt
-    return asymptotic_schedule(n1, channel, px, eps, stats=s)
+    return asymptotic_schedule(n1, channel, px, eps)
 
 
 def universal_block_length(log_m, num_x, num_y):
@@ -470,16 +441,15 @@ def optimize_params(channel, px, target_eps, target_n):
     # dg = 0 is a supremum at gamma_2 -> gamma_1; take the next float up
     g2 = g1 + dg if dg > 0.0 else math.nextafter(g1, math.inf)
 
-    def params_at(lm):
-        e = _theorem1_terms(lm, g1, g2 - g1, a_acc, a_rej, s)[0]
-        return VlfParams(lm, g1, g2, a_acc, a_rej, _eps0_cap(target_eps, e))
+    def report_at(lm):
+        eps_prime, n_prime = _theorem1_terms(lm, g1, g2 - g1, a_acc, a_rej, s)
+        return _report(lm, eps_prime, n_prime, _eps0_cap(target_eps, eps_prime))
 
-    log_m = _back_off(
-        lambda lm: achievability_bound(params_at(lm), channel, px, stats=s),
-        _log_m_from(g_max, target_n), target_eps, target_n,
-    )
-    params = params_at(log_m)
-    return params, achievability_bound(params, channel, px, stats=s)
+    log_m = _back_off(report_at, _log_m_from(g_max, target_n),
+                      target_eps, target_n)
+    report = report_at(log_m)
+    eps0 = _eps0_cap(target_eps, report.eps_prime)
+    return VlfParams(log_m, g1, g2, a_acc, a_rej, eps0), report
 
 
 def single_phase_bound(channel, px, target_eps, target_n):

@@ -633,12 +633,14 @@ def _true_walk(rng, rt):
     return taus[0], taus[1], np.concatenate(ys), ecum
 
 
-def _outcome(rt, ecum, len_c1, len_ht, stop, correct=False):
+def _outcome(rt, rng, ecum, len_c1, len_ht, stop, correct=False):
     """The record of a run by the censoring rule ``simulate_trial`` states:
     phase 1 took len_c1 walk symbols, the confirmation test len_ht control
     symbols (its budget keeps len_c1 + len_ht <= n_max), and the walk stops
     at walk time `stop`, or None when it does not stop.  ecum is the
-    running input energy of the walk as drawn (None for finite alphabets).
+    running input energy of the walk as drawn (None for finite alphabets);
+    the k charged walk symbols past it, if any, get energy P chi2_k drawn
+    from rng, the trial's last draw.
     """
     censored = stop is None or stop + len_ht > rt.n_max
     if censored:
@@ -647,6 +649,8 @@ def _outcome(rt, ecum, len_c1, len_ht, stop, correct=False):
     if ecum is not None:
         walked = min(stop, ecum.size)
         energy = float(ecum[walked - 1]) + len_ht * rt.metric.power
+        if stop > walked:
+            energy += rt.metric.power * rng.chisquare(stop - walked)
     return TrialOutcome(
         correct=bool(correct) and not censored,
         tau=int(stop + len_ht),
@@ -670,7 +674,9 @@ def simulate_trial(cfg, trial_index, _runtime=None):
     tau = n_max and counts as an error.  Its symbols are charged in
     protocol order (phase 1, the control symbols, then phase 2 up to
     n_max), and the Gaussian energy sums exactly the charged symbols: the
-    walk's, as far as it was drawn, plus len_ht * P.
+    walk's plus len_ht * P.  Charged walk symbols past the block that held
+    the gamma_2 crossing (a universal run stopped by the c2 cap) were never
+    drawn; their energy is drawn as P chi2_k after every other draw.
     """
     rt = _runtime if _runtime is not None else _Runtime(cfg)
     m = rt.metric
@@ -687,7 +693,7 @@ def simulate_trial(cfg, trial_index, _runtime=None):
 
     tau1_true, tau2_true, y, ecum = _true_walk(rng, rt)
     if tau1_true is None:
-        return _outcome(rt, ecum, rt.n_max, 0, None)
+        return _outcome(rt, rng, ecum, rt.n_max, 0, None)
 
     # competitors only matter strictly before the true gamma_2 crossing
     horizon = (tau2_true - 1) if tau2_true is not None else y.size
@@ -710,7 +716,7 @@ def simulate_trial(cfg, trial_index, _runtime=None):
             correct = race.t2 is None or (
                 tau2_true is not None and tau2_true <= race.t2
             )
-    return _outcome(rt, ecum, tau_first, len_ht, stop, correct)
+    return _outcome(rt, rng, ecum, tau_first, len_ht, stop, correct)
 
 
 # ---------------------------------------------------------------------------

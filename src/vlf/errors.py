@@ -49,10 +49,6 @@ class NonPositiveDrift(VlfError):
     """Overshoot constant requested for a walk with non-positive mean step."""
 
 
-class QuadratureFailure(VlfError):
-    """Numeric integration did not reach the requested accuracy."""
-
-
 class Infeasible(VlfError):
     """No parameter choice meets the requested targets."""
 

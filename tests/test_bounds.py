@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 from scipy.optimize import minimize
 
 from vlf import bounds
@@ -21,7 +22,7 @@ from vlf.bounds import (
     universal_schedule,
     universal_schedule_gaussian,
 )
-from vlf.channel import Dmc, GaussianChannel, bsc
+from vlf.channel import Dmc, GaussianChannel, bsc, control_pair
 from vlf.errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
 
 LN2 = math.log(2.0)
@@ -35,6 +36,46 @@ BSC11_DIV = 1.6307780556
 BSC11_B_HT = 2.0907410969
 GAUSS1_B_COMM = 1.3930610
 GAUSS1_B_HT = 3.8493204
+
+GAUSS_SNRS = [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4]
+
+
+def _quad(f, lo, hi):
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _reference_comm_b(snr):
+    """E[(i^+)^2]/C with i = C + (W^2 - Z^2)/2 for unit normals W, Z of
+    correlation 1/sqrt(1 + S), by quadrature over W - Z: given it, i is
+    Gaussian in W + Z, and E[(i^+)^2] has the normal second-moment form."""
+    c = 0.5 * math.log1p(snr)
+    one_minus_rho = -math.expm1(-0.5 * math.log1p(snr))
+    sd_minus = math.sqrt(2.0 * one_minus_rho)
+    sd_plus = math.sqrt(4.0 - 2.0 * one_minus_rho)
+
+    def given(d):
+        # i = C + d (W + Z)/2, W + Z ~ N(0, sd_plus^2) independent of d
+        sd = 0.5 * abs(d) * sd_plus
+        r = c / sd
+        return ((c * c + sd * sd) * special.ndtr(r)
+                + c * sd * math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi))
+
+    def weighted(d):
+        # d = W - Z ~ N(0, sd_minus^2)
+        return given(d) * math.exp(-0.5 * (d / sd_minus) ** 2) / (
+            sd_minus * math.sqrt(2.0 * math.pi))
+
+    # given() turns over at |d| ~ c, far inside the normal at low SNR
+    return 2.0 * (_quad(weighted, 0.0, c) + _quad(weighted, c, math.inf)) / c
+
+
+def _reference_ht_b(snr):
+    """E[(X^+)^2]/E[X] for X ~ N(2S, 4S), by quadrature in the standardized
+    variable z = (X - 2S)/(2 sqrt S)."""
+    mu, sd = 2.0 * snr, 2.0 * math.sqrt(snr)
+    moment = _quad(lambda z: (mu + sd * z) ** 2 * math.exp(-0.5 * z * z),
+                   -mu / sd, 40.0) / math.sqrt(2.0 * math.pi)
+    return moment / mu
 
 
 class TestOvershootConstant:
@@ -66,11 +107,19 @@ class TestOvershootConstant:
         assert s.b_accept == pytest.approx(GAUSS1_B_HT, abs=1e-6)
         assert s.div_accept == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("snr", GAUSS_SNRS)
+    def test_gaussian_closed_forms_match_quadrature(self, snr):
+        s = channel_stats(GaussianChannel(snr))
+        assert s.b == pytest.approx(_reference_comm_b(snr), rel=1e-12)
+        assert s.b_accept == pytest.approx(_reference_ht_b(snr), rel=1e-12)
+        assert s.b_reject == s.b_accept
+
     def test_container_mirrors_stats(self):
         # an asymmetric channel, where the accept and reject walks differ
         ch = Dmc(np.array([[0.9, 0.1], [0.3, 0.7]]))
         s = channel_stats(ch, UNIFORM2)
-        row_a, row_r = ch.matrix[s.x_accept], ch.matrix[s.x_reject]
+        xa, xr, _ = control_pair(ch)
+        row_a, row_r = ch.matrix[xa], ch.matrix[xr]
         llr = np.log(row_a) - np.log(row_r)
         assert (s.b_accept, s.b_reject) == (
             overshoot_constant(llr, row_a),

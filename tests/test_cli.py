@@ -89,6 +89,20 @@ class TestOptimizeVerb:
         assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
                      "--N", "0.5"]) == 2
 
+    def test_low_snr_gaussian_optimizes(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main(["optimize", "--channel", "awgn:0.001", "--eps", "1e-3",
+                     "--N", "20000", "--out", str(out)]) == 0
+        assert float(_rows(out)[0]["logM_nats"]) > 0
+
+    def test_gaussian_walk_constants_emit_no_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimize", "--channel", "awgn:0.1", "--eps", "1e-3",
+                         "--N", "2000"])
+        assert code == 0
+        assert caught == []
+
 
 class TestSweepVerb:
     def test_grid_rows_and_rate_ordering(self, tmp_path):

@@ -463,6 +463,18 @@ class TestCensoringRule:
             )
         assert censored >= 10
 
+    def test_c2_capped_energy_counts_every_charged_symbol(self):
+        # a universal run stopped by the c2 cap is charged n_max - len_ht
+        # walk symbols, far past the block that held its gamma_2 crossing
+        cfg = _pair_cfg("uvlf_awgn", "literal")
+        long_runs = 0
+        for row in trial_records(cfg, 2000):
+            o = TrialOutcome.from_record(row)
+            if o.censored and o.len_c1 + o.len_c2 >= 500:
+                long_runs += 1
+                assert 0.8 <= o.energy / o.tau <= 1.2  # P = 1
+        assert long_runs > 0
+
 
 class TestDeterminismAndAggregation:
     @pytest.mark.parametrize("variant,mode", VARIANT_MODES)
