@@ -61,14 +61,17 @@ class VlfParams:
     eps0: float = 0.0
 
     def __post_init__(self):
-        if not (self.log_m >= 0):
-            raise NotADistribution(f"log_m must be >= 0, got {self.log_m}")
-        if not (0 < self.gamma1 < self.gamma2):
+        if not (0 <= self.log_m < math.inf):
+            raise NotADistribution(f"need finite log_m >= 0, got {self.log_m}")
+        if not (0 < self.gamma1 < self.gamma2 < math.inf):
             raise NotADistribution(
-                f"need 0 < gamma1 < gamma2, got {self.gamma1}, {self.gamma2}"
+                f"need finite 0 < gamma1 < gamma2, got {self.gamma1}, "
+                f"{self.gamma2}"
             )
-        if not (self.a_accept > 0 and self.a_reject > 0):
-            raise NotADistribution("confirmation thresholds must be positive")
+        if not (0 < self.a_accept < math.inf and 0 < self.a_reject < math.inf):
+            raise NotADistribution(
+                "confirmation thresholds must be finite and positive"
+            )
         if not (0.0 <= self.eps0 <= 1.0):
             raise NotADistribution(f"eps0 must be in [0, 1], got {self.eps0}")
 
@@ -330,8 +333,8 @@ def universal_schedule_gaussian(log_m, eps, delta=0.1):
 def _check_targets(target_eps, target_n):
     if not (0 < target_eps < 1):
         raise NotADistribution(f"target_eps must be in (0,1), got {target_eps}")
-    if not (target_n > 0):
-        raise NotADistribution(f"target_n must be positive, got {target_n}")
+    if not (0 < target_n < math.inf):
+        raise NotADistribution(f"need finite target_n > 0, got {target_n}")
 
 
 def _eps0_cap(target_eps, eps_prime):

@@ -26,6 +26,8 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 DIST_SUM_TOL = 1e-9
+_BA_TOL = 1e-10  # Blahut-Arimoto stops at this duality gap (nats)
+_BA_MAX_ITER = 10**6
 
 
 def _as_prob_vector(p, name="p"):
@@ -146,30 +148,31 @@ def mutual_information(px, dmc):
     return float(np.sum(p[mask] * np.sum(rows * (np.log(rows) - np.log(py)), axis=1)))
 
 
-def capacity(dmc, tol=1e-10, max_iter=10**6):
+def capacity(dmc):
     """Channel capacity by Blahut-Arimoto.
 
     Alternates the capacity-achieving-input update with the duality sandwich
-    max_x D(W_x || P_Y) >= C >= I(r, W); stops when the gap is <= tol (nats)
-    and returns (I(r_star, W), r_star). Raises NonConvergence past max_iter.
+    max_x D(W_x || P_Y) >= C >= I(r, W); stops when the gap is <= _BA_TOL
+    and returns (I(r_star, W), r_star). Raises NonConvergence past
+    _BA_MAX_ITER iterations.
     """
     w = dmc.matrix
     nx = w.shape[0]
     logw = np.log(w)
     r = np.full(nx, 1.0 / nx)
-    for _ in range(max_iter):
+    for _ in range(_BA_MAX_ITER):
         py = r @ w
         # D(W_x || P_Y) for every input row
         div = np.sum(w * (logw - np.log(py)), axis=1)
         lower = float(r @ div)
         upper = float(div.max())
-        if upper - lower <= tol:
+        if upper - lower <= _BA_TOL:
             return lower, r
         # multiplicative update r <- r * exp(div) / normalizer
         z = r * np.exp(div - div.max())
         r = z / z.sum()
     raise NonConvergence(
-        f"Blahut-Arimoto gap above {tol} after {max_iter} iterations"
+        f"Blahut-Arimoto gap above {_BA_TOL} after {_BA_MAX_ITER} iterations"
     )
 
 

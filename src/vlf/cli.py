@@ -174,9 +174,6 @@ _OPTIONS = {
     "seed": ("--seed", int, "RNG seed (required)"),
     "workers": ("--workers", int, "parallel worker processes"),
     "trace": ("--trace", str, "write per-trial JSON lines here"),
-    "honest_time_zero": ("--honest-time-zero", _parse_bool,
-                         "time-zero branch guesses uniformly"),
-    "competitor_mode": ("--competitor-mode", str, "auto | literal | ensemble"),
     "n_max": ("--n-max", int, "walk horizon"),
     "c2": ("--c2", float, "universal second-phase cap multiple"),
     "schemes": ("--schemes", str, "comma list from thm1,vlsf,converse"),
@@ -184,15 +181,15 @@ _OPTIONS = {
     "n": ("--n", int, "sequence length for the exact tail"),
     "gamma": ("--gamma", _parse_grid, "threshold grid start:stop:step"),
 }
-_FLAG_TRUE = {"honest_time_zero", "resume"}
+_FLAG_TRUE = {"resume"}
 _THRESHOLDS = ("M", "gamma1", "gamma2", "a_accept", "a_reject", "eps0")
 _VERB_OPTS = {
     "bound": ("channel", "out", "px", *_THRESHOLDS, "N1", "eps"),
     "optimize": ("channel", "out", "px", "eps", "N"),
     "simulate": (
         "channel", "out", "px", "variant", *_THRESHOLDS, "N1", "eps", "d",
-        "delta", "training", "trials", "seed", "workers", "trace",
-        "honest_time_zero", "competitor_mode", "n_max", "c2",
+        "delta", "training", "trials", "seed", "workers", "trace", "n_max",
+        "c2",
     ),
     "sweep": ("channel", "out", "px", "eps", "N_grid", "schemes", "resume"),
     "oracle": ("channel", "out", "px", "n", "gamma"),
@@ -466,9 +463,7 @@ def _cmd_simulate(opt):
     params = _sim_params(opt, variant, channel, px)
     cfg = SchemeConfig(
         variant=variant, channel=channel, px=px, params=params, seed=seed,
-        **_given(opt, training_len="training", n_max="n_max",
-                 honest_time_zero="honest_time_zero",
-                 competitor_mode="competitor_mode", c2="c2"),
+        **_given(opt, training_len="training", n_max="n_max", c2="c2"),
     )
     if opt["out"] is not None:
         _needs_header(opt["out"], _SIM_HEADER)  # refuse before the run

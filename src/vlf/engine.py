@@ -1,11 +1,12 @@
 """Monte Carlo engine for the three-phase variable-length feedback protocol.
 
-A trial plays the full protocol for one message: an optional stop-at-time-zero
-branch, a first communication phase in which every message's metric
-accumulator races to gamma_1, a confirmation phase in which the transmitter
-tells the receiver (through a sequential probability ratio test on control
-symbols) whether the tentative decision was right, and — on rejection — a
-second communication phase that continues the same accumulators to gamma_2.
+A trial plays the full protocol for one message: an optional stop at time
+zero (always an error), a first communication phase in which every
+message's metric accumulator races to gamma_1, a confirmation phase in which
+the transmitter tells the receiver (through a sequential probability ratio
+test on control symbols) whether the tentative decision was right, and — on
+rejection — a second communication phase that continues the same
+accumulators to gamma_2.
 
 The variants differ only in their decoding metric.  ``METRICS`` maps each
 variant name to its ``Metric`` class: ``vlf_dmc`` (known DMC, information
@@ -65,21 +66,19 @@ class SchemeConfig:
     """Everything that determines a simulation run.
 
     ``px`` is the codebook input distribution (DMC variants; Gaussian
-    codebooks are i.i.d. N(0, P) with P taken from the channel).
-    ``competitor_mode`` picks how the M-1 wrong codewords are resolved:
-    "literal" materializes them (M bounded), "ensemble" samples the Poisson
-    process of threshold crossers (huge M), "auto" prefers literal when M is
-    small enough.  ``n_max`` is the horizon, by default
-    ceil(50 * gamma2 / C): a run whose walk plus control symbols do not
-    stop by it is censored at tau = n_max, counted as an error, its symbols
-    charged in protocol order (phase 1, control, phase 2) and its energy
-    summed over the charged symbols only.  ``c2`` truncates the second
-    communication phase of the universal variants at walk time
-    c2 * gamma2 / C (the analysis horizon of the universal scheme; must
-    exceed 1): a run that would pass it is censored too; None disables the
-    extra cap.  uvlf_awgn recognizes crossings from length floor(log M) on,
-    the schedule's block length, since its correlation metric is vacuously
-    infinite at length 1.
+    codebooks are i.i.d. N(0, P) with P taken from the channel).  ``n_max``
+    is the horizon, by default ceil(50 * gamma2 / C): a run whose walk plus
+    control symbols do not stop by it is censored at tau = n_max, counted
+    as an error, its symbols charged in protocol order (phase 1, control,
+    phase 2) and its energy summed over the charged symbols only.  ``c2``
+    truncates the second communication phase of the universal variants at
+    walk time c2 * gamma2 / C (the analysis horizon of the universal
+    scheme; finite, above 1): a run that would pass it is censored too;
+    None disables the extra cap.  The M-1 wrong codewords race literally
+    when M is an integer count small enough (``ensemble.literal_count``)
+    and through the metric's ensemble strategy otherwise.  uvlf_awgn
+    recognizes crossings from length floor(log M) on, the schedule's block
+    length, since its correlation metric is vacuously infinite at length 1.
     """
 
     variant: str
@@ -89,17 +88,10 @@ class SchemeConfig:
     training_len: int = 0
     n_max: int | None = None
     seed: int = 0
-    honest_time_zero: bool = False
-    competitor_mode: str = "auto"
     c2: float | None = 2.0
 
     def __post_init__(self):
         kind = metric_kind(self.variant)
-        if self.competitor_mode not in ("auto", "literal", "ensemble"):
-            raise VlfError(
-                f"competitor_mode must be auto, literal or ensemble, "
-                f"got {self.competitor_mode!r}"
-            )
         if not isinstance(self.channel, kind.channel_type):
             raise DimensionMismatch(
                 f"variant {self.variant} needs a {kind.channel_type.__name__}"
@@ -132,8 +124,8 @@ class SchemeConfig:
                 )
         if self.n_max is not None and self.n_max < 1:
             raise HorizonTooSmall(f"n_max must be positive, got {self.n_max}")
-        if self.c2 is not None and not (self.c2 > 1):
-            raise VlfError(f"c2 must exceed 1, got {self.c2}")
+        if self.c2 is not None and not (1 < self.c2 < math.inf):
+            raise VlfError(f"c2 must be finite and exceed 1, got {self.c2}")
 
 
 @dataclass(frozen=True)
@@ -555,7 +547,9 @@ def metric_kind(variant):
 class _Runtime:
     """Thresholds, horizons, metric and competitor race of one
     configuration, shared by all its trials (read-only).  ``race(rng, y)``
-    is the resolved strategy, literal or ensemble, over the outputs y.
+    is the competitor race over the outputs y: literal when
+    ``ensemble.literal_count`` gives a count, the metric's ensemble
+    strategy otherwise.
     Picklable, so a pool can hand it to workers started by spawn or
     forkserver too."""
 
@@ -587,17 +581,9 @@ class _Runtime:
         self.metric = kind(cfg.channel, cfg.px, self.n_max,
                            max(1, int(self.log_m)))
         m1 = ensemble.literal_count(self.log_m)
-        self.mode = cfg.competitor_mode
-        if self.mode == "auto":
-            self.mode = "literal" if m1 is not None else "ensemble"
-        if self.mode == "ensemble":
+        if m1 is None:
             self.race = self.metric.ensemble_strategy(self.log_m, self.g1,
                                                       self.g2)
-        elif m1 is None:
-            raise StateExplosion(
-                f"literal competitors need an integer count of at most 4096 "
-                f"messages, got M = e^{self.log_m:.6f}"
-            )
         else:
             self.race = functools.partial(
                 ensemble.literal_race, m1=m1, metric=self.metric,
@@ -684,10 +670,9 @@ def simulate_trial(cfg, trial_index, _runtime=None):
     emp = (m.draw_training(rng, cfg.channel, cfg.training_len)
            if m.universal else None)
 
-    if rng.random() < cfg.params.eps0:
-        correct = cfg.honest_time_zero and rng.random() < math.exp(-rt.log_m)
+    if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
         return TrialOutcome(
-            correct=correct, tau=0, len_c1=0, len_ht=0, len_c2=0,
+            correct=False, tau=0, len_c1=0, len_ht=0, len_c2=0,
             energy=0.0, censored=False, stopped_at_zero=True,
         )
 
@@ -861,18 +846,16 @@ def aggregate_records(cfg, rec):
 # lockstep passage-time utilities (used by drift diagnostics and tests)
 
 
-def _passage_times(kind, dmc, px, gamma, trials, seed, max_steps):
+def _passage_times(kind, dmc, px, gamma, trials, seed):
     """First times `trials` independent walks of a metric exceed gamma.
 
     The lockstep case of the kernel: all walks advance together, one
     joint-cell draw per live walk per step, so the cost is O(max reached
-    time) vectorized over trials.  Walks that do not cross within max_steps
-    (default: a generous multiple of gamma over the drift) are reported at
-    max_steps.
+    time) vectorized over trials.  Walks that do not cross within max_steps,
+    a generous multiple of gamma over the drift, are reported at max_steps.
     """
     p = _as_prob_vector(px, "px")
-    if max_steps is None:
-        max_steps = int(math.ceil(50.0 * gamma / kind.walk_drift(dmc, p))) + 200
+    max_steps = int(math.ceil(50.0 * gamma / kind.walk_drift(dmc, p))) + 200
     metric = kind(dmc, p, max_steps)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     stats = metric.start(trials)[1]
@@ -890,11 +873,11 @@ def _passage_times(kind, dmc, px, gamma, trials, seed, max_steps):
     return taus
 
 
-def empirical_mi_passage_times(dmc, px, gamma, trials, seed=0, max_steps=None):
+def empirical_mi_passage_times(dmc, px, gamma, trials, seed=0):
     """First times n * I(joint type) > gamma for `trials` independent walks."""
-    return _passage_times(EmpiricalMi, dmc, px, gamma, trials, seed, max_steps)
+    return _passage_times(EmpiricalMi, dmc, px, gamma, trials, seed)
 
 
-def info_density_passage_times(dmc, px, gamma, trials, seed=0, max_steps=None):
+def info_density_passage_times(dmc, px, gamma, trials, seed=0):
     """First times the cumulative information density exceeds gamma."""
-    return _passage_times(AdditiveDmc, dmc, px, gamma, trials, seed, max_steps)
+    return _passage_times(AdditiveDmc, dmc, px, gamma, trials, seed)

@@ -26,6 +26,7 @@ from .errors import (
 _ABSORB_TOL = 1e-12
 _STATE_CAP = 10**7
 _QUANT = 1e-12
+_SPAN_TOL = 1e-9  # lattice_span's smallest span
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def exact_sprt(spec):
     return SprtExact(p_acc, p_rej, steps_sum, residual)
 
 
-def sprt_mc(spec, samples, seed=0, chunk=1_000_000):
+def sprt_mc(spec, samples, seed=0):
     """Monte Carlo absorption frequencies of a two-threshold walk.
 
     Returns (p_accept_hat, p_reject_hat, se_accept).  Walks still in flight
@@ -122,7 +123,7 @@ def sprt_mc(spec, samples, seed=0, chunk=1_000_000):
     rejects = 0
     left = int(samples)
     while left > 0:
-        take = min(left, chunk)
+        take = min(left, 1_000_000)
         s = np.zeros(take)
         for _ in range(spec.max_steps):
             if s.size == 0:
@@ -140,15 +141,15 @@ def sprt_mc(spec, samples, seed=0, chunk=1_000_000):
     return p_acc, p_rej, se
 
 
-def exact_passage_time(values, probs, gamma, max_steps=None):
+def exact_passage_time(values, probs, gamma):
     """Exact E[first time the walk strictly exceeds gamma]: ``exact_sprt``
-    with no lower threshold (a_reject = inf).  Returns (expected_steps,
+    with no lower threshold (a_reject = inf) over a horizon of
+    200 max(gamma, 1) / mean + 1000 steps.  Returns (expected_steps,
     residual)."""
     mean = sum(float(v) * float(p) for v, p in zip(values, probs))
     if mean <= 0:
         raise NonPositiveDrift(f"mean step {mean} <= 0")
-    if max_steps is None:
-        max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
+    max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
     res = exact_sprt(LatticeWalkSpec(values, probs, gamma, math.inf, max_steps))
     return res.expected_steps, res.residual
 
@@ -171,6 +172,8 @@ def exact_mi_tail(n, px, py, gamma_grid):
     by summing exact multinomial masses over every joint type of length n."""
     from .empirical import JointType, empirical_mi
 
+    if n < 1 or n != int(n):
+        raise NotADistribution(f"n must be a positive integer, got {n}")
     px = _as_prob_vector(px, "px")
     py = _as_prob_vector(py, "py")
     kx, ky = px.size, py.size
@@ -198,9 +201,9 @@ def exact_mi_tail(n, px, py, gamma_grid):
     return np.minimum(tails, 1.0)
 
 
-def mi_tail_bound(n, gamma, k_exp, k1=10.0):
-    """The polynomial-prefactor tail bound K1 (n+1)^k e^{-gamma}."""
-    return k1 * (n + 1.0) ** k_exp * math.exp(-gamma)
+def mi_tail_bound(n, gamma, k_exp):
+    """The polynomial-prefactor tail bound K1 (n+1)^k e^{-gamma}, K1 = 10."""
+    return 10.0 * (n + 1.0) ** k_exp * math.exp(-gamma)
 
 
 def exact_eta_expectation(n):
@@ -229,22 +232,22 @@ class OvershootEstimate:
     samples: int = 0
 
 
-def lattice_span(values, probs=None, tol=1e-9):
+def lattice_span(values, probs=None):
     """Span h of the step lattice: largest h with every support point an
-    integer multiple of h.  Returns 0.0 when no such h >= tol exists
+    integer multiple of h.  Returns 0.0 when no such h >= _SPAN_TOL exists
     (non-arithmetic law).  Walks with a zero-valued step keep the span of the
     remaining points."""
     v = [abs(float(x)) for i, x in enumerate(values)
-         if abs(float(x)) > tol and (probs is None or probs[i] > 0)]
+         if abs(float(x)) > _SPAN_TOL and (probs is None or probs[i] > 0)]
     if not v:
         return 0.0
     g = v[0]
     for x in v[1:]:
         a, b = max(g, x), min(g, x)
-        while b > tol:
+        while b > _SPAN_TOL:
             a, b = b, a % b
         g = a
-        if g < tol:
+        if g < _SPAN_TOL:
             return 0.0
     for x in v:
         if abs(x / g - round(x / g)) > 1e-6:

@@ -23,7 +23,13 @@ from vlf.bounds import (
     universal_schedule_gaussian,
 )
 from vlf.channel import Dmc, GaussianChannel, bsc, control_pair
-from vlf.errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
+from vlf.errors import (
+    EpsTooSmall,
+    HorizonTooSmall,
+    Infeasible,
+    NotADistribution,
+    VlfError,
+)
 
 LN2 = math.log(2.0)
 CH = bsc(0.11)
@@ -211,6 +217,11 @@ class TestOptimization:
     def test_impossible_targets_raise(self):
         with pytest.raises(Infeasible):
             single_phase_bound(CH, UNIFORM2, 1e-3, 0.5)
+
+    @pytest.mark.parametrize("solve", [optimize_params, single_phase_bound])
+    def test_infinite_target_length_is_bad_input(self, solve):
+        with pytest.raises(NotADistribution):
+            solve(CH, UNIFORM2, 1e-3, math.inf)
 
     def test_gaussian_targets(self):
         eps, n = 1e-3, 800.0

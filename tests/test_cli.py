@@ -89,6 +89,13 @@ class TestOptimizeVerb:
         assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
                      "--N", "0.5"]) == 2
 
+    def test_infinite_target_length_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
+                     "--N", "inf", "--out", str(out)]) == 1
+        assert "target_n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_low_snr_gaussian_optimizes(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main(["optimize", "--channel", "awgn:0.001", "--eps", "1e-3",
@@ -240,12 +247,7 @@ class TestSimulateVerb:
                 "--M", "2^8.5", "--gamma1", "8", "--gamma2", "14",
                 "--aA", "3", "--aR", "3", "--trials", "10", "--seed", "1"]
         auto = tmp_path / "auto.csv"
-        ens = tmp_path / "ens.csv"
         assert main(args + ["--out", str(auto)]) == 0
-        assert main(args + ["--competitor-mode", "ensemble",
-                            "--out", str(ens)]) == 0
-        assert auto.read_bytes() == ens.read_bytes()
-        assert main(args + ["--competitor-mode", "literal"]) == 1
 
     def test_seed_is_required(self):
         args = [a for a in self._ARGS if a not in ("--seed", "42")]
@@ -275,8 +277,7 @@ class TestSimulateVerb:
         assert float(row["gamma1"]) > 0
 
     def test_unset_options_take_the_library_defaults(self, tmp_path):
-        # no --training, --c2, --competitor-mode, --honest-time-zero,
-        # --workers or --eps0: the row is that of a SchemeConfig built from
+        # no --training, --c2, --workers or --eps0: the row is that of a SchemeConfig built from
         # its required fields only
         args = [a if a != "400" else "300" for a in self._ARGS]
         args = [a if a != "42" else "0" for a in args]  # SchemeConfig's seed
@@ -298,7 +299,9 @@ class TestSimulateVerb:
         ]
 
     @pytest.mark.parametrize("flag", [["--n-max-mult", "10"],
-                                      ["--min-eval-len", "3"]])
+                                      ["--min-eval-len", "3"],
+                                      ["--competitor-mode", "ensemble"],
+                                      ["--honest-time-zero"]])
     def test_removed_knobs_rejected(self, flag):
         args = [a if a != "400" else "20" for a in self._ARGS]
         assert main(args + flag) == 1
@@ -336,6 +339,14 @@ class TestOracleVerb:
         assert len(rows) == 6
         assert list(rows[0]) == ["n", "gamma", "exact", "bound", "ratio"]
         assert all(float(r["ratio"]) <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_sequence_length_below_one_rejected(self, n, tmp_path, capsys):
+        out = tmp_path / "or.csv"
+        assert main(["oracle", "--channel", BSC, "--n", n, "--gamma", "1",
+                     "--out", str(out)]) == 1
+        assert "n must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_finite_alphabet(self):
         assert main(["oracle", "--channel", "awgn:1.0", "--n", "10",
@@ -382,6 +393,31 @@ class TestErrorHandling:
         assert main(["transmogrify"]) == 1
         assert main(["bound", "--frequency", "11"]) == 1
         assert main([]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["bound", "--gamma2", "inf"],
+        ["bound", "--aA", "inf"],
+        ["simulate", "--M", "2^inf"],
+        ["simulate", "--gamma2", "inf"],
+        ["simulate", "--variant", "uvlf_bsc", "--training", "64",
+         "--c2", "inf"],
+    ], ids=["bound-gamma2", "bound-aA", "simulate-M", "simulate-gamma2",
+            "simulate-c2"])
+    def test_infinite_values_exit_one_without_a_row(self, args, tmp_path,
+                                                    capsys):
+        verb, *override = args
+        opts = {"--channel": BSC, "--M": "2^10", "--gamma1": "8",
+                "--gamma2": "14", "--aA": "3", "--aR": "3"}
+        if verb == "simulate":
+            opts.update({"--variant": "vlf_dmc", "--trials": "10",
+                         "--seed": "1"})
+        opts.update(zip(override[::2], override[1::2]))
+        out = tmp_path / "o.csv"
+        argv = [verb, *(x for kv in opts.items() for x in kv),
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_channel_spec_exits_one(self):
         assert main(["bound", "--channel", "fiber:9", "--N1", "2000"]) == 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import vlf
-from vlf import engine
+from vlf import engine, ensemble
 from vlf.bounds import VlfParams, channel_stats
 from vlf.channel import (
     Dmc,
@@ -75,9 +75,27 @@ VARIANT_SETUPS = {
     "uvlf_awgn": (GaussianChannel(1.0), None, 64),
 }
 ENSEMBLE_VARIANTS = ("vlf_dmc", "vlf_awgn", "uvlf_dmc", "uvlf_bsc")
-# every (variant, competitor mode) pair the engine runs
+# every (variant, competitor race) pair the engine runs
 VARIANT_MODES = ([(v, "literal") for v in VARIANT_SETUPS]
                  + [(v, "ensemble") for v in ENSEMBLE_VARIANTS])
+
+
+@pytest.fixture
+def force_ensemble(monkeypatch):
+    """The ensemble race at any M.  The runtime races literally whenever
+    ensemble.literal_count gives a count, so this is how a test reaches the
+    ensemble at a small M and checks it against the literal race."""
+    monkeypatch.setattr(ensemble, "literal_count", lambda log_m: None)
+
+
+@pytest.fixture
+def mode(request):
+    """The race a test parametrizes indirectly: "literal", which the runtime
+    picks at the pair config's M = 2^6, or "ensemble" through
+    force_ensemble."""
+    if request.param == "ensemble":
+        request.getfixturevalue("force_ensemble")
+    return request.param
 
 
 def _variant_cfg(variant, params, **kw):
@@ -167,10 +185,8 @@ class TestConfigValidation:
     def test_second_phase_cap_must_exceed_one(self):
         with pytest.raises(VlfError):
             _cfg(c2=1.0)
-
-    def test_bad_competitor_mode(self):
         with pytest.raises(VlfError):
-            _cfg(competitor_mode="psychic")
+            _cfg(c2=math.inf)
 
     def test_trial_count_validated(self):
         with pytest.raises(VlfError):
@@ -290,25 +306,20 @@ class TestNoUnreferencedDefinitions:
         assert found == []
 
 
+@pytest.mark.usefixtures("force_ensemble")
 class TestCompetitorModeResolution:
-    def test_huge_message_count_cannot_run_literally(self):
-        cfg = _cfg(params=_params(log2m=100.0, g1=72.0, g2=76.0, a=5.0),
-                   competitor_mode="literal")
-        with pytest.raises(StateExplosion):
-            run_monte_carlo(cfg, 1)
-
     def test_gaussian_universal_has_no_large_scale_strategy(self):
         cfg = SchemeConfig(
             variant="uvlf_awgn", channel=GaussianChannel(1.0), px=None,
             params=_params(log2m=100.0, g1=75.0, g2=80.0, a=4.0),
-            training_len=32, seed=0, competitor_mode="ensemble",
+            training_len=32, seed=0,
         )
         with pytest.raises(StateExplosion):
             run_monte_carlo(cfg, 1)
 
     def test_binary_specialization_ensemble_needs_uniform_input(self):
         cfg = _cfg(variant="uvlf_bsc", px=np.array([0.7, 0.3]),
-                   training_len=16, competitor_mode="ensemble")
+                   training_len=16)
         with pytest.raises(StateExplosion):
             run_monte_carlo(cfg, 1)
 
@@ -365,13 +376,6 @@ class TestTrialOutcomes:
         assert all(o.stopped_at_zero and o.tau == 0 for o in outs)
         assert not any(o.correct for o in outs)
 
-    def test_honest_time_zero_guesses_uniformly(self):
-        cfg = _cfg(params=VlfParams(LN2, 8.0, 14.0, 3.0, 3.0, eps0=1.0),
-                   honest_time_zero=True)
-        est = run_monte_carlo(cfg, 2000)
-        # guessing one of two messages: about half the trials decode right
-        assert 0.4 <= 1.0 - est.eps_hat <= 0.6
-
     def test_near_noiseless_channel_decodes_fast_and_clean(self):
         clean = bsc(1e-4)
         cfg = SchemeConfig(
@@ -396,9 +400,9 @@ class TestTrialOutcomes:
         assert gen == solo
 
 
-def _pair_cfg(variant, mode):
+def _pair_cfg(variant):
     return _variant_cfg(variant, _params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
-                        seed=5, competitor_mode=mode)
+                        seed=5)
 
 
 def _walk_energy(cfg, rt, trial_index):
@@ -425,7 +429,7 @@ class TestCensoringRule:
             return "reject", budget - 5, -a_reject - 1.0
 
         monkeypatch.setattr(engine, "_block_sprt", late_reject)
-        cfg = _pair_cfg(variant, "literal")
+        cfg = _pair_cfg(variant)
         rt = engine._Runtime(cfg)
         o = simulate_trial(cfg, 0, _runtime=rt)
         n_max = rt.n_max
@@ -466,7 +470,7 @@ class TestCensoringRule:
     def test_c2_capped_energy_counts_every_charged_symbol(self):
         # a universal run stopped by the c2 cap is charged n_max - len_ht
         # walk symbols, far past the block that held its gamma_2 crossing
-        cfg = _pair_cfg("uvlf_awgn", "literal")
+        cfg = _pair_cfg("uvlf_awgn")
         long_runs = 0
         for row in trial_records(cfg, 2000):
             o = TrialOutcome.from_record(row)
@@ -477,25 +481,27 @@ class TestCensoringRule:
 
 
 class TestDeterminismAndAggregation:
-    @pytest.mark.parametrize("variant,mode", VARIANT_MODES)
+    @pytest.mark.parametrize("variant,mode", VARIANT_MODES, indirect=["mode"])
     def test_worker_count_does_not_change_the_estimate(self, variant, mode):
-        cfg = _pair_cfg(variant, mode)
+        cfg = _pair_cfg(variant)
         a = run_monte_carlo(cfg, 200, workers=1)
         b = run_monte_carlo(cfg, 200, workers=2)
         assert a == b
 
-    @pytest.mark.parametrize("variant,mode", VARIANT_MODES)
+    @pytest.mark.parametrize("variant,mode", VARIANT_MODES, indirect=["mode"])
     def test_runtime_pickles_to_an_equivalent_copy(self, variant, mode):
         # a pool started by spawn or forkserver pickles the runtime it hands
         # to its workers
-        cfg = _pair_cfg(variant, mode)
+        cfg = _pair_cfg(variant)
         rt = engine._Runtime(cfg)
         copy = pickle.loads(pickle.dumps(rt))
-        assert copy.mode == mode
+        assert (rt.race.func is ensemble.literal_race) == (mode == "literal")
+        assert copy.race.func.__qualname__ == rt.race.func.__qualname__
         for i in range(6):
             assert (simulate_trial(cfg, i, _runtime=copy)
                     == simulate_trial(cfg, i, _runtime=rt))
 
+    @pytest.mark.usefixtures("force_ensemble")
     def test_pool_workers_use_the_runtime_built_in_the_parent(self, monkeypatch):
         # forked workers inherit the patch: a runtime built in one fails it
         test_pid = os.getpid()
@@ -509,7 +515,7 @@ class TestDeterminismAndAggregation:
             build(rt, cfg)
 
         monkeypatch.setattr(engine._Runtime, "__init__", parent_only)
-        cfg = _pair_cfg("uvlf_bsc", "ensemble")
+        cfg = _pair_cfg("uvlf_bsc")
         pooled = trial_records(cfg, 40, workers=2)
         assert len(builds) == 1
         assert np.array_equal(pooled, trial_records(cfg, 40, workers=1))
@@ -530,14 +536,14 @@ class TestDeterminismAndAggregation:
 
 class TestCompetitorStrategiesAgree:
     @pytest.mark.parametrize("variant", ENSEMBLE_VARIANTS)
-    def test_small_scale_and_large_scale_runs_are_consistent(self, variant):
-        params = _params(log2m=6.0, g1=7.0, g2=12.0, a=3.0)
-        lit = run_monte_carlo(
-            _variant_cfg(variant, params, seed=0, competitor_mode="literal"), 4000
-        )
-        ens = run_monte_carlo(
-            _variant_cfg(variant, params, seed=0, competitor_mode="ensemble"), 4000
-        )
+    def test_small_scale_and_large_scale_runs_are_consistent(
+        self, variant, request
+    ):
+        cfg = _variant_cfg(variant, _params(log2m=6.0, g1=7.0, g2=12.0, a=3.0),
+                           seed=0)
+        lit = run_monte_carlo(cfg, 4000)
+        request.getfixturevalue("force_ensemble")
+        ens = run_monte_carlo(cfg, 4000)
         # same protocol, two competitor implementations: CIs must overlap
         assert lit.eps_lo <= ens.eps_hi and ens.eps_lo <= lit.eps_hi
         assert lit.n_lo <= ens.n_hi and ens.n_lo <= lit.n_hi
