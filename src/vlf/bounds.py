@@ -43,6 +43,7 @@ from .errors import (
     Infeasible,
     NonPositiveDrift,
     NotADistribution,
+    VlfError,
 )
 
 LN2 = math.log(2.0)
@@ -228,10 +229,14 @@ def achievability_bound(params, channel, px=None):
     return _report(params.log_m, eps_prime, n_prime, params.eps0)
 
 
-def converse_bound(cap_nats, eps, n_avg):
-    """Largest log M any variable-length feedback code can reach: NC/(1-eps) + h_b(eps)/(1-eps)."""
+def _check_eps(eps):
     if not (0 < eps < 1):
         raise NotADistribution(f"eps must be in (0,1), got {eps}")
+
+
+def converse_bound(cap_nats, eps, n_avg):
+    """Largest log M any variable-length feedback code can reach: NC/(1-eps) + h_b(eps)/(1-eps)."""
+    _check_eps(eps)
     return (n_avg * cap_nats + binary_entropy(eps)) / (1.0 - eps)
 
 
@@ -260,6 +265,7 @@ def asymptotic_schedule(n1, channel, px=None, eps=None):
     gamma2 = log_m + log_n1
     eps0 = 0.0
     if eps is not None:
+        _check_eps(eps)
         floor = (1.0 / n1) * (1.0 + 1.0 / log_n1)
         if eps < floor:
             raise EpsTooSmall(
@@ -298,12 +304,17 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
     """
     from .empirical import tail_exponents
 
+    _check_eps(eps)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise VlfError(f"delta must be finite and >= 0, got {delta}")
     if n1 is None:
         n1 = universal_block_length(log_m, num_x, num_y)
     if n1 < 3:
         raise HorizonTooSmall(f"n1 = {n1} too small (need >= 3)")
     if d is None:
         d = tail_exponents(num_x, num_y)[1]
+    if not (math.isfinite(d) and d > 0):
+        raise VlfError(f"d must be finite and > 0, got {d}")
     if eps < 1.0 / n1:
         raise EpsTooSmall(f"target eps {eps} below 1/n1 = {1.0 / n1:.3e}")
     log_n1 = math.log(n1)

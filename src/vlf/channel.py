@@ -84,11 +84,14 @@ class GaussianChannel:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        if not (self.power > 0):
-            raise NotADistribution(f"power must be positive, got {self.power}")
-        if not (self.noise_variance > 0):
+        if not (0 < self.power < math.inf):
             raise NotADistribution(
-                f"noise variance must be positive, got {self.noise_variance}"
+                f"power must be finite and positive, got {self.power}"
+            )
+        if not (0 < self.noise_variance < math.inf):
+            raise NotADistribution(
+                f"noise variance must be finite and positive, got "
+                f"{self.noise_variance}"
             )
 
     @property

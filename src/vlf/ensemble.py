@@ -188,6 +188,24 @@ def _binary_type(u, v, j, n):
     return [n - j - v, v, j - u, u], [n - u - v, u + v], [n - j, j]
 
 
+# n I <= n H(Y) = L[t] - L[j] - L[t - j] in exact arithmetic, L = c log c.
+# Both sides sum entries of at most L[t] (c log c is superadditive): the
+# metric grid nine with eight roundings, n H(Y) three with two, and each
+# entry carries a few ulps from the table's log, so either computed value
+# strays from its exact one by under 100 * 2^-53 * L[t].  A margin of
+# 2^-40 * L[t] = 8192 * 2^-53 * L[t] covers both with room to spare, and
+# the rounding of gamma_1 minus the margin too: it is at most
+# 2^-53 * gamma_1, and gamma_1 > 2 L[t] >= 2 n H(Y) leaves no hit anyway.
+_ENTROPY_SLACK = 2.0 ** -40
+
+
+def _cannot_absorb(L, t, j, gamma1):
+    """True when no joint type of length t against j output ones can clear
+    gamma_1: n H(Y) of the output prefix is below it by more than the
+    rounding margin."""
+    return L[t] - L[j] - L[t - j] < gamma1 - _ENTROPY_SLACK * L[t]
+
+
 def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     """Exact competitor race for the empirical-MI metric on a binary-input,
     binary-output channel, conditional on the realized outputs.
@@ -196,48 +214,82 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     (u, v) = (# codeword ones against output ones, against output zeros);
     forward dynamic programming yields the exact absorption law of the first
     gamma_1 crossing.  Poisson((M-1) p_cross) crossers are sampled from it and
-    continued explicitly toward gamma_2."""
+    continued explicitly toward gamma_2.
+
+    The mass lives in one row-major buffer sized to the final (u, v) box
+    plus one cell.  After j output ones and k zeros it fills rows 0..j and
+    every cell at v > k is zero, so a step shifts it in place by one row or
+    one cell with the float operations of a grid grown from zeros:
+    old * (1 - p) + shifted * p, where a shift into an empty cell adds it
+    to zero.  A one-cell shift carries each row's last cell, still empty
+    while k is below the final zero count, into the next row's first.  The metric grid over [0, j] x [0, k] follows count_mi's
+    order from 1-D slices of L = log_tbl: cells
+    ((L[k-v] + L[v]) + L[j-u]) + L[u], minus the row sums R[u+v] with
+    R[s] = L[t-s] + L[s] (a Hankel view), minus L[k] + L[j], plus L[t].
+    Steps where _cannot_absorb holds skip the grid.
+    """
     h = y.size
     if h < 1:
         return RaceResult(None, None)
-    log_tbl, px1 = metric.log_tbl, metric.px[1]
-    j = 0
-    mass = np.ones((1, 1))  # probability mass over (u, v), grown each step
-    absorbed = []  # (times, u, v, masses)
+    L, px1 = metric.log_tbl, metric.px[1]
+    stay = 1.0 - px1
+    table = L[:h + 1].tolist()
+    bits = y.tolist()
+    ones_total = sum(bits)
+    width = h - ones_total + 1
+    mass = np.zeros((ones_total + 1) * width + 1)
+    mass[0] = 1.0
+    row_sums = np.zeros(h + 1)
+    step = row_sums.strides[0]
+    hankel = np.lib.stride_tricks.as_strided(
+        row_sums, shape=(ones_total + 1, width), strides=(step, step),
+        writeable=False)
+    j = k = 0
+    absorbed = []  # (times, buffer cells, masses)
     total_absorbed = 0.0
-    for t in range(1, h + 1):
-        bit = int(y[t - 1])
-        if bit == 1:
-            grown = np.zeros((mass.shape[0] + 1, mass.shape[1]))
-            grown[:-1, :] += mass * (1.0 - px1)
-            grown[1:, :] += mass * px1
+    for t, bit in enumerate(bits, 1):
+        n = (j + 1) * width
+        live = mass[:n]
+        moved = live * px1
+        live *= stay
+        if bit:
             j += 1
+            mass[width:n + width] += moved
         else:
-            grown = np.zeros((mass.shape[0], mass.shape[1] + 1))
-            grown[:, :-1] += mass * (1.0 - px1)
-            grown[:, 1:] += mass * px1
-        mass = grown
-        uu = np.arange(mass.shape[0])[:, None]
-        vv = np.arange(mass.shape[1])[None, :]
-        metric_grid = count_mi(log_tbl, *_binary_type(uu, vv, j, t), t)
-        hit = (metric_grid > gamma1) & (mass > 0.0)
-        if hit.any():
-            ui, vi = np.nonzero(hit)
-            w = mass[ui, vi]
-            absorbed.append((np.full(w.size, t), ui, vi, w))
-            total_absorbed += float(w.sum())
-            mass[ui, vi] = 0.0
+            k += 1
+            mass[1:n + 1] += moved
+        if _cannot_absorb(table, t, j, gamma1):
+            continue
+        np.add(L[t::-1], L[:t + 1], out=row_sums[:t + 1])
+        grid = (L[k::-1] + L[:k + 1]) + L[j::-1, None]
+        grid += L[:j + 1, None]
+        grid -= hankel[:j + 1, :k + 1]
+        grid -= table[k] + table[j]
+        grid += table[t]
+        cells = np.flatnonzero(grid > gamma1)
+        if cells.size == 0:
+            continue
+        cells += cells // (k + 1) * (width - k - 1)  # grid -> buffer index
+        w = mass[cells]
+        if not (w > 0.0).all():  # drop hit cells that hold no mass
+            cells, w = cells[w > 0.0], w[w > 0.0]
+            if w.size == 0:
+                continue
+        absorbed.append((np.full(w.size, t), cells, w))
+        total_absorbed += float(w.sum())
+        mass[cells] = 0.0
     if total_absorbed <= 0.0:
         return RaceResult(None, None)
-    k = rng.poisson(poisson_crosser_rate(log_m, math.log(total_absorbed)))
-    if k == 0:
+    drawn = rng.poisson(poisson_crosser_rate(log_m, math.log(total_absorbed)))
+    if drawn == 0:
         return RaceResult(None, None)
-    t, u, v, w = (np.concatenate(part) for part in zip(*absorbed))
+    t, cells, w = (np.concatenate(part) for part in zip(*absorbed))
+    u, v = np.divmod(cells, width)
     ones = np.concatenate([[0], np.cumsum(y)])
     counts = _binary_type(u, v, ones[t], t)
-    cells = np.stack(counts[0], axis=1)[:, [0, 2, 1, 3]]  # kernel order
+    states = np.stack(counts[0], axis=1)[:, [0, 2, 1, 3]]  # kernel order
     return _absorbed_crossers(
-        rng, metric, y, gamma2, k, t, count_mi(log_tbl, *counts, t), cells, w
+        rng, metric, y, gamma2, drawn, t, count_mi(L, *counts, t), states, w
     )
 
 

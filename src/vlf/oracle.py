@@ -332,18 +332,20 @@ def corr_tail_exact(n, a):
 
 
 def corr_tail_mc(n, a, samples, seed=0, chunk=50_000):
-    """Monte Carlo estimate of P[rho_hat >= a] with i.i.d. standard normal
-    pairs.  Returns (estimate, standard_error)."""
+    """Monte Carlo estimate of P[rho_hat >= a] for independent standard
+    normal sequences of length n.  Returns (estimate, standard_error).
+
+    The law of x is invariant under rotations, so rotating y onto e_1 gives
+    rho_hat the law of Z / sqrt(Z^2 + chi^2_{n-1}): one normal and one
+    chi-square per sample, drawn ``chunk`` samples at a time."""
     rng = np.random.default_rng(seed)
     hits = 0
     left = int(samples)
     while left > 0:
         take = min(left, chunk)
-        x = rng.standard_normal((take, n))
-        y = rng.standard_normal((take, n))
-        num = np.einsum("ij,ij->i", x, y)
-        den = np.sqrt(np.einsum("ij,ij->i", x, x) * np.einsum("ij,ij->i", y, y))
-        hits += int(np.count_nonzero(num >= a * den))
+        z = rng.standard_normal(take)
+        rest = rng.chisquare(n - 1, take)
+        hits += int(np.count_nonzero(z >= a * np.sqrt(z * z + rest)))
         left -= take
     p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)

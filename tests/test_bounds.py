@@ -395,6 +395,22 @@ class TestUniversalSchedule:
         with pytest.raises(EpsTooSmall):
             universal_schedule(60 * LN2, 2, 2, 0.01)
 
+    @pytest.mark.parametrize("kw,name", [
+        ({"eps": 0.0}, "eps"), ({"eps": 1.0}, "eps"), ({"eps": math.nan}, "eps"),
+        ({"d": math.inf}, "d"), ({"d": 0.0}, "d"), ({"d": -1.0}, "d"),
+        ({"delta": math.nan}, "delta"), ({"delta": math.inf}, "delta"),
+        ({"delta": -0.1}, "delta"),
+    ])
+    def test_bad_inputs_name_their_argument(self, kw, name):
+        args = {"eps": 0.05, "d": 1.0, "delta": 0.1, **kw}
+        with pytest.raises(VlfError, match=f"^{name} must be"):
+            universal_schedule(60 * LN2, 2, 2, **args)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5, 0.0])
+    def test_asymptotic_schedule_rejects_bad_eps(self, eps):
+        with pytest.raises(VlfError, match="^eps must be"):
+            asymptotic_schedule(2000, CH, UNIFORM2, eps=eps)
+
     def test_gaussian_variant_uses_message_length_block(self):
         log_m = 50.0
         p = universal_schedule_gaussian(log_m, 0.1)

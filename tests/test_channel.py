@@ -231,3 +231,15 @@ class TestParsingAndValidation:
             GaussianChannel(0.0)
         with pytest.raises(VlfError):
             GaussianChannel(1.0, -1.0)
+
+    @pytest.mark.parametrize("power,noise", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_gaussian_parameters_must_be_finite(self, power, noise):
+        with pytest.raises(NotADistribution, match="finite"):
+            GaussianChannel(power, noise)
+
+    @pytest.mark.parametrize("spec", ["awgn:inf", "awgn:1e400"])
+    def test_infinite_snr_spec_rejected(self, spec):
+        with pytest.raises(NotADistribution, match="power must be finite"):
+            parse_channel_spec(spec)

@@ -419,6 +419,36 @@ class TestErrorHandling:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--d", "inf", "d"), ("--delta", "nan", "delta"),
+        ("--eps", "inf", "eps"), ("--eps", "1.5", "eps"),
+    ])
+    def test_bad_universal_schedule_input_names_its_option(
+        self, flag, value, name, tmp_path, capsys
+    ):
+        opts = {"--variant": "uvlf_bsc", "--channel": BSC, "--M": "2^60",
+                "--eps": "0.05", "--training": "100", "--trials": "5",
+                "--seed": "1", flag: value}
+        out = tmp_path / "u.csv"
+        argv = ["simulate", *(x for kv in opts.items() for x in kv),
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_gaussian_power_is_a_bad_channel(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["optimize", "--channel", "awgn:inf", "--eps", "1e-3",
+                     "--N", "500", "--out", str(out)]) == 1
+        assert "power must be finite" in capsys.readouterr().err
+        assert main([
+            "simulate", "--variant", "vlf_awgn", "--channel", "awgn:1e400",
+            "--M", "2^6", "--gamma1", "8", "--gamma2", "13", "--aA", "3",
+            "--aR", "3", "--trials", "5", "--seed", "1", "--out", str(out),
+        ]) == 1
+        assert "power must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_channel_spec_exits_one(self):
         assert main(["bound", "--channel", "fiber:9", "--N1", "2000"]) == 1
 

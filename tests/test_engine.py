@@ -22,7 +22,13 @@ from vlf.channel import (
     gaussian_information_density,
     information_density_table,
 )
-from vlf.empirical import empirical_mi, joint_type, universal_gaussian_metric
+from vlf.empirical import (
+    count_log_table,
+    count_mi,
+    empirical_mi,
+    joint_type,
+    universal_gaussian_metric,
+)
 from vlf.engine import (
     METRICS,
     VARIANTS,
@@ -624,6 +630,134 @@ def _full_grid_absorption(metric, gamma1):
             cum[t] += float(mass[ki].sum())
             mass[ki] = 0.0
     return cum, absorbed
+
+
+def _full_grid_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
+    """Reference for ensemble_binary_mi_race: the (u, v) mass grown by one
+    row or column from zeros at every step, and count_mi evaluated over the
+    whole grid at every step."""
+    h = y.size
+    if h < 1:
+        return ensemble.RaceResult(None, None)
+    log_tbl, px1 = metric.log_tbl, metric.px[1]
+    j = 0
+    mass = np.ones((1, 1))
+    absorbed = []  # (times, u, v, masses)
+    total_absorbed = 0.0
+    for t in range(1, h + 1):
+        if int(y[t - 1]) == 1:
+            grown = np.zeros((mass.shape[0] + 1, mass.shape[1]))
+            grown[:-1, :] += mass * (1.0 - px1)
+            grown[1:, :] += mass * px1
+            j += 1
+        else:
+            grown = np.zeros((mass.shape[0], mass.shape[1] + 1))
+            grown[:, :-1] += mass * (1.0 - px1)
+            grown[:, 1:] += mass * px1
+        mass = grown
+        uu = np.arange(mass.shape[0])[:, None]
+        vv = np.arange(mass.shape[1])[None, :]
+        grid = count_mi(log_tbl, *ensemble._binary_type(uu, vv, j, t), t)
+        hit = (grid > gamma1) & (mass > 0.0)
+        if hit.any():
+            ui, vi = np.nonzero(hit)
+            w = mass[ui, vi]
+            absorbed.append((np.full(w.size, t), ui, vi, w))
+            total_absorbed += float(w.sum())
+            mass[ui, vi] = 0.0
+    if total_absorbed <= 0.0:
+        return ensemble.RaceResult(None, None)
+    k = rng.poisson(ensemble.poisson_crosser_rate(log_m, math.log(total_absorbed)))
+    if k == 0:
+        return ensemble.RaceResult(None, None)
+    t, u, v, w = (np.concatenate(part) for part in zip(*absorbed))
+    ones = np.concatenate([[0], np.cumsum(y)])
+    counts = ensemble._binary_type(u, v, ones[t], t)
+    cells = np.stack(counts[0], axis=1)[:, [0, 2, 1, 3]]  # kernel order
+    return ensemble._absorbed_crossers(
+        rng, metric, y, gamma2, k, t, count_mi(log_tbl, *counts, t), cells, w
+    )
+
+
+class TestBinaryMiRace:
+    """The in-place count DP against the full-grid reference on random
+    output strings, at thresholds low enough for crossers: the same
+    absorbed mass, the same absorption law handed to the crosser draw, an
+    equal RaceResult and an equal next draw."""
+
+    STRINGS = 34  # per (px, threshold) case: 306 strings in all
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Capture what both races hand to poisson_crosser_rate (the log of
+        the absorbed mass) and to _absorbed_crossers (times, metric values,
+        kernel states and masses of the absorbed cells)."""
+        seen = []
+        rate, crossers = (ensemble.poisson_crosser_rate,
+                          ensemble._absorbed_crossers)
+
+        def record_rate(log_m, log_p_cross):
+            seen.append(log_p_cross)
+            return rate(log_m, log_p_cross)
+
+        def record_crossers(rng, metric, y, gamma2, k, *law):
+            seen.extend(law)
+            return crossers(rng, metric, y, gamma2, k, *law)
+
+        monkeypatch.setattr(ensemble, "poisson_crosser_rate", record_rate)
+        monkeypatch.setattr(ensemble, "_absorbed_crossers", record_crossers)
+        return seen
+
+    @pytest.mark.parametrize("px1", [0.5, 0.7, 0.2])
+    @pytest.mark.parametrize("gamma1,log_m", [(6.5, 9.0), (10.0, 12.0),
+                                              (20.3, 22.0)])
+    def test_equals_full_grid_reference(self, px1, gamma1, log_m,
+                                        monkeypatch):
+        seen = self._record(monkeypatch)
+        metric = EmpiricalMi(CH, np.array([1.0 - px1, px1]), 300)
+        rng = np.random.default_rng([int(px1 * 10), int(gamma1 * 10)])
+        crossed = 0
+        for i in range(self.STRINGS):
+            h = int(rng.integers(1, 301))
+            y = (rng.random(h) < rng.uniform(0.2, 0.8)).astype(np.int64)
+            results, laws = [], []
+            for race in (ensemble.ensemble_binary_mi_race,
+                         _full_grid_binary_mi_race):
+                draws = np.random.default_rng([i, h])
+                seen.clear()
+                results.append((race(draws, y, metric, log_m, gamma1,
+                                     gamma1 + 3.0), draws.random()))
+                laws.append(list(seen))
+            assert results[0] == results[1], (i, h)
+            assert len(laws[0]) == len(laws[1]), (i, h)
+            for a, b in zip(*laws):
+                if isinstance(a, np.ndarray):
+                    assert _same(a, b), (i, h)
+                else:
+                    assert a == b, (i, h)
+            crossed += results[0][0].t1 is not None
+        assert crossed >= self.STRINGS // 4
+
+    def test_skipped_steps_have_no_hit_cell(self):
+        # every j at every t <= 200 and at four longer prefixes; gamma_1 at
+        # the largest value below the full grid's maximum (the hardest
+        # threshold a skip must respect) and just around n H(Y)
+        L = count_log_table(401)
+        for t in [*range(1, 201), 250, 300, 350, 400]:
+            for j in range(t + 1):
+                uu = np.arange(j + 1)[:, None]
+                vv = np.arange(t - j + 1)[None, :]
+                grid = count_mi(L, *ensemble._binary_type(uu, vv, j, t), t)
+                top = grid.max()
+                entropy = L[t] - L[j] - L[t - j]
+                near = 1e-9 * (1.0 + L[t])
+                for gamma1 in (np.nextafter(top, -np.inf), entropy - near,
+                               entropy + near):
+                    if ensemble._cannot_absorb(L, t, j, gamma1):
+                        assert top <= gamma1, (t, j, gamma1)
+                assert not ensemble._cannot_absorb(L, t, j, entropy)
+                assert ensemble._cannot_absorb(L, t, j, entropy + 1e-6 * (
+                    1.0 + L[t]))
 
 
 def _same(a, b):

@@ -165,11 +165,35 @@ class TestEtaExpectation:
         assert 1.0 <= r2 <= r1 <= 2.0
 
 
+def _corr_tail_brute(n, a, samples, seed):
+    """Reference for corr_tail_mc: rho_hat of explicit pairs of length-n
+    standard normal sequences, 2n normals per sample."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, n))
+    y = rng.standard_normal((samples, n))
+    num = np.einsum("ij,ij->i", x, y)
+    den = np.sqrt(np.einsum("ij,ij->i", x, x) * np.einsum("ij,ij->i", y, y))
+    p = np.count_nonzero(num >= a * den) / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
+
+
 class TestCorrelationTail:
     def test_exact_against_monte_carlo(self):
         exact = corr_tail_exact(10, 0.5)
         mc, se = corr_tail_mc(10, 0.5, 200_000, seed=2)
         assert abs(mc - exact) <= 4.0 * se
+
+    def test_brute_force_sampler_against_exact(self):
+        exact = corr_tail_exact(10, 0.5)
+        mc, se = _corr_tail_brute(10, 0.5, 200_000, seed=2)
+        assert abs(mc - exact) <= 4.0 * se
+
+    @pytest.mark.parametrize("n,a", [(10, 0.5), (40, 0.3)])
+    def test_rotated_sampler_agrees_with_brute_force(self, n, a):
+        fast, se_fast = corr_tail_mc(n, a, 200_000, seed=3, chunk=30_000)
+        brute, se_brute = _corr_tail_brute(n, a, 200_000, seed=4)
+        assert fast > 0 and brute > 0
+        assert abs(fast - brute) <= 4.0 * math.hypot(se_fast, se_brute)
 
     def test_asymptotic_tracks_exact_at_moderate_size(self):
         exact = corr_tail_exact(200, 0.3)
