@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq
 
 from .channel import (
     GaussianChannel,
@@ -157,6 +155,8 @@ def gaussian_stats(chan):
     The ess sup branch is +inf for these continuous laws, so only the ratio
     E[(X^+)^2]/E[X] applies.
     """
+    from scipy import special
+
     snr, c = chan.snr, chan.capacity
     k = math.sqrt(snr / (1.0 + snr))
     a = c / k
@@ -253,7 +253,11 @@ def asymptotic_schedule(n1, channel, px=None, eps=None):
     exact rational form eps0 = (eps - f)/(1 - f), f = (1/N1)(1 + 1/log N1);
     eps=None leaves eps0 = 0.
     """
-    s = channel_stats(channel, px)
+    return _asymptotic_schedule(n1, channel_stats(channel, px), eps)
+
+
+def _asymptotic_schedule(n1, s, eps):
+    """asymptotic_schedule for the walk constants s."""
     if n1 < math.e - 1e-9:
         raise HorizonTooSmall(f"N1 = {n1} below e, where log log N1 turns negative")
     log_n1 = math.log(n1)
@@ -285,7 +289,7 @@ def asymptotic_schedule_for_message_count(log_m, channel, px=None, eps=None):
             n1 = nxt
             break
         n1 = nxt
-    return asymptotic_schedule(n1, channel, px, eps)
+    return _asymptotic_schedule(n1, s, eps)
 
 
 def universal_block_length(log_m, num_x, num_y):
@@ -397,6 +401,8 @@ def _stationary_point(lam, k, s):
       * u is the root of e^{-u} (Q + c_R u) = 1 - c_A, Q = K_lam e^{-dg} + dg
         + b + c_R (log((dg + b)/c_R) + b_reject), where that side falls.
     """
+    from scipy.optimize import brentq
+
     kl = k + lam
     c_acc, c_rej = s.drift / s.div_accept, s.drift / s.div_reject
 
@@ -434,6 +440,8 @@ def optimize_params(channel, px, target_eps, target_n):
     lam = 0, or, when that point has eps' > target_eps, at the lam > 0 found
     by a root search on eps' = target_eps.  Returns (params, report).
     """
+    from scipy.optimize import brentq
+
     _check_targets(target_eps, target_n)
     s = channel_stats(channel, px)
     k = s.drift * target_n / (1.0 - target_eps)

@@ -50,7 +50,6 @@ from .engine import (
     trial_records,
 )
 from .errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
-from .oracle import exact_mi_tail, mi_tail_bound
 
 _LN2 = math.log(2.0)
 
@@ -449,6 +448,9 @@ def _sim_params(opt, variant, channel, px):
     eps = _require(opt, "eps", "--eps")
     slack = _given(opt, delta="delta")
     if kind.gaussian:
+        if opt["d"] is not None:
+            raise _CliError(f"--d does not apply to {variant}: its schedule "
+                            "fixes d = 1/2")
         return universal_schedule_gaussian(log_m, eps, **slack)
     num_x, num_y = channel.matrix.shape
     d = opt["d"] if opt["d"] is not None else kind.schedule_d
@@ -501,6 +503,8 @@ def _cmd_simulate(opt):
 
 
 def _cmd_oracle(opt):
+    from .oracle import exact_mi_tail, mi_tail_bound
+
     channel, px, spec = _resolve_channel(opt)
     if not isinstance(channel, Dmc):
         raise _CliError("oracle needs a finite-alphabet channel")

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincc, gammaln, logsumexp
 
 from .channel import _as_prob_vector
 from .errors import (
@@ -325,10 +324,11 @@ def gaussian_corr_tail(n, a):
 
 def corr_tail_exact(n, a):
     """Exact P[rho_hat >= a]: rho_hat^2 ~ Beta(1/2, (n-1)/2) with a symmetric
-    sign, so the one-sided tail is half the Beta survival at a^2."""
+    sign, so the one-sided tail is half the Beta survival at a^2, the
+    regularized upper incomplete beta function."""
     if not (0.0 < a < 1.0):
         raise NotADistribution(f"a must be in (0,1), got {a}")
-    return 0.5 * float(beta_dist.sf(a * a, 0.5, (n - 1) / 2.0))
+    return 0.5 * float(betaincc(0.5, (n - 1) / 2.0, a * a))
 
 
 def corr_tail_mc(n, a, samples, seed=0, chunk=50_000):

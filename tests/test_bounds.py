@@ -342,6 +342,20 @@ class TestOptimumInU:
         assert bounds._stationary_point(0.0, 3.0, s)[1] > 0.0
 
 
+def _schedule_by_composition(log_m, channel, px, eps):
+    """Reference inversion: N1 from the fixed point of
+    N1 = (log M + log log N1 + b)/C, then the forward recipe at that N1."""
+    s = channel_stats(channel, px)
+    n1 = max(3.0, (log_m + s.b) / s.drift)
+    for _ in range(200):
+        nxt = (log_m + math.log(max(math.log(n1), 1e-9)) + s.b) / s.drift
+        done = abs(nxt - n1) < 1e-12 * max(1.0, n1)
+        n1 = nxt
+        if done:
+            break
+    return asymptotic_schedule(n1, channel, px, eps)
+
+
 class TestKnownChannelSchedule:
     def test_threshold_identities(self):
         s = channel_stats(CH, UNIFORM2)
@@ -369,6 +383,26 @@ class TestKnownChannelSchedule:
         n1 = (p.gamma1 + s.b) / s.drift
         p2 = asymptotic_schedule(n1, CH, UNIFORM2)
         assert p2.log_m == pytest.approx(100 * LN2, rel=1e-9)
+
+    @pytest.mark.parametrize("channel,px", [
+        (CH, UNIFORM2), (GaussianChannel(1.0), None),
+    ], ids=["bsc0.11", "awgn1"])
+    def test_message_count_inversion_computes_the_stats_once(
+        self, channel, px, monkeypatch
+    ):
+        cases = [(bits * LN2, eps) for bits in (20, 100, 500)
+                 for eps in (None, 0.05)]
+        expected = [_schedule_by_composition(lm, channel, px, eps)
+                    for lm, eps in cases]
+        calls = []
+        stats = bounds.channel_stats
+        monkeypatch.setattr(bounds, "channel_stats",
+                            lambda *a: calls.append(a) or stats(*a))
+        for (lm, eps), want in zip(cases, expected):
+            calls.clear()
+            got = asymptotic_schedule_for_message_count(lm, channel, px, eps)
+            assert got == want
+            assert len(calls) == 1
 
 
 class TestUniversalSchedule:

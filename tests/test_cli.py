@@ -1,6 +1,7 @@
 """Command-line interface: verbs, CSV schemas, config files, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -164,6 +165,16 @@ class TestSweepVerb:
                          "--schemes", "thm1,vlsf,converse",
                          "--out", str(out)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_standing_sweep_digest(self, tmp_path):
+        # a change that leaves the bounds' numbers alone leaves these bytes
+        # alone: the CSV's %.6f / %.2e formatting absorbs ulp-level noise
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
+                     "--N", "200:4000:200", "--schemes", "thm1,vlsf,converse",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4f5530cd8b74e840f981298b21e1fd54b08bfb564da0fd630698cded2aef53cd")
 
 
 class TestSimulateVerb:
@@ -434,6 +445,19 @@ class TestErrorHandling:
                 "--out", str(out)]
         assert main(argv) == 1
         assert f"error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", ["7", "inf"])
+    def test_d_rejected_for_gaussian_universal_schedule(self, d, tmp_path,
+                                                        capsys):
+        # universal_schedule_gaussian fixes d = 1/2
+        out = tmp_path / "u.csv"
+        assert main([
+            "simulate", "--variant", "uvlf_awgn", "--channel", "awgn:1",
+            "--M", "2^10", "--eps", "0.2", "--training", "64",
+            "--trials", "20", "--seed", "1", "--d", d, "--out", str(out),
+        ]) == 1
+        assert "--d" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_gaussian_power_is_a_bad_channel(self, tmp_path, capsys):

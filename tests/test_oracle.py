@@ -206,6 +206,18 @@ class TestCorrelationTail:
         assert corr_tail_exact(50, 0.4) > corr_tail_exact(50, 0.6)
         assert corr_tail_exact(50, 0.4) > corr_tail_exact(100, 0.4)
 
+    def test_exact_tail_is_the_beta_survival_function(self):
+        # the incomplete-beta form is what scipy.stats.beta.sf evaluates,
+        # so the two agree to the last bit
+        from scipy.stats import beta
+
+        for n, a in itertools.product(
+            (2, 3, 5, 10, 50, 200, 1000, 10**5),
+            (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999),
+        ):
+            assert corr_tail_exact(n, a) == 0.5 * float(
+                beta.sf(a * a, 0.5, (n - 1) / 2.0)), (n, a)
+
 
 class TestOvershootEstimate:
     def test_ladder_height_moments_against_closed_form(self):
