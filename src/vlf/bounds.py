@@ -433,8 +433,9 @@ def _stationary_point(lam, k, s):
     return u, dg, a_acc, u + log_w
 
 
-def optimize_params(channel, px, target_eps, target_n):
-    """Maximize log M subject to eps <= target_eps and n_avg <= target_n.
+def optimize_params(s, target_eps, target_n):
+    """Maximize log M subject to eps <= target_eps and n_avg <= target_n,
+    for the walk constants s = channel_stats(channel, px).
 
     G is maximized at the stationary point of G - lam eps' with multiplier
     lam = 0, or, when that point has eps' > target_eps, at the lam > 0 found
@@ -443,21 +444,22 @@ def optimize_params(channel, px, target_eps, target_n):
     from scipy.optimize import brentq
 
     _check_targets(target_eps, target_n)
-    s = channel_stats(channel, px)
     k = s.drift * target_n / (1.0 - target_eps)
 
     def eps_prime_at(lam):
         return _theorem1_terms(LN2, *_stationary_point(lam, k, s), s)[0]
 
-    lam = 0.0
-    if eps_prime_at(lam) > target_eps:
+    point = _stationary_point(0.0, k, s)
+    eps_prime, n_rest = _theorem1_terms(LN2, *point, s)
+    if eps_prime > target_eps:
         # eps' < (c_A + 1 + c_R/b)/K_lam, so eps' < target_eps at lam_hi
         lam_hi = (s.drift / s.div_accept + 1.0
                   + s.drift / (s.div_reject * s.b)) / target_eps - k
         lam = brentq(lambda l: math.log(eps_prime_at(l) / target_eps),
                      0.0, lam_hi)
-    u, dg, a_acc, a_rej = _stationary_point(lam, k, s)
-    eps_prime, n_rest = _theorem1_terms(LN2, u, dg, a_acc, a_rej, s)
+        point = _stationary_point(lam, k, s)
+        eps_prime, n_rest = _theorem1_terms(LN2, *point, s)
+    u, dg, a_acc, a_rej = point
     g_max = k * (1.0 - eps_prime) - s.drift * n_rest
     g1 = g_max + u
     # dg = 0 is a supremum at gamma_2 -> gamma_1; take the next float up
@@ -474,8 +476,9 @@ def optimize_params(channel, px, target_eps, target_n):
     return VlfParams(log_m, g1, g2, a_acc, a_rej, eps0), report
 
 
-def single_phase_bound(channel, px, target_eps, target_n):
-    """Best single-phase (decode-at-threshold, no confirmation) rate.
+def single_phase_bound(s, target_eps, target_n):
+    """Best single-phase (decode-at-threshold, no confirmation) rate, for the
+    walk constants s = channel_stats(channel, px).
 
     eps' = (M-1) e^{-gamma}, N' = (gamma + b)/C, same stop-at-time-zero
     sharing.  In u = gamma - log(M-1), G = K (1 - e^{-u}) - u - b peaks in
@@ -483,7 +486,6 @@ def single_phase_bound(channel, px, target_eps, target_n):
     best feasible log M.
     """
     _check_targets(target_eps, target_n)
-    s = channel_stats(channel, px)
     k = s.drift * target_n / (1.0 - target_eps)
     u = max(math.log(k), -math.log(target_eps))
     g_max = k * (1.0 - scaled_m_exp(LN2, u)) - (u + s.b)

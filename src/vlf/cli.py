@@ -34,6 +34,7 @@ from .bounds import (
     VlfParams,
     achievability_bound,
     asymptotic_schedule,
+    channel_stats,
     converse_bound,
     optimize_params,
     single_phase_bound,
@@ -364,7 +365,8 @@ def _cmd_optimize(opt):
     channel, px, spec = _resolve_channel(opt)
     eps = _require(opt, "eps", "--eps")
     n_target = _require(opt, "N", "--N")
-    params, report = optimize_params(channel, px, eps, n_target)
+    params, report = optimize_params(channel_stats(channel, px), eps,
+                                     n_target)
     _append_csv(opt["out"], _BOUND_HEADER,
                 [_bound_row("thm1", spec, n_target, report, params)])
     print(
@@ -402,16 +404,20 @@ def _cmd_sweep(opt):
                 except (KeyError, ValueError):
                     continue
     cap = _channel_capacity(channel)
+    # only the solvers need the walk constants; a converse-only sweep must
+    # not fail on a px (say 1,0) that gives the walk no drift
+    stats = (channel_stats(channel, px) if set(schemes) - {"converse"}
+             else None)
     rows = []
     for n_target in grid:
         for scheme in schemes:
             if (scheme, float(f"{n_target:.6f}")) in done:
                 continue
             if scheme == "thm1":
-                params, report = optimize_params(channel, px, eps, n_target)
+                params, report = optimize_params(stats, eps, n_target)
                 rows.append(_bound_row("thm1", spec, n_target, report, params))
             elif scheme == "vlsf":
-                report = single_phase_bound(channel, px, eps, n_target)
+                report = single_phase_bound(stats, eps, n_target)
                 rows.append(_bound_row("vlsf", spec, n_target, report, None))
             else:
                 log_m = converse_bound(cap, eps, n_target)

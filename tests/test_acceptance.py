@@ -61,8 +61,8 @@ def test_criterion_1_rate_ordering_across_blocklengths():
     checks = []
     details = []
     for n in (500.0, 1000.0, 2000.0, 4000.0):
-        _, two_phase = optimize_params(CH, UNIFORM2, eps, n)
-        single = single_phase_bound(CH, UNIFORM2, eps, n)
+        _, two_phase = optimize_params(channel_stats(CH, UNIFORM2), eps, n)
+        single = single_phase_bound(channel_stats(CH, UNIFORM2), eps, n)
         cv = converse_bound(BSC11_C, eps, n)
         checks.append(
             two_phase.log_m > single.log_m
@@ -71,7 +71,7 @@ def test_criterion_1_rate_ordering_across_blocklengths():
         )
         details.append(f"N={n:g}: {single.rate:.4f}<{two_phase.rate:.4f}<={cv / n:.4f}")
     rates = [
-        optimize_params(CH, UNIFORM2, eps, n)[1].rate
+        optimize_params(channel_stats(CH, UNIFORM2), eps, n)[1].rate
         for n in (500.0, 1000.0, 2000.0, 4000.0)
     ]
     checks.append(all(a < b for a, b in zip(rates, rates[1:])))
@@ -185,7 +185,7 @@ def test_criterion_8_second_order_logarithmic_penalty():
     grid = np.array([1e4, 1e5, 1e6])
     gaps = []
     for n in grid:
-        _, rep = optimize_params(CH, UNIFORM2, eps, float(n))
+        _, rep = optimize_params(channel_stats(CH, UNIFORM2), eps, float(n))
         gaps.append(n * BSC11_C / (1.0 - eps) - rep.log_m)
     coef = float(np.polyfit(np.log(grid), gaps, 1)[0])
     lo, hi = 0.2126 - 0.15, 0.2126 + 1.15
@@ -220,7 +220,8 @@ def test_criterion_10_universal_decoder_tracks_known_channel():
                        params=params, training_len=100_000, seed=0)
     est = run_monte_carlo(cfg, 10_000)
     universal_rate = 60 * LN2 / est.n_hat
-    _, known = optimize_params(CH, UNIFORM2, target_eps, est.n_hat)
+    _, known = optimize_params(channel_stats(CH, UNIFORM2), target_eps,
+                               est.n_hat)
     ratio = universal_rate / known.rate
     ok = est.eps_hi <= target_eps and ratio >= 0.8
     assert _report(

@@ -187,15 +187,15 @@ class TestConverse:
 class TestOptimization:
     def test_meets_both_targets(self):
         eps, n = 1e-3, 500.0
-        params, rep = optimize_params(CH, UNIFORM2, eps, n)
+        params, rep = optimize_params(channel_stats(CH, UNIFORM2), eps, n)
         assert rep.eps <= eps
         assert rep.n_avg <= n
         assert params.log_m == rep.log_m
 
     def test_two_phase_beats_single_phase_and_respects_converse(self):
         eps, n = 1e-3, 500.0
-        _, rep = optimize_params(CH, UNIFORM2, eps, n)
-        vl = single_phase_bound(CH, UNIFORM2, eps, n)
+        _, rep = optimize_params(channel_stats(CH, UNIFORM2), eps, n)
+        vl = single_phase_bound(channel_stats(CH, UNIFORM2), eps, n)
         cv = converse_bound(BSC11_C, eps, n)
         assert rep.log_m > vl.log_m
         assert rep.log_m <= cv
@@ -203,29 +203,30 @@ class TestOptimization:
 
     def test_single_phase_meets_targets(self):
         eps, n = 1e-3, 500.0
-        rep = single_phase_bound(CH, UNIFORM2, eps, n)
+        rep = single_phase_bound(channel_stats(CH, UNIFORM2), eps, n)
         assert rep.eps <= eps
         assert rep.n_avg <= n
 
     def test_rate_grows_with_length(self):
         rates = [
-            optimize_params(CH, UNIFORM2, 1e-3, n)[1].rate
+            optimize_params(channel_stats(CH, UNIFORM2), 1e-3, n)[1].rate
             for n in (300.0, 600.0, 1200.0)
         ]
         assert rates[0] < rates[1] < rates[2]
 
     def test_impossible_targets_raise(self):
         with pytest.raises(Infeasible):
-            single_phase_bound(CH, UNIFORM2, 1e-3, 0.5)
+            single_phase_bound(channel_stats(CH, UNIFORM2), 1e-3, 0.5)
 
     @pytest.mark.parametrize("solve", [optimize_params, single_phase_bound])
     def test_infinite_target_length_is_bad_input(self, solve):
         with pytest.raises(NotADistribution):
-            solve(CH, UNIFORM2, 1e-3, math.inf)
+            solve(channel_stats(CH, UNIFORM2), 1e-3, math.inf)
 
     def test_gaussian_targets(self):
         eps, n = 1e-3, 800.0
-        params, rep = optimize_params(GaussianChannel(1.0), None, eps, n)
+        params, rep = optimize_params(channel_stats(GaussianChannel(1.0)),
+                                      eps, n)
         assert rep.eps <= eps
         assert rep.n_avg <= n
         assert rep.log_m > 0
@@ -296,9 +297,9 @@ class TestOptimumInU:
     @pytest.mark.parametrize("name,eps,n", REFERENCE_GRID)
     def test_targets_met_under_a_plain_le(self, name, eps, n):
         ch, px = CHANNELS[name]
-        params, rep = optimize_params(ch, px, eps, n)
+        params, rep = optimize_params(channel_stats(ch, px), eps, n)
         assert rep == achievability_bound(params, ch, px)
-        single = single_phase_bound(ch, px, eps, n)
+        single = single_phase_bound(channel_stats(ch, px), eps, n)
         for r in (rep, single):
             assert r.eps <= eps
             assert r.n_avg <= n
@@ -306,7 +307,7 @@ class TestOptimumInU:
     @pytest.mark.parametrize("name,eps,n", REFERENCE_GRID)
     def test_reaches_the_multistart_reference(self, name, eps, n):
         ch, px = CHANNELS[name]
-        params, rep = optimize_params(ch, px, eps, n)
+        params, rep = optimize_params(channel_stats(ch, px), eps, n)
         assert rep.log_m >= _reference_log_m(channel_stats(ch, px), eps, n) - 1e-9
         check = achievability_bound(params, ch, px)
         assert check.eps <= eps
@@ -314,7 +315,7 @@ class TestOptimumInU:
 
     def test_active_error_constraint_is_not_under_reported(self):
         # eps' = eps binds here; a search that stalls on it reports 63.674
-        _, rep = optimize_params(CH, UNIFORM2, 1e-3, 200.0)
+        _, rep = optimize_params(channel_stats(CH, UNIFORM2), 1e-3, 200.0)
         assert rep.log_m >= 64.12
 
     def test_single_phase_closed_form(self):
@@ -324,7 +325,7 @@ class TestOptimumInU:
         k = s.drift * n / (1.0 - eps)
         u = -math.log(min(1.0 / k, eps))
         g = k * (1.0 - math.exp(-u)) - u - s.b
-        rep = single_phase_bound(CH, UNIFORM2, eps, n)
+        rep = single_phase_bound(channel_stats(CH, UNIFORM2), eps, n)
         assert rep.log_m == pytest.approx(g + math.log1p(math.exp(-g)),
                                           abs=1e-9)
 

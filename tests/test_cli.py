@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vlf import cli, engine
+from vlf import bounds, cli, engine
 from vlf.bounds import VlfParams
 from vlf.channel import bsc
 from vlf.cli import main
@@ -166,15 +166,48 @@ class TestSweepVerb:
                          "--out", str(out)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_standing_sweep_digest(self, tmp_path):
+    @pytest.mark.parametrize("spec,digest", [
+        (BSC, "4f5530cd8b74e840f981298b21e1fd54b08bfb564da0fd630698cded2aef53cd"),
+        ("awgn:1",
+         "0be5a23e6a42f13b745d3d241b450d98c46fac401943547f2977210cb2bf31d3"),
+        ("dmc:w3.txt",
+         "57f0b41503d60769b84590de32999691bf82c1cf703c4c9851db9dfb5875a4b7"),
+    ], ids=["bsc0.11", "awgn1", "dmc3"])
+    def test_standing_sweep_digest(self, spec, digest, tmp_path, monkeypatch):
         # a change that leaves the bounds' numbers alone leaves these bytes
-        # alone: the CSV's %.6f / %.2e formatting absorbs ulp-level noise
+        # alone: the CSV's %.6f / %.2e formatting absorbs ulp-level noise.
+        # The spec column is hashed too, so the DMC file has a relative path.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w3.txt").write_text(
+            "0.8 0.1 0.1\n0.1 0.8 0.1\n0.1 0.1 0.8\n")
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
+        assert main(["sweep", "--channel", spec, "--eps", "1e-3",
                      "--N", "200:4000:200", "--schemes", "thm1,vlsf,converse",
                      "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4f5530cd8b74e840f981298b21e1fd54b08bfb564da0fd630698cded2aef53cd")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", [BSC, "awgn:1"], ids=["bsc0.11", "awgn1"])
+    def test_sweep_computes_the_walk_constants_once(
+        self, spec, tmp_path, monkeypatch
+    ):
+        calls = []
+        stats = bounds.channel_stats
+        for module in (bounds, cli):
+            monkeypatch.setattr(module, "channel_stats",
+                                lambda *a: calls.append(a) or stats(*a),
+                                raising=False)
+        assert main(["sweep", "--channel", spec, "--eps", "1e-3",
+                     "--N", "200:4000:200", "--schemes", "thm1,vlsf,converse",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 1
+
+    def test_converse_only_sweep_needs_no_walk_constants(self, tmp_path):
+        # px = (1, 0) gives the walk no drift, but the converse needs only C
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--channel", BSC, "--px", "1,0", "--eps", "1e-3",
+                     "--N", "200:400:200", "--schemes", "converse",
+                     "--out", str(out)]) == 0
+        assert [r["scheme"] for r in _rows(out)] == ["converse"] * 2
 
 
 class TestSimulateVerb:
