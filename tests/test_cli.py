@@ -1,7 +1,6 @@
 """Command-line interface: verbs, CSV schemas, config files, exit codes."""
 
 import csv
-import hashlib
 import json
 import math
 import re
@@ -165,26 +164,6 @@ class TestSweepVerb:
                          "--schemes", "thm1,vlsf,converse",
                          "--out", str(out)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    @pytest.mark.parametrize("spec,digest", [
-        (BSC, "4f5530cd8b74e840f981298b21e1fd54b08bfb564da0fd630698cded2aef53cd"),
-        ("awgn:1",
-         "0be5a23e6a42f13b745d3d241b450d98c46fac401943547f2977210cb2bf31d3"),
-        ("dmc:w3.txt",
-         "57f0b41503d60769b84590de32999691bf82c1cf703c4c9851db9dfb5875a4b7"),
-    ], ids=["bsc0.11", "awgn1", "dmc3"])
-    def test_standing_sweep_digest(self, spec, digest, tmp_path, monkeypatch):
-        # a change that leaves the bounds' numbers alone leaves these bytes
-        # alone: the CSV's %.6f / %.2e formatting absorbs ulp-level noise.
-        # The spec column is hashed too, so the DMC file has a relative path.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "w3.txt").write_text(
-            "0.8 0.1 0.1\n0.1 0.8 0.1\n0.1 0.1 0.8\n")
-        out = tmp_path / "s.csv"
-        assert main(["sweep", "--channel", spec, "--eps", "1e-3",
-                     "--N", "200:4000:200", "--schemes", "thm1,vlsf,converse",
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("spec", [BSC, "awgn:1"], ids=["bsc0.11", "awgn1"])
     def test_sweep_computes_the_walk_constants_once(
