@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -217,6 +216,19 @@ def _build_parser():
     return top
 
 
+class _Options(dict):
+    """A verb's merged option values, None when unset, that note which
+    ones the verb reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
 def _merge_options(args, verb):
     """Config-file values under command-line values, all cast by the verb's
     option table; unknown config keys are rejected.  Keys may use either the
@@ -234,7 +246,7 @@ def _merge_options(args, verb):
             f"unknown config key(s) for {verb}: {', '.join(unknown)}"
         )
     filevals = {alias[k]: v for k, v in raw_file.items()}
-    merged = dict.fromkeys(opts)
+    merged = _Options(dict.fromkeys(opts))
     for dest, (flag, caster, _help) in opts.items():
         raw = getattr(args, dest)
         if raw is None:
@@ -257,12 +269,29 @@ def _resolve_channel(opt):
     spec = _require(opt, "channel", "--channel")
     channel = parse_channel_spec(spec)
     if isinstance(channel, Dmc):
-        px = opt.get("px")
+        px = opt["px"]
         if px is None:
             px = np.full(channel.matrix.shape[0],
                          1.0 / channel.matrix.shape[0])
         return channel, px, spec
     return channel, None, spec
+
+
+def _commit(opt, header):
+    """The verb's CSV path, once it has read every option its resolved path
+    needs: an option set but not read (a --px the Gaussian channel has no
+    use for, an --N1 next to explicit thresholds) is an error that names
+    it, and a CSV of another schema is refused, before anything runs or is
+    written."""
+    out = opt["out"]
+    unread = [_OPTIONS[name][0] for name, value in opt.items()
+              if value is not None and name not in opt.read]
+    if unread:
+        raise _CliError(f"{', '.join(unread)} not read by this run; "
+                        "remove or change the other options")
+    if out is not None:
+        _needs_header(out, header)
+    return out
 
 
 def _needs_header(path, header):
@@ -340,18 +369,34 @@ def _explicit_params(opt):
     )
 
 
+def _schedule(opt, channel, px, kind=None):
+    """VlfParams from, in order: explicit --gamma1/--gamma2/--aA/--aR, --N1
+    for a known channel (kind None or not universal), or the universal
+    recipe of the metric kind."""
+    params = _explicit_params(opt)
+    if params is not None:
+        return params
+    if kind is None or not kind.universal:
+        if opt["N1"] is None:
+            raise _CliError("give --gamma1/--gamma2/--aA/--aR (with --M) "
+                            "or --N1")
+        return asymptotic_schedule(opt["N1"], channel, px, eps=opt["eps"])
+    log_m = _require(opt, "M", "--M")
+    eps = _require(opt, "eps", "--eps")
+    slack = _given(opt, delta="delta")
+    if kind.gaussian:  # its schedule fixes d = 1/2
+        return universal_schedule_gaussian(log_m, eps, **slack)
+    num_x, num_y = channel.matrix.shape
+    d = opt["d"] if opt["d"] is not None else kind.schedule_d
+    return universal_schedule(log_m, num_x, num_y, eps, d=d, **slack)
+
+
 def _cmd_bound(opt):
     channel, px, spec = _resolve_channel(opt)
-    params = _explicit_params(opt)
-    if params is None:
-        if opt["N1"] is None:
-            raise _CliError(
-                "bound needs either --gamma1/--gamma2/--aA/--aR (with --M) "
-                "or --N1"
-            )
-        params = asymptotic_schedule(opt["N1"], channel, px, eps=opt["eps"])
+    params = _schedule(opt, channel, px)
+    out = _commit(opt, _BOUND_HEADER)
     report = achievability_bound(params, channel, px)
-    _append_csv(opt["out"], _BOUND_HEADER,
+    _append_csv(out, _BOUND_HEADER,
                 [_bound_row("thm1", spec, report.n_avg, report, params)])
     print(
         f"thm1 bound @ {spec}: logM = {report.log_m:.6f} nats "
@@ -365,9 +410,10 @@ def _cmd_optimize(opt):
     channel, px, spec = _resolve_channel(opt)
     eps = _require(opt, "eps", "--eps")
     n_target = _require(opt, "N", "--N")
+    out = _commit(opt, _BOUND_HEADER)
     params, report = optimize_params(channel_stats(channel, px), eps,
                                      n_target)
-    _append_csv(opt["out"], _BOUND_HEADER,
+    _append_csv(out, _BOUND_HEADER,
                 [_bound_row("thm1", spec, n_target, report, params)])
     print(
         f"optimize @ {spec}, eps <= {eps:.2e}, N <= {n_target:.6f}: "
@@ -392,11 +438,10 @@ def _cmd_sweep(opt):
     for s in schemes:
         if s not in ("thm1", "vlsf", "converse"):
             raise _CliError(f"unknown scheme {s!r} (use thm1, vlsf, converse)")
+    resume = opt["resume"]
+    out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
     done = set()
-    out = opt["out"]
-    if out is not None:
-        _needs_header(out, _BOUND_HEADER)  # refuse before the sweep runs
-    if opt["resume"] and out and os.path.exists(out):
+    if resume and out and os.path.exists(out):
         with open(out, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 try:
@@ -442,44 +487,26 @@ _SIM_HEADER = [
 ]
 
 
-def _sim_params(opt, variant, channel, px):
-    params = _explicit_params(opt)
-    if params is not None:
-        return params
-    kind = metric_kind(variant)
-    if not kind.universal:
-        n1 = _require(opt, "N1", "--N1")
-        return asymptotic_schedule(n1, channel, px, eps=opt["eps"])
-    log_m = _require(opt, "M", "--M")
-    eps = _require(opt, "eps", "--eps")
-    slack = _given(opt, delta="delta")
-    if kind.gaussian:
-        if opt["d"] is not None:
-            raise _CliError(f"--d does not apply to {variant}: its schedule "
-                            "fixes d = 1/2")
-        return universal_schedule_gaussian(log_m, eps, **slack)
-    num_x, num_y = channel.matrix.shape
-    d = opt["d"] if opt["d"] is not None else kind.schedule_d
-    return universal_schedule(log_m, num_x, num_y, eps, d=d, **slack)
-
-
 def _cmd_simulate(opt):
     channel, px, spec = _resolve_channel(opt)
     variant = _require(opt, "variant", "--variant")
     seed = _require(opt, "seed", "--seed")
     trials = _require(opt, "trials", "--trials")
-    params = _sim_params(opt, variant, channel, px)
-    cfg = SchemeConfig(
-        variant=variant, channel=channel, px=px, params=params, seed=seed,
-        **_given(opt, training_len="training", n_max="n_max", c2="c2"),
-    )
-    if opt["out"] is not None:
-        _needs_header(opt["out"], _SIM_HEADER)  # refuse before the run
-    rec = trial_records(cfg, trials, **_given(opt, workers="workers"))
-    if opt["trace"]:
-        with open(opt["trace"], "w", encoding="utf-8") as fh:
+    kind = metric_kind(variant)
+    params = _schedule(opt, channel, px, kind)
+    given = _given(opt, n_max="n_max")
+    if kind.universal:  # a known channel trains on nothing
+        given.update(_given(opt, training_len="training", c2="c2"))
+    cfg = SchemeConfig(variant=variant, channel=channel, px=px,
+                       params=params, seed=seed, **given)
+    workers = _given(opt, workers="workers")
+    trace = opt["trace"]
+    out = _commit(opt, _SIM_HEADER)  # refuse before the run
+    rec = trial_records(cfg, trials, **workers)
+    if trace:
+        with open(trace, "w", encoding="utf-8") as fh:
             for i, row in enumerate(rec):
-                outcome = asdict(TrialOutcome.from_record(row))
+                outcome = TrialOutcome.from_record(row)._asdict()
                 fh.write(json.dumps({"trial": i, **outcome}) + "\n")
     est = aggregate_records(cfg, rec)
     p = params
@@ -494,7 +521,7 @@ def _cmd_simulate(opt):
         _fmt_rate(est.power_hat) if est.power_hat is not None else "",
         _fmt_prob(est.censor_rate),
     ]
-    _append_csv(opt["out"], _SIM_HEADER, [row])
+    _append_csv(out, _SIM_HEADER, [row])
     power = (
         f", power_hat = {est.power_hat:.6f}" if est.power_hat is not None
         else ""
@@ -508,6 +535,9 @@ def _cmd_simulate(opt):
     return 0
 
 
+_ORACLE_HEADER = ["n", "gamma", "exact", "bound", "ratio"]
+
+
 def _cmd_oracle(opt):
     from .oracle import exact_mi_tail, mi_tail_bound
 
@@ -516,6 +546,7 @@ def _cmd_oracle(opt):
         raise _CliError("oracle needs a finite-alphabet channel")
     n = _require(opt, "n", "--n")
     grid = _require(opt, "gamma", "--gamma")
+    out = _commit(opt, _ORACLE_HEADER)
     py = px @ channel.matrix
     k_exp, _d = tail_exponents(px.size, py.size)
     exact = exact_mi_tail(n, px, py, np.asarray(grid, dtype=float))
@@ -529,7 +560,7 @@ def _cmd_oracle(opt):
             str(n), _fmt_rate(g), _fmt_prob(e), _fmt_prob(b),
             _fmt_rate(ratio),
         ])
-    _append_csv(opt["out"], ["n", "gamma", "exact", "bound", "ratio"], rows)
+    _append_csv(out, _ORACLE_HEADER, rows)
     print(
         f"oracle @ {spec}, n = {n}: {len(rows)} threshold(s), "
         f"worst exact/bound ratio = {worst:.6f}"
@@ -557,10 +588,7 @@ def main(argv=None):
     except (Infeasible, EpsTooSmall, HorizonTooSmall) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (VlfError, OSError, ValueError) as exc:
+    except (_CliError, VlfError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -123,14 +124,14 @@ class SchemeConfig:
                     "universal confirmation needs at least two channel inputs"
                 )
         if self.n_max is not None and self.n_max < 1:
-            raise HorizonTooSmall(f"n_max must be positive, got {self.n_max}")
+            raise VlfError(f"n_max must be positive, got {self.n_max}")
         if self.c2 is not None and not (1 < self.c2 < math.inf):
             raise VlfError(f"c2 must be finite and exceed 1, got {self.c2}")
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated protocol run."""
+class TrialOutcome(NamedTuple):
+    """One simulated protocol run.  Its fields, as floats in this order,
+    are one row of ``trial_records``."""
 
     correct: bool
     tau: int
@@ -143,12 +144,12 @@ class TrialOutcome:
 
     @classmethod
     def from_record(cls, row):
-        """The outcome one row of ``trial_records`` stores."""
-        correct, tau, len_c1, len_ht, len_c2, energy, censored, zero = (
-            float(v) for v in row
-        )
-        return cls(bool(correct), int(tau), int(len_c1), int(len_ht),
-                   int(len_c2), energy, bool(censored), bool(zero))
+        """The outcome one row of ``trial_records`` stores, each value cast
+        back to its field's type."""
+        return cls(*(kind(v) for kind, v in zip(_FIELD_TYPES, row)))
+
+
+_FIELD_TYPES = tuple(get_type_hints(TrialOutcome).values())
 
 
 @dataclass(frozen=True)
@@ -623,10 +624,11 @@ def _outcome(rt, rng, ecum, len_c1, len_ht, stop, correct=False):
     """The record of a run by the censoring rule ``simulate_trial`` states:
     phase 1 took len_c1 walk symbols, the confirmation test len_ht control
     symbols (its budget keeps len_c1 + len_ht <= n_max), and the walk stops
-    at walk time `stop`, or None when it does not stop.  ecum is the
-    running input energy of the walk as drawn (None for finite alphabets);
-    the k charged walk symbols past it, if any, get energy P chi2_k drawn
-    from rng, the trial's last draw.
+    at walk time `stop`, or None when it does not stop.  Only the stop at
+    time zero has stop = len_c1 = len_ht = 0, so tau = 0 marks it.  ecum is
+    the running input energy of the walk as drawn (None for finite
+    alphabets, and at time zero); the k charged walk symbols past it, if
+    any, get energy P chi2_k drawn from rng, the trial's last draw.
     """
     censored = stop is None or stop + len_ht > rt.n_max
     if censored:
@@ -637,15 +639,16 @@ def _outcome(rt, rng, ecum, len_c1, len_ht, stop, correct=False):
         energy = float(ecum[walked - 1]) + len_ht * rt.metric.power
         if stop > walked:
             energy += rt.metric.power * rng.chisquare(stop - walked)
+    tau = int(stop + len_ht)
     return TrialOutcome(
         correct=bool(correct) and not censored,
-        tau=int(stop + len_ht),
+        tau=tau,
         len_c1=int(len_c1),
         len_ht=int(len_ht),
         len_c2=int(stop - len_c1),
         energy=energy,
         censored=censored,
-        stopped_at_zero=False,
+        stopped_at_zero=tau == 0,
     )
 
 
@@ -671,10 +674,7 @@ def simulate_trial(cfg, trial_index, _runtime=None):
            if m.universal else None)
 
     if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
-        return TrialOutcome(
-            correct=False, tau=0, len_c1=0, len_ht=0, len_c2=0,
-            energy=0.0, censored=False, stopped_at_zero=True,
-        )
+        return _outcome(rt, rng, None, 0, 0, 0)
 
     tau1_true, tau2_true, y, ecum = _true_walk(rng, rt)
     if tau1_true is None:
@@ -708,13 +708,6 @@ def simulate_trial(cfg, trial_index, _runtime=None):
 # Monte Carlo aggregation
 
 
-def _record(o):
-    return (
-        float(o.correct), float(o.tau), float(o.len_c1), float(o.len_ht),
-        float(o.len_c2), o.energy, float(o.censored), float(o.stopped_at_zero),
-    )
-
-
 # The runtime of the configuration a pool worker serves, set once per
 # worker by the pool initializer; None outside pool workers.
 _WORKER_RUNTIME = None
@@ -729,9 +722,9 @@ def _run_chunk(cfg, lo, hi):
     """Records of trials lo..hi-1, from the worker's runtime, or from a
     runtime built here outside a pool."""
     rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
-    out = np.empty((hi - lo, 8))
+    out = np.empty((hi - lo, len(TrialOutcome._fields)))
     for i in range(lo, hi):
-        out[i - lo] = _record(simulate_trial(cfg, i, _runtime=rt))
+        out[i - lo] = simulate_trial(cfg, i, _runtime=rt)
     return out
 
 
@@ -795,9 +788,9 @@ def run_monte_carlo(cfg, trials, workers=1):
 def aggregate_records(cfg, rec):
     """McEstimate over the in-order records of ``trial_records``."""
     trials = rec.shape[0]
-    correct, tau = rec[:, 0], rec[:, 1]
-    energy, censored = rec[:, 5], rec[:, 6]
-    errors = float(np.sum(1.0 - correct))
+    runs = TrialOutcome(*rec.T)
+    tau, energy = runs.tau, runs.energy
+    errors = float(np.sum(1.0 - runs.correct))
     eps_hat, eps_lo, eps_hi = _wilson(errors, trials)
     n_hat = float(tau.mean())
     degenerate = trials < 2
@@ -816,16 +809,12 @@ def aggregate_records(cfg, rec):
                 power_lo = power_hi = math.nan
             else:
                 resid = energy - power_hat * tau
-                se = (
-                    math.sqrt(float(np.sum(resid * resid)) / (trials - 1))
-                    / math.sqrt(trials)
-                    / float(tau.mean())
-                )
+                se = (math.sqrt(float(np.sum(resid * resid)) / (trials - 1))
+                      / math.sqrt(trials) / n_hat)
                 power_lo = power_hat - _Z95 * se
                 power_hi = power_hat + _Z95 * se
         else:
-            power_hat = math.nan
-            power_lo = power_hi = math.nan
+            power_hat = power_lo = power_hi = math.nan
     return McEstimate(
         eps_hat=eps_hat,
         eps_lo=eps_lo,
@@ -836,7 +825,7 @@ def aggregate_records(cfg, rec):
         power_hat=power_hat,
         power_lo=power_lo,
         power_hi=power_hi,
-        censor_rate=float(censored.mean()),
+        censor_rate=float(runs.censored.mean()),
         trials=int(trials),
         degenerate=degenerate,
     )

@@ -218,7 +218,7 @@ def test_criterion_10_universal_decoder_tracks_known_channel():
     params = universal_schedule(60 * LN2, 2, 2, target_eps, d=1.0)
     cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                        params=params, training_len=100_000, seed=0)
-    est = run_monte_carlo(cfg, 10_000)
+    est = run_monte_carlo(cfg, 10_000, workers=2)
     universal_rate = 60 * LN2 / est.n_hat
     _, known = optimize_params(channel_stats(CH, UNIFORM2), target_eps,
                                est.n_hat)

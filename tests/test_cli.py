@@ -411,6 +411,83 @@ class TestConfigFile:
         assert main(["bound", "--config", str(cfg), "--N1", "2000"]) == 1
 
 
+_EXPLICIT = ["--M", "2^6", "--gamma1", "8", "--gamma2", "13", "--aA", "3",
+             "--aR", "3"]
+_SIM = ["--trials", "10", "--seed", "1"]
+# (base argv that runs, the option its resolved path does not read)
+_UNREAD_CASES = {
+    "bound-awgn-px": (["bound", "--channel", "awgn:1", "--N1", "2000",
+                       "--eps", "1e-3"], ["--px", "0.5,0.5"]),
+    "optimize-awgn-px": (["optimize", "--channel", "awgn:1", "--eps", "1e-3",
+                          "--N", "500"], ["--px", "0.5,0.5"]),
+    "simulate-awgn-px": (["simulate", "--variant", "vlf_awgn", "--channel",
+                          "awgn:1", *_EXPLICIT, *_SIM], ["--px", "0.5,0.5"]),
+    "sweep-awgn-px": (["sweep", "--channel", "awgn:1", "--eps", "1e-3",
+                       "--N", "200:400:200", "--schemes", "thm1,converse"],
+                      ["--px", "0.5,0.5"]),
+    "bound-N1-M": (["bound", "--channel", BSC, "--N1", "2000"],
+                   ["--M", "2^10"]),
+    "bound-N1-eps0": (["bound", "--channel", BSC, "--N1", "2000"],
+                      ["--eps0", "0.01"]),
+    "simulate-N1-M": (["simulate", "--variant", "vlf_dmc", "--channel", BSC,
+                       "--N1", "60", *_SIM], ["--M", "2^10"]),
+    "simulate-N1-eps0": (["simulate", "--variant", "vlf_dmc", "--channel",
+                          BSC, "--N1", "60", *_SIM], ["--eps0", "0.01"]),
+    "bound-explicit-N1": (["bound", "--channel", BSC, *_EXPLICIT],
+                          ["--N1", "2000"]),
+    "bound-explicit-eps": (["bound", "--channel", BSC, *_EXPLICIT],
+                           ["--eps", "1e-3"]),
+    **{f"simulate-explicit-{flag[2:]}": (
+        ["simulate", "--variant", "vlf_dmc", "--channel", BSC, *_EXPLICIT,
+         *_SIM], [flag, value])
+       for flag, value in [("--N1", "2000"), ("--eps", "1e-3"), ("--d", "1"),
+                           ("--delta", "0.2")]},
+    **{f"universal-{flag[2:]}": (
+        ["simulate", "--variant", "uvlf_bsc", "--channel", BSC, "--M", "2^60",
+         "--eps", "0.05", "--training", "64", *_SIM], [flag, value])
+       for flag, value in [("--N1", "2000"), ("--eps0", "0.01")]},
+    **{f"{variant}-{flag[2:]}": (
+        ["simulate", "--variant", variant, "--channel", spec, *_EXPLICIT,
+         *_SIM], [flag, value])
+       for variant, spec in [("vlf_dmc", BSC), ("vlf_awgn", "awgn:1")]
+       for flag, value in [("--training", "64"), ("--c2", "3")]},
+}
+
+
+class TestUnreadOptions:
+    """An option the resolved path does not read exits 1 and names it."""
+
+    @pytest.mark.parametrize("case", list(_UNREAD_CASES))
+    def test_unread_option_exits_one_before_any_output(self, case, tmp_path,
+                                                       capsys):
+        base, extra = _UNREAD_CASES[case]
+        assert main(base) == 0  # the run itself is fine without it
+        capsys.readouterr()
+        out, trace = tmp_path / "o.csv", tmp_path / "t.jsonl"
+        argv = base + extra + ["--out", str(out)]
+        if base[0] == "simulate":
+            argv += ["--trace", str(trace)]
+        assert main(argv) == 1
+        err = capsys.readouterr()
+        assert extra[0] in err.err and err.out == ""
+        assert not out.exists() and not trace.exists()
+
+    def test_config_file_value_counts_as_set(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("px = 0.5,0.5\n")
+        assert main(["optimize", "--config", str(cfg), "--channel", "awgn:1",
+                     "--eps", "1e-3", "--N", "500"]) == 1
+        assert "--px" in capsys.readouterr().err
+
+    def test_non_positive_horizon_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--variant", "vlf_dmc", "--channel", BSC,
+                     *_EXPLICIT, *_SIM, "--n-max", "0",
+                     "--out", str(out)]) == 1
+        assert "error: n_max must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestErrorHandling:
     def test_unknown_verb_and_flag_exit_one(self):
         assert main(["transmogrify"]) == 1

@@ -1,7 +1,6 @@
 """Monte Carlo engine: trial mechanics, determinism, estimates."""
 
 import ast
-import dataclasses
 import math
 import os
 import pickle
@@ -187,6 +186,12 @@ class TestConfigValidation:
     def test_horizon_below_safety_floor(self):
         with pytest.raises(HorizonTooSmall):
             run_monte_carlo(_cfg(n_max=10), 1)
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_non_positive_horizon_is_bad_input_not_infeasible(self, n_max):
+        with pytest.raises(VlfError) as err:
+            _cfg(n_max=n_max)
+        assert not isinstance(err.value, HorizonTooSmall)
 
     def test_second_phase_cap_must_exceed_one(self):
         with pytest.raises(VlfError):
@@ -529,7 +534,7 @@ class TestDeterminismAndAggregation:
     def test_streaming_aggregation_equals_batch(self):
         cfg = _cfg()
         streamed = aggregate_records(cfg, np.array(
-            [dataclasses.astuple(simulate_trial(cfg, i)) for i in range(300)]
+            [simulate_trial(cfg, i) for i in range(300)]
         ))
         batch = run_monte_carlo(cfg, 300)
         assert streamed == batch
