@@ -28,7 +28,8 @@ import numpy as np
 
 from .channel import (
     GaussianChannel,
-    _as_prob_vector,
+    _as_step_law,
+    _positive_drift,
     binary_entropy,
     control_pair,
     information_density_table,
@@ -39,7 +40,6 @@ from .errors import (
     EpsTooSmall,
     HorizonTooSmall,
     Infeasible,
-    NonPositiveDrift,
     NotADistribution,
     VlfError,
 )
@@ -105,13 +105,8 @@ class ChannelStats:
 
 def overshoot_constant(values, probs):
     """b(X) = min{ E[(X^+)^2]/E[X], ess sup X } for a finite discrete law."""
-    v = np.asarray(values, dtype=float)
-    p = _as_prob_vector(probs, "probs")
-    if v.shape != p.shape:
-        raise NotADistribution("values and probs must be matching 1-D vectors")
-    mean = float(np.dot(v, p))
-    if mean <= 0:
-        raise NonPositiveDrift(f"E[X] = {mean} <= 0")
+    v, p = _as_step_law(values, probs)
+    mean = _positive_drift(float(np.dot(v, p)), "E[X]")
     pos = np.clip(v, 0.0, None)
     ratio = float(np.dot(pos * pos, p)) / mean
     return min(ratio, float(v[p > 0].max()))
@@ -120,9 +115,7 @@ def overshoot_constant(values, probs):
 def dmc_stats(dmc, px):
     """Walk constants for a DMC with the given input distribution."""
     px = np.asarray(px, dtype=float)
-    drift = mutual_information(px, dmc)
-    if drift <= 0:
-        raise NonPositiveDrift(f"I(px, W) = {drift} <= 0")
+    drift = _positive_drift(mutual_information(px, dmc), "I(px, W)")
     dens = information_density_table(px, dmc)
     joint = px[:, None] * dmc.matrix
     b = overshoot_constant(dens.ravel(), joint.ravel())
@@ -345,11 +338,12 @@ def universal_schedule_gaussian(log_m, eps, delta=0.1):
 # so the largest log M is softplus(max G), with no search over M.
 
 
-def _check_targets(target_eps, target_n):
-    if not (0 < target_eps < 1):
-        raise NotADistribution(f"target_eps must be in (0,1), got {target_eps}")
+def _scaled_length(s, target_eps, target_n):
+    """K = C N/(1 - eps) of both solvers, for checked targets."""
+    _check_eps(target_eps)
     if not (0 < target_n < math.inf):
         raise NotADistribution(f"need finite target_n > 0, got {target_n}")
+    return s.drift * target_n / (1.0 - target_eps)
 
 
 def _eps0_cap(target_eps, eps_prime):
@@ -443,8 +437,7 @@ def optimize_params(s, target_eps, target_n):
     """
     from scipy.optimize import brentq
 
-    _check_targets(target_eps, target_n)
-    k = s.drift * target_n / (1.0 - target_eps)
+    k = _scaled_length(s, target_eps, target_n)
 
     def eps_prime_at(lam):
         return _theorem1_terms(LN2, *_stationary_point(lam, k, s), s)[0]
@@ -485,8 +478,7 @@ def single_phase_bound(s, target_eps, target_n):
     closed form at e^{-u} = min(1/K, target_eps).  Returns the report of the
     best feasible log M.
     """
-    _check_targets(target_eps, target_n)
-    k = s.drift * target_n / (1.0 - target_eps)
+    k = _scaled_length(s, target_eps, target_n)
     u = max(math.log(k), -math.log(target_eps))
     g_max = k * (1.0 - scaled_m_exp(LN2, u)) - (u + s.b)
     g = g_max + u

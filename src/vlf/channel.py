@@ -20,7 +20,9 @@ from .errors import (
     AbsoluteContinuityViolation,
     DimensionMismatch,
     NonConvergence,
+    NonPositiveDrift,
     NotADistribution,
+    VlfError,
     ZeroOutputMass,
 )
 
@@ -47,9 +49,38 @@ def _as_prob_vector(p, name="p"):
     return v
 
 
+def _as_input_law(px, dmc):
+    """px as a float vector, checked to be a distribution over the inputs
+    of the Dmc `dmc`."""
+    p = _as_prob_vector(px, "px")
+    if p.size != dmc.matrix.shape[0]:
+        raise DimensionMismatch(
+            f"px has {p.size} entries for {dmc.matrix.shape[0]} inputs"
+        )
+    return p
+
+
+def _as_step_law(values, probs):
+    """(values, probs) of a finite discrete step law as float vectors,
+    probs checked to be a distribution and values to match it."""
+    v = np.asarray(values, dtype=float)
+    p = _as_prob_vector(probs, "step probabilities")
+    if v.shape != p.shape:
+        raise NotADistribution("values and probs must be matching 1-D vectors")
+    return v, p
+
+
+def _positive_drift(mean, name="mean step"):
+    """mean, checked to be a positive walk drift (NaN is not)."""
+    if not mean > 0:
+        raise NonPositiveDrift(f"{name} = {mean} is not positive")
+    return mean
+
+
 @dataclass(frozen=True)
 class Dmc:
-    """Discrete memoryless channel with a strictly positive transition matrix."""
+    """Discrete memoryless channel with a strictly positive transition
+    matrix; a bad entry or row sum is named by its 1-based row and column."""
 
     matrix: np.ndarray
 
@@ -59,17 +90,19 @@ class Dmc:
             raise DimensionMismatch(
                 f"transition matrix must be 2-D with >=2 outputs, got shape {w.shape}"
             )
-        if np.any(w <= 0):
-            x, y = np.argwhere(w <= 0)[0]
+        bad = ~(w > 0)  # NaN is not positive
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
             raise NotADistribution(
-                f"transition matrix entry ({x},{y}) = {w[x, y]} is not strictly positive"
+                f"row {x + 1}, column {y + 1}: entry {w[x, y]} must be "
+                "strictly positive"
             )
         sums = w.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
+        bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+        if bad.any():
             x = int(np.argmax(bad))
             raise NotADistribution(
-                f"row {x} sums to {sums[x]!r}, off by more than {ROW_SUM_TOL}"
+                f"row {x + 1} sums to {sums[x]!r}, off by more than {ROW_SUM_TOL}"
             )
         w = w.copy()
         w.setflags(write=False)
@@ -141,10 +174,8 @@ def entropy(p):
 
 def mutual_information(px, dmc):
     """I(P_X, W) = sum_x px(x) D(W(.|x) || P_Y) in nats."""
-    p = _as_prob_vector(px, "px")
+    p = _as_input_law(px, dmc)
     w = dmc.matrix
-    if p.size != w.shape[0]:
-        raise DimensionMismatch(f"px has {p.size} entries for {w.shape[0]} inputs")
     py = p @ w
     mask = p > 0
     rows = w[mask]
@@ -207,12 +238,7 @@ def binary_entropy(q):
 
 
 def output_distribution(px, dmc):
-    p = _as_prob_vector(px, "px")
-    if p.size != dmc.matrix.shape[0]:
-        raise DimensionMismatch(
-            f"px has {p.size} entries for {dmc.matrix.shape[0]} inputs"
-        )
-    return p @ dmc.matrix
+    return _as_input_law(px, dmc) @ dmc.matrix
 
 
 def information_density_table(px, dmc):
@@ -237,7 +263,8 @@ def gaussian_information_density(chan, x, y):
 def load_dmc(path):
     """Read a whitespace-separated transition matrix, one row per line.
 
-    Validation failures name the offending row and column.
+    Failures name the file and the offending line, or the matrix row and
+    column that ``Dmc`` rejects (blank and comment lines are not rows).
     """
     rows = []
     with open(path) as fh:
@@ -249,7 +276,7 @@ def load_dmc(path):
                 row = [float(tok) for tok in text.split()]
             except ValueError as exc:
                 raise NotADistribution(
-                    f"{path}: row {lineno}: unparseable entry ({exc})"
+                    f"{path}: line {lineno}: unparseable entry ({exc})"
                 ) from None
             rows.append((lineno, row))
     if not rows:
@@ -258,22 +285,12 @@ def load_dmc(path):
     for lineno, row in rows:
         if len(row) != width:
             raise DimensionMismatch(
-                f"{path}: row {lineno} has {len(row)} columns, expected {width}"
+                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
             )
-    mat = np.array([row for _, row in rows], dtype=float)
-    for i, (lineno, _) in enumerate(rows):
-        for j in range(width):
-            if mat[i, j] <= 0:
-                raise NotADistribution(
-                    f"{path}: row {lineno}, column {j + 1}: entry {mat[i, j]} "
-                    "must be strictly positive"
-                )
-        s = mat[i].sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise NotADistribution(
-                f"{path}: row {lineno} sums to {s!r}, not 1 within {ROW_SUM_TOL}"
-            )
-    return Dmc(mat)
+    try:
+        return Dmc(np.array([row for _, row in rows], dtype=float))
+    except VlfError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_channel_spec(spec):
@@ -292,8 +309,6 @@ def parse_channel_spec(spec):
             ) from None
         if kind == "bsc":
             return bsc(value)
-        if value <= 0:
-            raise NotADistribution(f"awgn snr must be positive, got {arg!r}")
         return GaussianChannel(power=value, noise_variance=1.0)
     if kind == "dmc":
         if not os.path.exists(arg):

@@ -40,7 +40,13 @@ from .bounds import (
     universal_schedule,
     universal_schedule_gaussian,
 )
-from .channel import Dmc, GaussianChannel, capacity, parse_channel_spec
+from .channel import (
+    Dmc,
+    GaussianChannel,
+    _as_input_law,
+    capacity,
+    parse_channel_spec,
+)
 from .empirical import tail_exponents
 from .engine import (
     SchemeConfig,
@@ -52,6 +58,7 @@ from .engine import (
 from .errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
 
 _LN2 = math.log(2.0)
+_GRID_CAP = 10**6  # most points a grid may hold
 
 
 class _CliError(Exception):
@@ -96,7 +103,8 @@ def _parse_message_count(s):
 
 def _parse_grid(s):
     """'start:stop:step' inclusive grid, or a single value; every value must
-    be finite and positive."""
+    be finite and positive, and the grid hold at most _GRID_CAP points,
+    counted before any is made."""
     vals = [float(p) for p in s.split(":")]
     if len(vals) not in (1, 3):
         raise ValueError("a grid is start:stop:step or one value")
@@ -107,7 +115,11 @@ def _parse_grid(s):
     start, stop, step = vals
     if stop < start:
         raise ValueError("grid stop is below its start")
-    return [float(v) for v in np.arange(start, stop + step * 0.5, step)]
+    end = stop + step * 0.5
+    points = math.ceil((end - start) / step)  # np.arange's length
+    if points > _GRID_CAP:
+        raise ValueError(f"the grid has {points} points, more than {_GRID_CAP}")
+    return [float(v) for v in np.arange(start, end, step)]
 
 
 def _parse_px(s):
@@ -273,7 +285,7 @@ def _resolve_channel(opt):
         if px is None:
             px = np.full(channel.matrix.shape[0],
                          1.0 / channel.matrix.shape[0])
-        return channel, px, spec
+        return channel, _as_input_law(px, channel), spec
     return channel, None, spec
 
 
@@ -438,10 +450,13 @@ def _cmd_sweep(opt):
     for s in schemes:
         if s not in ("thm1", "vlsf", "converse"):
             raise _CliError(f"unknown scheme {s!r} (use thm1, vlsf, converse)")
-    resume = opt["resume"]
+        if schemes.count(s) > 1:
+            raise _CliError(f"--schemes names {s!r} more than once")
+    # --resume reads the output file, so it is read only with --out
+    resume = opt["resume"] if opt["out"] is not None else None
     out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
     done = set()
-    if resume and out and os.path.exists(out):
+    if resume and os.path.exists(out):
         with open(out, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 try:

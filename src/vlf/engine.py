@@ -38,7 +38,8 @@ from . import ensemble
 from .channel import (
     Dmc,
     GaussianChannel,
-    _as_prob_vector,
+    _as_input_law,
+    _positive_drift,
     binary_entropy,
     control_pair,
     gaussian_information_density,
@@ -98,12 +99,8 @@ class SchemeConfig:
                 f"variant {self.variant} needs a {kind.channel_type.__name__}"
             )
         if not kind.gaussian:
-            p = _as_prob_vector(self.px, "px")
+            p = _as_input_law(self.px, self.channel)
             shape = self.channel.matrix.shape
-            if p.size != shape[0]:
-                raise DimensionMismatch(
-                    f"px has {p.size} entries for {shape[0]} inputs"
-                )
             object.__setattr__(self, "px", np.array(p, dtype=float))
             if kind.shape is not None and shape != kind.shape:
                 raise DimensionMismatch(
@@ -558,11 +555,8 @@ class _Runtime:
         kind = metric_kind(cfg.variant)
         p = cfg.params
         self.g1, self.g2, self.log_m = p.gamma1, p.gamma2, p.log_m
-        drift = kind.walk_drift(cfg.channel, cfg.px)
-        if drift <= 0:
-            raise HorizonTooSmall(
-                f"metric drift {drift} is not positive; no finite horizon works"
-            )
+        drift = _positive_drift(kind.walk_drift(cfg.channel, cfg.px),
+                                "metric drift")
         self.n_max = (
             cfg.n_max
             if cfg.n_max is not None
@@ -754,7 +748,8 @@ def trial_records(cfg, trials, workers=1):
     runtime (thresholds, metric tables and competitor strategy, including
     uvlf_bsc's absorption law) is built once per call: with workers > 1 it
     is built in this process and handed to each pool worker by the pool
-    initializer, and the 4 * workers chunks of trials share it.
+    initializer, and the min(trials, 4 * workers) chunks of trials share
+    it.  The pool starts no more workers than there are chunks.
     """
     if trials < 1:
         raise VlfError(f"trials must be >= 1, got {trials}")
@@ -765,7 +760,7 @@ def trial_records(cfg, trials, workers=1):
     rt = _Runtime(cfg)  # also validates the configuration before spawning
     n_chunks = min(trials, workers * 4)
     bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers,
+    with ProcessPoolExecutor(max_workers=min(workers, n_chunks),
                              initializer=_set_worker_runtime,
                              initargs=(rt,)) as pool:
         parts = list(
@@ -843,8 +838,9 @@ def _passage_times(kind, dmc, px, gamma, trials, seed):
     time) vectorized over trials.  Walks that do not cross within max_steps,
     a generous multiple of gamma over the drift, are reported at max_steps.
     """
-    p = _as_prob_vector(px, "px")
-    max_steps = int(math.ceil(50.0 * gamma / kind.walk_drift(dmc, p))) + 200
+    p = _as_input_law(px, dmc)
+    drift = _positive_drift(kind.walk_drift(dmc, p), "metric drift")
+    max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
     metric = kind(dmc, p, max_steps)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     stats = metric.start(trials)[1]

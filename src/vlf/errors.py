@@ -46,7 +46,7 @@ class NonIntegerType(VlfError):
 
 
 class NonPositiveDrift(VlfError):
-    """Overshoot constant requested for a walk with non-positive mean step."""
+    """A walk whose mean step must be positive is not (zero, negative or NaN)."""
 
 
 class Infeasible(VlfError):

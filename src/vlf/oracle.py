@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincc, gammaln, logsumexp
 
-from .channel import _as_prob_vector
+from .channel import _as_prob_vector, _as_step_law, _positive_drift
 from .errors import (
-    NonPositiveDrift,
     NotADistribution,
     PrefactorUndefined,
     StateExplosion,
@@ -42,9 +41,7 @@ class LatticeWalkSpec:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        p = _as_prob_vector(self.probs, "step probabilities")
-        if np.shape(self.values) != p.shape:
-            raise NotADistribution("values and probs must be matching 1-D vectors")
+        _as_step_law(self.values, self.probs)
         if not (self.a_accept > 0 and self.a_reject > 0):
             raise NotADistribution("thresholds must be positive")
 
@@ -145,9 +142,8 @@ def exact_passage_time(values, probs, gamma):
     with no lower threshold (a_reject = inf) over a horizon of
     200 max(gamma, 1) / mean + 1000 steps.  Returns (expected_steps,
     residual)."""
-    mean = sum(float(v) * float(p) for v, p in zip(values, probs))
-    if mean <= 0:
-        raise NonPositiveDrift(f"mean step {mean} <= 0")
+    mean = _positive_drift(sum(float(v) * float(p)
+                               for v, p in zip(values, probs)))
     max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
     res = exact_sprt(LatticeWalkSpec(values, probs, gamma, math.inf, max_steps))
     return res.expected_steps, res.residual
@@ -257,13 +253,8 @@ def lattice_span(values, probs=None):
 def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
     """Estimate rho = E[S_{tau+}^2] / (2 E[S_{tau+}]) by simulating ascending
     ladder epochs (first strictly positive partial sum) of the walk."""
-    v = np.asarray(values, dtype=float)
-    p = _as_prob_vector(probs, "step probabilities")
-    if v.shape != p.shape:
-        raise NotADistribution("values and probs must be matching 1-D vectors")
-    mean = float(np.dot(v, p))
-    if mean <= 0:
-        raise NonPositiveDrift(f"mean step {mean} <= 0")
+    v, p = _as_step_law(values, probs)
+    _positive_drift(float(np.dot(v, p)))
     rng = np.random.default_rng(seed)
     heights = np.empty(samples)
     done = 0
@@ -292,9 +283,7 @@ def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
 def passage_time_expansion(gamma, mean, rho, span=0.0):
     """(gamma + rho + h/2) / mu — the renewal expansion of E[first passage];
     h = 0 drops the lattice correction for non-arithmetic walks."""
-    if mean <= 0:
-        raise NonPositiveDrift(f"mean step {mean} <= 0")
-    return (gamma + rho + 0.5 * span) / mean
+    return (gamma + rho + 0.5 * span) / _positive_drift(mean)
 
 
 # ---------------------------------------------------------------------------

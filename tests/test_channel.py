@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlf import engine
 from vlf.channel import (
     Dmc,
     GaussianChannel,
@@ -22,10 +23,22 @@ from vlf.channel import (
     output_distribution,
     parse_channel_spec,
 )
-from vlf.bounds import overshoot_constant
+from vlf.bounds import VlfParams, dmc_stats, overshoot_constant
 from vlf.empirical import type_class_log_bound
-from vlf.errors import NotADistribution, VlfError
-from vlf.oracle import exact_mi_tail, renewal_overshoot
+from vlf.engine import SchemeConfig, info_density_passage_times
+from vlf.errors import (
+    DimensionMismatch,
+    NonPositiveDrift,
+    NotADistribution,
+    VlfError,
+)
+from vlf.oracle import (
+    LatticeWalkSpec,
+    exact_mi_tail,
+    exact_passage_time,
+    passage_time_expansion,
+    renewal_overshoot,
+)
 
 UNIFORM2 = np.array([0.5, 0.5])
 
@@ -142,6 +155,71 @@ class TestOneDistributionCheck:
     def test_bad_distribution_raises(self, call):
         with pytest.raises(VlfError):
             call()
+
+
+def _nan_row_file(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("0.5 0.5\nnan nan\n")
+    return str(path)
+
+
+def _sim_cfg(px):
+    return SchemeConfig("vlf_dmc", bsc(0.11), np.asarray(px, dtype=float),
+                        VlfParams(6 * math.log(2), 8.0, 13.0, 3.0, 3.0))
+
+
+THIRDS = np.full(3, 1.0 / 3.0)
+ZERO_DRIFT_PX = np.array([1.0, 0.0])  # I(px, W) = 0 on any channel
+
+
+class TestOneInputCheck:
+    # each of the channel matrix, input law, step law and drift checks has
+    # one definition in vlf.channel; every entry point reaches it.  Before,
+    # the NaN matrices loaded, the zero-drift runtime raised HorizonTooSmall
+    # (an "infeasible" exit 2), the NaN mean gave a NaN passage time and the
+    # zero-drift passage times divided by zero.
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
+         NotADistribution, "row 2, column 1"),
+        (lambda tmp: Dmc(np.array([[0.5, math.nan], [0.5, 0.5]])),
+         NotADistribution, "row 1, column 2"),
+        (lambda tmp: load_dmc(_nan_row_file(tmp)),
+         NotADistribution, "w.txt: row 2, column 1"),
+        (lambda tmp: mutual_information(THIRDS, bsc(0.11)),
+         DimensionMismatch, "px has 3 entries"),
+        (lambda tmp: output_distribution(THIRDS, bsc(0.11)),
+         DimensionMismatch, "px has 3 entries"),
+        (lambda tmp: dmc_stats(bsc(0.11), THIRDS),
+         DimensionMismatch, "px has 3 entries"),
+        (lambda tmp: _sim_cfg(THIRDS),
+         DimensionMismatch, "px has 3 entries"),
+        (lambda tmp: LatticeWalkSpec((1.0, -1.0), (1.0,), 1.0, 1.0),
+         NotADistribution, "matching"),
+        (lambda tmp: overshoot_constant([1.0, -1.0], [0.5, 0.5]),
+         NonPositiveDrift, "not positive"),
+        (lambda tmp: renewal_overshoot([1.0, -1.0], [0.5, 0.5], samples=10),
+         NonPositiveDrift, "not positive"),
+        (lambda tmp: dmc_stats(bsc(0.11), ZERO_DRIFT_PX),
+         NonPositiveDrift, "I\\(px, W\\)"),
+        (lambda tmp: exact_passage_time([1.0, -1.0], [0.5, 0.5], 3.0),
+         NonPositiveDrift, "not positive"),
+        (lambda tmp: passage_time_expansion(3.0, math.nan, 0.5),
+         NonPositiveDrift, "nan is not positive"),
+        (lambda tmp: engine._Runtime(_sim_cfg(ZERO_DRIFT_PX)),
+         NonPositiveDrift, "metric drift"),
+        (lambda tmp: info_density_passage_times(bsc(0.11), ZERO_DRIFT_PX,
+                                                5.0, 10),
+         NonPositiveDrift, "metric drift"),
+    ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
+            "mutual_information-px", "output_distribution-px",
+            "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
+            "overshoot_constant-drift", "renewal_overshoot-drift",
+            "dmc_stats-drift", "exact_passage_time-drift",
+            "passage_time_expansion-nan", "Runtime-drift",
+            "passage_times-drift"])
+    def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
+        with pytest.raises(error, match=match):
+            call(tmp_path)
 
 
 class TestControlPair:

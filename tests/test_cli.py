@@ -139,9 +139,50 @@ class TestSweepVerb:
         assert "1 row(s)" in capsys.readouterr().out
         assert len(_rows(out)) == 2
 
-    def test_unknown_scheme_rejected(self, tmp_path):
+    # a repeated scheme wrote each of its rows twice and exited 0
+    @pytest.mark.parametrize("schemes,named", [
+        ("thm1,magic", "unknown scheme 'magic'"),
+        ("thm1,thm1,converse", "--schemes names 'thm1' more than once"),
+    ])
+    def test_unknown_scheme_rejected(self, schemes, named, tmp_path, capsys):
+        out = tmp_path / "s.csv"
         assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
-                     "--N", "500", "--schemes", "thm1,magic"]) == 1
+                     "--N", "500", "--schemes", schemes,
+                     "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    # 200:100000:1e-9 asked numpy for 726 TiB and ended in its traceback
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--channel", BSC, "--eps", "1e-3", "--schemes", "converse",
+          "--N", "200:100000:1e-9"], "--N"),
+        (["oracle", "--channel", BSC, "--n", "4",
+          "--gamma", "1:1000001:1"], "--gamma"),
+    ], ids=["sweep", "oracle"])
+    def test_grid_above_the_point_cap_rejected(self, argv, flag, tmp_path,
+                                               capsys):
+        out = tmp_path / "g.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"bad value for {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_at_the_point_cap_is_made(self):
+        assert len(cli._parse_grid("1:1000000:1")) == cli._GRID_CAP
+
+    def test_nan_matrix_file_is_rejected_before_the_capacity(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # it loaded, and Blahut-Arimoto ran for 26 s before failing
+        path = tmp_path / "w.txt"
+        path.write_text("0.5 0.5\nnan nan\n")
+        monkeypatch.setattr(cli, "capacity", lambda dmc: pytest.fail(
+            "Blahut-Arimoto ran on a NaN matrix"))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--channel", f"dmc:{path}", "--eps", "1e-3",
+                     "--N", "200:400:200", "--schemes", "converse",
+                     "--out", str(out)]) == 1
+        assert "row 2, column 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "grid", ["nan", "-5", "0", "inf", "200:nan:200", "0:400:200",
@@ -451,6 +492,10 @@ _UNREAD_CASES = {
          *_SIM], [flag, value])
        for variant, spec in [("vlf_dmc", BSC), ("vlf_awgn", "awgn:1")]
        for flag, value in [("--training", "64"), ("--c2", "3")]},
+    # --resume reads the output file, so only a run with --out reads it
+    "sweep-resume-without-out": (["sweep", "--channel", BSC, "--eps", "1e-3",
+                                  "--N", "200:400:200", "--schemes",
+                                  "converse"], ["--resume"]),
 }
 
 
@@ -464,7 +509,9 @@ class TestUnreadOptions:
         assert main(base) == 0  # the run itself is fine without it
         capsys.readouterr()
         out, trace = tmp_path / "o.csv", tmp_path / "t.jsonl"
-        argv = base + extra + ["--out", str(out)]
+        argv = base + extra
+        if extra[0] != "--resume":
+            argv += ["--out", str(out)]
         if base[0] == "simulate":
             argv += ["--trace", str(trace)]
         assert main(argv) == 1
@@ -493,6 +540,20 @@ class TestErrorHandling:
         assert main(["transmogrify"]) == 1
         assert main(["bound", "--frequency", "11"]) == 1
         assert main([]) == 1
+
+    # simulate exited 2 ("infeasible") for it, the other verbs 1
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--N1", "2000"],
+        ["optimize", "--eps", "1e-3", "--N", "500"],
+        ["simulate", "--variant", "vlf_dmc", *_EXPLICIT, *_SIM],
+        ["sweep", "--eps", "1e-3", "--N", "500", "--schemes", "thm1"],
+    ], ids=["bound", "optimize", "simulate", "sweep"])
+    def test_zero_drift_input_law_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--channel", BSC, "--px", "1,0",
+                            "--out", str(out)]) == 1
+        assert "is not positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["bound", "--gamma2", "inf"],

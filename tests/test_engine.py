@@ -531,6 +531,33 @@ class TestDeterminismAndAggregation:
         assert len(builds) == 1
         assert np.array_equal(pooled, trial_records(cfg, 40, workers=1))
 
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        # under fork every worker starts with the pool: --workers 64
+        # --trials 3 forked 64 processes for 3 chunks.  The stand-in runs
+        # the chunks in this process and records the pool size.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                engine._set_worker_runtime(None)
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        cfg = _cfg()
+        for trials, workers, size in [(3, 64, 3), (40, 2, 2), (6, 8, 6)]:
+            records = trial_records(cfg, trials, workers=workers)
+            assert np.array_equal(records, trial_records(cfg, trials))
+            assert sizes.pop() == size
+
     def test_streaming_aggregation_equals_batch(self):
         cfg = _cfg()
         streamed = aggregate_records(cfg, np.array(
