@@ -11,11 +11,14 @@ Gaussian channel.
 Layers:
 
 * :mod:`vlf.channel`    - channel models, capacity, information density;
-* :mod:`vlf.empirical`  - joint types, empirical mutual information, tails;
+* :mod:`vlf.empirical`  - count tables, type-class bound, tail exponents;
 * :mod:`vlf.bounds`     - achievability / converse bounds and schedules;
 * :mod:`vlf.engine`     - Monte Carlo simulation of the coding scheme;
 * :mod:`vlf.ensemble`   - competitor-codeword race strategies;
-* :mod:`vlf.oracle`     - slow exact re-computations used for validation;
+* :mod:`vlf.oracle`     - slow exact re-computations used for validation,
+                          with the reference joint type, empirical mutual
+                          information and correlation metric (it loads
+                          scipy, so it is not imported here);
 * :mod:`vlf.cli`        - the ``vlf`` command-line tool.
 """
 
@@ -48,16 +51,7 @@ from .channel import (
     output_distribution,
     parse_channel_spec,
 )
-from .empirical import (
-    JointType,
-    count_log_table,
-    empirical_correlation,
-    empirical_mi,
-    joint_type,
-    tail_exponents,
-    type_class_log_bound,
-    universal_gaussian_metric,
-)
+from .empirical import count_log_table, tail_exponents, type_class_log_bound
 from .engine import (
     EmpiricalChannel,
     McEstimate,

@@ -7,7 +7,7 @@ Verbs:
 * ``optimize`` - best log M meeting (eps, N) targets, with the schedule;
 * ``simulate`` - Monte Carlo runs of the coding scheme (any variant);
 * ``sweep``    - rate curves over an N grid for schemes thm1 / vlsf /
-                 converse, resumable;
+                 converse;
 * ``oracle``   - exact joint-type tail probabilities vs the polynomial bound.
 
 Each verb appends fixed-schema rows to a CSV (``--out``) and prints a
@@ -76,15 +76,6 @@ def _fmt_rate(x):
 
 def _fmt_prob(x):
     return f"{x:.2e}"
-
-
-def _parse_bool(s):
-    v = s.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise _CliError(f"not a boolean: {s!r}")
 
 
 def _parse_message_count(s):
@@ -188,11 +179,9 @@ _OPTIONS = {
     "n_max": ("--n-max", int, "walk horizon"),
     "c2": ("--c2", float, "universal second-phase cap multiple"),
     "schemes": ("--schemes", str, "comma list from thm1,vlsf,converse"),
-    "resume": ("--resume", _parse_bool, "skip rows already in the CSV"),
     "n": ("--n", int, "sequence length for the exact tail"),
     "gamma": ("--gamma", _parse_grid, "threshold grid start:stop:step"),
 }
-_FLAG_TRUE = {"resume"}
 _THRESHOLDS = ("M", "gamma1", "gamma2", "a_accept", "a_reject", "eps0")
 _VERB_OPTS = {
     "bound": ("channel", "out", "px", *_THRESHOLDS, "N1", "eps"),
@@ -202,7 +191,7 @@ _VERB_OPTS = {
         "delta", "training", "trials", "seed", "workers", "trace", "n_max",
         "c2",
     ),
-    "sweep": ("channel", "out", "px", "eps", "N_grid", "schemes", "resume"),
+    "sweep": ("channel", "out", "px", "eps", "N_grid", "schemes"),
     "oracle": ("channel", "out", "px", "n", "gamma"),
 }
 
@@ -219,12 +208,8 @@ def _build_parser():
                         help="flat key = value option file; flags override it")
         for dest in names:
             flag, _, helptext = _OPTIONS[dest]
-            if dest in _FLAG_TRUE:
-                sp.add_argument(flag, dest=dest, action="store_const",
-                                const="true", default=None, help=helptext)
-            else:
-                sp.add_argument(flag, dest=dest, type=str, default=None,
-                                help=helptext)
+            sp.add_argument(flag, dest=dest, type=str, default=None,
+                            help=helptext)
     return top
 
 
@@ -452,17 +437,7 @@ def _cmd_sweep(opt):
             raise _CliError(f"unknown scheme {s!r} (use thm1, vlsf, converse)")
         if schemes.count(s) > 1:
             raise _CliError(f"--schemes names {s!r} more than once")
-    # --resume reads the output file, so it is read only with --out
-    resume = opt["resume"] if opt["out"] is not None else None
     out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
-    done = set()
-    if resume and os.path.exists(out):
-        with open(out, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                try:
-                    done.add((row["scheme"], float(row["N"])))
-                except (KeyError, ValueError):
-                    continue
     cap = _channel_capacity(channel)
     # only the solvers need the walk constants; a converse-only sweep must
     # not fail on a px (say 1,0) that gives the walk no drift
@@ -471,8 +446,6 @@ def _cmd_sweep(opt):
     rows = []
     for n_target in grid:
         for scheme in schemes:
-            if (scheme, float(f"{n_target:.6f}")) in done:
-                continue
             if scheme == "thm1":
                 params, report = optimize_params(stats, eps, n_target)
                 rows.append(_bound_row("thm1", spec, n_target, report, params))

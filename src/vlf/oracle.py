@@ -3,7 +3,11 @@
 Everything here is brute force on purpose: dynamic programming over reachable
 walk values, full enumeration of joint types, log-domain sums.  These results
 are frozen into the test suite and cross-checked against the Monte Carlo
-engine, so they must be independent of it.
+engine, so they must be independent of it.  The slow reference definitions
+of the universal metrics live here too: the joint type and its empirical
+mutual information, and the empirical correlation with its Gaussian metric
+-(n/2) log(1 - rho_hat^2), which the engine's ``EmpiricalMi`` and
+``Correlation`` kernels compute in vectorized form.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ from scipy.special import betaincc, gammaln, logsumexp
 
 from .channel import _as_prob_vector, _as_step_law, _positive_drift
 from .errors import (
+    DegenerateSequence,
+    DimensionMismatch,
+    EmptySequence,
+    LengthMismatch,
     NotADistribution,
     PrefactorUndefined,
     StateExplosion,
@@ -142,11 +150,111 @@ def exact_passage_time(values, probs, gamma):
     with no lower threshold (a_reject = inf) over a horizon of
     200 max(gamma, 1) / mean + 1000 steps.  Returns (expected_steps,
     residual)."""
-    mean = _positive_drift(sum(float(v) * float(p)
-                               for v, p in zip(values, probs)))
+    v, p = _as_step_law(values, probs)
+    mean = _positive_drift(sum(float(a) * float(b) for a, b in zip(v, p)))
     max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
     res = exact_sprt(LatticeWalkSpec(values, probs, gamma, math.inf, max_steps))
     return res.expected_steps, res.residual
+
+
+# ---------------------------------------------------------------------------
+# reference universal metrics
+
+
+@dataclass(frozen=True)
+class JointType:
+    """Count matrix of a paired sequence; counts[x, y] sums to n."""
+
+    counts: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        c = np.asarray(self.counts)
+        if c.ndim != 2:
+            raise DimensionMismatch(f"counts must be 2-D, got shape {c.shape}")
+        if np.any(c < 0):
+            raise NotADistribution("counts must be nonnegative")
+        if int(c.sum()) != self.n:
+            raise DimensionMismatch(
+                f"counts sum to {int(c.sum())}, expected n = {self.n}"
+            )
+        c = c.astype(np.int64).copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "counts", c)
+
+
+def joint_type(xn, yn, num_x=None, num_y=None):
+    """Joint type of two equal-length symbol sequences.
+
+    Alphabet sizes default to max symbol + 1; pass them explicitly to keep
+    trailing all-zero rows or columns.
+    """
+    x = np.asarray(xn, dtype=np.int64)
+    y = np.asarray(yn, dtype=np.int64)
+    if x.ndim != 1 or y.ndim != 1:
+        raise DimensionMismatch("sequences must be 1-D")
+    if x.size != y.size:
+        raise LengthMismatch(f"lengths differ: {x.size} vs {y.size}")
+    if x.size == 0:
+        raise EmptySequence("need at least one sample")
+    if np.any(x < 0) or np.any(y < 0):
+        raise NotADistribution("symbols must be nonnegative integers")
+    ax = int(x.max()) + 1 if num_x is None else int(num_x)
+    ay = int(y.max()) + 1 if num_y is None else int(num_y)
+    if int(x.max()) >= ax or int(y.max()) >= ay:
+        raise DimensionMismatch("symbol out of range for the declared alphabet")
+    flat = np.bincount(x * ay + y, minlength=ax * ay)
+    return JointType(flat.reshape(ax, ay), int(x.size))
+
+
+def _xlogx(v):
+    out = np.zeros_like(v, dtype=float)
+    nz = v > 0
+    out[nz] = v[nz] * np.log(v[nz])
+    return out
+
+
+def empirical_mi(t):
+    """Mutual information of the normalized type, 0 log 0 = 0, in nats.
+
+    n * I equals sum c log c over cells minus the same sum over row and
+    column marginals plus n log n.
+    """
+    c = t.counts.astype(float)
+    n = float(t.n)
+    if n == 0:
+        raise EmptySequence("empty type")
+    rows = c.sum(axis=1)
+    cols = c.sum(axis=0)
+    n_i = _xlogx(c).sum() - _xlogx(rows).sum() - _xlogx(cols).sum() + n * math.log(n)
+    return max(float(n_i) / n, 0.0)
+
+
+def empirical_correlation(xn, yn):
+    """Uncentered empirical correlation sum(x y) / sqrt(sum x^2 sum y^2)."""
+    x = np.asarray(xn, dtype=float)
+    y = np.asarray(yn, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise DimensionMismatch("sequences must be 1-D")
+    if x.size != y.size:
+        raise LengthMismatch(f"lengths differ: {x.size} vs {y.size}")
+    if x.size == 0:
+        raise EmptySequence("need at least one sample")
+    ex = float(np.dot(x, x))
+    ey = float(np.dot(y, y))
+    if ex == 0.0 or ey == 0.0:
+        raise DegenerateSequence("zero-energy sequence; correlation undefined")
+    return float(np.dot(x, y)) / math.sqrt(ex * ey)
+
+
+def universal_gaussian_metric(xn, yn):
+    """-(n/2) log(1 - rho_hat^2); +inf signalled (not raised) at |rho_hat| = 1."""
+    rho = empirical_correlation(xn, yn)
+    n = len(xn)
+    r2 = min(rho * rho, 1.0)
+    if r2 >= 1.0:
+        return math.inf
+    return -0.5 * n * math.log1p(-r2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +273,6 @@ def _compositions(total, parts):
 def exact_mi_tail(n, px, py, gamma_grid):
     """P[n * I(empirical joint type) >= gamma] under independence px x py,
     by summing exact multinomial masses over every joint type of length n."""
-    from .empirical import JointType, empirical_mi
-
     if n < 1 or n != int(n):
         raise NotADistribution(f"n must be a positive integer, got {n}")
     px = _as_prob_vector(px, "px")

@@ -203,6 +203,8 @@ class TestOneInputCheck:
          NonPositiveDrift, "I\\(px, W\\)"),
         (lambda tmp: exact_passage_time([1.0, -1.0], [0.5, 0.5], 3.0),
          NonPositiveDrift, "not positive"),
+        (lambda tmp: exact_passage_time([1, -1], [math.nan, 1], 3),
+         NotADistribution, "step probabilities sums to nan"),
         (lambda tmp: passage_time_expansion(3.0, math.nan, 0.5),
          NonPositiveDrift, "nan is not positive"),
         (lambda tmp: engine._Runtime(_sim_cfg(ZERO_DRIFT_PX)),
@@ -215,6 +217,7 @@ class TestOneInputCheck:
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
             "overshoot_constant-drift", "renewal_overshoot-drift",
             "dmc_stats-drift", "exact_passage_time-drift",
+            "exact_passage_time-law",
             "passage_time_expansion-nan", "Runtime-drift",
             "passage_times-drift"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):

@@ -130,15 +130,6 @@ class TestSweepVerb:
                 <= by_scheme[("converse", n)]
             )
 
-    def test_resume_skips_existing_rows(self, tmp_path, capsys):
-        out = tmp_path / "s.csv"
-        args = ["sweep", "--channel", BSC, "--eps", "1e-3",
-                "--schemes", "thm1", "--out", str(out), "--resume"]
-        assert main(args + ["--N", "500"]) == 0
-        assert main(args + ["--N", "500:1000:500"]) == 0
-        assert "1 row(s)" in capsys.readouterr().out
-        assert len(_rows(out)) == 2
-
     # a repeated scheme wrote each of its rows twice and exited 0
     @pytest.mark.parametrize("schemes,named", [
         ("thm1,magic", "unknown scheme 'magic'"),
@@ -492,10 +483,6 @@ _UNREAD_CASES = {
          *_SIM], [flag, value])
        for variant, spec in [("vlf_dmc", BSC), ("vlf_awgn", "awgn:1")]
        for flag, value in [("--training", "64"), ("--c2", "3")]},
-    # --resume reads the output file, so only a run with --out reads it
-    "sweep-resume-without-out": (["sweep", "--channel", BSC, "--eps", "1e-3",
-                                  "--N", "200:400:200", "--schemes",
-                                  "converse"], ["--resume"]),
 }
 
 
@@ -509,9 +496,7 @@ class TestUnreadOptions:
         assert main(base) == 0  # the run itself is fine without it
         capsys.readouterr()
         out, trace = tmp_path / "o.csv", tmp_path / "t.jsonl"
-        argv = base + extra
-        if extra[0] != "--resume":
-            argv += ["--out", str(out)]
+        argv = base + extra + ["--out", str(out)]
         if base[0] == "simulate":
             argv += ["--trace", str(trace)]
         assert main(argv) == 1
@@ -640,10 +625,10 @@ class TestRepeatedCalls:
         out = tmp_path / "s.csv"
         args = ["sweep", "--channel", BSC, "--N", "500",
                 "--schemes", "converse", "--out", str(out)]
-        assert main(args + ["--config", str(cfg), "--resume"]) == 0
+        assert main(args + ["--config", str(cfg)]) == 0
         # the first call's --config value does not reach the second
         assert main(args) == 1
         assert "--eps is required" in capsys.readouterr().err
-        # nor does its --resume: the row is written again
+        # a second call with the same --out appends its row
         assert main(args + ["--eps", "1e-3"]) == 0
         assert len(_rows(out)) == 2

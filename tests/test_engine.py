@@ -21,13 +21,7 @@ from vlf.channel import (
     gaussian_information_density,
     information_density_table,
 )
-from vlf.empirical import (
-    count_log_table,
-    count_mi,
-    empirical_mi,
-    joint_type,
-    universal_gaussian_metric,
-)
+from vlf.empirical import count_log_table, count_mi
 from vlf.engine import (
     METRICS,
     VARIANTS,
@@ -53,6 +47,7 @@ from vlf.errors import (
     StateExplosion,
     VlfError,
 )
+from vlf.oracle import empirical_mi, joint_type, universal_gaussian_metric
 
 LN2 = math.log(2.0)
 CH = bsc(0.11)

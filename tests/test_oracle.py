@@ -5,25 +5,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlf.bounds import channel_stats
 from vlf.channel import bsc, control_pair, information_density_table
-from vlf.empirical import empirical_mi, joint_type
+from vlf.empirical import count_log_table
 from vlf.errors import VlfError
 from vlf.oracle import (
+    JointType,
     LatticeWalkSpec,
     corr_tail_exact,
     corr_tail_mc,
+    empirical_correlation,
+    empirical_mi,
     exact_eta_expectation,
     exact_mi_tail,
     exact_passage_time,
     exact_sprt,
     gaussian_corr_tail,
+    joint_type,
     lattice_span,
     mi_tail_bound,
     passage_time_expansion,
     renewal_overshoot,
     sprt_mc,
+    universal_gaussian_metric,
 )
 
 CH = bsc(0.11)
@@ -115,6 +122,124 @@ class TestPassageTimes:
     def test_negative_drift_rejected(self):
         with pytest.raises(VlfError):
             exact_passage_time([-1.0, 0.5], [0.7, 0.3], 5.0)
+
+
+_paired = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )
+)
+
+
+class TestJointType:
+    def test_counts_from_known_sequences(self):
+        t = joint_type([0, 0, 1, 1, 0], [1, 0, 1, 1, 0])
+        np.testing.assert_array_equal(t.counts, [[2, 1], [0, 2]])
+        assert t.n == 5
+
+    def test_explicit_alphabet_keeps_zero_rows(self):
+        t = joint_type([0, 0], [1, 0], num_x=3, num_y=2)
+        assert t.counts.shape == (3, 2)
+        assert t.counts[2].sum() == 0
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(VlfError):
+            joint_type([0, 1], [0])
+        with pytest.raises(VlfError):
+            joint_type([], [])
+        with pytest.raises(VlfError):
+            joint_type([0, 3], [0, 0], num_x=2)
+
+    @given(_paired)
+    @settings(max_examples=60, deadline=None)
+    def test_marginals_sum_to_length(self, xy):
+        xn, yn = xy
+        t = joint_type(xn, yn, num_x=3, num_y=3)
+        assert t.counts.sum() == len(xn)
+        np.testing.assert_array_equal(
+            t.counts.sum(axis=1), np.bincount(xn, minlength=3)
+        )
+        np.testing.assert_array_equal(
+            t.counts.sum(axis=0), np.bincount(yn, minlength=3)
+        )
+
+
+class TestEmpiricalMi:
+    def test_product_type_has_zero_information(self):
+        t = JointType(np.array([[4, 4], [4, 4]]), 16)
+        assert empirical_mi(t) == pytest.approx(0.0, abs=1e-12)
+
+    def test_diagonal_type_has_full_information(self):
+        t = JointType(np.array([[5, 0], [0, 5]]), 10)
+        assert empirical_mi(t) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_matches_plugin_mutual_information(self):
+        counts = np.array([[3, 1], [2, 6]])
+        t = JointType(counts, 12)
+        p = counts / 12.0
+        px, py = p.sum(axis=1), p.sum(axis=0)
+        direct = sum(
+            p[i, j] * math.log(p[i, j] / (px[i] * py[j]))
+            for i in range(2)
+            for j in range(2)
+            if p[i, j] > 0
+        )
+        assert empirical_mi(t) == pytest.approx(direct, abs=1e-12)
+
+    @given(_paired)
+    @settings(max_examples=60, deadline=None)
+    def test_nonnegative_and_bounded_by_log_alphabet(self, xy):
+        xn, yn = xy
+        v = empirical_mi(joint_type(xn, yn, num_x=3, num_y=3))
+        assert 0.0 <= v <= math.log(3) + 1e-12
+
+    @given(_paired)
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_under_symbol_relabeling(self, xy):
+        xn, yn = xy
+        perm = np.array([2, 0, 1])
+        a = empirical_mi(joint_type(xn, yn, num_x=3, num_y=3))
+        b = empirical_mi(
+            joint_type(perm[np.array(xn)], perm[np.array(yn)], num_x=3, num_y=3)
+        )
+        assert a == pytest.approx(b, abs=1e-12)
+
+    def test_count_log_identity_reproduces_scaled_information(self):
+        # sum c log c over cells - rows - cols + n log n == n * I(type)
+        tbl = count_log_table(64)
+        counts = np.array([[9, 3], [4, 16]])
+        n = counts.sum()
+        t = JointType(counts, int(n))
+        via_table = (
+            tbl[counts].sum()
+            - tbl[counts.sum(axis=1)].sum()
+            - tbl[counts.sum(axis=0)].sum()
+            + tbl[n]
+        )
+        assert via_table == pytest.approx(n * empirical_mi(t), abs=1e-10)
+
+
+class TestCorrelationMetric:
+    def test_known_correlation(self):
+        rho = empirical_correlation([1.0, 0.0], [1.0, 1.0])
+        assert rho == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+
+    def test_aligned_sequences_have_unit_correlation(self):
+        x = np.array([0.3, -1.2, 2.0])
+        assert empirical_correlation(x, 2.5 * x) == pytest.approx(1.0)
+        assert universal_gaussian_metric(x, 2.5 * x) == math.inf
+
+    def test_metric_formula(self):
+        x = np.array([1.0, 2.0, -1.0, 0.5])
+        y = np.array([0.8, 1.1, -1.4, 2.0])
+        rho = empirical_correlation(x, y)
+        expect = -0.5 * 4 * math.log1p(-rho * rho)
+        assert universal_gaussian_metric(x, y) == pytest.approx(expect)
+
+    def test_zero_energy_raises(self):
+        with pytest.raises(VlfError):
+            empirical_correlation([0.0, 0.0], [1.0, 1.0])
 
 
 class TestInformationTail:

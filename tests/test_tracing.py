@@ -1,0 +1,47 @@
+"""The benchmark's layer tracer patches vlf attributes by name; a rename
+under src/vlf must fail here, not only in a traced benchmark run."""
+
+import importlib.util
+import os
+from pathlib import Path
+
+from vlf import bounds, cli, engine, ensemble
+
+_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+# attributes the tracer replaces: (module, name)
+_PATCHED = [
+    (engine, "simulate_trial"), (engine, "count_log_table"),
+    (engine, "_run_chunk"), (ensemble, "literal_race"),
+    (ensemble, "tilted_race"), (ensemble, "ensemble_binary_mi_race"),
+    (ensemble, "poisson_crosser_rate"), (ensemble, "FlipEntropyAbsorption"),
+    (bounds, "channel_stats"), (bounds, "scaled_m_exp"),
+    (cli, "optimize_params"), (cli, "single_phase_bound"), (cli, "capacity"),
+    (cli, "main"),
+]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_then_uninstall_restores_every_attribute(tmp_path):
+    tracing = _load_tracing()
+    before = {m: dict(vars(m)) for m in (bounds, cli, engine, ensemble)}
+    tracer = tracing.Tracer(str(tmp_path))
+    try:
+        tracer.install()  # an AttributeError names a renamed attribute
+        replaced = [(m, name) for m, name in _PATCHED
+                    if getattr(m, name) is not before[m][name]]
+    finally:
+        tracer.uninstall()
+    assert replaced == _PATCHED
+    for m, old in before.items():
+        now = vars(m)
+        assert now.keys() == old.keys()
+        assert [k for k in old if now[k] is not old[k]] == []
+    assert tracing.TRACE_DIR_ENV not in os.environ
