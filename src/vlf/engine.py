@@ -59,6 +59,9 @@ from .errors import (
 _Z95 = 1.959963984540054
 _BLOCK = 256
 _HT_BLOCK = 64
+# finite stand-in for an infinite LLR: beyond any threshold that finite LLRs
+# (each at most about 745 in size) could reach, and 64 of them sum finitely
+_LLR_CAP = 1e300
 _HORIZON_MULT = 50.0  # default n_max in units of gamma2 / C
 _LN2 = math.log(2.0)
 
@@ -218,8 +221,7 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget):
     [-a_reject, a_accept] strictly, "accept" iff above a_accept.
 
     Returns (decision, steps, terminal sum); decision is None when `budget`
-    steps pass, or draw_llr runs dry, undecided.  An infinite LLR exits at
-    its own index, so the NaN sums that may follow it are never read.
+    steps pass, or draw_llr runs dry, undecided.
     """
     s = 0.0
     used = 0
@@ -227,8 +229,7 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget):
         vals = draw_llr(min(_HT_BLOCK, budget - used))
         if vals.size == 0:
             break
-        with np.errstate(invalid="ignore"):
-            csum = s + np.add.accumulate(vals)
+        csum = s + np.add.accumulate(vals)
         exit_mask = (csum > a_accept) | (csum < -a_reject)
         if exit_mask.any():
             i = int(exit_mask.argmax())
@@ -245,7 +246,7 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget):
 
 def _categorical(rng, cdf, size):
     u = rng.random(size)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    return np.minimum(cdf.searchsorted(u, side="right"), len(cdf) - 1)
 
 
 class Metric:
@@ -340,11 +341,21 @@ class _DmcMetric(Metric):
         return _categorical(rng, self.px_cdf, (rows, y.shape[1]))
 
     def _test_tables(self, kernel):
+        """The confirmation test's LLR per output under the control pair of
+        `kernel`, and the true channel's output CDFs of the pair.
+
+        A zero cell of the kernel (a training estimate that never saw an
+        output) makes an LLR infinite; it is clipped to +-_LLR_CAP.  The
+        SPRT exits at a capped value's own index as it would at an infinite
+        one, and the 64 values of a block cannot overflow, so no inf - inf
+        NaN arises after the exit.
+        """
         xa, xr, _ = control_pair(kernel)
         pa, pr = kernel[xa], kernel[xr]
         with np.errstate(divide="ignore", invalid="ignore"):
             llr = np.log(pa) - np.log(pr)
         llr[(pa == 0) & (pr == 0)] = 0.0  # an output never seen tells nothing
+        np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
         return llr, (np.cumsum(self.w[xa]), np.cumsum(self.w[xr]))
 
     def confirmation(self, rng, emp, right):
@@ -544,10 +555,12 @@ def metric_kind(variant):
 
 class _Runtime:
     """Thresholds, horizons, metric and competitor race of one
-    configuration, shared by all its trials (read-only).  ``race(rng, y)``
-    is the competitor race over the outputs y: literal when
+    configuration, shared by all its trials.  ``race(rng, y)`` is the
+    competitor race over the outputs y: literal when
     ``ensemble.literal_count`` gives a count, the metric's ensemble
-    strategy otherwise.
+    strategy otherwise.  All of it is read-only but uvlf_bsc's absorption
+    law, which its races advance as far as they read it; the law is
+    sequential, so no result depends on how far it has run.
     Picklable, so a pool can hand it to workers started by spawn or
     forkserver too."""
 
@@ -745,11 +758,13 @@ def trial_records(cfg, trials, workers=1):
 
     Per-trial randomness depends only on (cfg.seed, trial index), so the
     records are bit-identical for any worker count.  The configuration's
-    runtime (thresholds, metric tables and competitor strategy, including
-    uvlf_bsc's absorption law) is built once per call: with workers > 1 it
-    is built in this process and handed to each pool worker by the pool
-    initializer, and the min(trials, 4 * workers) chunks of trials share
-    it.  The pool starts no more workers than there are chunks.
+    runtime (thresholds, metric tables and competitor strategy) is built
+    once per call: with workers > 1 it is built in this process and handed
+    to each pool worker by the pool initializer, and the min(trials,
+    4 * workers) chunks of trials share it.  uvlf_bsc's absorption law is
+    handed over unadvanced, and each worker's copy runs only as far as its
+    own races read; a race reads the same values at any advance.  The pool
+    starts no more workers than there are chunks.
     """
     if trials < 1:
         raise VlfError(f"trials must be >= 1, got {trials}")

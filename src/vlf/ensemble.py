@@ -14,7 +14,10 @@ Two interchangeable strategies produce them:
   clearing path is drawn exactly, either by exponential tilting to the
   per-symbol posterior (additive information-density metrics, accept with
   probability e^{-overshoot}) or from exact absorption masses of a count
-  dynamic program (empirical-mutual-information metrics).
+  dynamic program (empirical-mutual-information metrics).  Against a
+  uniform codebook the flip-entropy metric's absorption law is the same
+  for every trial: one DP serves a configuration, and the races advance it
+  only as far as they read it.
 
 Both work on the kernel of an ``engine.Metric``: the literal race is its
 chunked-rows case, and the ensemble strategies continue each sampled gamma_1
@@ -294,61 +297,79 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
 
 
 class FlipEntropyAbsorption:
-    """One-time forward DP for the flip-entropy metric with a uniform
-    codebook: competitor flips are i.i.d. Bernoulli(1/2) regardless of the
-    outputs, so the first-crossing law of n(log 2 - h_b(k/n)) > gamma_1 is
-    output-independent and shared by every trial of a configuration.
+    """Forward DP for the flip-entropy metric with a uniform codebook,
+    advanced only as far as the races read it: competitor flips are i.i.d.
+    Bernoulli(1/2) regardless of the outputs, so the first-crossing law of
+    n(log 2 - h_b(k/n)) > gamma_1 is output-independent and shared by every
+    trial of a configuration.
 
     The DP keeps mass only on the live band [lo, lo + mass.size) of flip
     counts.  The metric is convex in k, so the cells it absorbs are the
     band's tails, and the band is trimmed to its first and last nonzero
     cell after each absorption.  Cells outside the band hold exactly zero,
     so every sum equals the full-grid DP's bit for bit.
+
+    ``advance(h)`` runs the DP through step h; ``cum[:t + 1]`` and
+    ``absorbed`` then hold the law through the step t reached.  A race over
+    h outputs advances to h first and reads nothing past it.  The DP is
+    sequential, so the values at steps up to h are the same however far
+    and in whatever pieces it was advanced: each copy of an instance (one
+    per pool worker) may advance on its own, and no result changes.
     """
 
     def __init__(self, metric, gamma1):
-        self.metric = metric
-        self.horizon = horizon = metric.n_max
-        flips = np.arange(horizon + 1)
-        mass, lo = np.ones(1), 0
-        absorbed = []  # (time, flip counts, masses)
-        cum = np.zeros(horizon + 1)
-        for t in range(1, horizon + 1):
+        self.metric, self.gamma1 = metric, gamma1
+        self.horizon = metric.n_max
+        self.cum = np.zeros(self.horizon + 1)
+        self.absorbed = None  # (times, metric values, flip counts, masses)
+        self.t, self._lo, self._mass = 0, 0, np.ones(1)
+
+    def advance(self, h):
+        """Run the DP through step min(h, horizon); a no-op if it is there."""
+        h = min(h, self.horizon)
+        t, lo, mass, cum = self.t, self._lo, self._mass, self.cum
+        parts = []  # (time, flip counts, masses)
+        while t < h:
+            t += 1
             half = mass * 0.5
             mass = np.zeros(half.size + 1)
             mass[:-1] = half
             mass[1:] += half
-            k = flips[lo:lo + mass.size]
-            hit = (metric.count_metric(t, k) > gamma1) & (mass > 0.0)
+            k = np.arange(lo, lo + mass.size)
+            hit = (self.metric.count_metric(t, k) > self.gamma1) & (mass > 0.0)
             cum[t] = cum[t - 1]
             ki = hit.nonzero()[0]
             if ki.size:
                 w = mass[ki]
-                absorbed.append((t, ki + lo, w))
+                parts.append((t, ki + lo, w))
                 cum[t] += float(w.sum())
                 mass[ki] = 0.0
                 live = mass.nonzero()[0]
-                if live.size == 0:
+                if live.size == 0:  # all mass absorbed: the law is complete
                     cum[t + 1:] = cum[t]
+                    t = self.horizon
                     break
                 lo += int(live[0])
                 mass = mass[live[0]:live[-1] + 1]
-        self.cum = cum
-        self.absorbed = None
-        if absorbed:
-            times, ks, ws = zip(*absorbed)
-            t = np.repeat(times, [part.size for part in ks])
+        self.t, self._lo, self._mass = t, lo, mass
+        if parts:
+            times, ks, ws = zip(*parts)
+            times = np.repeat(times, [part.size for part in ks])
             k, w = np.concatenate(ks), np.concatenate(ws)
-            self.absorbed = (t, metric.count_metric(t, k), k[:, None], w)
+            new = (times, self.metric.count_metric(times, k), k[:, None], w)
+            self.absorbed = new if self.absorbed is None else tuple(
+                np.concatenate(pair) for pair in zip(self.absorbed, new))
 
     def race(self, rng, y, log_m, gamma2):
         h = min(y.size, self.horizon)
+        if h > self.t:  # at least doubling keeps the concatenations few
+            self.advance(max(h, 2 * self.t))
         if h < 1 or self.cum[h] <= 0.0:
             return RaceResult(None, None)
         k = rng.poisson(poisson_crosser_rate(log_m, math.log(self.cum[h])))
         if k == 0:
             return RaceResult(None, None)
-        n = np.searchsorted(self.absorbed[0], h, side="right")  # t <= h
+        n = self.absorbed[0].searchsorted(h, side="right")  # t <= h
         return _absorbed_crossers(
             rng, self.metric, y[:h], gamma2, k,
             *(part[:n] for part in self.absorbed),

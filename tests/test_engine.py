@@ -4,6 +4,7 @@ import ast
 import math
 import os
 import pickle
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -142,11 +143,53 @@ class TestSprt:
     def test_step_budget_leaves_it_undecided(self):
         assert _sprt([0.1] * 100, 3.0, 3.0, budget=5)[0] is None
 
+    def test_infinite_llrs_decide_as_their_cap(self):
+        # a training estimate that never saw output 1 from input 0 nor
+        # output 0 from input 1 makes both LLRs of the test infinite
+        cap = engine._LLR_CAP
+        metric = EmpiricalMi(CH, UNIFORM2, 400)
+        llr, _ = metric._test_tables(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert sorted(llr.tolist()) == [-cap, cap]
+        for head, tail in ((0.5, -1.0), (-0.5, 1.0)):
+            # the first infinity exits; the opposite one after it in the
+            # same block sums to NaN, which the SPRT must not read
+            raw = [head, math.copysign(math.inf, head),
+                   -math.copysign(math.inf, head), tail]
+            capped = np.clip(raw, -cap, cap).tolist()
+            with np.errstate(invalid="ignore"):
+                want = _sprt(raw, 3.0, 3.0)
+            got = _sprt(capped, 3.0, 3.0)  # RuntimeWarnings fail the test
+            assert got[:2] == want[:2] == (
+                "accept" if head > 0 else "reject", 2)
+            assert got[2] == math.copysign(cap, head)
+
     def test_thresholds_must_be_positive(self):
         with pytest.raises(VlfError):
             VlfParams(LN2, 8.0, 14.0, 0.0, 3.0)
         with pytest.raises(VlfError):
             VlfParams(LN2, 8.0, 14.0, 3.0, -1.0)
+
+
+class TestZeroCellTraining:
+    def test_infinite_llrs_leave_no_warning_and_no_trace(self):
+        # four training symbols on bsc(0.11) often see no flip: trials 1
+        # and 2 estimate the kernel [[1, 0], [0, 1]], whose LLRs are both
+        # infinite, and trials 0 and 3 a kernel with one zero cell
+        cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
+                           params=_params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
+                           training_len=4, seed=3)
+        kernels = [estimate_channel(cfg, i).kernel for i in range(4)]
+        assert all((k == 0.0).any() for k in kernels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = trial_records(cfg, 4)
+        # the records the SPRT gave before infinite LLRs were capped
+        assert rec.tolist() == [
+            [1, 37, 36, 1, 0, 0.0, 0, 0],
+            [1, 29, 28, 1, 0, 0.0, 0, 0],
+            [1, 14, 13, 1, 0, 0.0, 0, 0],
+            [1, 41, 40, 1, 0, 0.0, 0, 0],
+        ]
 
 
 class TestConfigValidation:
@@ -794,10 +837,13 @@ def _same(a, b):
 class TestFlipEntropyAbsorption:
     # 0.5 absorbs all mass at t = 1 (the metric is log 2 there); 500 exceeds
     # the largest value at n_max, 300 log 2, so nothing is absorbed
-    @pytest.mark.parametrize("gamma1", [0.5, 3.0, 10.0, 25.0, 500.0])
+    GAMMAS = [0.5, 3.0, 10.0, 25.0, 500.0]
+
+    @pytest.mark.parametrize("gamma1", GAMMAS)
     def test_band_dp_equals_full_grid_dp(self, gamma1):
         metric = FlipEntropy(CH, UNIFORM2, 300)
         band = FlipEntropyAbsorption(metric, gamma1)
+        band.advance(metric.n_max)
         cum, absorbed = _full_grid_absorption(metric, gamma1)
         assert _same(band.cum, cum)
         if not absorbed:
@@ -808,6 +854,67 @@ class TestFlipEntropyAbsorption:
         assert _same(times, t) and _same(counts, k[:, None])
         assert _same(masses, w)
         assert _same(values, metric.count_metric(t, k))
+
+    @pytest.mark.parametrize("gamma1", GAMMAS)
+    def test_advancing_in_pieces_equals_one_advance(self, gamma1):
+        metric = FlipEntropy(CH, UNIFORM2, 300)
+        whole = FlipEntropyAbsorption(metric, gamma1)
+        whole.advance(metric.n_max)
+        pieces = FlipEntropyAbsorption(metric, gamma1)
+        for h in (7, 50, metric.n_max):
+            pieces.advance(h)
+            reached = pieces.t
+            assert reached == h or reached == metric.n_max  # all absorbed
+            assert _same(pieces.cum[:reached + 1], whole.cum[:reached + 1])
+        assert _same(pieces.cum, whole.cum)
+        if whole.absorbed is None:
+            assert pieces.absorbed is None
+            return
+        for got, want in zip(pieces.absorbed, whole.absorbed):
+            assert _same(got, want)
+
+    def test_race_reads_the_same_law_at_any_advance(self):
+        # one instance raced over horizons in any order, and fresh ones
+        # raced at steps that absorb, against the law advanced to n_max; the
+        # next value of each generator compares the draws too
+        metric = FlipEntropy(CH, UNIFORM2, 300)
+        full = FlipEntropyAbsorption(metric, 10.0)
+        full.advance(metric.n_max)
+        y = np.random.default_rng(4).integers(0, 2, metric.n_max)
+
+        def same_race(lazy, h):
+            got, want = np.random.default_rng(h), np.random.default_rng(h)
+            result = lazy.race(got, y[:h], 16 * LN2, 14.0)
+            assert lazy.t >= h
+            assert result == full.race(want, y[:h], 16 * LN2, 14.0)
+            assert got.random() == want.random()
+            return result.t1 is not None
+
+        lazy = FlipEntropyAbsorption(metric, 10.0)
+        hits = sum(same_race(lazy, h) for h in (1, 20, 21, 40, 41, 30, 97,
+                                                 120, 300, 200, 299))
+        absorbing = np.flatnonzero(np.diff(full.cum)) + 1
+        hits += sum(same_race(FlipEntropyAbsorption(metric, 10.0), int(h))
+                    for h in absorbing[:6])
+        assert hits >= 8
+
+    @pytest.mark.usefixtures("force_ensemble")
+    def test_partly_advanced_runtime_pickles_to_an_equivalent_copy(self):
+        cfg = _pair_cfg("uvlf_bsc")
+        rt = engine._Runtime(cfg)
+        law = rt.race.func.__self__
+        assert law.t == 0
+        for i in range(5):
+            simulate_trial(cfg, i, _runtime=rt)
+        assert 0 < law.t < law.horizon
+        copy = pickle.loads(pickle.dumps(rt))
+        assert copy.race.func.__self__.t == law.t
+        for i in range(5, 40):
+            assert (simulate_trial(cfg, i, _runtime=copy)
+                    == simulate_trial(cfg, i, _runtime=rt))
+        assert np.array_equal(trial_records(cfg, 40)[5:],
+                              [simulate_trial(cfg, i, _runtime=copy)
+                               for i in range(5, 40)])
 
 
 class TestAllVariantsRun:
