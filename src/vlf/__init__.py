@@ -53,13 +53,11 @@ from .channel import (
 )
 from .empirical import count_log_table, tail_exponents, type_class_log_bound
 from .engine import (
-    EmpiricalChannel,
     McEstimate,
     SchemeConfig,
     TrialOutcome,
     aggregate_records,
     empirical_mi_passage_times,
-    estimate_channel,
     info_density_passage_times,
     run_monte_carlo,
     simulate_trial,

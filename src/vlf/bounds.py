@@ -31,7 +31,7 @@ from .channel import (
     _as_step_law,
     _positive_drift,
     binary_entropy,
-    control_pair,
+    control_llr,
     information_density_table,
     kl_divergence,
     mutual_information,
@@ -119,10 +119,10 @@ def dmc_stats(dmc, px):
     dens = information_density_table(px, dmc)
     joint = px[:, None] * dmc.matrix
     b = overshoot_constant(dens.ravel(), joint.ravel())
-    xa, xr, d_acc = control_pair(dmc)
+    xa, xr, llr = control_llr(dmc.matrix)
     row_a, row_r = dmc.matrix[xa], dmc.matrix[xr]
+    d_acc = kl_divergence(row_a, row_r)
     d_rej = kl_divergence(row_r, row_a)
-    llr = np.log(row_a) - np.log(row_r)
     b_acc = overshoot_constant(llr, row_a)
     b_rej = overshoot_constant(-llr, row_r)
     return ChannelStats(drift, b, d_acc, d_rej, b_acc, b_rej)

@@ -30,6 +30,10 @@ ROW_SUM_TOL = 1e-12
 DIST_SUM_TOL = 1e-9
 _BA_TOL = 1e-10  # Blahut-Arimoto stops at this duality gap (nats)
 _BA_MAX_ITER = 10**6
+# finite stand-in for an infinite control LLR: beyond any threshold that
+# finite LLRs (each at most about 745 in size) could reach, and 64 of them
+# sum finitely
+_LLR_CAP = 1e300
 
 
 def _as_prob_vector(p, name="p"):
@@ -228,6 +232,25 @@ def control_pair(channel):
     np.fill_diagonal(div, -math.inf)
     xa, xr = divmod(int(np.argmax(div >= div.max() - 1e-15)), w.shape[0])
     return xa, xr, float(div[xa, xr])
+
+
+def control_llr(kernel):
+    """(x_accept, x_reject, llr): the control pair of a kernel matrix and
+    the confirmation test's LLR log W(y|xa) - log W(y|xr) of each output y.
+
+    An output neither row gives (an empirical kernel's zero cells) tells
+    nothing: its LLR is 0.  A zero cell in one row makes an LLR infinite;
+    it is clipped to +-_LLR_CAP.  The SPRT exits at a capped value's own
+    index as it would at an infinite one, and the 64 values of a block
+    cannot overflow, so no inf - inf NaN arises after the exit.
+    """
+    xa, xr, _ = control_pair(kernel)
+    pa, pr = kernel[xa], kernel[xr]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        llr = np.log(pa) - np.log(pr)
+    llr[(pa == 0) & (pr == 0)] = 0.0
+    np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
+    return xa, xr, llr
 
 
 def binary_entropy(q):

@@ -235,7 +235,6 @@ def _merge_options(args, verb):
     for dest, (flag, _, _h) in opts.items():
         alias[dest] = dest
         alias[flag.lstrip("-")] = dest
-        alias[flag.lstrip("-").replace("-", "_")] = dest
     raw_file = _load_config(args.config) if args.config else {}
     unknown = sorted(k for k in raw_file if k not in alias)
     if unknown:
@@ -325,7 +324,9 @@ _BOUND_HEADER = [
 ]
 
 
-def _bound_row(scheme, chan_spec, n_value, report, params):
+def _bound_row(scheme, chan_spec, n_value, eps, log_m, rate, params):
+    """One row of _BOUND_HEADER; rate in nats per use, params the schedule
+    or None."""
     if params is None:
         sched = [""] * 5
     else:
@@ -335,9 +336,8 @@ def _bound_row(scheme, chan_spec, n_value, report, params):
             _fmt_prob(params.eps0),
         ]
     return [
-        scheme, chan_spec, _fmt_rate(n_value), _fmt_prob(report.eps),
-        _fmt_rate(report.log_m), _fmt_rate(report.log_m / _LN2),
-        _fmt_rate(report.rate_bits),
+        scheme, chan_spec, _fmt_rate(n_value), _fmt_prob(eps),
+        _fmt_rate(log_m), _fmt_rate(log_m / _LN2), _fmt_rate(rate / _LN2),
     ] + sched
 
 
@@ -394,7 +394,8 @@ def _cmd_bound(opt):
     out = _commit(opt, _BOUND_HEADER)
     report = achievability_bound(params, channel, px)
     _append_csv(out, _BOUND_HEADER,
-                [_bound_row("thm1", spec, report.n_avg, report, params)])
+                [_bound_row("thm1", spec, report.n_avg, report.eps,
+                            report.log_m, report.rate, params)])
     print(
         f"thm1 bound @ {spec}: logM = {report.log_m:.6f} nats "
         f"({report.log_m / _LN2:.2f} bits), eps = {report.eps:.2e}, "
@@ -411,7 +412,8 @@ def _cmd_optimize(opt):
     params, report = optimize_params(channel_stats(channel, px), eps,
                                      n_target)
     _append_csv(out, _BOUND_HEADER,
-                [_bound_row("thm1", spec, n_target, report, params)])
+                [_bound_row("thm1", spec, n_target, report.eps,
+                            report.log_m, report.rate, params)])
     print(
         f"optimize @ {spec}, eps <= {eps:.2e}, N <= {n_target:.6f}: "
         f"logM = {report.log_m:.6f} nats ({report.log_m / _LN2:.2f} bits), "
@@ -426,6 +428,31 @@ def _channel_capacity(channel):
     return capacity(channel)[0]
 
 
+# Each sweep scheme maps (walk constants, capacity, eps, N) to its row's
+# (eps, log M, rate in nats per use, schedule or None).  The solvers are
+# looked up in this module at call time, so wrappers installed on its
+# names see every call.
+
+
+def _sweep_thm1(stats, cap, eps, n):
+    params, report = optimize_params(stats, eps, n)
+    return report.eps, report.log_m, report.rate, params
+
+
+def _sweep_vlsf(stats, cap, eps, n):
+    report = single_phase_bound(stats, eps, n)
+    return report.eps, report.log_m, report.rate, None
+
+
+def _sweep_converse(stats, cap, eps, n):
+    log_m = converse_bound(cap, eps, n)
+    return eps, log_m, log_m / n, None
+
+
+_SCHEMES = {"thm1": _sweep_thm1, "vlsf": _sweep_vlsf,
+            "converse": _sweep_converse}
+
+
 def _cmd_sweep(opt):
     channel, px, spec = _resolve_channel(opt)
     eps = _require(opt, "eps", "--eps")
@@ -433,8 +460,10 @@ def _cmd_sweep(opt):
     schemes = [s.strip() for s in
                _require(opt, "schemes", "--schemes").split(",") if s.strip()]
     for s in schemes:
-        if s not in ("thm1", "vlsf", "converse"):
-            raise _CliError(f"unknown scheme {s!r} (use thm1, vlsf, converse)")
+        if s not in _SCHEMES:
+            raise _CliError(
+                f"unknown scheme {s!r} (use {', '.join(_SCHEMES)})"
+            )
         if schemes.count(s) > 1:
             raise _CliError(f"--schemes names {s!r} more than once")
     out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
@@ -443,23 +472,9 @@ def _cmd_sweep(opt):
     # not fail on a px (say 1,0) that gives the walk no drift
     stats = (channel_stats(channel, px) if set(schemes) - {"converse"}
              else None)
-    rows = []
-    for n_target in grid:
-        for scheme in schemes:
-            if scheme == "thm1":
-                params, report = optimize_params(stats, eps, n_target)
-                rows.append(_bound_row("thm1", spec, n_target, report, params))
-            elif scheme == "vlsf":
-                report = single_phase_bound(stats, eps, n_target)
-                rows.append(_bound_row("vlsf", spec, n_target, report, None))
-            else:
-                log_m = converse_bound(cap, eps, n_target)
-                row = [
-                    "converse", spec, _fmt_rate(n_target), _fmt_prob(eps),
-                    _fmt_rate(log_m), _fmt_rate(log_m / _LN2),
-                    _fmt_rate(log_m / n_target / _LN2),
-                ] + [""] * 5
-                rows.append(row)
+    rows = [_bound_row(scheme, spec, n_target,
+                       *_SCHEMES[scheme](stats, cap, eps, n_target))
+            for n_target in grid for scheme in schemes]
     _append_csv(out, _BOUND_HEADER, rows)
     print(
         f"sweep @ {spec}, eps = {eps:.2e}: {len(rows)} row(s) over "

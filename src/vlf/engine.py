@@ -41,7 +41,7 @@ from .channel import (
     _as_input_law,
     _positive_drift,
     binary_entropy,
-    control_pair,
+    control_llr,
     gaussian_information_density,
     information_density_table,
     mutual_information,
@@ -59,9 +59,6 @@ from .errors import (
 _Z95 = 1.959963984540054
 _BLOCK = 256
 _HT_BLOCK = 64
-# finite stand-in for an infinite LLR: beyond any threshold that finite LLRs
-# (each at most about 745 in size) could reach, and 64 of them sum finitely
-_LLR_CAP = 1e300
 _HORIZON_MULT = 50.0  # default n_max in units of gamma2 / C
 _LN2 = math.log(2.0)
 
@@ -78,10 +75,11 @@ class SchemeConfig:
     phase 2) and its energy summed over the charged symbols only.  ``c2``
     truncates the second communication phase of the universal variants at
     walk time c2 * gamma2 / C (the analysis horizon of the universal
-    scheme; finite, above 1): a run that would pass it is censored too;
-    None disables the extra cap.  The M-1 wrong codewords race literally
-    when M is an integer count small enough (``ensemble.literal_count``)
-    and through the metric's ensemble strategy otherwise.  uvlf_awgn
+    scheme; a float, finite and above 1): a run that would pass it is
+    censored too.  A known-channel variant has no such cap and ignores
+    c2.  The M-1 wrong codewords race literally when M is an integer
+    count small enough (``ensemble.literal_count``) and through the
+    metric's ensemble strategy otherwise.  uvlf_awgn
     recognizes crossings from length floor(log M) on, the schedule's block
     length, since its correlation metric is vacuously infinite at length 1.
     """
@@ -93,7 +91,7 @@ class SchemeConfig:
     training_len: int = 0
     n_max: int | None = None
     seed: int = 0
-    c2: float | None = 2.0
+    c2: float = 2.0
 
     def __post_init__(self):
         kind = metric_kind(self.variant)
@@ -125,7 +123,7 @@ class SchemeConfig:
                 )
         if self.n_max is not None and self.n_max < 1:
             raise VlfError(f"n_max must be positive, got {self.n_max}")
-        if self.c2 is not None and not (1 < self.c2 < math.inf):
+        if not (1 < self.c2 < math.inf):
             raise VlfError(f"c2 must be finite and exceed 1, got {self.c2}")
 
 
@@ -175,40 +173,10 @@ class McEstimate:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class EmpiricalChannel:
-    """Channel estimate built from one trial's training sequence.
-
-    Exactly one of ``kernel`` (per-row empirical conditional distributions)
-    and ``noise_variance`` is set.  ``counts`` holds the per-input training
-    lengths (a single entry for the Gaussian all-zero training input).
-    """
-
-    kernel: np.ndarray | None
-    noise_variance: float | None
-    counts: np.ndarray
-
-
 def _trial_rng(seed, trial_index):
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
     )
-
-
-# ---------------------------------------------------------------------------
-# training / channel estimation
-
-
-def estimate_channel(cfg, trial_index=0):
-    """The channel estimate the given trial's training phase produces, by
-    the draw a trial makes first (see ``Metric.draw_training``)."""
-    kind = metric_kind(cfg.variant)
-    if not kind.universal:
-        raise InsufficientTraining(
-            f"variant {cfg.variant} knows its channel and draws no training"
-        )
-    return kind.draw_training(_trial_rng(cfg.seed, trial_index), cfg.channel,
-                              cfg.training_len)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +229,12 @@ class Metric:
     state.  The base kernel sums per-symbol steps ``step(x, y)``, and its
     ensemble strategy tilts toward ``draw_tilted(rng, y)``, the posterior of
     the input given each output.  Subclasses add ``walk_drift(channel, px)``,
-    the training draw ``draw_training(rng, channel, training_len)`` (an
-    EmpiricalChannel), the samplers ``draw_true(rng, shape)`` (true symbols
-    and outputs) and ``draw_inputs(rng, rows, y)`` (competitor symbols), and
-    the LLR sampler ``confirmation(rng, emp, right)`` of the confirmation
-    test.
+    the training draw ``draw_training(rng, channel, training_len)`` (the
+    estimated kernel, or noise variance, as plain data), the samplers
+    ``draw_true(rng, shape)`` (true symbols and outputs) and
+    ``draw_inputs(rng, rows, y)`` (competitor symbols), and the LLR sampler
+    ``confirmation(rng, est, right)`` of the confirmation test, which scores
+    with the estimate est, or the true channel when est is None.
     """
 
     channel_type = Dmc
@@ -301,8 +270,9 @@ class Metric:
 
 class _DmcMetric(Metric):
     """Finite alphabets: categorical samplers, count tables for the universal
-    metrics, and a confirmation test between the control pair of the
-    decoder's kernel (the true one or the training estimate)."""
+    metrics, and a confirmation test scored by ``control_llr`` of the
+    decoder's kernel (the true one or the training estimate), its control
+    symbols drawn from the true channel's rows."""
 
     @staticmethod
     def walk_drift(channel, px):
@@ -320,7 +290,7 @@ class _DmcMetric(Metric):
         rows = np.empty_like(w)
         for x in range(nx):
             rows[x] = rng.multinomial(ells[x], w[x]) / ells[x]
-        return EmpiricalChannel(kernel=rows, noise_variance=None, counts=ells)
+        return rows
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
@@ -328,10 +298,11 @@ class _DmcMetric(Metric):
         self.num_x, self.num_y = self.w.shape
         self.joint_cdf = np.cumsum((px[:, None] * self.w).ravel())
         self.px_cdf = np.cumsum(px)
+        self.row_cdfs = np.cumsum(self.w, axis=1)
         if self.universal:
             self.log_tbl = count_log_table(n_max + 1)
         else:
-            self.known_test = self._test_tables(self.w)
+            self.known_llr = control_llr(self.w)
 
     def draw_true(self, rng, shape):
         cells = _categorical(rng, self.joint_cdf, shape)
@@ -340,27 +311,9 @@ class _DmcMetric(Metric):
     def draw_inputs(self, rng, rows, y):
         return _categorical(rng, self.px_cdf, (rows, y.shape[1]))
 
-    def _test_tables(self, kernel):
-        """The confirmation test's LLR per output under the control pair of
-        `kernel`, and the true channel's output CDFs of the pair.
-
-        A zero cell of the kernel (a training estimate that never saw an
-        output) makes an LLR infinite; it is clipped to +-_LLR_CAP.  The
-        SPRT exits at a capped value's own index as it would at an infinite
-        one, and the 64 values of a block cannot overflow, so no inf - inf
-        NaN arises after the exit.
-        """
-        xa, xr, _ = control_pair(kernel)
-        pa, pr = kernel[xa], kernel[xr]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            llr = np.log(pa) - np.log(pr)
-        llr[(pa == 0) & (pr == 0)] = 0.0  # an output never seen tells nothing
-        np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
-        return llr, (np.cumsum(self.w[xa]), np.cumsum(self.w[xr]))
-
-    def confirmation(self, rng, emp, right):
-        test = self.known_test if emp is None else self._test_tables(emp.kernel)
-        llr, cdf = test[0], test[1][0 if right else 1]
+    def confirmation(self, rng, est, right):
+        xa, xr, llr = self.known_llr if est is None else control_llr(est)
+        cdf = self.row_cdfs[xa if right else xr]
         return lambda b: llr[_categorical(rng, cdf, b)]
 
 
@@ -379,10 +332,7 @@ class _GaussianMetric(Metric):
     def draw_training(rng, channel, lt):
         """lt zeros sent; the noise variance estimate has the law
         sigma0^2 chi2_lt / lt."""
-        var = channel.noise_variance * rng.chisquare(lt) / lt
-        return EmpiricalChannel(
-            kernel=None, noise_variance=float(var), counts=np.array([lt])
-        )
+        return channel.noise_variance * rng.chisquare(lt) / lt
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
@@ -397,8 +347,8 @@ class _GaussianMetric(Metric):
     def draw_inputs(self, rng, rows, y):
         return rng.standard_normal((rows, y.shape[1])) * self.sd_x
 
-    def confirmation(self, rng, emp, right):
-        var = self.channel.noise_variance if emp is None else emp.noise_variance
+    def confirmation(self, rng, est, right):
+        var = self.channel.noise_variance if est is None else est
         slope = 2.0 * self.sd_x / var
         mean = self.sd_x if right else -self.sd_x
         return lambda b: slope * (mean + self.sd_z * rng.standard_normal(b))
@@ -580,11 +530,8 @@ class _Runtime:
                 f"n_max = {self.n_max} is below 10*gamma2/C = "
                 f"{10.0 * self.g2 / drift:.1f}"
             )
-        self.c2_cap = (
-            int(math.ceil(cfg.c2 * self.g2 / drift))
-            if cfg.c2 is not None and kind.universal
-            else None
-        )
+        self.c2_cap = (int(math.ceil(cfg.c2 * self.g2 / drift))
+                       if kind.universal else None)
         # uvlf_awgn's first evaluated length is the schedule's block length
         self.metric = kind(cfg.channel, cfg.px, self.n_max,
                            max(1, int(self.log_m)))
@@ -677,7 +624,7 @@ def simulate_trial(cfg, trial_index, _runtime=None):
     rt = _runtime if _runtime is not None else _Runtime(cfg)
     m = rt.metric
     rng = _trial_rng(cfg.seed, trial_index)
-    emp = (m.draw_training(rng, cfg.channel, cfg.training_len)
+    est = (m.draw_training(rng, cfg.channel, cfg.training_len)
            if m.universal else None)
 
     if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
@@ -695,7 +642,7 @@ def simulate_trial(cfg, trial_index, _runtime=None):
     tau_first = tau1_true if c1_correct else race.t1
 
     decision, len_ht, _ = _block_sprt(
-        m.confirmation(rng, emp, c1_correct),
+        m.confirmation(rng, est, c1_correct),
         cfg.params.a_accept, cfg.params.a_reject, rt.n_max - tau_first,
     )
     stop, correct = None, False
@@ -735,9 +682,14 @@ def _run_chunk(cfg, lo, hi):
     return out
 
 
+def _check_trials(trials):
+    """trials, checked to be a positive count."""
+    if trials < 1:
+        raise VlfError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def _wilson(errors, trials):
-    if trials == 0:
-        return math.nan, math.nan, math.nan
     p = errors / trials
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
@@ -766,8 +718,7 @@ def trial_records(cfg, trials, workers=1):
     own races read; a race reads the same values at any advance.  The pool
     starts no more workers than there are chunks.
     """
-    if trials < 1:
-        raise VlfError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if workers < 1:
         raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
     if workers == 1:
@@ -797,7 +748,7 @@ def run_monte_carlo(cfg, trials, workers=1):
 
 def aggregate_records(cfg, rec):
     """McEstimate over the in-order records of ``trial_records``."""
-    trials = rec.shape[0]
+    trials = _check_trials(rec.shape[0])
     runs = TrialOutcome(*rec.T)
     tau, energy = runs.tau, runs.energy
     errors = float(np.sum(1.0 - runs.correct))

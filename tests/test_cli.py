@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ class TestSweepVerb:
                 < by_scheme[("thm1", n)]
                 <= by_scheme[("converse", n)]
             )
+
+    def test_schemes_call_the_solvers_by_their_cli_names(self, monkeypatch):
+        # a wrapper set on a cli name (as a tracer sets one) sees every call
+        calls = Counter()
+        for name in ("optimize_params", "single_phase_bound",
+                     "converse_bound", "capacity"):
+            def counted(*args, _f=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["sweep", "--channel", BSC, "--eps", "1e-3",
+                     "--N", "500:1000:500",
+                     "--schemes", "thm1,vlsf,converse"]) == 0
+        assert calls == {"optimize_params": 2, "single_phase_bound": 2,
+                         "converse_bound": 2, "capacity": 1}
 
     # a repeated scheme wrote each of its rows twice and exited 0
     @pytest.mark.parametrize("schemes,named", [
@@ -525,6 +541,14 @@ class TestErrorHandling:
         assert main(["transmogrify"]) == 1
         assert main(["bound", "--frequency", "11"]) == 1
         assert main([]) == 1
+
+    def test_too_many_expected_crossers_exit_one(self, capsys):
+        # thresholds far too low for M = 2^60: (M - 1) e^{-gamma_1} = e^31.59
+        assert main(["simulate", "--variant", "vlf_dmc", "--channel", BSC,
+                     "--M", "2^60", "--gamma1", "10", "--gamma2", "20",
+                     "--aA", "3", "--aR", "3", "--trials", "1",
+                     "--seed", "1"]) == 1
+        assert "e^31.59 exceeds 10000" in capsys.readouterr().err
 
     # simulate exited 2 ("infeasible") for it, the other verbs 1
     @pytest.mark.parametrize("argv", [

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import vlf
-from vlf import engine, ensemble
+from vlf import cli, engine, ensemble
 from vlf.bounds import VlfParams, channel_stats
 from vlf.channel import (
+    _LLR_CAP,
     Dmc,
     GaussianChannel,
     binary_entropy,
     bsc,
+    control_llr,
     gaussian_information_density,
     information_density_table,
 )
@@ -35,7 +37,6 @@ from vlf.engine import (
     TrialOutcome,
     aggregate_records,
     empirical_mi_passage_times,
-    estimate_channel,
     info_density_passage_times,
     run_monte_carlo,
     simulate_trial,
@@ -146,9 +147,8 @@ class TestSprt:
     def test_infinite_llrs_decide_as_their_cap(self):
         # a training estimate that never saw output 1 from input 0 nor
         # output 0 from input 1 makes both LLRs of the test infinite
-        cap = engine._LLR_CAP
-        metric = EmpiricalMi(CH, UNIFORM2, 400)
-        llr, _ = metric._test_tables(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        cap = _LLR_CAP
+        _, _, llr = control_llr(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert sorted(llr.tolist()) == [-cap, cap]
         for head, tail in ((0.5, -1.0), (-0.5, 1.0)):
             # the first infinity exits; the opposite one after it in the
@@ -178,7 +178,7 @@ class TestZeroCellTraining:
         cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                            params=_params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
                            training_len=4, seed=3)
-        kernels = [estimate_channel(cfg, i).kernel for i in range(4)]
+        kernels = [_estimate(cfg, i) for i in range(4)]
         assert all((k == 0.0).any() for k in kernels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -244,11 +244,14 @@ class TestConfigValidation:
 
 class TestVariantRegistry:
     def test_no_comparison_against_a_variant_name(self):
-        # variant dispatch goes through engine.METRICS, never through
-        # if-chains on variant strings
+        # variant dispatch goes through engine.METRICS and sweep-scheme
+        # dispatch through cli._SCHEMES, never through if-chains on their
+        # name strings
+        names = set(VARIANTS) | set(cli._SCHEMES)
+
         def names_a_variant(node):
             if isinstance(node, ast.Constant):
-                return node.value in VARIANTS
+                return node.value in names
             if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
                 return any(names_a_variant(e) for e in node.elts)
             return False
@@ -372,30 +375,44 @@ class TestCompetitorModeResolution:
         with pytest.raises(StateExplosion):
             run_monte_carlo(cfg, 1)
 
+    def test_count_dp_needs_a_binary_binary_channel(self):
+        ternary = Dmc(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
+        cfg = SchemeConfig(
+            variant="uvlf_dmc", channel=ternary, px=np.full(3, 1.0 / 3.0),
+            params=_params(log2m=60.0, g1=50.0, g2=60.0), training_len=64,
+        )
+        with pytest.raises(StateExplosion, match="binary-binary channel"):
+            run_monte_carlo(cfg, 1)
+
+
+def _estimate(cfg, trial_index=0):
+    """The channel estimate trial `trial_index` draws first: its training."""
+    return METRICS[cfg.variant].draw_training(
+        engine._trial_rng(cfg.seed, trial_index), cfg.channel,
+        cfg.training_len)
+
 
 class TestTrainingEstimates:
     def test_deterministic_given_seed_and_trial(self):
         cfg = _cfg(variant="uvlf_dmc", training_len=100)
-        a = estimate_channel(cfg, trial_index=7)
-        b = estimate_channel(cfg, trial_index=7)
-        c = estimate_channel(cfg, trial_index=8)
-        np.testing.assert_array_equal(a.kernel, b.kernel)
-        assert not np.array_equal(a.kernel, c.kernel)
+        a = _estimate(cfg, trial_index=7)
+        b = _estimate(cfg, trial_index=7)
+        c = _estimate(cfg, trial_index=8)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_training_budget_split_across_inputs(self):
+        # 7 symbols round-robin: input 0 is sent 4 times, input 1 3 times
         cfg = _cfg(variant="uvlf_dmc", training_len=7)
-        est = estimate_channel(cfg)
-        np.testing.assert_array_equal(est.counts, [4, 3])
-        np.testing.assert_allclose(est.kernel.sum(axis=1), [1.0, 1.0])
+        rng = engine._trial_rng(cfg.seed, 0)
+        want = [rng.multinomial(n, row) / n
+                for n, row in zip((4, 3), CH.matrix)]
+        np.testing.assert_array_equal(_estimate(cfg), want)
+        np.testing.assert_allclose(_estimate(cfg).sum(axis=1), [1.0, 1.0])
 
     def test_long_training_concentrates_on_the_true_kernel(self):
         cfg = _cfg(variant="uvlf_dmc", training_len=1_000_000)
-        est = estimate_channel(cfg)
-        assert float(np.max(np.abs(est.kernel - CH.matrix))) < 0.005
-
-    def test_known_channel_config_draws_no_training(self):
-        with pytest.raises(InsufficientTraining):
-            estimate_channel(_cfg(training_len=100))
+        assert float(np.max(np.abs(_estimate(cfg) - CH.matrix))) < 0.005
 
     def test_gaussian_noise_variance_estimate(self):
         cfg = SchemeConfig(
@@ -403,9 +420,7 @@ class TestTrainingEstimates:
             params=_params(log2m=6.0, g1=6.0, g2=10.0, a=3.0),
             training_len=10_000, seed=3,
         )
-        est = estimate_channel(cfg)
-        assert est.kernel is None
-        assert 0.95 * 2.0 <= est.noise_variance <= 1.05 * 2.0
+        assert 0.95 * 2.0 <= _estimate(cfg) <= 1.05 * 2.0
 
 
 class TestTrialOutcomes:
@@ -493,6 +508,22 @@ class TestCensoringRule:
                 walk, rel=1e-12
             )
 
+    @pytest.mark.parametrize("variant", ["vlf_dmc", "vlf_awgn"])
+    def test_walk_short_of_gamma1_by_n_max_is_charged_n_max(self, variant):
+        # gamma_1 = 8 is out of the true walk's reach in 5 steps: the run is
+        # censored with all n_max = 5 symbols in phase 1, and a Gaussian
+        # one is charged the energy of the 5 symbols drawn
+        cfg = _variant_cfg(variant, _params(), seed=0)
+        rt = engine._Runtime(cfg)
+        rt.n_max = 5
+        o = simulate_trial(cfg, 0, _runtime=rt)
+        assert o._replace(energy=0.0) == (0, 5, 5, 0, 0, 0.0, 1, 0)
+        rng = engine._trial_rng(cfg.seed, 0)
+        rng.random()  # the stop-at-time-zero draw
+        x, _ = rt.metric.draw_true(rng, (1, 5))
+        energy = float(np.sum(x * x)) if rt.metric.gaussian else 0.0
+        assert o.energy == pytest.approx(energy, rel=1e-12)
+
     @pytest.mark.parametrize("variant", ["vlf_awgn", "uvlf_awgn"])
     def test_censored_energy_counts_only_the_charged_symbols(self, variant):
         # long confirmation tests at a tight horizon censor about a third of
@@ -527,6 +558,48 @@ class TestCensoringRule:
                 long_runs += 1
                 assert 0.8 <= o.energy / o.tau <= 1.2  # P = 1
         assert long_runs > 0
+
+
+class TestFirstStepCrossing:
+    @pytest.mark.parametrize(
+        "variant,mode",
+        [(v, m) for v in ("vlf_dmc", "uvlf_bsc", "vlf_awgn")
+         for m in ("literal", "ensemble")],
+        indirect=["mode"],
+    )
+    def test_true_walk_past_gamma2_at_step_one_races_no_outputs(
+        self, variant, mode
+    ):
+        # gamma_2 = 0.5 lies below a vlf_dmc step without a flip,
+        # log(2 * 0.89) = 0.577, and below uvlf_bsc's first value log 2, so
+        # many races get the horizon tau_2 - 1 = 0
+        cfg = _variant_cfg(variant, _params(log2m=6.0, g1=0.1, g2=0.5),
+                           seed=5)
+        rt = engine._Runtime(cfg)
+        race, empty = rt.race, []
+        assert (race.func is ensemble.literal_race) == (mode == "literal")
+
+        def spy(rng, y):
+            result = race(rng, y)
+            if y.size == 0:
+                empty.append(result)
+            return result
+
+        rt.race = spy
+        outs = [simulate_trial(cfg, i, _runtime=rt) for i in range(200)]
+        assert empty
+        assert all(r == ensemble.RaceResult(None, None) for r in empty)
+        assert all(o.len_c1 == 1 for o in outs)
+
+
+class TestPoissonCrosserRate:
+    def test_no_crossing_mass_expects_no_crossers(self):
+        assert ensemble.poisson_crosser_rate(60.0 * LN2, -math.inf) == 0.0
+
+    def test_too_many_expected_crossers_is_a_state_explosion(self):
+        # (M - 1) e^{-gamma_1} at M = 2^60 and gamma_1 = 10 is e^31.59
+        with pytest.raises(StateExplosion, match=r"e\^31\.59 exceeds 10000"):
+            ensemble.poisson_crosser_rate(60.0 * LN2, -10.0)
 
 
 class TestDeterminismAndAggregation:
@@ -603,6 +676,13 @@ class TestDeterminismAndAggregation:
         ))
         batch = run_monte_carlo(cfg, 300)
         assert streamed == batch
+
+    def test_empty_records_are_rejected(self):
+        # they gave an all-NaN estimate of 0 trials and numpy's warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VlfError, match="trials must be >= 1, got 0"):
+                aggregate_records(_cfg(), np.empty((0, 8)))
 
     def test_different_seeds_differ(self):
         a = run_monte_carlo(_cfg(seed=1), 200)
