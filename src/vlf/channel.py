@@ -2,9 +2,9 @@
 
 Discrete memoryless channels are row-stochastic matrices W[x, y] with strictly
 positive entries (every output reachable from every input). The additive-noise
-Gaussian channel is parametrized by its noise variance and input power budget;
-its signal-to-noise ratio S = P / sigma0^2 gives capacity C(S) = (1/2) log(1+S)
-and a binary-antipodal control divergence of 2S. All logarithms are natural;
+Gaussian channel has unit noise variance, so its input power budget P is its
+signal-to-noise ratio S; it gives capacity C(S) = (1/2) log(1+S) and a
+binary-antipodal control divergence of 2S. All logarithms are natural;
 rates are in nats unless a caller converts for display.
 """
 
@@ -115,25 +115,21 @@ class Dmc:
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Y = X + Z with Z ~ N(0, noise_variance) and power budget E[sum X^2] <= E[tau] * power."""
+    """Y = X + Z with Z ~ N(0, 1) and power budget E[sum X^2] <= E[tau] *
+    power; with unit noise the power is the SNR, the one parameter every
+    bound reads."""
 
     power: float
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.power < math.inf):
             raise NotADistribution(
                 f"power must be finite and positive, got {self.power}"
             )
-        if not (0 < self.noise_variance < math.inf):
-            raise NotADistribution(
-                f"noise variance must be finite and positive, got "
-                f"{self.noise_variance}"
-            )
 
     @property
     def snr(self):
-        return self.power / self.noise_variance
+        return self.power
 
     @property
     def capacity(self):
@@ -142,7 +138,8 @@ class GaussianChannel:
 
     @property
     def control_divergence(self):
-        """KL between the antipodal control outputs N(+sqrt(P), s2) and N(-sqrt(P), s2) = 2S."""
+        """KL between the antipodal control outputs N(+sqrt(P), 1) and
+        N(-sqrt(P), 1) = 2S."""
         return 2.0 * self.snr
 
 
@@ -276,11 +273,9 @@ def information_density_table(px, dmc):
 def gaussian_information_density(chan, x, y):
     """Per-symbol information density of the Gaussian channel (array-valued).
 
-    C(S) - (y - x)^2 / (2 sigma0^2) + y^2 / (2 (P + sigma0^2)) for the
-    N(0, P) input ensemble.
+    C(S) - (y - x)^2 / 2 + y^2 / (2 (P + 1)) for the N(0, P) input ensemble.
     """
-    s2 = chan.noise_variance
-    return chan.capacity - (y - x) ** 2 / (2.0 * s2) + y * y / (2.0 * (chan.power + s2))
+    return chan.capacity - (y - x) ** 2 / 2.0 + y * y / (2.0 * (chan.power + 1.0))
 
 
 def load_dmc(path):
@@ -332,7 +327,7 @@ def parse_channel_spec(spec):
             ) from None
         if kind == "bsc":
             return bsc(value)
-        return GaussianChannel(power=value, noise_variance=1.0)
+        return GaussianChannel(value)
     if kind == "dmc":
         if not os.path.exists(arg):
             raise NotADistribution(f"dmc matrix file not found: {arg!r}")

@@ -4,16 +4,15 @@ Verbs:
 
 * ``bound``    - evaluate the three-phase achievability bound at a schedule
                  given explicitly or derived from a horizon N1;
-* ``optimize`` - best log M meeting (eps, N) targets, with the schedule;
 * ``simulate`` - Monte Carlo runs of the coding scheme (any variant);
 * ``sweep``    - rate curves over an N grid for schemes thm1 / vlsf /
-                 converse;
+                 converse; a one-point ``thm1`` sweep is the best log M
+                 meeting (eps, N) targets, with its schedule;
 * ``oracle``   - exact joint-type tail probabilities vs the polynomial bound.
 
 Each verb appends fixed-schema rows to a CSV (``--out``) and prints a
 one-line summary.  Rates and other reals use 6 decimal places, probabilities
-scientific notation with 3 significant digits.  Options may come from a flat
-``key = value`` config file (``--config``); explicit command-line flags win.
+scientific notation with 3 significant digits.  Every option is a flag.
 Exit status: 0 success, 2 infeasible targets, 1 any other error.
 """
 
@@ -29,11 +28,11 @@ import sys
 
 import numpy as np
 
+from . import bounds
 from .bounds import (
     VlfParams,
     achievability_bound,
     asymptotic_schedule,
-    channel_stats,
     converse_bound,
     optimize_params,
     single_phase_bound,
@@ -124,34 +123,8 @@ def _parse_px(s):
     return v / v.sum() if abs(v.sum() - 1.0) > 1e-12 else v
 
 
-def _load_config(path):
-    """Flat key = value file; # starts a comment; quotes optional."""
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise _CliError(
-                        f"{path}:{lineno}: expected key = value, got {raw.strip()!r}"
-                    )
-                key, _, val = line.partition("=")
-                key = key.strip()
-                val = val.strip()
-                if len(val) >= 2 and val[0] == val[-1] and val[0] in "\"'":
-                    val = val[1:-1]
-                if not key:
-                    raise _CliError(f"{path}:{lineno}: empty key")
-                out[key] = val
-    except OSError as exc:
-        raise _CliError(f"cannot read config {path}: {exc}") from exc
-    return out
-
-
-# the option table: dest -> (flag, caster, help); casters run on config-file
-# strings; command-line flags are parsed as raw strings and cast the same way
+# the option table: dest -> (flag, caster, help); flags are parsed as raw
+# strings and cast once the verb is known
 _OPTIONS = {
     "channel": ("--channel", str, "channel spec: bsc:<p> | dmc:<path> | awgn:<snr>"),
     "out": ("--out", str, "CSV file to append results to"),
@@ -167,8 +140,7 @@ _OPTIONS = {
     "eps0": ("--eps0", float, "stop-at-time-zero probability"),
     "N1": ("--N1", float, "derive the known-channel schedule from this horizon"),
     "eps": ("--eps", float, "target error probability"),
-    "N": ("--N", float, "target average blocklength"),
-    "N_grid": ("--N", _parse_grid, "blocklength grid start:stop:step"),
+    "N": ("--N", _parse_grid, "blocklength grid start:stop:step, or one N"),
     "d": ("--d", float, "universal schedule union-bound exponent"),
     "delta": ("--delta", float, "universal schedule slack"),
     "training": ("--training", int, "training sequence length"),
@@ -185,13 +157,12 @@ _OPTIONS = {
 _THRESHOLDS = ("M", "gamma1", "gamma2", "a_accept", "a_reject", "eps0")
 _VERB_OPTS = {
     "bound": ("channel", "out", "px", *_THRESHOLDS, "N1", "eps"),
-    "optimize": ("channel", "out", "px", "eps", "N"),
     "simulate": (
         "channel", "out", "px", "variant", *_THRESHOLDS, "N1", "eps", "d",
         "delta", "training", "trials", "seed", "workers", "trace", "n_max",
         "c2",
     ),
-    "sweep": ("channel", "out", "px", "eps", "N_grid", "schemes"),
+    "sweep": ("channel", "out", "px", "eps", "N", "schemes"),
     "oracle": ("channel", "out", "px", "n", "gamma"),
 }
 
@@ -204,8 +175,6 @@ def _build_parser():
     subs = top.add_subparsers(dest="verb")
     for verb, names in _VERB_OPTS.items():
         sp = subs.add_parser(verb, add_help=True)
-        sp.add_argument("--config", type=str, default=None,
-                        help="flat key = value option file; flags override it")
         for dest in names:
             flag, _, helptext = _OPTIONS[dest]
             sp.add_argument(flag, dest=dest, type=str, default=None,
@@ -214,8 +183,8 @@ def _build_parser():
 
 
 class _Options(dict):
-    """A verb's merged option values, None when unset, that note which
-    ones the verb reads."""
+    """A verb's cast option values, None when unset, that note which ones
+    the verb reads."""
 
     def __init__(self, values):
         super().__init__(values)
@@ -226,33 +195,18 @@ class _Options(dict):
         return super().__getitem__(name)
 
 
-def _merge_options(args, verb):
-    """Config-file values under command-line values, all cast by the verb's
-    option table; unknown config keys are rejected.  Keys may use either the
-    internal name (``a_accept``) or the flag spelling (``aA``, ``n-max``)."""
-    opts = {dest: _OPTIONS[dest] for dest in _VERB_OPTS[verb]}
-    alias = {}
-    for dest, (flag, _, _h) in opts.items():
-        alias[dest] = dest
-        alias[flag.lstrip("-")] = dest
-    raw_file = _load_config(args.config) if args.config else {}
-    unknown = sorted(k for k in raw_file if k not in alias)
-    if unknown:
-        raise _CliError(
-            f"unknown config key(s) for {verb}: {', '.join(unknown)}"
-        )
-    filevals = {alias[k]: v for k, v in raw_file.items()}
-    merged = _Options(dict.fromkeys(opts))
-    for dest, (flag, caster, _help) in opts.items():
+def _cast_options(args, verb):
+    """The verb's flag values, each cast by its option table entry."""
+    opt = _Options(dict.fromkeys(_VERB_OPTS[verb]))
+    for dest in opt:
+        flag, caster, _help = _OPTIONS[dest]
         raw = getattr(args, dest)
-        if raw is None:
-            raw = filevals.get(dest)
         if raw is not None:
             try:
-                merged[dest] = caster(raw)
+                opt[dest] = caster(raw)
             except ValueError as exc:
                 raise _CliError(f"bad value for {flag}: {raw!r} ({exc})") from exc
-    return merged
+    return opt
 
 
 def _require(opt, name, flag):
@@ -404,24 +358,6 @@ def _cmd_bound(opt):
     return 0
 
 
-def _cmd_optimize(opt):
-    channel, px, spec = _resolve_channel(opt)
-    eps = _require(opt, "eps", "--eps")
-    n_target = _require(opt, "N", "--N")
-    out = _commit(opt, _BOUND_HEADER)
-    params, report = optimize_params(channel_stats(channel, px), eps,
-                                     n_target)
-    _append_csv(out, _BOUND_HEADER,
-                [_bound_row("thm1", spec, n_target, report.eps,
-                            report.log_m, report.rate, params)])
-    print(
-        f"optimize @ {spec}, eps <= {eps:.2e}, N <= {n_target:.6f}: "
-        f"logM = {report.log_m:.6f} nats ({report.log_m / _LN2:.2f} bits), "
-        f"rate = {report.rate_bits:.6f} bits/use"
-    )
-    return 0
-
-
 def _channel_capacity(channel):
     if isinstance(channel, GaussianChannel):
         return channel.capacity
@@ -456,7 +392,7 @@ _SCHEMES = {"thm1": _sweep_thm1, "vlsf": _sweep_vlsf,
 def _cmd_sweep(opt):
     channel, px, spec = _resolve_channel(opt)
     eps = _require(opt, "eps", "--eps")
-    grid = _require(opt, "N_grid", "--N")
+    grid = _require(opt, "N", "--N")
     schemes = [s.strip() for s in
                _require(opt, "schemes", "--schemes").split(",") if s.strip()]
     for s in schemes:
@@ -470,7 +406,7 @@ def _cmd_sweep(opt):
     cap = _channel_capacity(channel)
     # only the solvers need the walk constants; a converse-only sweep must
     # not fail on a px (say 1,0) that gives the walk no drift
-    stats = (channel_stats(channel, px) if set(schemes) - {"converse"}
+    stats = (bounds.channel_stats(channel, px) if set(schemes) - {"converse"}
              else None)
     rows = [_bound_row(scheme, spec, n_target,
                        *_SCHEMES[scheme](stats, cap, eps, n_target))
@@ -573,7 +509,6 @@ def _cmd_oracle(opt):
 
 _COMMANDS = {
     "bound": _cmd_bound,
-    "optimize": _cmd_optimize,
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
     "oracle": _cmd_oracle,
@@ -585,8 +520,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.verb is None:
-            raise _CliError("missing verb (bound, optimize, simulate, sweep, oracle)")
-        opt = _merge_options(args, args.verb)
+            raise _CliError(f"missing verb ({', '.join(_COMMANDS)})")
+        opt = _cast_options(args, args.verb)
         return _COMMANDS[args.verb](opt)
     except (Infeasible, EpsTooSmall, HorizonTooSmall) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

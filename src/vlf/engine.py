@@ -155,7 +155,8 @@ class McEstimate:
     """Aggregated Monte Carlo results with 95% confidence intervals.
 
     eps uses a Wilson interval, n and power normal/delta-method intervals.
-    power fields are None on finite-alphabet channels.  ``degenerate`` marks
+    power fields are None on finite-alphabet channels and when no trial
+    sent a symbol (the power ratio is then undefined).  ``degenerate`` marks
     runs with too few trials for a spread estimate (CI bounds are NaN then).
     """
 
@@ -318,8 +319,8 @@ class _DmcMetric(Metric):
 
 
 class _GaussianMetric(Metric):
-    """Codebooks N(0, P): normal samplers, and antipodal controls scored
-    with the known or estimated noise variance."""
+    """Codebooks N(0, P) over unit noise: normal samplers, and antipodal
+    controls scored with the known (unit) or estimated noise variance."""
 
     channel_type = GaussianChannel
     gaussian = True
@@ -331,27 +332,25 @@ class _GaussianMetric(Metric):
     @staticmethod
     def draw_training(rng, channel, lt):
         """lt zeros sent; the noise variance estimate has the law
-        sigma0^2 chi2_lt / lt."""
-        return channel.noise_variance * rng.chisquare(lt) / lt
+        chi2_lt / lt."""
+        return rng.chisquare(lt) / lt
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
         self.power = channel.power
         self.sd_x = math.sqrt(channel.power)
-        self.sd_z = math.sqrt(channel.noise_variance)
 
     def draw_true(self, rng, shape):
         x = self.sd_x * rng.standard_normal(shape)
-        return x, x + self.sd_z * rng.standard_normal(shape)
+        return x, x + rng.standard_normal(shape)
 
     def draw_inputs(self, rng, rows, y):
         return rng.standard_normal((rows, y.shape[1])) * self.sd_x
 
     def confirmation(self, rng, est, right):
-        var = self.channel.noise_variance if est is None else est
-        slope = 2.0 * self.sd_x / var
+        slope = 2.0 * self.sd_x / (1.0 if est is None else est)
         mean = self.sd_x if right else -self.sd_x
-        return lambda b: slope * (mean + self.sd_z * rng.standard_normal(b))
+        return lambda b: slope * (mean + rng.standard_normal(b))
 
 
 class AdditiveDmc(_DmcMetric):
@@ -378,9 +377,9 @@ class AdditiveGaussian(_GaussianMetric):
         return gaussian_information_density(self.channel, x, y)
 
     def draw_tilted(self, rng, y):
-        p, s2 = self.power, self.channel.noise_variance
-        post_sd = math.sqrt(p * s2 / (p + s2))
-        return y * (p / (p + s2)) + post_sd * rng.standard_normal(y.size)
+        p = self.power
+        post_sd = math.sqrt(p / (p + 1.0))
+        return y * (p / (p + 1.0)) + post_sd * rng.standard_normal(y.size)
 
 
 class EmpiricalMi(_DmcMetric):
@@ -760,22 +759,18 @@ def aggregate_records(cfg, rec):
     else:
         half = _Z95 * float(tau.std(ddof=1)) / math.sqrt(trials)
         n_lo, n_hi = n_hat - half, n_hat + half
-    gaussian = metric_kind(cfg.variant).gaussian
     power_hat = power_lo = power_hi = None
-    if gaussian:
-        tot_tau = float(tau.sum())
-        if tot_tau > 0:
-            power_hat = float(energy.sum()) / tot_tau
-            if degenerate:
-                power_lo = power_hi = math.nan
-            else:
-                resid = energy - power_hat * tau
-                se = (math.sqrt(float(np.sum(resid * resid)) / (trials - 1))
-                      / math.sqrt(trials) / n_hat)
-                power_lo = power_hat - _Z95 * se
-                power_hi = power_hat + _Z95 * se
+    tot_tau = float(tau.sum())
+    if metric_kind(cfg.variant).gaussian and tot_tau > 0:
+        power_hat = float(energy.sum()) / tot_tau
+        if degenerate:
+            power_lo = power_hi = math.nan
         else:
-            power_hat = power_lo = power_hi = math.nan
+            resid = energy - power_hat * tau
+            se = (math.sqrt(float(np.sum(resid * resid)) / (trials - 1))
+                  / math.sqrt(trials) / n_hat)
+            power_lo = power_hat - _Z95 * se
+            power_hi = power_hat + _Z95 * se
     return McEstimate(
         eps_hat=eps_hat,
         eps_lo=eps_lo,

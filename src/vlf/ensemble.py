@@ -229,11 +229,10 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     order from 1-D slices of L = log_tbl: cells
     ((L[k-v] + L[v]) + L[j-u]) + L[u], minus the row sums R[u+v] with
     R[s] = L[t-s] + L[s] (a Hankel view), minus L[k] + L[j], plus L[t].
-    Steps where _cannot_absorb holds skip the grid.
+    Steps where _cannot_absorb holds skip the grid.  An empty prefix
+    absorbs no mass, so its race returns no crossing before any draw.
     """
     h = y.size
-    if h < 1:
-        return RaceResult(None, None)
     L, px1 = metric.log_tbl, metric.px[1]
     stay = 1.0 - px1
     table = L[:h + 1].tolist()

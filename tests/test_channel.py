@@ -1,5 +1,6 @@
 """Channel models, capacity, and information density."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,7 +103,10 @@ class TestCapacity:
         assert GaussianChannel(1.0).capacity == pytest.approx(
             0.5 * math.log(2.0)
         )
-        assert GaussianChannel(3.0, 1.5).snr == pytest.approx(2.0)
+        # unit noise: the power is the SNR, and the one field
+        assert GaussianChannel(2.0).snr == 2.0
+        assert [f.name for f in dataclasses.fields(GaussianChannel)] == [
+            "power"]
 
 
 class TestMutualInformation:
@@ -263,7 +267,7 @@ class TestGaussianInformationDensity:
         nodes, weights = hermegauss(80)
         weights = weights / math.sqrt(2 * math.pi)
         x = nodes[:, None] * math.sqrt(chan.power)
-        z = nodes[None, :] * math.sqrt(chan.noise_variance)
+        z = nodes[None, :]  # unit noise
         dens = np.vectorize(gaussian_information_density)(chan, x, x + z)
         mean = float((weights[:, None] * weights[None, :] * dens).sum())
         assert mean == pytest.approx(chan.capacity, abs=1e-6)
@@ -311,14 +315,12 @@ class TestParsingAndValidation:
         with pytest.raises(VlfError):
             GaussianChannel(0.0)
         with pytest.raises(VlfError):
-            GaussianChannel(1.0, -1.0)
+            GaussianChannel(-1.0)
 
-    @pytest.mark.parametrize("power,noise", [
-        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
-    ])
-    def test_gaussian_parameters_must_be_finite(self, power, noise):
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_gaussian_parameters_must_be_finite(self, power):
         with pytest.raises(NotADistribution, match="finite"):
-            GaussianChannel(power, noise)
+            GaussianChannel(power)
 
     @pytest.mark.parametrize("spec", ["awgn:inf", "awgn:1e400"])
     def test_infinite_snr_spec_rejected(self, spec):

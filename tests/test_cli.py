@@ -1,11 +1,13 @@
-"""Command-line interface: verbs, CSV schemas, config files, exit codes."""
+"""Command-line interface: verbs, CSV schemas, exit codes, README examples."""
 
 import csv
 import json
 import math
 import re
+import shlex
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,38 +78,37 @@ class TestBoundVerb:
                      "--eps", "1e-3"]) == 2
 
 
-class TestOptimizeVerb:
+def _optimize(spec, n, *extra):
+    """A one-point thm1 sweep: the best log M meeting (1e-3, n) targets."""
+    return main(["sweep", "--channel", spec, "--eps", "1e-3", "--N", n,
+                 "--schemes", "thm1", *extra])
+
+
+class TestOnePointSweep:
     def test_writes_schedule_row(self, tmp_path):
         out = tmp_path / "o.csv"
-        assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
-                     "--N", "500", "--out", str(out)]) == 0
+        assert _optimize(BSC, "500", "--out", str(out)) == 0
         row = _rows(out)[0]
         assert row["scheme"] == "thm1"
         assert float(row["logM_nats"]) == pytest.approx(168.119757, abs=1e-4)
         assert row["gamma1"] != ""
+        # the row the removed optimize verb wrote for these targets
+        assert ",".join(row.values()) == (
+            "thm1,bsc:0.11,500.000000,1.00e-03,168.119757,242.545539,"
+            "0.485091,170.552876,176.234195,4.830152,5.815518,2.11e-17")
 
     def test_unreachable_targets_exit_two(self):
-        assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
-                     "--N", "0.5"]) == 2
-
-    def test_infinite_target_length_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "o.csv"
-        assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
-                     "--N", "inf", "--out", str(out)]) == 1
-        assert "target_n" in capsys.readouterr().err
-        assert not out.exists()
+        assert _optimize(BSC, "0.5") == 2
 
     def test_low_snr_gaussian_optimizes(self, tmp_path):
         out = tmp_path / "o.csv"
-        assert main(["optimize", "--channel", "awgn:0.001", "--eps", "1e-3",
-                     "--N", "20000", "--out", str(out)]) == 0
+        assert _optimize("awgn:0.001", "20000", "--out", str(out)) == 0
         assert float(_rows(out)[0]["logM_nats"]) > 0
 
     def test_gaussian_walk_constants_emit_no_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["optimize", "--channel", "awgn:0.1", "--eps", "1e-3",
-                         "--N", "2000"])
+            code = _optimize("awgn:0.1", "2000")
         assert code == 0
         assert caught == []
 
@@ -193,7 +194,7 @@ class TestSweepVerb:
 
     @pytest.mark.parametrize(
         "grid", ["nan", "-5", "0", "inf", "200:nan:200", "0:400:200",
-                 "200:400:0", "200:400:-100"],
+                 "200:400:0", "200:400:-100", "200:400", "400:200:100"],
     )
     def test_non_finite_or_non_positive_grid_rejected(self, grid, tmp_path,
                                                       capsys):
@@ -217,12 +218,12 @@ class TestSweepVerb:
     def test_sweep_computes_the_walk_constants_once(
         self, spec, tmp_path, monkeypatch
     ):
+        # cli calls it through the bounds module, so this wrapper (and a
+        # tracer's) sees the call
         calls = []
         stats = bounds.channel_stats
-        for module in (bounds, cli):
-            monkeypatch.setattr(module, "channel_stats",
-                                lambda *a: calls.append(a) or stats(*a),
-                                raising=False)
+        monkeypatch.setattr(bounds, "channel_stats",
+                            lambda *a: calls.append(a) or stats(*a))
         assert main(["sweep", "--channel", spec, "--eps", "1e-3",
                      "--N", "200:4000:200", "--schemes", "thm1,vlsf,converse",
                      "--out", str(tmp_path / "s.csv")]) == 0
@@ -335,6 +336,17 @@ class TestSimulateVerb:
         assert row["power_hat"] != ""
         assert float(row["power_hat"]) == pytest.approx(1.0, abs=0.2)
 
+    def test_power_column_is_empty_when_nothing_was_sent(self, tmp_path):
+        # eps0 = 1 stops every trial at time zero; the row read "nan"
+        out = tmp_path / "g.csv"
+        assert main([
+            "simulate", "--variant", "vlf_awgn", "--channel", "awgn:1",
+            "--M", "2^6", "--gamma1", "8", "--gamma2", "13", "--aA", "3",
+            "--aR", "3", "--eps0", "1", "--trials", "5", "--seed", "1",
+            "--out", str(out),
+        ]) == 0
+        assert _rows(out)[0]["power_hat"] == ""
+
     def test_universal_schedule_path(self, tmp_path):
         out = tmp_path / "u.csv"
         assert main([
@@ -372,7 +384,8 @@ class TestSimulateVerb:
     @pytest.mark.parametrize("flag", [["--n-max-mult", "10"],
                                       ["--min-eval-len", "3"],
                                       ["--competitor-mode", "ensemble"],
-                                      ["--honest-time-zero"]])
+                                      ["--honest-time-zero"],
+                                      ["--config", "exp.cfg"]])
     def test_removed_knobs_rejected(self, flag):
         args = [a if a != "400" else "20" for a in self._ARGS]
         assert main(args + flag) == 1
@@ -424,41 +437,6 @@ class TestOracleVerb:
                      "--gamma", "1"]) == 1
 
 
-class TestConfigFile:
-    def test_file_supplies_options_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "# shared experiment setup\n"
-            'channel = "bsc:0.11"\n'
-            "variant = vlf_dmc\n"
-            "M = 2^8\n"
-            "gamma1 = 8.0\n"
-            "gamma2 = 14.0\n"
-            "aA = 3.0\n"
-            "aR = 3.0\n"
-            "trials = 120\n"
-        )
-        a = tmp_path / "a.csv"
-        assert main(["simulate", "--config", str(cfg), "--seed", "5",
-                     "--out", str(a)]) == 0
-        row = _rows(a)[0]
-        assert row["trials"] == "120"
-        b = tmp_path / "b.csv"
-        assert main(["simulate", "--config", str(cfg), "--seed", "5",
-                     "--trials", "60", "--out", str(b)]) == 0
-        assert _rows(b)[0]["trials"] == "60"
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("channel = bsc:0.11\nwarp_speed = 9\n")
-        assert main(["simulate", "--config", str(cfg), "--seed", "1"]) == 1
-
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("channel bsc:0.11\n")
-        assert main(["bound", "--config", str(cfg), "--N1", "2000"]) == 1
-
-
 _EXPLICIT = ["--M", "2^6", "--gamma1", "8", "--gamma2", "13", "--aA", "3",
              "--aR", "3"]
 _SIM = ["--trials", "10", "--seed", "1"]
@@ -466,8 +444,6 @@ _SIM = ["--trials", "10", "--seed", "1"]
 _UNREAD_CASES = {
     "bound-awgn-px": (["bound", "--channel", "awgn:1", "--N1", "2000",
                        "--eps", "1e-3"], ["--px", "0.5,0.5"]),
-    "optimize-awgn-px": (["optimize", "--channel", "awgn:1", "--eps", "1e-3",
-                          "--N", "500"], ["--px", "0.5,0.5"]),
     "simulate-awgn-px": (["simulate", "--variant", "vlf_awgn", "--channel",
                           "awgn:1", *_EXPLICIT, *_SIM], ["--px", "0.5,0.5"]),
     "sweep-awgn-px": (["sweep", "--channel", "awgn:1", "--eps", "1e-3",
@@ -520,13 +496,6 @@ class TestUnreadOptions:
         assert extra[0] in err.err and err.out == ""
         assert not out.exists() and not trace.exists()
 
-    def test_config_file_value_counts_as_set(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("px = 0.5,0.5\n")
-        assert main(["optimize", "--config", str(cfg), "--channel", "awgn:1",
-                     "--eps", "1e-3", "--N", "500"]) == 1
-        assert "--px" in capsys.readouterr().err
-
     def test_non_positive_horizon_exits_one(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["simulate", "--variant", "vlf_dmc", "--channel", BSC,
@@ -537,10 +506,15 @@ class TestUnreadOptions:
 
 
 class TestErrorHandling:
-    def test_unknown_verb_and_flag_exit_one(self):
+    def test_unknown_verb_and_flag_exit_one(self, tmp_path):
         assert main(["transmogrify"]) == 1
         assert main(["bound", "--frequency", "11"]) == 1
         assert main([]) == 1
+        # no optimize verb: a one-point thm1 sweep writes its row
+        out = tmp_path / "o.csv"
+        assert main(["optimize", "--channel", BSC, "--eps", "1e-3",
+                     "--N", "500", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_too_many_expected_crossers_exit_one(self, capsys):
         # thresholds far too low for M = 2^60: (M - 1) e^{-gamma_1} = e^31.59
@@ -553,10 +527,9 @@ class TestErrorHandling:
     # simulate exited 2 ("infeasible") for it, the other verbs 1
     @pytest.mark.parametrize("argv", [
         ["bound", "--N1", "2000"],
-        ["optimize", "--eps", "1e-3", "--N", "500"],
         ["simulate", "--variant", "vlf_dmc", *_EXPLICIT, *_SIM],
         ["sweep", "--eps", "1e-3", "--N", "500", "--schemes", "thm1"],
-    ], ids=["bound", "optimize", "simulate", "sweep"])
+    ], ids=["bound", "simulate", "sweep"])
     def test_zero_drift_input_law_exits_one(self, argv, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(argv + ["--channel", BSC, "--px", "1,0",
@@ -592,6 +565,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("flag,value,name", [
         ("--d", "inf", "d"), ("--delta", "nan", "delta"),
         ("--eps", "inf", "eps"), ("--eps", "1.5", "eps"),
+        ("--M", "0", "message count"), ("--M", "3^5", "message count base"),
     ])
     def test_bad_universal_schedule_input_names_its_option(
         self, flag, value, name, tmp_path, capsys
@@ -621,8 +595,7 @@ class TestErrorHandling:
 
     def test_infinite_gaussian_power_is_a_bad_channel(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        assert main(["optimize", "--channel", "awgn:inf", "--eps", "1e-3",
-                     "--N", "500", "--out", str(out)]) == 1
+        assert _optimize("awgn:inf", "500", "--out", str(out)) == 1
         assert "power must be finite" in capsys.readouterr().err
         assert main([
             "simulate", "--variant", "vlf_awgn", "--channel", "awgn:1e400",
@@ -644,15 +617,40 @@ class TestErrorHandling:
 class TestRepeatedCalls:
     def test_back_to_back_calls_do_not_leak_options(self, tmp_path, capsys):
         assert cli._build_parser() is cli._build_parser()  # built once
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("eps = 1e-3\n")
         out = tmp_path / "s.csv"
         args = ["sweep", "--channel", BSC, "--N", "500",
                 "--schemes", "converse", "--out", str(out)]
-        assert main(args + ["--config", str(cfg)]) == 0
-        # the first call's --config value does not reach the second
+        assert main(args + ["--eps", "1e-3"]) == 0
+        # the first call's --eps value does not reach the second
         assert main(args) == 1
         assert "--eps is required" in capsys.readouterr().err
-        # a second call with the same --out appends its row
+        # a third call with the same --out appends its row
         assert main(args + ["--eps", "1e-3"]) == 0
         assert len(_rows(out)) == 2
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """The argv of each ``vlf`` command in the README's Command line block,
+    with backslash continuations joined."""
+    text = _README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("vlf ")]
+
+
+class TestReadmeExamples:
+    """A verb or flag deleted from the CLI cannot linger in the docs."""
+
+    @pytest.mark.parametrize("argv", _readme_commands(),
+                             ids=lambda argv: argv[0])
+    def test_example_parses_and_casts(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        cli._cast_options(args, args.verb)
+
+    def test_every_verb_has_an_example(self):
+        assert {argv[0] for argv in _readme_commands()} == set(cli._COMMANDS)

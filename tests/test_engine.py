@@ -416,11 +416,11 @@ class TestTrainingEstimates:
 
     def test_gaussian_noise_variance_estimate(self):
         cfg = SchemeConfig(
-            variant="uvlf_awgn", channel=GaussianChannel(1.0, 2.0), px=None,
+            variant="uvlf_awgn", channel=GaussianChannel(1.0), px=None,
             params=_params(log2m=6.0, g1=6.0, g2=10.0, a=3.0),
             training_len=10_000, seed=3,
         )
-        assert 0.95 * 2.0 <= _estimate(cfg) <= 1.05 * 2.0
+        assert 0.95 <= _estimate(cfg) <= 1.05
 
 
 class TestTrialOutcomes:
@@ -591,6 +591,18 @@ class TestFirstStepCrossing:
         assert all(r == ensemble.RaceResult(None, None) for r in empty)
         assert all(o.len_c1 == 1 for o in outs)
 
+    def test_count_dp_race_over_an_empty_prefix_draws_nothing(self):
+        # n I of one joint sample is 0, so uvlf_dmc never races an empty
+        # prefix from a trial; called directly, the count DP absorbs no
+        # mass and returns before any draw
+        metric = EmpiricalMi(CH, UNIFORM2, 300)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        result = ensemble.ensemble_binary_mi_race(
+            rng, np.zeros(0, np.int64), metric, 60.0 * LN2, 0.1, 0.5)
+        assert result == ensemble.RaceResult(None, None)
+        assert rng.bit_generator.state == state
+
 
 class TestPoissonCrosserRate:
     def test_no_crossing_mass_expects_no_crossers(self):
@@ -683,6 +695,19 @@ class TestDeterminismAndAggregation:
             warnings.simplefilter("error")
             with pytest.raises(VlfError, match="trials must be >= 1, got 0"):
                 aggregate_records(_cfg(), np.empty((0, 8)))
+
+    def test_power_of_runs_that_send_nothing_is_none(self):
+        # eps0 = 1 stops every trial at time zero: no symbol, no power ratio
+        cfg = _variant_cfg("vlf_awgn", _params(log2m=6.0, eps0=1.0), seed=1)
+        est = run_monte_carlo(cfg, 5)
+        assert est.n_hat == 0.0
+        assert (est.power_hat, est.power_lo, est.power_hi) == (None,) * 3
+
+    def test_one_trial_power_interval_is_nan(self):
+        cfg = _variant_cfg("vlf_awgn", _params(log2m=6.0, g2=13.0), seed=1)
+        est = run_monte_carlo(cfg, 1)
+        assert est.degenerate and est.power_hat > 0
+        assert math.isnan(est.power_lo) and math.isnan(est.power_hi)
 
     def test_different_seeds_differ(self):
         a = run_monte_carlo(_cfg(seed=1), 200)

@@ -45,3 +45,20 @@ def test_install_then_uninstall_restores_every_attribute(tmp_path):
         assert now.keys() == old.keys()
         assert [k for k in old if now[k] is not old[k]] == []
     assert tracing.TRACE_DIR_ENV not in os.environ
+
+
+def test_traced_sweep_counts_its_one_walk_constants_call(tmp_path):
+    # cli reaches channel_stats through the bounds module, so the tracer's
+    # wrapper there sees the sweep's one call
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        assert cli.main(["sweep", "--channel", "bsc:0.11", "--eps", "1e-3",
+                         "--N", "200:4000:200", "--schemes", "thm1,vlsf",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    durations, _self, _counts, _sums = tracing.summarize(tracer.all_dumps())
+    assert len(durations["bounds.channel_stats"]) == 1
+    assert len(durations["bounds.optimize_params"]) == 20
