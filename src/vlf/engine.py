@@ -18,15 +18,21 @@ information density) and ``uvlf_awgn`` (unknown noise, empirical correlation
 training sequence.  Each metric has one vectorized kernel: the true
 message's walk is its one-row case, the literal competitor race its
 chunked-rows case and the passage-time helpers its lockstep case.  The M-1
-competitors are resolved by the strategies in ``ensemble``.  Each trial is
-driven by an independent RNG stream derived from (seed, trial_index), so
-results are bit-identical regardless of how trials are scheduled across
-workers.
+competitors are resolved by the strategies in ``ensemble``.
+
+Trial i draws the stream of ``Philox(SeedSequence(seed, spawn_key=(i,)))``
+bit for bit, so results are bit-identical however trials are scheduled
+across workers.  No per-trial SeedSequence is built: numpy's seeding hash
+is replayed here, the trial index entering only its last mixing stage, so
+one uint32 pass gives the Philox keys of a block of trials, and a chunk
+re-keys one generator per trial (counter 0, empty buffer, as a fresh
+Philox starts).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,6 +127,7 @@ class SchemeConfig:
                 raise DimensionMismatch(
                     "universal confirmation needs at least two channel inputs"
                 )
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.n_max is not None and self.n_max < 1:
             raise VlfError(f"n_max must be positive, got {self.n_max}")
         if not (1 < self.c2 < math.inf):
@@ -174,10 +181,91 @@ class McEstimate:
     degenerate: bool
 
 
+# ---------------------------------------------------------------------------
+# per-trial RNG streams
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_KEY_BLOCK = 4096  # trials whose keys are derived in one pass
+_MAX_TRIALS = 1 << 32  # trial indices fit one uint32 spawn-key word
+
+
+def _hasher(init, mult):
+    """numpy's running hashmix: each call xors with the hash constant,
+    advances it by `mult`, multiplies by the new one and folds the top half
+    in.  Works alike on Python ints and uint32 arrays."""
+    const = init
+
+    def hashmix(v):
+        nonlocal const
+        xor, const = const, const * mult & _MASK32
+        v = (v ^ xor) * const & _MASK32
+        return v ^ (v >> 16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _seed_keys(seed, index=None):
+    """The Philox keys ``generate_state(2, np.uint64)`` of
+    ``np.random.SeedSequence(seed, spawn_key=(i,))`` for each i of the uint32
+    array `index`, shape (index.size, 2), or of ``SeedSequence(seed)``,
+    shape (2,), when index is None.
+
+    numpy's hash is replayed word for word: the seed's little-endian 32-bit
+    words, zero-padded to the pool's four, fill and mix the pool, words
+    past the fourth are mixed in after, and the index word last, so only
+    that stage and the output hash run on arrays.
+    """
+    words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:] + ([] if index is None else [index]):
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    out = np.array([*map(_hasher(_INIT_B, _MULT_B), pool)], dtype=np.uint64)
+    return (out[0::2] | out[1::2] << 32).T  # little-endian word pairs
+
+
+def _trial_keys(seed, lo, hi):
+    """The Philox keys of trials lo..hi-1 in order, derived _KEY_BLOCK
+    trials at a time so a long chunk never holds them all."""
+    if not 0 <= lo <= hi <= _MAX_TRIALS:
+        raise VlfError(f"trial index out of [0, 2^32): {lo}..{hi - 1}")
+    for start in range(lo, hi, _KEY_BLOCK):
+        stop = min(hi, start + _KEY_BLOCK)
+        yield from _seed_keys(seed, np.arange(start, stop, dtype=np.uint32))
+
+
+def _generators(keys):
+    """One Generator, re-keyed to each Philox key of `keys` in turn and
+    yielded: counter 0 and an empty buffer, the state in which
+    ``Philox(SeedSequence)`` starts, so it draws that Philox's stream."""
+    rng = np.random.Generator(np.random.Philox(0))
+    fresh = rng.bit_generator.state  # counter 0, empty buffer, no spare half
+    for key in keys:
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        yield rng
+
+
 def _trial_rng(seed, trial_index):
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
-    )
+    """Trial `trial_index`'s generator, the stream of
+    ``Philox(SeedSequence(seed, spawn_key=(trial_index,)))`` bit for bit: a
+    Philox at counter 0 under the key ``_seed_keys`` derives for the index.
+    The one-trial case of what ``_run_chunk`` does for a chunk, whose keys
+    come _KEY_BLOCK at a time and whose one generator is re-keyed per
+    trial."""
+    return next(_generators(_trial_keys(seed, trial_index, trial_index + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +693,7 @@ def _outcome(rt, rng, ecum, len_c1, len_ht, stop, correct=False):
     )
 
 
-def simulate_trial(cfg, trial_index, _runtime=None):
+def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
     """Play one full protocol run; deterministic in (cfg.seed, trial_index).
 
     The run's timeline is phase 1 (up to walk time tau_first, the first
@@ -619,10 +707,12 @@ def simulate_trial(cfg, trial_index, _runtime=None):
     walk's plus len_ht * P.  Charged walk symbols past the block that held
     the gamma_2 crossing (a universal run stopped by the c2 cap) were never
     drawn; their energy is drawn as P chi2_k after every other draw.
+    ``_rng``, when given, is the trial's generator already keyed (see
+    ``_run_chunk``).
     """
     rt = _runtime if _runtime is not None else _Runtime(cfg)
     m = rt.metric
-    rng = _trial_rng(cfg.seed, trial_index)
+    rng = _rng if _rng is not None else _trial_rng(cfg.seed, trial_index)
     est = (m.draw_training(rng, cfg.channel, cfg.training_len)
            if m.universal else None)
 
@@ -673,19 +763,30 @@ def _set_worker_runtime(rt):
 
 def _run_chunk(cfg, lo, hi):
     """Records of trials lo..hi-1, from the worker's runtime, or from a
-    runtime built here outside a pool."""
+    runtime built here outside a pool.  One generator serves the chunk,
+    re-keyed before each trial to that trial's own stream."""
     rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
     out = np.empty((hi - lo, len(TrialOutcome._fields)))
-    for i in range(lo, hi):
-        out[i - lo] = simulate_trial(cfg, i, _runtime=rt)
+    rngs = _generators(_trial_keys(cfg.seed, lo, hi))
+    for i, rng in enumerate(rngs, lo):
+        out[i - lo] = simulate_trial(cfg, i, _runtime=rt, _rng=rng)
     return out
 
 
 def _check_trials(trials):
-    """trials, checked to be a positive count."""
+    """trials, checked to be a positive count of at most 2^32."""
     if trials < 1:
         raise VlfError(f"trials must be >= 1, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise VlfError(f"trials must be <= 2^32, got {trials}")
     return trials
+
+
+def _check_seed(seed):
+    """seed as an int, checked to be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise VlfError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _wilson(errors, trials):
@@ -707,15 +808,17 @@ def trial_records(cfg, trials, workers=1):
     """Records of trials 0..trials-1 in index order, one row per trial with
     the TrialOutcome fields as floats (see ``TrialOutcome.from_record``).
 
-    Per-trial randomness depends only on (cfg.seed, trial index), so the
-    records are bit-identical for any worker count.  The configuration's
-    runtime (thresholds, metric tables and competitor strategy) is built
-    once per call: with workers > 1 it is built in this process and handed
-    to each pool worker by the pool initializer, and the min(trials,
-    4 * workers) chunks of trials share it.  uvlf_bsc's absorption law is
-    handed over unadvanced, and each worker's copy runs only as far as its
-    own races read; a race reads the same values at any advance.  The pool
-    starts no more workers than there are chunks.
+    Trial i draws the stream of ``Philox(SeedSequence(cfg.seed,
+    spawn_key=(i,)))`` bit for bit, its key derived with its block's (see
+    ``_trial_rng``), so the records are bit-identical for any worker count.
+    At most 2^32 trials, so that an index is one spawn-key word.  The
+    configuration's runtime (thresholds, metric tables and competitor
+    strategy) is built once per call: with workers > 1 it is built in this
+    process and handed to each pool worker by the pool initializer, and the
+    min(trials, 4 * workers) chunks of trials share it.  uvlf_bsc's
+    absorption law is handed over unadvanced, and each worker's copy runs
+    only as far as its own races read; a race reads the same values at any
+    advance.  The pool starts no more workers than there are chunks.
     """
     _check_trials(trials)
     if workers < 1:
@@ -803,7 +906,7 @@ def _passage_times(kind, dmc, px, gamma, trials, seed):
     drift = _positive_drift(kind.walk_drift(dmc, p), "metric drift")
     max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
     metric = kind(dmc, p, max_steps)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = next(_generators([_seed_keys(_check_seed(seed))]))
     stats = metric.start(trials)[1]
     taus = np.full(trials, max_steps, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)

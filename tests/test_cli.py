@@ -325,6 +325,14 @@ class TestSimulateVerb:
         args = [a for a in self._ARGS if a not in ("--seed", "42")]
         assert main(args) == 1
 
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys):
+        # it printed numpy's "expected non-negative integer" without the option
+        out = tmp_path / "s.csv"
+        args = [a if a != "42" else "-1" for a in self._ARGS]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_power_column(self, tmp_path):
         out = tmp_path / "g.csv"
         assert main([

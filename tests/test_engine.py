@@ -241,6 +241,19 @@ class TestConfigValidation:
         with pytest.raises(VlfError):
             run_monte_carlo(_cfg(), 0)
 
+    @pytest.mark.parametrize("seed", [-3, -1, 1.5, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # -3 reached numpy's bare "expected non-negative integer" inside
+        # the first trial
+        with pytest.raises(VlfError, match="seed"):
+            _cfg(seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_an_int(self):
+        cfg = _cfg(seed=np.int64(5))
+        assert type(cfg.seed) is int
+        assert np.array_equal(trial_records(cfg, 20),
+                              trial_records(_cfg(seed=5), 20))
+
 
 class TestVariantRegistry:
     def test_no_comparison_against_a_variant_name(self):
@@ -462,6 +475,81 @@ class TestTrialOutcomes:
         gen = [TrialOutcome.from_record(r) for r in trial_records(cfg, 5)]
         solo = [simulate_trial(cfg, i) for i in range(5)]
         assert gen == solo
+
+
+# seeds of one to five 32-bit words
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**41]
+
+
+class TestTrialStreams:
+    """Each trial's generator draws the stream of
+    Generator(Philox(SeedSequence(seed, spawn_key=(trial_index,)))), numpy's
+    own derivation, which these tests alone construct."""
+
+    @staticmethod
+    def _reference_key(seed, i):
+        seq = np.random.SeedSequence(seed, spawn_key=(i,))
+        return seq.generate_state(2, np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 3), (engine._KEY_BLOCK - 3, engine._KEY_BLOCK + 3),
+        (2**32 - 3, 2**32),
+    ])
+    def test_block_keys_match_numpy_seed_sequence(self, seed, lo, hi):
+        keys = [k.tolist() for k in engine._trial_keys(seed, lo, hi)]
+        assert keys == [self._reference_key(seed, i) for i in range(lo, hi)]
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_unspawned_key_matches_numpy_seed_sequence(self, seed):
+        # the passage-time helpers' stream
+        want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert engine._seed_keys(seed).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7])
+    def test_rekeyed_generator_draws_each_fresh_stream(self, seed):
+        # each trial leaves a half-used 32-bit draw and a part-read Philox
+        # buffer behind; the next trial's stream must not see either
+        def draws(g):
+            return [g.random(5), g.standard_normal(3),
+                    g.integers(0, 2**32, 3, dtype=np.uint32)]
+
+        rngs = engine._generators(engine._trial_keys(seed, 5, 9))
+        for i, rng in enumerate(rngs, 5):
+            fresh = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(i,))))
+            for a, b in zip(draws(rng), draws(fresh)):
+                np.testing.assert_array_equal(a, b)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_trial_rng_is_the_fresh_stream(self):
+        fresh = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(10**41, spawn_key=(12,))))
+        rng = engine._trial_rng(10**41, 12)
+        np.testing.assert_array_equal(rng.random(9), fresh.random(9))
+
+    def test_trial_index_past_one_spawn_word_is_rejected(self):
+        # index 2^32 would be a two-word spawn key
+        cfg = _cfg()
+        for index in (2**32, -1):
+            with pytest.raises(VlfError, match="trial index"):
+                simulate_trial(cfg, index)
+        with pytest.raises(VlfError, match="trials must be <= 2\\^32"):
+            trial_records(cfg, 2**32 + 1)
+
+    def test_one_philox_per_chunk(self, monkeypatch):
+        # a Philox per trial built a SeedSequence per trial: 20% of a
+        # known-channel trial
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        trial_records(_cfg(), 500, workers=1)
+        assert len(built) == 1
 
 
 def _pair_cfg(variant):
@@ -1073,6 +1161,12 @@ class TestPassageTimeHelpers:
         se = float(taus.std(ddof=1)) / math.sqrt(taus.size)
         assert mean <= (20.0 + s.b) / s.drift + 4 * se
         assert mean >= 20.0 / s.drift - 4 * se
+
+    @pytest.mark.parametrize("helper", [empirical_mi_passage_times,
+                                        info_density_passage_times])
+    def test_seed_must_be_a_non_negative_integer(self, helper):
+        with pytest.raises(VlfError, match="seed"):
+            helper(CH, UNIFORM2, 10.0, 20, seed=-1)
 
     def test_input_must_be_a_distribution(self):
         # [0.3, 0.3] gave a mean of 11.4 against 29.3 with a uniform input
