@@ -10,16 +10,19 @@ Gaussian channel.
 
 Layers:
 
-* :mod:`vlf.channel`    - channel models, capacity, information density;
-* :mod:`vlf.empirical`  - count tables, type-class bound, tail exponents;
-* :mod:`vlf.bounds`     - achievability / converse bounds and schedules;
+* :mod:`vlf.channel`    - channel models, capacity, information density,
+                          the input checks;
+* :mod:`vlf.bounds`     - achievability / converse bounds, schedules and
+                          their tail exponents;
 * :mod:`vlf.engine`     - Monte Carlo simulation of the coding scheme;
-* :mod:`vlf.ensemble`   - competitor-codeword race strategies;
+* :mod:`vlf.ensemble`   - competitor-codeword race strategies and the count
+                          tables of the empirical-information metrics;
 * :mod:`vlf.oracle`     - slow exact re-computations used for validation,
                           with the reference joint type, empirical mutual
-                          information and correlation metric (it loads
-                          scipy, so it is not imported here);
-* :mod:`vlf.cli`        - the ``vlf`` command-line tool.
+                          information, correlation metric and type-class
+                          bound (it loads scipy, so it is not imported here);
+* :mod:`vlf.cli`        - the ``vlf`` command-line tool;
+* :mod:`vlf.errors`     - the ``VlfError`` hierarchy.
 """
 
 from .bounds import (
@@ -32,6 +35,7 @@ from .bounds import (
     converse_bound,
     optimize_params,
     single_phase_bound,
+    tail_exponents,
     universal_schedule,
     universal_schedule_gaussian,
 )
@@ -51,7 +55,6 @@ from .channel import (
     output_distribution,
     parse_channel_spec,
 )
-from .empirical import count_log_table, tail_exponents, type_class_log_bound
 from .engine import (
     McEstimate,
     SchemeConfig,

@@ -37,6 +37,7 @@ from .channel import (
     mutual_information,
 )
 from .errors import (
+    DimensionMismatch,
     EpsTooSmall,
     HorizonTooSmall,
     Infeasible,
@@ -46,6 +47,7 @@ from .errors import (
 
 LN2 = math.log(2.0)
 _EXP_CAP = 700.0
+_K_MAX = 2.0 ** 40  # K = C N/(1 - eps) of the solvers stays below it
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,6 @@ class BoundReport:
     eps: float
     n_avg: float
     rate: float          # log M / n_avg, nats per channel use
-
-    @property
-    def rate_bits(self):
-        return self.rate / LN2
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def gaussian_stats(chan):
     """
     from scipy import special
 
-    snr, c = chan.snr, chan.capacity
+    snr, c = chan.power, chan.capacity
     k = math.sqrt(snr / (1.0 + snr))
     a = c / k
     k0, k1 = special.k0(a), special.k1(a)
@@ -285,9 +283,16 @@ def asymptotic_schedule_for_message_count(log_m, channel, px=None, eps=None):
     return _asymptotic_schedule(n1, s, eps)
 
 
-def universal_block_length(log_m, num_x, num_y):
-    """n1 = floor(log M / min(|X|, |Y|)) for the universal recipe."""
-    return int(log_m / min(int(num_x), int(num_y)))
+def tail_exponents(num_x, num_y):
+    """Polynomial exponents (k, d) of the universal metric's tail bound
+    P[n I_hat >= gamma] under an independent product law:
+    k = min{(|X||Y| - 2)/2, (|X| - 3/2)(|Y| - 3/2) - 1/4}, d = k + 1."""
+    ax, ay = int(num_x), int(num_y)
+    if ax < 2 or ay < 2:
+        raise DimensionMismatch("alphabets need at least two symbols")
+    k = min((ax * ay - 2) / 2.0, (ax - 1.5) * (ay - 1.5) - 0.25)
+    d = min(ax * ay / 2.0, (ax - 1.5) * (ay - 1.5) + 0.75)
+    return k, d
 
 
 def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
@@ -299,13 +304,11 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
     with n1 = floor(log M / min(|X|, |Y|)) and d the polynomial tail exponent
     (override d=0.5 for the binary-symmetric specialization).
     """
-    from .empirical import tail_exponents
-
     _check_eps(eps)
     if not (math.isfinite(delta) and delta >= 0):
         raise VlfError(f"delta must be finite and >= 0, got {delta}")
     if n1 is None:
-        n1 = universal_block_length(log_m, num_x, num_y)
+        n1 = int(log_m / min(int(num_x), int(num_y)))
     if n1 < 3:
         raise HorizonTooSmall(f"n1 = {n1} too small (need >= 3)")
     if d is None:
@@ -339,11 +342,23 @@ def universal_schedule_gaussian(log_m, eps, delta=0.1):
 
 
 def _scaled_length(s, target_eps, target_n):
-    """K = C N/(1 - eps) of both solvers, for checked targets."""
+    """K = C N/(1 - eps) of both solvers, for checked targets.
+
+    gamma_1 and log M lie near K, so u = gamma_1 - log(M-1), a few nats,
+    keeps only the digits the float spacing at K leaves it: at most 2^-13
+    nats below 2^40, as much as u itself from about K = 1e16 on.  A K that
+    underflowed to 0 has no logarithm.  So K must lie in (0, 2^40), and an
+    error names the N that puts it outside.
+    """
     _check_eps(target_eps)
     if not (0 < target_n < math.inf):
         raise NotADistribution(f"need finite target_n > 0, got {target_n}")
-    return s.drift * target_n / (1.0 - target_eps)
+    k = s.drift * target_n / (1.0 - target_eps)
+    if not 0.0 < k < _K_MAX:
+        raise VlfError(f"N = {target_n:g} gives K = C N/(1 - eps) = {k:.3g}; "
+                       "the solvers need 0 < K < 2^40, where u = gamma1 - "
+                       "log(M-1) keeps its digits")
+    return k
 
 
 def _eps0_cap(target_eps, eps_prime):

@@ -74,6 +74,13 @@ def _as_step_law(values, probs):
     return v, p
 
 
+def _check_seed(seed):
+    """seed as an int, checked to be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise VlfError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _positive_drift(mean, name="mean step"):
     """mean, checked to be a positive walk drift (NaN is not)."""
     if not mean > 0:
@@ -128,19 +135,15 @@ class GaussianChannel:
             )
 
     @property
-    def snr(self):
-        return self.power
-
-    @property
     def capacity(self):
         """(1/2) log(1 + S) nats per channel use."""
-        return 0.5 * math.log1p(self.snr)
+        return 0.5 * math.log1p(self.power)
 
     @property
     def control_divergence(self):
         """KL between the antipodal control outputs N(+sqrt(P), 1) and
         N(-sqrt(P), 1) = 2S."""
-        return 2.0 * self.snr
+        return 2.0 * self.power
 
 
 def bsc(p):

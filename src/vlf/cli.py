@@ -36,6 +36,7 @@ from .bounds import (
     converse_bound,
     optimize_params,
     single_phase_bound,
+    tail_exponents,
     universal_schedule,
     universal_schedule_gaussian,
 )
@@ -46,7 +47,6 @@ from .channel import (
     capacity,
     parse_channel_spec,
 )
-from .empirical import tail_exponents
 from .engine import (
     SchemeConfig,
     TrialOutcome,
@@ -353,15 +353,9 @@ def _cmd_bound(opt):
     print(
         f"thm1 bound @ {spec}: logM = {report.log_m:.6f} nats "
         f"({report.log_m / _LN2:.2f} bits), eps = {report.eps:.2e}, "
-        f"N = {report.n_avg:.6f}, rate = {report.rate_bits:.6f} bits/use"
+        f"N = {report.n_avg:.6f}, rate = {report.rate / _LN2:.6f} bits/use"
     )
     return 0
-
-
-def _channel_capacity(channel):
-    if isinstance(channel, GaussianChannel):
-        return channel.capacity
-    return capacity(channel)[0]
 
 
 # Each sweep scheme maps (walk constants, capacity, eps, N) to its row's
@@ -395,6 +389,8 @@ def _cmd_sweep(opt):
     grid = _require(opt, "N", "--N")
     schemes = [s.strip() for s in
                _require(opt, "schemes", "--schemes").split(",") if s.strip()]
+    if not schemes:
+        raise _CliError("--schemes names no scheme")
     for s in schemes:
         if s not in _SCHEMES:
             raise _CliError(
@@ -403,7 +399,8 @@ def _cmd_sweep(opt):
         if schemes.count(s) > 1:
             raise _CliError(f"--schemes names {s!r} more than once")
     out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
-    cap = _channel_capacity(channel)
+    cap = (channel.capacity if isinstance(channel, GaussianChannel)
+           else capacity(channel)[0])
     # only the solvers need the walk constants; a converse-only sweep must
     # not fail on a px (say 1,0) that gives the walk no drift
     stats = (bounds.channel_stats(channel, px) if set(schemes) - {"converse"}
@@ -489,20 +486,18 @@ def _cmd_oracle(opt):
     py = px @ channel.matrix
     k_exp, _d = tail_exponents(px.size, py.size)
     exact = exact_mi_tail(n, px, py, np.asarray(grid, dtype=float))
-    rows = []
-    worst = 0.0
+    rows, ratios = [], []
     for g, e in zip(grid, exact):
         b = mi_tail_bound(n, g, k_exp)
-        ratio = e / b if b > 0 else math.inf
-        worst = max(worst, ratio)
-        rows.append([
-            str(n), _fmt_rate(g), _fmt_prob(e), _fmt_prob(b),
-            _fmt_rate(ratio),
-        ])
+        if b > 0:  # an underflowed bound leaves the ratio cell empty
+            ratios.append(e / b)
+        rows.append([str(n), _fmt_rate(g), _fmt_prob(e), _fmt_prob(b),
+                     _fmt_rate(ratios[-1]) if b > 0 else ""])
     _append_csv(out, _ORACLE_HEADER, rows)
+    worst = _fmt_rate(max(ratios)) if ratios else "undefined"
     print(
         f"oracle @ {spec}, n = {n}: {len(rows)} threshold(s), "
-        f"worst exact/bound ratio = {worst:.6f}"
+        f"worst exact/bound ratio = {worst}"
     )
     return 0
 

@@ -45,6 +45,7 @@ from .channel import (
     Dmc,
     GaussianChannel,
     _as_input_law,
+    _check_seed,
     _positive_drift,
     binary_entropy,
     control_llr,
@@ -52,7 +53,7 @@ from .channel import (
     information_density_table,
     mutual_information,
 )
-from .empirical import count_log_table, count_mi
+from .ensemble import count_log_table, count_mi
 from .errors import (
     DimensionMismatch,
     HorizonTooSmall,
@@ -213,11 +214,10 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _seed_keys(seed, index=None):
+def _seed_keys(seed, index):
     """The Philox keys ``generate_state(2, np.uint64)`` of
     ``np.random.SeedSequence(seed, spawn_key=(i,))`` for each i of the uint32
-    array `index`, shape (index.size, 2), or of ``SeedSequence(seed)``,
-    shape (2,), when index is None.
+    array `index`, shape (index.size, 2).
 
     numpy's hash is replayed word for word: the seed's little-endian 32-bit
     words, zero-padded to the pool's four, fill and mix the pool, words
@@ -230,7 +230,7 @@ def _seed_keys(seed, index=None):
     pool = [hashmix(w) for w in words[:4]]
     for src, dst in itertools.permutations(range(4), 2):
         pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:] + ([] if index is None else [index]):
+    for w in words[4:] + [index]:
         pool = [_mix(p, hashmix(w)) for p in pool]
     out = np.array([*map(_hasher(_INIT_B, _MULT_B), pool)], dtype=np.uint64)
     return (out[0::2] | out[1::2] << 32).T  # little-endian word pairs
@@ -782,13 +782,6 @@ def _check_trials(trials):
     return trials
 
 
-def _check_seed(seed):
-    """seed as an int, checked to be a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise VlfError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
 def _wilson(errors, trials):
     p = errors / trials
     z2 = _Z95 * _Z95
@@ -899,14 +892,15 @@ def _passage_times(kind, dmc, px, gamma, trials, seed):
 
     The lockstep case of the kernel: all walks advance together, one
     joint-cell draw per live walk per step, so the cost is O(max reached
-    time) vectorized over trials.  Walks that do not cross within max_steps,
-    a generous multiple of gamma over the drift, are reported at max_steps.
+    time) vectorized over trials, on the stream of ``Philox(seed)``.  Walks
+    that do not cross within max_steps, a generous multiple of gamma over
+    the drift, are reported at max_steps.
     """
     p = _as_input_law(px, dmc)
     drift = _positive_drift(kind.walk_drift(dmc, p), "metric drift")
     max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
     metric = kind(dmc, p, max_steps)
-    rng = next(_generators([_seed_keys(_check_seed(seed))]))
+    rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
     stats = metric.start(trials)[1]
     taus = np.full(trials, max_steps, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)

@@ -21,7 +21,10 @@ Two interchangeable strategies produce them:
 
 Both work on the kernel of an ``engine.Metric``: the literal race is its
 chunked-rows case, and the ensemble strategies continue each sampled gamma_1
-crosser toward gamma_2 with its one-row case.
+crosser toward gamma_2 with its one-row case.  The count tables
+``count_log_table`` and ``count_mi`` live here, beside the count DP whose
+values must equal the engine's ``EmpiricalMi`` kernel's bit for bit: both
+sum n * I from the same table in ``count_mi``'s order.
 
 Competitor indices all exceed the true message's, so under the smallest-index
 decode rule a competitor only wins a phase by crossing strictly earlier.
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import count_mi
 from .errors import StateExplosion
 
 _LAMBDA_CAP = 1e4
@@ -181,6 +183,35 @@ def tilted_race(rng, y, metric, log_m, gamma1, gamma2):
 
 # ---------------------------------------------------------------------------
 # ensemble strategies for empirical-mutual-information metrics: count DPs
+
+
+def count_log_table(n_max):
+    """Table L[c] = c log c for c = 0..n_max, L[0] = 0.
+
+    Shared by the metric fast paths: for counts c with row sums r, column sums
+    s and total n, n * I = sum L[c] - sum L[r] - sum L[s] + L[n].
+    """
+    table = np.zeros(n_max + 1)
+    k = np.arange(1, n_max + 1, dtype=float)
+    table[1:] = k * np.log(k)
+    return table
+
+
+def count_mi(log_tbl, cells, rows, cols, n):
+    """n * I of joint types given by their counts, from L = count_log_table.
+
+    ``cells``, ``rows`` and ``cols`` are sequences of broadcastable count
+    arrays: the cell counts, the row sums and the column sums.  Returns
+    sum L[c] - sum L[r] - sum L[s] + L[n], each sum taken in order.
+    """
+
+    def total(counts):
+        out = log_tbl[counts[0]]
+        for c in counts[1:]:
+            out = out + log_tbl[c]
+        return out
+
+    return total(cells) - total(rows) - total(cols) + log_tbl[n]
 
 
 def _binary_type(u, v, j, n):

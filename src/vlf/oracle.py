@@ -18,12 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincc, gammaln, logsumexp
 
-from .channel import _as_prob_vector, _as_step_law, _positive_drift
+from .channel import (
+    _as_prob_vector,
+    _as_step_law,
+    _check_seed,
+    _positive_drift,
+    entropy,
+)
 from .errors import (
     DegenerateSequence,
     DimensionMismatch,
     EmptySequence,
     LengthMismatch,
+    NonIntegerType,
     NotADistribution,
     PrefactorUndefined,
     StateExplosion,
@@ -122,7 +129,7 @@ def sprt_mc(spec, samples, seed=0):
     """
     v = np.asarray(spec.values, dtype=float)
     p = np.asarray(spec.probs, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     accepts = 0
     rejects = 0
     left = int(samples)
@@ -307,6 +314,30 @@ def mi_tail_bound(n, gamma, k_exp):
     return 10.0 * (n + 1.0) ** k_exp * math.exp(-gamma)
 
 
+def type_class_log_bound(type_probs, n):
+    """Log of the refined type-class size bound.
+
+    n H(Q) - ((|A| - 1)/2) log(2 pi n) - (1/2) sum_a log Qtilde(a), where
+    Qtilde(a) = Q(a) on the support and 1/(2 pi n) at zero entries. The bound
+    dominates log |T_n(Q)| for every type and improves on exp(n H(Q)) by the
+    polynomial factor.
+    """
+    q = _as_prob_vector(type_probs, "type")
+    scaled = q * n
+    if np.any(np.abs(scaled - np.round(scaled)) > 1e-9):
+        a = int(np.argmax(np.abs(scaled - np.round(scaled))))
+        raise NonIntegerType(
+            f"entry {a}: {q[a]} * n = {scaled[a]} is not an integer count"
+        )
+    two_pi_n = 2.0 * math.pi * n
+    qtilde = np.where(q > 0, q, 1.0 / two_pi_n)
+    return (
+        n * entropy(q)
+        - 0.5 * (q.size - 1) * math.log(two_pi_n)
+        - 0.5 * float(np.log(qtilde).sum())
+    )
+
+
 def exact_eta_expectation(n):
     """sum_{i=0}^n C(n, i) exp(-n h_b(i/n)), computed in the log domain."""
     if n < 1 or n != int(n):
@@ -361,7 +392,7 @@ def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
     ladder epochs (first strictly positive partial sum) of the walk."""
     v, p = _as_step_law(values, probs)
     _positive_drift(float(np.dot(v, p)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     heights = np.empty(samples)
     done = 0
     active = np.zeros(0)
@@ -433,7 +464,7 @@ def corr_tail_mc(n, a, samples, seed=0, chunk=50_000):
     The law of x is invariant under rotations, so rotating y onto e_1 gives
     rho_hat the law of Z / sqrt(Z^2 + chi^2_{n-1}): one normal and one
     chi-square per sample, drawn ``chunk`` samples at a time."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     hits = 0
     left = int(samples)
     while left > 0:

@@ -1,6 +1,7 @@
 """Achievability and converse bounds, walk constants, parameter schedules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vlf.bounds import (
     overshoot_constant,
     scaled_m_exp,
     single_phase_bound,
+    tail_exponents,
     universal_schedule,
     universal_schedule_gaussian,
 )
@@ -357,6 +359,30 @@ def _schedule_by_composition(log_m, channel, px, eps):
     return asymptotic_schedule(n1, channel, px, eps)
 
 
+class TestLengthRange:
+    # the solvers keep u = gamma_1 - log(M-1) to the float spacing at
+    # K = C N/(1 - eps); N = 1e12 is as far as they must reach
+    @pytest.mark.parametrize("ch,px", [
+        (CH, UNIFORM2), (bsc(0.3), UNIFORM2), (GaussianChannel(1.0), None),
+    ], ids=["bsc0.11", "bsc0.3", "awgn1"])
+    @pytest.mark.parametrize("eps", [1e-3, 0.1])
+    def test_solvers_reach_length_1e12(self, ch, px, eps):
+        s = channel_stats(ch, px)
+        _, rep = optimize_params(s, eps, 1e12)
+        single = single_phase_bound(s, eps, 1e12)
+        for r in (rep, single):
+            assert r.eps <= eps
+            assert r.n_avg <= 1e12
+        assert rep.log_m > single.log_m
+
+    @pytest.mark.parametrize("solve", [optimize_params, single_phase_bound])
+    def test_k_past_2_to_the_40_is_refused_by_n(self, solve):
+        s = channel_stats(CH, UNIFORM2)
+        n = 1.0001 * 2.0 ** 40 * (1.0 - 1e-3) / s.drift
+        with pytest.raises(VlfError, match=re.escape(f"N = {n:g} gives K")):
+            solve(s, 1e-3, n)
+
+
 class TestKnownChannelSchedule:
     def test_threshold_identities(self):
         s = channel_stats(CH, UNIFORM2)
@@ -451,3 +477,19 @@ class TestUniversalSchedule:
         p = universal_schedule_gaussian(log_m, 0.1)
         q = universal_schedule(log_m, 2, 2, 0.1, d=0.5, n1=50)
         assert (p.gamma1, p.gamma2, p.a_accept) == (q.gamma1, q.gamma2, q.a_accept)
+
+
+class TestTailExponents:
+    def test_known_alphabet_values(self):
+        assert tail_exponents(2, 2) == (0.0, 1.0)
+        assert tail_exponents(2, 3) == (0.5, 1.5)
+        assert tail_exponents(3, 3) == (2.0, 3.0)
+
+    def test_monotone_in_alphabet_size(self):
+        k1, d1 = tail_exponents(2, 2)
+        k2, d2 = tail_exponents(4, 4)
+        assert k2 > k1 and d2 > d1
+
+    def test_degenerate_alphabets_raise(self):
+        with pytest.raises(VlfError):
+            tail_exponents(1, 2)

@@ -25,7 +25,6 @@ from vlf.channel import (
     parse_channel_spec,
 )
 from vlf.bounds import VlfParams, dmc_stats, overshoot_constant
-from vlf.empirical import type_class_log_bound
 from vlf.engine import SchemeConfig, info_density_passage_times
 from vlf.errors import (
     DimensionMismatch,
@@ -35,10 +34,13 @@ from vlf.errors import (
 )
 from vlf.oracle import (
     LatticeWalkSpec,
+    corr_tail_mc,
     exact_mi_tail,
     exact_passage_time,
     passage_time_expansion,
     renewal_overshoot,
+    sprt_mc,
+    type_class_log_bound,
 )
 
 UNIFORM2 = np.array([0.5, 0.5])
@@ -104,7 +106,7 @@ class TestCapacity:
             0.5 * math.log(2.0)
         )
         # unit noise: the power is the SNR, and the one field
-        assert GaussianChannel(2.0).snr == 2.0
+        assert GaussianChannel(2.0).control_divergence == 4.0  # 2S
         assert [f.name for f in dataclasses.fields(GaussianChannel)] == [
             "power"]
 
@@ -174,14 +176,18 @@ def _sim_cfg(px):
 
 THIRDS = np.full(3, 1.0 / 3.0)
 ZERO_DRIFT_PX = np.array([1.0, 0.0])  # I(px, W) = 0 on any channel
+WALK_LAW = ([1.0, -1.0], [0.6, 0.4])  # a walk with positive drift
+WALK = LatticeWalkSpec(*WALK_LAW, 3.0, 3.0)
+SEED_CHECK = "seed must be a non-negative integer"
 
 
 class TestOneInputCheck:
-    # each of the channel matrix, input law, step law and drift checks has
-    # one definition in vlf.channel; every entry point reaches it.  Before,
-    # the NaN matrices loaded, the zero-drift runtime raised HorizonTooSmall
-    # (an "infeasible" exit 2), the NaN mean gave a NaN passage time and the
-    # zero-drift passage times divided by zero.
+    # each of the channel matrix, input law, step law, drift and seed checks
+    # has one definition in vlf.channel; every entry point reaches it.
+    # Before, the NaN matrices loaded, the zero-drift runtime raised
+    # HorizonTooSmall (an "infeasible" exit 2), the NaN mean gave a NaN
+    # passage time, the zero-drift passage times divided by zero and the
+    # oracles' samplers passed a bad seed to numpy, whose error named none.
     @pytest.mark.parametrize("call,error,match", [
         (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
          NotADistribution, "row 2, column 1"),
@@ -216,6 +222,15 @@ class TestOneInputCheck:
         (lambda tmp: info_density_passage_times(bsc(0.11), ZERO_DRIFT_PX,
                                                 5.0, 10),
          NonPositiveDrift, "metric drift"),
+        (lambda tmp: sprt_mc(WALK, 10, seed=-1), VlfError, SEED_CHECK),
+        (lambda tmp: sprt_mc(WALK, 10, seed=1.5), VlfError, SEED_CHECK),
+        (lambda tmp: renewal_overshoot(*WALK_LAW, samples=10, seed=-1),
+         VlfError, SEED_CHECK),
+        (lambda tmp: renewal_overshoot(*WALK_LAW, samples=10, seed=1.5),
+         VlfError, SEED_CHECK),
+        (lambda tmp: corr_tail_mc(10, 0.5, 100, seed=-1), VlfError, SEED_CHECK),
+        (lambda tmp: corr_tail_mc(10, 0.5, 100, seed=1.5),
+         VlfError, SEED_CHECK),
     ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
             "mutual_information-px", "output_distribution-px",
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
@@ -223,7 +238,9 @@ class TestOneInputCheck:
             "dmc_stats-drift", "exact_passage_time-drift",
             "exact_passage_time-law",
             "passage_time_expansion-nan", "Runtime-drift",
-            "passage_times-drift"])
+            "passage_times-drift", "sprt_mc-seed-1", "sprt_mc-seed1.5",
+            "renewal_overshoot-seed-1", "renewal_overshoot-seed1.5",
+            "corr_tail_mc-seed-1", "corr_tail_mc-seed1.5"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
         with pytest.raises(error, match=match):
             call(tmp_path)
@@ -286,7 +303,7 @@ class TestParsingAndValidation:
         np.testing.assert_allclose(ch.matrix, [[0.89, 0.11], [0.11, 0.89]])
         g = parse_channel_spec("awgn:2.5")
         assert isinstance(g, GaussianChannel)
-        assert g.snr == pytest.approx(2.5)
+        assert g.power == pytest.approx(2.5)
 
     def test_parse_dmc_file_roundtrip(self, tmp_path):
         path = tmp_path / "chan.csv"

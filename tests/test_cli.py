@@ -147,10 +147,13 @@ class TestSweepVerb:
         assert calls == {"optimize_params": 2, "single_phase_bound": 2,
                          "converse_bound": 2, "capacity": 1}
 
-    # a repeated scheme wrote each of its rows twice and exited 0
+    # a repeated scheme wrote each of its rows twice and exited 0, and an
+    # empty list wrote a header-only CSV and exited 0
     @pytest.mark.parametrize("schemes,named", [
         ("thm1,magic", "unknown scheme 'magic'"),
         ("thm1,thm1,converse", "--schemes names 'thm1' more than once"),
+        ("", "--schemes names no scheme"),
+        (",", "--schemes names no scheme"),
     ])
     def test_unknown_scheme_rejected(self, schemes, named, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -158,6 +161,22 @@ class TestSweepVerb:
                      "--N", "500", "--schemes", schemes,
                      "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    # the solvers need K = C N/(1 - eps) in (0, 2^40); before, these ended
+    # in a ZeroDivisionError traceback, "need finite 0 < gamma1 < gamma2",
+    # "infeasible" (exit 2) and "math domain error"
+    @pytest.mark.parametrize("channel,eps,n,scheme", [
+        (BSC, "1e-3", "1e19", "vlsf"), (BSC, "1e-3", "1e19", "thm1"),
+        (BSC, "1e-3", "1e17", "vlsf"),
+        ("awgn:1e-300", "1e-300", "1e-300", "vlsf"),
+    ], ids=["vlsf-1e19", "thm1-1e19", "vlsf-1e17", "awgn-underflow"])
+    def test_length_out_of_the_solvers_range_names_n(
+            self, channel, eps, n, scheme, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--channel", channel, "--eps", eps, "--N", n,
+                     "--schemes", scheme, "--out", str(out)]) == 1
+        assert f"N = {float(n):g} gives K" in capsys.readouterr().err
         assert not out.exists()
 
     # 200:100000:1e-9 asked numpy for 726 TiB and ended in its traceback
@@ -440,6 +459,26 @@ class TestOracleVerb:
         assert "n must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    # e^-801 underflows, so the exact tail and the bound are both 0; the
+    # ratio cell read inf, and so did the worst ratio
+    def test_underflowed_bound_leaves_the_ratio_cell_empty(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "or.csv"
+        assert main(["oracle", "--channel", BSC, "--n", "4",
+                     "--gamma", "1:801:400", "--out", str(out)]) == 0
+        rows = _rows(out)
+        assert [r["bound"] == "0.00e+00" for r in rows] == [False, False, True]
+        assert [r["ratio"] == "" for r in rows] == [False, False, True]
+        worst = max(rows[:2], key=lambda r: float(r["ratio"]))["ratio"]
+        assert f"worst exact/bound ratio = {worst}" in capsys.readouterr().out
+
+    def test_no_defined_ratio_has_no_worst(self, capsys):
+        assert main(["oracle", "--channel", BSC, "--n", "4",
+                     "--gamma", "800"]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == "4,800.000000,0.00e+00,0.00e+00,"
+        assert "worst exact/bound ratio = undefined" in text
+
     def test_needs_finite_alphabet(self):
         assert main(["oracle", "--channel", "awgn:1.0", "--n", "10",
                      "--gamma", "1"]) == 1
@@ -662,3 +701,13 @@ class TestReadmeExamples:
 
     def test_every_verb_has_an_example(self):
         assert {argv[0] for argv in _readme_commands()} == set(cli._COMMANDS)
+
+
+class TestReadmeLayout:
+    def test_layout_table_names_exactly_the_package_modules(self):
+        text = _README.read_text(encoding="utf-8")
+        table = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+        named = re.findall(r"^\| `vlf\.(\w+)` \|", table, flags=re.M)
+        package = _README.parent / "src" / "vlf"
+        modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+        assert sorted(named) == sorted(modules)

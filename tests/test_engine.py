@@ -24,7 +24,6 @@ from vlf.channel import (
     gaussian_information_density,
     information_density_table,
 )
-from vlf.empirical import count_log_table, count_mi
 from vlf.engine import (
     METRICS,
     VARIANTS,
@@ -42,7 +41,7 @@ from vlf.engine import (
     simulate_trial,
     trial_records,
 )
-from vlf.ensemble import FlipEntropyAbsorption
+from vlf.ensemble import FlipEntropyAbsorption, count_log_table, count_mi
 from vlf.errors import (
     HorizonTooSmall,
     InsufficientTraining,
@@ -500,12 +499,6 @@ class TestTrialStreams:
         keys = [k.tolist() for k in engine._trial_keys(seed, lo, hi)]
         assert keys == [self._reference_key(seed, i) for i in range(lo, hi)]
 
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_unspawned_key_matches_numpy_seed_sequence(self, seed):
-        # the passage-time helpers' stream
-        want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-        assert engine._seed_keys(seed).tolist() == want.tolist()
-
     @pytest.mark.parametrize("seed", [0, 2**64 + 7])
     def test_rekeyed_generator_draws_each_fresh_stream(self, seed):
         # each trial leaves a half-used 32-bit draw and a part-read Philox
@@ -842,6 +835,15 @@ KERNEL_REFERENCES = {
 }
 
 
+class TestCountLogTable:
+    def test_values_and_zero_convention(self):
+        tbl = count_log_table(10)
+        assert tbl.shape == (11,)
+        assert tbl[0] == 0.0
+        assert tbl[1] == 0.0
+        assert tbl[3] == pytest.approx(3 * math.log(3))
+
+
 class TestMetricKernelsMatchTheirDefinitions:
     LENGTH, SPLIT, ROWS = 150, 37, 5
 
@@ -1167,6 +1169,21 @@ class TestPassageTimeHelpers:
     def test_seed_must_be_a_non_negative_integer(self, helper):
         with pytest.raises(VlfError, match="seed"):
             helper(CH, UNIFORM2, 10.0, 20, seed=-1)
+
+    # the first passage times over gamma = 5 of 8 walks, drawn from the
+    # stream of Philox(seed); the values were recorded while the helpers
+    # still keyed it through the engine's own replay of SeedSequence(seed)
+    @pytest.mark.parametrize("seed,mi,dens", [
+        (0, [8, 20, 39, 13, 8, 8, 21, 8], [9, 24, 49, 13, 9, 9, 16, 9]),
+        (2**64 + 7, [23, 15, 8, 17, 15, 8, 33, 8],
+         [20, 16, 13, 27, 16, 9, 45, 9]),
+        (10**41, [8, 8, 16, 20, 9, 14, 12, 15], [9, 9, 16, 13, 9, 16, 9, 20]),
+    ])
+    def test_outputs_are_pinned(self, seed, mi, dens):
+        assert empirical_mi_passage_times(CH, UNIFORM2, 5.0, 8,
+                                          seed=seed).tolist() == mi
+        assert info_density_passage_times(CH, UNIFORM2, 5.0, 8,
+                                          seed=seed).tolist() == dens
 
     def test_input_must_be_a_distribution(self):
         # [0.3, 0.3] gave a mean of 11.4 against 29.3 with a uniform input

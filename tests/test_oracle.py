@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vlf.bounds import channel_stats
 from vlf.channel import bsc, control_pair, information_density_table
-from vlf.empirical import count_log_table
+from vlf.ensemble import count_log_table
 from vlf.errors import VlfError
 from vlf.oracle import (
     JointType,
@@ -30,6 +30,7 @@ from vlf.oracle import (
     passage_time_expansion,
     renewal_overshoot,
     sprt_mc,
+    type_class_log_bound,
     universal_gaussian_metric,
 )
 
@@ -271,6 +272,22 @@ class TestInformationTail:
         grid = np.array([0.5, 1.0, 2.0, 4.0])
         vals = exact_mi_tail(8, UNIFORM2, UNIFORM2, grid)
         assert np.all(np.diff(vals) <= 1e-15)
+
+
+class TestTypeClassBound:
+    @given(
+        st.integers(2, 12),
+        st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bound_dominates_exact_multinomial_count(self, n, weights):
+        # realize an integer composition of n from the weights
+        w = np.array(weights)
+        k0 = int(round(n * w[0] / w.sum()))
+        counts = np.array([k0, n - k0])
+        probs = counts / n
+        exact = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+        assert type_class_log_bound(probs, n) >= exact - 1e-9
 
 
 class TestEtaExpectation:
