@@ -17,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AbsoluteContinuityViolation,
     DimensionMismatch,
-    NonConvergence,
     NonPositiveDrift,
     NotADistribution,
     VlfError,
-    ZeroOutputMass,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -162,7 +159,7 @@ def kl_divergence(p, q):
     support = pv > 0
     if np.any(qv[support] == 0):
         i = int(np.argmax(support & (qv == 0)))
-        raise AbsoluteContinuityViolation(
+        raise NotADistribution(
             f"p[{i}] = {pv[i]} > 0 but q[{i}] = 0; divergence infinite"
         )
     ps = pv[support]
@@ -191,7 +188,7 @@ def capacity(dmc):
 
     Alternates the capacity-achieving-input update with the duality sandwich
     max_x D(W_x || P_Y) >= C >= I(r, W); stops when the gap is <= _BA_TOL
-    and returns (I(r_star, W), r_star). Raises NonConvergence past
+    and returns (I(r_star, W), r_star). Raises VlfError past
     _BA_MAX_ITER iterations.
     """
     w = dmc.matrix
@@ -209,7 +206,7 @@ def capacity(dmc):
         # multiplicative update r <- r * exp(div) / normalizer
         z = r * np.exp(div - div.max())
         r = z / z.sum()
-    raise NonConvergence(
+    raise VlfError(
         f"Blahut-Arimoto gap above {_BA_TOL} after {_BA_MAX_ITER} iterations"
     )
 
@@ -269,7 +266,7 @@ def information_density_table(px, dmc):
     py = output_distribution(px, dmc)
     if np.any(py == 0):
         y = int(np.argmax(py == 0))
-        raise ZeroOutputMass(f"output {y} has zero marginal mass under px")
+        raise NotADistribution(f"output {y} has zero marginal mass under px")
     return np.log(dmc.matrix) - np.log(py)[None, :]
 
 

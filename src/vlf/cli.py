@@ -54,19 +54,15 @@ from .engine import (
     metric_kind,
     trial_records,
 )
-from .errors import EpsTooSmall, HorizonTooSmall, Infeasible, VlfError
+from .errors import Infeasible, VlfError
 
 _LN2 = math.log(2.0)
 _GRID_CAP = 10**6  # most points a grid may hold
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
-        raise _CliError(message)
+        raise VlfError(message)
 
 
 def _fmt_rate(x):
@@ -83,11 +79,11 @@ def _parse_message_count(s):
     if "^" in t:
         base, _, expo = t.partition("^")
         if base.strip() != "2":
-            raise _CliError(f"message count base must be 2, got {s!r}")
+            raise ValueError("message count base must be 2")
         return float(expo) * _LN2
     m = int(t)
     if m < 1:
-        raise _CliError(f"message count must be >= 1, got {s!r}")
+        raise ValueError("message count must be >= 1")
     return math.log(m)
 
 
@@ -116,10 +112,8 @@ def _parse_px(s):
     """Comma-separated weights, normalized to sum to 1."""
     v = np.array([float(p) for p in s.split(",")], dtype=float)
     if not (np.all(np.isfinite(v)) and np.all(v >= 0) and v.sum() > 0):
-        raise _CliError(
-            f"--px needs finite nonnegative weights with a positive sum, "
-            f"got {s!r}"
-        )
+        raise ValueError("weights must be finite and nonnegative, with a "
+                         "positive sum")
     return v / v.sum() if abs(v.sum() - 1.0) > 1e-12 else v
 
 
@@ -205,13 +199,13 @@ def _cast_options(args, verb):
             try:
                 opt[dest] = caster(raw)
             except ValueError as exc:
-                raise _CliError(f"bad value for {flag}: {raw!r} ({exc})") from exc
+                raise VlfError(f"bad value for {flag}: {raw!r} ({exc})") from exc
     return opt
 
 
 def _require(opt, name, flag):
     if opt[name] is None:
-        raise _CliError(f"{flag} is required")
+        raise VlfError(f"{flag} is required")
     return opt[name]
 
 
@@ -237,7 +231,7 @@ def _commit(opt, header):
     unread = [_OPTIONS[name][0] for name, value in opt.items()
               if value is not None and name not in opt.read]
     if unread:
-        raise _CliError(f"{', '.join(unread)} not read by this run; "
+        raise VlfError(f"{', '.join(unread)} not read by this run; "
                         "remove or change the other options")
     if out is not None:
         _needs_header(out, header)
@@ -252,7 +246,7 @@ def _needs_header(path, header):
     with open(path, newline="", encoding="utf-8") as fh:
         existing = next(csv.reader(fh), [])
     if existing != header:
-        raise _CliError(
+        raise VlfError(
             f"{path} has the header {','.join(existing)!r}, not "
             f"{','.join(header)!r}; refusing to append to it"
         )
@@ -310,7 +304,7 @@ def _explicit_params(opt):
     if all(v is None for v in explicit):
         return None
     if any(v is None for v in explicit):
-        raise _CliError(
+        raise VlfError(
             "give all of --gamma1/--gamma2/--aA/--aR or none of them"
         )
     return VlfParams(
@@ -329,7 +323,7 @@ def _schedule(opt, channel, px, kind=None):
         return params
     if kind is None or not kind.universal:
         if opt["N1"] is None:
-            raise _CliError("give --gamma1/--gamma2/--aA/--aR (with --M) "
+            raise VlfError("give --gamma1/--gamma2/--aA/--aR (with --M) "
                             "or --N1")
         return asymptotic_schedule(opt["N1"], channel, px, eps=opt["eps"])
     log_m = _require(opt, "M", "--M")
@@ -390,14 +384,14 @@ def _cmd_sweep(opt):
     schemes = [s.strip() for s in
                _require(opt, "schemes", "--schemes").split(",") if s.strip()]
     if not schemes:
-        raise _CliError("--schemes names no scheme")
+        raise VlfError("--schemes names no scheme")
     for s in schemes:
         if s not in _SCHEMES:
-            raise _CliError(
+            raise VlfError(
                 f"unknown scheme {s!r} (use {', '.join(_SCHEMES)})"
             )
         if schemes.count(s) > 1:
-            raise _CliError(f"--schemes names {s!r} more than once")
+            raise VlfError(f"--schemes names {s!r} more than once")
     out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
     cap = (channel.capacity if isinstance(channel, GaussianChannel)
            else capacity(channel)[0])
@@ -479,7 +473,7 @@ def _cmd_oracle(opt):
 
     channel, px, spec = _resolve_channel(opt)
     if not isinstance(channel, Dmc):
-        raise _CliError("oracle needs a finite-alphabet channel")
+        raise VlfError("oracle needs a finite-alphabet channel")
     n = _require(opt, "n", "--n")
     grid = _require(opt, "gamma", "--gamma")
     out = _commit(opt, _ORACLE_HEADER)
@@ -515,13 +509,13 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.verb is None:
-            raise _CliError(f"missing verb ({', '.join(_COMMANDS)})")
+            raise VlfError(f"missing verb ({', '.join(_COMMANDS)})")
         opt = _cast_options(args, args.verb)
         return _COMMANDS[args.verb](opt)
-    except (Infeasible, EpsTooSmall, HorizonTooSmall) as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (_CliError, VlfError, OSError, ValueError) as exc:
+    except (VlfError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,7 +58,6 @@ from .errors import (
     DimensionMismatch,
     HorizonTooSmall,
     InsufficientTraining,
-    InvalidWorkerCount,
     StateExplosion,
     VlfError,
 )
@@ -815,7 +814,7 @@ def trial_records(cfg, trials, workers=1):
     """
     _check_trials(trials)
     if workers < 1:
-        raise InvalidWorkerCount(f"workers must be >= 1, got {workers}")
+        raise VlfError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return _run_chunk(cfg, 0, trials)
     rt = _Runtime(cfg)  # also validates the configuration before spawning

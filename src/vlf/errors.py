@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Every deliberate failure mode raises one of these, so callers can tell
-contract violations (bad inputs, infeasible targets) from plain bugs.
+Every deliberate failure mode raises a ``VlfError``, so callers can tell
+contract violations from plain bugs.  A subclass exists only where a caller
+treats its failures apart: ``Infeasible`` (with ``EpsTooSmall`` and
+``HorizonTooSmall`` under it) is a well-posed target no parameter choice
+meets, the CLI's exit 2; every other ``VlfError`` is a bad input, exit 1.
 """
 
 
@@ -10,39 +13,12 @@ class VlfError(Exception):
 
 
 class DimensionMismatch(VlfError):
-    """Vectors or matrices that must share a shape do not."""
+    """Vectors, matrices or sequences that must share a shape do not, or are empty."""
 
 
 class NotADistribution(VlfError):
-    """Probability vector does not sum to 1 within tolerance, or has negatives."""
-
-
-class AbsoluteContinuityViolation(VlfError):
-    """KL divergence undefined: p puts mass where q has none."""
-
-
-class NonConvergence(VlfError):
-    """Iterative routine hit its iteration cap before reaching tolerance."""
-
-
-class ZeroOutputMass(VlfError):
-    """Information density requested at an output symbol with zero marginal."""
-
-
-class LengthMismatch(VlfError):
-    """Paired sequences have different lengths."""
-
-
-class EmptySequence(VlfError):
-    """An operation that needs at least one sample got none."""
-
-
-class DegenerateSequence(VlfError):
-    """Correlation undefined: a sequence has zero energy."""
-
-
-class NonIntegerType(VlfError):
-    """A type (empirical distribution) scaled by n is not integral."""
+    """A probability law or a parameter is not valid: negative entries, a sum
+    off 1, or a value outside its domain."""
 
 
 class NonPositiveDrift(VlfError):
@@ -53,11 +29,11 @@ class Infeasible(VlfError):
     """No parameter choice meets the requested targets."""
 
 
-class HorizonTooSmall(VlfError):
+class HorizonTooSmall(Infeasible):
     """Schedule horizon too small for the asymptotic parameter recipe."""
 
 
-class EpsTooSmall(VlfError):
+class EpsTooSmall(Infeasible):
     """Target error probability below the schedule's time-sharing floor."""
 
 
@@ -65,13 +41,5 @@ class InsufficientTraining(VlfError):
     """Channel estimation requested with too short a training sequence."""
 
 
-class InvalidWorkerCount(VlfError):
-    """A Monte Carlo run asked for fewer than one worker process."""
-
-
 class StateExplosion(VlfError):
     """Exact lattice analysis would need more states than the configured cap."""
-
-
-class PrefactorUndefined(VlfError):
-    """Correlation tail prefactor undefined at this threshold (4*lambda^2 >= 1)."""

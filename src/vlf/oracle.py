@@ -26,14 +26,10 @@ from .channel import (
     entropy,
 )
 from .errors import (
-    DegenerateSequence,
     DimensionMismatch,
-    EmptySequence,
-    LengthMismatch,
-    NonIntegerType,
     NotADistribution,
-    PrefactorUndefined,
     StateExplosion,
+    VlfError,
 )
 
 _ABSORB_TOL = 1e-12
@@ -201,9 +197,9 @@ def joint_type(xn, yn, num_x=None, num_y=None):
     if x.ndim != 1 or y.ndim != 1:
         raise DimensionMismatch("sequences must be 1-D")
     if x.size != y.size:
-        raise LengthMismatch(f"lengths differ: {x.size} vs {y.size}")
+        raise DimensionMismatch(f"lengths differ: {x.size} vs {y.size}")
     if x.size == 0:
-        raise EmptySequence("need at least one sample")
+        raise DimensionMismatch("need at least one sample")
     if np.any(x < 0) or np.any(y < 0):
         raise NotADistribution("symbols must be nonnegative integers")
     ax = int(x.max()) + 1 if num_x is None else int(num_x)
@@ -230,7 +226,7 @@ def empirical_mi(t):
     c = t.counts.astype(float)
     n = float(t.n)
     if n == 0:
-        raise EmptySequence("empty type")
+        raise DimensionMismatch("empty type")
     rows = c.sum(axis=1)
     cols = c.sum(axis=0)
     n_i = _xlogx(c).sum() - _xlogx(rows).sum() - _xlogx(cols).sum() + n * math.log(n)
@@ -244,13 +240,13 @@ def empirical_correlation(xn, yn):
     if x.ndim != 1 or y.ndim != 1:
         raise DimensionMismatch("sequences must be 1-D")
     if x.size != y.size:
-        raise LengthMismatch(f"lengths differ: {x.size} vs {y.size}")
+        raise DimensionMismatch(f"lengths differ: {x.size} vs {y.size}")
     if x.size == 0:
-        raise EmptySequence("need at least one sample")
+        raise DimensionMismatch("need at least one sample")
     ex = float(np.dot(x, x))
     ey = float(np.dot(y, y))
     if ex == 0.0 or ey == 0.0:
-        raise DegenerateSequence("zero-energy sequence; correlation undefined")
+        raise VlfError("zero-energy sequence; correlation undefined")
     return float(np.dot(x, y)) / math.sqrt(ex * ey)
 
 
@@ -326,7 +322,7 @@ def type_class_log_bound(type_probs, n):
     scaled = q * n
     if np.any(np.abs(scaled - np.round(scaled)) > 1e-9):
         a = int(np.argmax(np.abs(scaled - np.round(scaled))))
-        raise NonIntegerType(
+        raise NotADistribution(
             f"entry {a}: {q[a]} * n = {scaled[a]} is not an integer count"
         )
     two_pi_n = 2.0 * math.pi * n
@@ -439,7 +435,7 @@ def gaussian_corr_tail(n, a):
     lam = a / (1.0 - a * a)
     disc = 1.0 - 4.0 * lam * lam
     if disc <= 0.0:
-        raise PrefactorUndefined(
+        raise VlfError(
             f"4 lambda_a^2 = {4 * lam * lam:.6f} >= 1 at a = {a}; prefactor complex"
         )
     sig = (1.0 - a * a) / math.sqrt(1.0 + a * a)

@@ -609,13 +609,14 @@ class TestErrorHandling:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value,name", [
-        ("--d", "inf", "d"), ("--delta", "nan", "delta"),
-        ("--eps", "inf", "eps"), ("--eps", "1.5", "eps"),
-        ("--M", "0", "message count"), ("--M", "3^5", "message count base"),
+    @pytest.mark.parametrize("flag,value,says", [
+        ("--d", "inf", "d must be"), ("--delta", "nan", "delta must be"),
+        ("--eps", "inf", "eps must be"), ("--eps", "1.5", "eps must be"),
+        ("--M", "0", "bad value for --M: '0' (message count must be"),
+        ("--M", "3^5", "bad value for --M: '3^5' (message count base must be"),
     ])
     def test_bad_universal_schedule_input_names_its_option(
-        self, flag, value, name, tmp_path, capsys
+        self, flag, value, says, tmp_path, capsys
     ):
         opts = {"--variant": "uvlf_bsc", "--channel": BSC, "--M": "2^60",
                 "--eps": "0.05", "--training": "100", "--trials": "5",
@@ -624,7 +625,7 @@ class TestErrorHandling:
         argv = ["simulate", *(x for kv in opts.items() for x in kv),
                 "--out", str(out)]
         assert main(argv) == 1
-        assert f"error: {name} must be" in capsys.readouterr().err
+        assert f"error: {says}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("d", ["7", "inf"])
