@@ -50,6 +50,11 @@ _EXP_CAP = 700.0
 _K_MAX = 2.0 ** 40  # K = C N/(1 - eps) of the solvers stays below it
 
 
+def _check_log_m(log_m):
+    if not (0 <= log_m < math.inf):
+        raise NotADistribution(f"need finite log_m >= 0, got {log_m}")
+
+
 @dataclass(frozen=True)
 class VlfParams:
     """Threshold set of one three-phase code. Message count stored as log M (nats)."""
@@ -62,8 +67,7 @@ class VlfParams:
     eps0: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.log_m < math.inf):
-            raise NotADistribution(f"need finite log_m >= 0, got {self.log_m}")
+        _check_log_m(self.log_m)
         if not (0 < self.gamma1 < self.gamma2 < math.inf):
             raise NotADistribution(
                 f"need finite 0 < gamma1 < gamma2, got {self.gamma1}, "
@@ -305,6 +309,7 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
     (override d=0.5 for the binary-symmetric specialization).
     """
     _check_eps(eps)
+    _check_log_m(log_m)
     if not (math.isfinite(delta) and delta >= 0):
         raise VlfError(f"delta must be finite and >= 0, got {delta}")
     if n1 is None:
@@ -326,8 +331,9 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
 
 
 def universal_schedule_gaussian(log_m, eps, delta=0.1):
-    """Gaussian universal recipe: n1 = floor(log M), d = 1/2."""
-    return universal_schedule(log_m, 2, 2, eps, d=0.5, delta=delta, n1=int(log_m))
+    """Gaussian universal recipe: n1 = floor(log M), d = 1/2, the finite
+    recipe's n1 = floor(log M / min(|X|, |Y|)) at min(|X|, |Y|) = 1."""
+    return universal_schedule(log_m, 1, 1, eps, d=0.5, delta=delta)
 
 
 # ---------------------------------------------------------------------------

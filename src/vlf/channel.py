@@ -78,6 +78,13 @@ def _check_seed(seed):
     return int(seed)
 
 
+def _check_count(count, name, least=1):
+    """count as an int, checked to be an integer of at least `least`."""
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise VlfError(f"{name} must be an integer >= {least}, got {count!r}")
+    return int(count)
+
+
 def _positive_drift(mean, name="mean step"):
     """mean, checked to be a positive walk drift (NaN is not)."""
     if not mean > 0:

@@ -13,7 +13,8 @@ Verbs:
 Each verb appends fixed-schema rows to a CSV (``--out``) and prints a
 one-line summary.  Rates and other reals use 6 decimal places, probabilities
 scientific notation with 3 significant digits.  Every option is a flag.
-Exit status: 0 success, 2 infeasible targets, 1 any other error.
+Exit status: 0 success, 2 infeasible targets (an ``Infeasible`` error), 1
+any other error (any other ``VlfError``, an ``OSError`` or a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import (
+    LN2,
     VlfParams,
     achievability_bound,
     asymptotic_schedule,
@@ -56,7 +58,6 @@ from .engine import (
 )
 from .errors import Infeasible, VlfError
 
-_LN2 = math.log(2.0)
 _GRID_CAP = 10**6  # most points a grid may hold
 
 
@@ -74,17 +75,20 @@ def _fmt_prob(x):
 
 
 def _parse_message_count(s):
-    """'2^100' (bits exponent) or a plain integer count; returns log M nats."""
+    """'2^100' (bits exponent) or a plain integer count; returns log M nats,
+    checked to be finite and >= 0."""
     t = s.strip()
     if "^" in t:
         base, _, expo = t.partition("^")
         if base.strip() != "2":
             raise ValueError("message count base must be 2")
-        return float(expo) * _LN2
-    m = int(t)
-    if m < 1:
-        raise ValueError("message count must be >= 1")
-    return math.log(m)
+        log_m = float(expo) * LN2
+    else:
+        m = int(t)
+        log_m = math.log(m) if m > 0 else -math.inf
+    if not 0 <= log_m < math.inf:
+        raise ValueError("message count must be finite and >= 1")
+    return log_m
 
 
 def _parse_grid(s):
@@ -273,8 +277,8 @@ _BOUND_HEADER = [
 
 
 def _bound_row(scheme, chan_spec, n_value, eps, log_m, rate, params):
-    """One row of _BOUND_HEADER; rate in nats per use, params the schedule
-    or None."""
+    """One row of _BOUND_HEADER; rate in nats per use, its cell empty when
+    infinite (N = 0 at eps0 = 1), params the schedule or None."""
     if params is None:
         sched = [""] * 5
     else:
@@ -285,7 +289,8 @@ def _bound_row(scheme, chan_spec, n_value, eps, log_m, rate, params):
         ]
     return [
         scheme, chan_spec, _fmt_rate(n_value), _fmt_prob(eps),
-        _fmt_rate(log_m), _fmt_rate(log_m / _LN2), _fmt_rate(rate / _LN2),
+        _fmt_rate(log_m), _fmt_rate(log_m / LN2),
+        _fmt_rate(rate / LN2) if math.isfinite(rate) else "",
     ] + sched
 
 
@@ -341,13 +346,16 @@ def _cmd_bound(opt):
     params = _schedule(opt, channel, px)
     out = _commit(opt, _BOUND_HEADER)
     report = achievability_bound(params, channel, px)
+    if not (math.isfinite(report.eps) and math.isfinite(report.n_avg)):
+        raise VlfError("the bound is not finite: (M-1) e^-gamma1 overflows at "
+                       f"--M 2^{params.log_m / LN2:g}, --gamma1 {params.gamma1:g}")
     _append_csv(out, _BOUND_HEADER,
                 [_bound_row("thm1", spec, report.n_avg, report.eps,
                             report.log_m, report.rate, params)])
     print(
         f"thm1 bound @ {spec}: logM = {report.log_m:.6f} nats "
-        f"({report.log_m / _LN2:.2f} bits), eps = {report.eps:.2e}, "
-        f"N = {report.n_avg:.6f}, rate = {report.rate / _LN2:.6f} bits/use"
+        f"({report.log_m / LN2:.2f} bits), eps = {report.eps:.2e}, "
+        f"N = {report.n_avg:.6f}, rate = {report.rate / LN2:.6f} bits/use"
     )
     return 0
 
@@ -387,9 +395,7 @@ def _cmd_sweep(opt):
         raise VlfError("--schemes names no scheme")
     for s in schemes:
         if s not in _SCHEMES:
-            raise VlfError(
-                f"unknown scheme {s!r} (use {', '.join(_SCHEMES)})"
-            )
+            raise VlfError(f"unknown scheme {s!r} (use {', '.join(_SCHEMES)})")
         if schemes.count(s) > 1:
             raise VlfError(f"--schemes names {s!r} more than once")
     out = _commit(opt, _BOUND_HEADER)  # refuse before the sweep runs
@@ -422,7 +428,7 @@ def _cmd_simulate(opt):
     variant = _require(opt, "variant", "--variant")
     seed = _require(opt, "seed", "--seed")
     trials = _require(opt, "trials", "--trials")
-    kind = metric_kind(variant)
+    kind = metric_kind(variant, channel)
     params = _schedule(opt, channel, px, kind)
     given = _given(opt, n_max="n_max")
     if kind.universal:  # a known channel trains on nothing

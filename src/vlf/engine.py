@@ -41,10 +41,12 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import ensemble
+from .bounds import LN2
 from .channel import (
     Dmc,
     GaussianChannel,
     _as_input_law,
+    _check_count,
     _check_seed,
     _positive_drift,
     binary_entropy,
@@ -66,7 +68,7 @@ _Z95 = 1.959963984540054
 _BLOCK = 256
 _HT_BLOCK = 64
 _HORIZON_MULT = 50.0  # default n_max in units of gamma2 / C
-_LN2 = math.log(2.0)
+_HORIZON_CAP = 10**7  # largest n_max: each per-horizon table is then 80 MB
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,11 @@ class SchemeConfig:
 
     ``px`` is the codebook input distribution (DMC variants; Gaussian
     codebooks are i.i.d. N(0, P) with P taken from the channel).  ``n_max``
-    is the horizon, by default ceil(50 * gamma2 / C): a run whose walk plus
-    control symbols do not stop by it is censored at tau = n_max, counted
-    as an error, its symbols charged in protocol order (phase 1, control,
-    phase 2) and its energy summed over the charged symbols only.  ``c2``
+    is the horizon, by default ceil(50 * gamma2 / C), given or derived at
+    most 10^7 symbols: a run whose walk plus control symbols do not stop by
+    it is censored at tau = n_max, counted as an error, its symbols charged
+    in protocol order (phase 1, control, phase 2) and its energy summed
+    over the charged symbols only.  ``c2``
     truncates the second communication phase of the universal variants at
     walk time c2 * gamma2 / C (the analysis horizon of the universal
     scheme; a float, finite and above 1): a run that would pass it is
@@ -100,11 +103,7 @@ class SchemeConfig:
     c2: float = 2.0
 
     def __post_init__(self):
-        kind = metric_kind(self.variant)
-        if not isinstance(self.channel, kind.channel_type):
-            raise DimensionMismatch(
-                f"variant {self.variant} needs a {kind.channel_type.__name__}"
-            )
+        kind = metric_kind(self.variant, self.channel)
         if not kind.gaussian:
             p = _as_input_law(self.px, self.channel)
             shape = self.channel.matrix.shape
@@ -512,11 +511,11 @@ class FlipEntropy(_DmcMetric):
     @staticmethod
     def walk_drift(channel, px):
         joint = px[:, None] * channel.matrix
-        return _LN2 - binary_entropy(float(joint[0, 1] + joint[1, 0]))
+        return LN2 - binary_entropy(float(joint[0, 1] + joint[1, 0]))
 
     def count_metric(self, n, k):
         L = self.log_tbl
-        return n * _LN2 - L[n] + L[k] + L[n - k]
+        return n * LN2 - L[n] + L[k] + L[n - k]
 
     def metric(self, state, x, y):
         t, k = state
@@ -576,13 +575,19 @@ METRICS = {
 VARIANTS = tuple(METRICS)
 
 
-def metric_kind(variant):
-    """The Metric class registered for a variant name."""
+def metric_kind(variant, channel=None):
+    """The Metric class registered for a variant name, checked to fit the
+    channel when one is given."""
     if variant not in METRICS:
         raise VlfError(
             f"unknown variant {variant!r}; expected one of {VARIANTS}"
         )
-    return METRICS[variant]
+    kind = METRICS[variant]
+    if channel is not None and not isinstance(channel, kind.channel_type):
+        raise DimensionMismatch(
+            f"variant {variant} needs a {kind.channel_type.__name__}"
+        )
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +611,22 @@ class _Runtime:
         self.g1, self.g2, self.log_m = p.gamma1, p.gamma2, p.log_m
         drift = _positive_drift(kind.walk_drift(cfg.channel, cfg.px),
                                 "metric drift")
-        self.n_max = (
-            cfg.n_max
-            if cfg.n_max is not None
-            else int(math.ceil(_HORIZON_MULT * self.g2 / drift))
-        )
+        given = cfg.n_max is not None
+        horizon = cfg.n_max if given else _HORIZON_MULT * self.g2 / drift
+        if not horizon <= _HORIZON_CAP:
+            what = (f"n_max = {horizon}" if given else
+                    f"the horizon 50*gamma2/C = {horizon:.4g} at gamma2 = "
+                    f"{self.g2:.4g}")
+            raise VlfError(f"{what} is above the cap of {_HORIZON_CAP} "
+                           "symbols")
+        self.n_max = math.ceil(horizon)
         if self.n_max < 10.0 * self.g2 / drift:
             raise HorizonTooSmall(
                 f"n_max = {self.n_max} is below 10*gamma2/C = "
                 f"{10.0 * self.g2 / drift:.1f}"
             )
-        self.c2_cap = (int(math.ceil(cfg.c2 * self.g2 / drift))
+        # a cap past the horizon cuts nothing (and c2 * gamma2/C may be inf)
+        self.c2_cap = (math.ceil(min(cfg.c2 * self.g2 / drift, self.n_max))
                        if kind.universal else None)
         # uvlf_awgn's first evaluated length is the schedule's block length
         self.metric = kind(cfg.channel, cfg.px, self.n_max,
@@ -774,8 +784,7 @@ def _run_chunk(cfg, lo, hi):
 
 def _check_trials(trials):
     """trials, checked to be a positive count of at most 2^32."""
-    if trials < 1:
-        raise VlfError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(trials, "trials")
     if trials > _MAX_TRIALS:
         raise VlfError(f"trials must be <= 2^32, got {trials}")
     return trials

@@ -13,7 +13,7 @@ class VlfError(Exception):
 
 
 class DimensionMismatch(VlfError):
-    """Vectors, matrices or sequences that must share a shape do not, or are empty."""
+    """Inputs that must share a shape do not, or an input is empty."""
 
 
 class NotADistribution(VlfError):

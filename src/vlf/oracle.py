@@ -21,6 +21,7 @@ from scipy.special import betaincc, gammaln, logsumexp
 from .channel import (
     _as_prob_vector,
     _as_step_law,
+    _check_count,
     _check_seed,
     _positive_drift,
     entropy,
@@ -126,9 +127,10 @@ def sprt_mc(spec, samples, seed=0):
     v = np.asarray(spec.values, dtype=float)
     p = np.asarray(spec.probs, dtype=float)
     rng = np.random.default_rng(_check_seed(seed))
+    samples = _check_count(samples, "samples")
     accepts = 0
     rejects = 0
-    left = int(samples)
+    left = samples
     while left > 0:
         take = min(left, 1_000_000)
         s = np.zeros(take)
@@ -276,8 +278,7 @@ def _compositions(total, parts):
 def exact_mi_tail(n, px, py, gamma_grid):
     """P[n * I(empirical joint type) >= gamma] under independence px x py,
     by summing exact multinomial masses over every joint type of length n."""
-    if n < 1 or n != int(n):
-        raise NotADistribution(f"n must be a positive integer, got {n}")
+    n = _check_count(n, "n")
     px = _as_prob_vector(px, "px")
     py = _as_prob_vector(py, "py")
     kx, ky = px.size, py.size
@@ -319,6 +320,7 @@ def type_class_log_bound(type_probs, n):
     polynomial factor.
     """
     q = _as_prob_vector(type_probs, "type")
+    n = _check_count(n, "n")
     scaled = q * n
     if np.any(np.abs(scaled - np.round(scaled)) > 1e-9):
         a = int(np.argmax(np.abs(scaled - np.round(scaled))))
@@ -336,9 +338,7 @@ def type_class_log_bound(type_probs, n):
 
 def exact_eta_expectation(n):
     """sum_{i=0}^n C(n, i) exp(-n h_b(i/n)), computed in the log domain."""
-    if n < 1 or n != int(n):
-        raise NotADistribution(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = _check_count(n, "n")
     i = np.arange(n + 1, dtype=float)
     log_binom = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
     frac = i / n
@@ -461,8 +461,10 @@ def corr_tail_mc(n, a, samples, seed=0, chunk=50_000):
     rho_hat the law of Z / sqrt(Z^2 + chi^2_{n-1}): one normal and one
     chi-square per sample, drawn ``chunk`` samples at a time."""
     rng = np.random.default_rng(_check_seed(seed))
+    n = _check_count(n, "n", least=2)
+    samples = _check_count(samples, "samples")
     hits = 0
-    left = int(samples)
+    left = samples
     while left > 0:
         take = min(left, chunk)
         z = rng.standard_normal(take)

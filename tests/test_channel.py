@@ -187,7 +187,8 @@ class TestOneInputCheck:
     # Before, the NaN matrices loaded, the zero-drift runtime raised
     # HorizonTooSmall (an "infeasible" exit 2), the NaN mean gave a NaN
     # passage time, the zero-drift passage times divided by zero and the
-    # oracles' samplers passed a bad seed to numpy, whose error named none.
+    # oracles' samplers passed a bad seed to numpy, whose error named none;
+    # the zero counts divided by zero, and n = 1 gave numpy's "df <= 0".
     @pytest.mark.parametrize("call,error,match", [
         (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
          NotADistribution, "row 2, column 1"),
@@ -231,6 +232,14 @@ class TestOneInputCheck:
         (lambda tmp: corr_tail_mc(10, 0.5, 100, seed=-1), VlfError, SEED_CHECK),
         (lambda tmp: corr_tail_mc(10, 0.5, 100, seed=1.5),
          VlfError, SEED_CHECK),
+        (lambda tmp: type_class_log_bound([0.5, 0.5], 0),
+         VlfError, "n must be an integer >= 1, got 0"),
+        (lambda tmp: sprt_mc(WALK, 0), VlfError,
+         "samples must be an integer >= 1, got 0"),
+        (lambda tmp: corr_tail_mc(10, 0.5, 0), VlfError,
+         "samples must be an integer >= 1, got 0"),
+        (lambda tmp: corr_tail_mc(1, 0.5, 10), VlfError,
+         "n must be an integer >= 2, got 1"),
     ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
             "mutual_information-px", "output_distribution-px",
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
@@ -240,7 +249,9 @@ class TestOneInputCheck:
             "passage_time_expansion-nan", "Runtime-drift",
             "passage_times-drift", "sprt_mc-seed-1", "sprt_mc-seed1.5",
             "renewal_overshoot-seed-1", "renewal_overshoot-seed1.5",
-            "corr_tail_mc-seed-1", "corr_tail_mc-seed1.5"])
+            "corr_tail_mc-seed-1", "corr_tail_mc-seed1.5",
+            "type_class_log_bound-n0", "sprt_mc-samples0",
+            "corr_tail_mc-samples0", "corr_tail_mc-n1"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
         with pytest.raises(error, match=match):
             call(tmp_path)

@@ -1,16 +1,21 @@
 """Command-line interface: verbs, CSV schemas, exit codes, README examples."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import re
 import shlex
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlf import bounds, cli, engine
 from vlf.bounds import VlfParams
@@ -456,7 +461,7 @@ class TestOracleVerb:
         out = tmp_path / "or.csv"
         assert main(["oracle", "--channel", BSC, "--n", n, "--gamma", "1",
                      "--out", str(out)]) == 1
-        assert "n must be a positive integer" in capsys.readouterr().err
+        assert "n must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     # e^-801 underflows, so the exact tail and the bound are both 0; the
@@ -614,6 +619,11 @@ class TestErrorHandling:
         ("--eps", "inf", "eps must be"), ("--eps", "1.5", "eps must be"),
         ("--M", "0", "bad value for --M: '0' (message count must be"),
         ("--M", "3^5", "bad value for --M: '3^5' (message count base must be"),
+        # an OverflowError traceback, "cannot convert float NaN to integer"
+        # and "infeasible: n1 = -1 too small" (exit 2) before
+        ("--M", "2^inf", "bad value for --M: '2^inf' (message count must be"),
+        ("--M", "2^nan", "bad value for --M: '2^nan' (message count must be"),
+        ("--M", "2^-3", "bad value for --M: '2^-3' (message count must be"),
     ])
     def test_bad_universal_schedule_input_names_its_option(
         self, flag, value, says, tmp_path, capsys
@@ -712,3 +722,160 @@ class TestReadmeLayout:
         package = _README.parent / "src" / "vlf"
         modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
         assert sorted(named) == sorted(modules)
+
+
+class TestFailureContract:
+    """Hand-found inputs that ended in a traceback or a non-finite cell."""
+
+    _UNIVERSAL = ["simulate", "--variant", "uvlf_bsc", "--channel", BSC,
+                  "--eps", "0.05", "--training", "100", "--trials", "2",
+                  "--seed", "1"]
+
+    # both asked numpy for a count table (7.45 GiB and 7.27 TiB) and ended
+    # in its _ArrayMemoryError traceback
+    @pytest.mark.parametrize("extra,named", [
+        (["--M", "2^60", "--n-max", "1000000000"], "n_max = 1000000000"),
+        (["--M", "2^1e10"],
+         "the horizon 50*gamma2/C = 9.998e+11 at gamma2 = 6.931e+09"),
+    ], ids=["given", "derived"])
+    def test_horizon_above_the_cap_exits_one(self, extra, named, tmp_path,
+                                             capsys):
+        out = tmp_path / "u.csv"
+        assert main(self._UNIVERSAL + extra + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named} is above the cap of 10000000 symbols" in err
+        assert not out.exists()
+
+    def test_second_phase_cap_past_the_horizon_runs(self, tmp_path):
+        # c2 * gamma2/C overflowed to inf: an OverflowError traceback
+        out = tmp_path / "u.csv"
+        assert main(self._UNIVERSAL + ["--M", "2^60", "--c2", "1e307",
+                                       "--out", str(out)]) == 0
+        assert len(_rows(out)) == 1
+
+    _EXPLICIT_BOUND = ["bound", "--channel", BSC, "--gamma1", "8",
+                       "--gamma2", "14", "--aA", "3", "--aR", "3"]
+
+    def test_overflowing_bound_exits_one_without_a_row(self, tmp_path,
+                                                        capsys):
+        # (M-1) e^-gamma1 overflowed: exit 0, and N and eps written as inf
+        out = tmp_path / "b.csv"
+        assert main(self._EXPLICIT_BOUND + ["--M", "2^1e10",
+                                            "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "overflows at --M 2^1e+10, --gamma1 8" in err
+        assert not out.exists()
+
+    def test_vacuous_finite_bound_is_written(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(self._EXPLICIT_BOUND + ["--M", "2^40",
+                                            "--out", str(out)]) == 0
+        assert float(_rows(out)[0]["eps"]) > 1.0
+
+    def test_rate_cell_is_empty_when_nothing_is_sent(self, tmp_path):
+        # eps0 = 1 stops every run at time zero, so N = 0; the cell read inf
+        out = tmp_path / "b.csv"
+        assert main(self._EXPLICIT_BOUND + ["--M", "2^10", "--eps0", "1",
+                                            "--out", str(out)]) == 0
+        row = _rows(out)[0]
+        assert (row["N"], row["rate_bits_per_use"]) == ("0.000000", "")
+
+
+# The grammar fuzz: argv drawn from each verb's option table and a value
+# pool per flag.  A base argv that runs is mutated flag by flag, so both
+# exit-0 runs and every kind of refusal are reached.
+_BAD = ["0", "-1", "nan", "inf", "1e300", "1e-300", ""]
+_POOL = {
+    "channel": [BSC, "awgn:1", "bsc:0.5", "awgn:1e-300", "fiber:9",
+                "dmc:no-such-file.txt"],
+    "px": ["0.5,0.5", "0.3,0.7", "1,0", "1,1,1"],
+    "variant": ["vlf_dmc", "uvlf_dmc", "uvlf_bsc", "vlf_awgn", "uvlf_awgn",
+                "magic"],
+    "M": ["2^6", "2^20", "1024", "2^8.5", "3^5", "2^inf", "2^nan", "2^-3",
+          "2^1e10"],
+    "gamma1": ["8", "170.55"], "gamma2": ["13", "176.23"],
+    "a_accept": ["3", "4.83"], "a_reject": ["3", "5.82"],
+    "eps0": ["0.01", "1"], "N1": ["60", "2000"], "eps": ["1e-3", "0.2"],
+    "N": ["500", "200:400:200", "1e19", "200:100000:1e-9"],
+    "d": ["0.5", "1"], "delta": ["0.1"], "training": ["64", "100"],
+    "trials": ["1", "3"], "seed": ["1", "1.5"],
+    "workers": ["-1", "0", "1", "2"], "n_max": ["400", "1000000000"],
+    "c2": ["3", "1e307"], "schemes": ["thm1", "vlsf,converse", "magic"],
+    "n": ["4", "6"], "gamma": ["1", "0.5:3:0.5", "800"],
+}
+_NO_BAD = {"variant", "schemes", "workers", "n_max", "trials"}
+_BASES = {
+    "bound": [{"channel": BSC, "N1": "2000", "eps": "1e-3"},
+              {"channel": BSC, "M": "2^6", "gamma1": "8", "gamma2": "13",
+               "a_accept": "3", "a_reject": "3"}],
+    "simulate": [{"variant": "vlf_dmc", "channel": BSC, "M": "2^6",
+                  "gamma1": "8", "gamma2": "13", "a_accept": "3",
+                  "a_reject": "3", "trials": "3", "seed": "1"},
+                 {"variant": "uvlf_bsc", "channel": BSC, "M": "2^20",
+                  "eps": "0.2", "training": "64", "trials": "3", "seed": "1"},
+                 {"variant": "uvlf_awgn", "channel": "awgn:1", "M": "2^10",
+                  "eps": "0.2", "training": "64", "trials": "3", "seed": "1"}],
+    "sweep": [{"channel": BSC, "eps": "1e-3", "N": "200:400:200",
+               "schemes": "thm1,vlsf,converse"}],
+    "oracle": [{"channel": BSC, "n": "4", "gamma": "0.5:3:0.5"}],
+}
+# row cells that are empty where their quantity is undefined
+_EMPTY_CELLS = {"gamma1", "gamma2", "aA", "aR", "eps0", "rate_bits_per_use",
+                "n_lo", "n_hi", "power_hat", "ratio"}
+_TEXT_CELLS = {"scheme", "channel", "variant"}
+# an error names a flag, an option's name or one of these quantities
+_NAMED = re.compile(r"--[\w-]+|\b(%s)\b" % "|".join(list(cli._OPTIONS) + [
+    "message count", "log_m", "n1", "n_avg", "K", "drift", "power", "dmc",
+    "flip probability", "training_len", "thresholds", "header", "scheme"]))
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_BASES)))
+    opts = dict(draw(st.sampled_from(_BASES[verb])))
+    for dest in draw(st.lists(st.sampled_from(cli._VERB_OPTS[verb]),
+                              max_size=3, unique=True)):
+        if dest in ("out", "trace"):
+            continue
+        pool = _POOL[dest] + ([] if dest in _NO_BAD else _BAD)
+        value = draw(st.sampled_from([None] + pool))
+        if value is None:
+            opts.pop(dest, None)
+        else:
+            opts[dest] = value
+    return verb, opts
+
+
+class TestGrammarFuzz:
+    """Every argv ends in exit 0, 1 or 2 with no escaped exception; a
+    refusal writes no file and names a flag or a quantity; an exit-0 CSV
+    holds only finite numbers, text and documented empty cells."""
+
+    @given(_argv())
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    def test_failure_contract(self, case):
+        verb, opts = case
+        argv = [verb]
+        for dest, value in opts.items():
+            argv += [cli._OPTIONS[dest][0], value]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, trace = Path(tmp, "o.csv"), Path(tmp, "t.jsonl")
+            argv += ["--out", str(out)]
+            if verb == "simulate":
+                argv += ["--trace", str(trace)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code:
+                assert not out.exists() and not trace.exists(), argv
+                assert _NAMED.search(err.getvalue()), (argv, err.getvalue())
+                return
+            for row in _rows(out):
+                for col, cell in row.items():
+                    if col in _TEXT_CELLS or (cell == "" and
+                                              col in _EMPTY_CELLS):
+                        continue
+                    assert math.isfinite(float(cell)), (argv, col, cell)

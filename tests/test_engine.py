@@ -224,6 +224,13 @@ class TestConfigValidation:
         with pytest.raises(HorizonTooSmall):
             run_monte_carlo(_cfg(n_max=10), 1)
 
+    def test_horizon_cap(self):
+        # a horizon past it asked numpy for a count table of GiB
+        cap = engine._HORIZON_CAP
+        assert engine._Runtime(_cfg(n_max=cap)).n_max == cap
+        with pytest.raises(VlfError, match=f"n_max = {cap + 1} is above"):
+            engine._Runtime(_cfg(n_max=cap + 1))
+
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_non_positive_horizon_is_bad_input_not_infeasible(self, n_max):
         with pytest.raises(VlfError) as err:
@@ -774,7 +781,7 @@ class TestDeterminismAndAggregation:
         # they gave an all-NaN estimate of 0 trials and numpy's warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(VlfError, match="trials must be >= 1, got 0"):
+            with pytest.raises(VlfError, match="trials must be an integer >= 1, got 0"):
                 aggregate_records(_cfg(), np.empty((0, 8)))
 
     def test_power_of_runs_that_send_nothing_is_none(self):
