@@ -389,6 +389,7 @@ def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
     v, p = _as_step_law(values, probs)
     _positive_drift(float(np.dot(v, p)))
     rng = np.random.default_rng(_check_seed(seed))
+    samples = _check_count(samples, "samples", least=2)  # for a covariance
     heights = np.empty(samples)
     done = 0
     active = np.zeros(0)

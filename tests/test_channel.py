@@ -188,7 +188,8 @@ class TestOneInputCheck:
     # HorizonTooSmall (an "infeasible" exit 2), the NaN mean gave a NaN
     # passage time, the zero-drift passage times divided by zero and the
     # oracles' samplers passed a bad seed to numpy, whose error named none;
-    # the zero counts divided by zero, and n = 1 gave numpy's "df <= 0".
+    # the zero counts divided by zero, n = 1 gave numpy's "df <= 0", and
+    # one ladder height a NaN standard error.
     @pytest.mark.parametrize("call,error,match", [
         (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
          NotADistribution, "row 2, column 1"),
@@ -240,6 +241,8 @@ class TestOneInputCheck:
          "samples must be an integer >= 1, got 0"),
         (lambda tmp: corr_tail_mc(1, 0.5, 10), VlfError,
          "n must be an integer >= 2, got 1"),
+        (lambda tmp: renewal_overshoot(*WALK_LAW, samples=1), VlfError,
+         "samples must be an integer >= 2, got 1"),
     ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
             "mutual_information-px", "output_distribution-px",
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
@@ -251,7 +254,8 @@ class TestOneInputCheck:
             "renewal_overshoot-seed-1", "renewal_overshoot-seed1.5",
             "corr_tail_mc-seed-1", "corr_tail_mc-seed1.5",
             "type_class_log_bound-n0", "sprt_mc-samples0",
-            "corr_tail_mc-samples0", "corr_tail_mc-n1"])
+            "corr_tail_mc-samples0", "corr_tail_mc-n1",
+            "renewal_overshoot-samples1"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
         with pytest.raises(error, match=match):
             call(tmp_path)

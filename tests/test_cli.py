@@ -78,6 +78,23 @@ class TestBoundVerb:
         assert "--px" in capsys.readouterr().err
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    _EXPLICIT_BOUND = ["bound", "--channel", BSC, "--gamma1", "8",
+                       "--gamma2", "14", "--aA", "3", "--aR", "3"]
+
+    def test_vacuous_finite_bound_is_written(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(self._EXPLICIT_BOUND + ["--M", "2^40",
+                                            "--out", str(out)]) == 0
+        assert float(_rows(out)[0]["eps"]) > 1.0
+
+    def test_rate_cell_is_empty_when_nothing_is_sent(self, tmp_path):
+        # eps0 = 1 stops every run at time zero, so N = 0; the cell read inf
+        out = tmp_path / "b.csv"
+        assert main(self._EXPLICIT_BOUND + ["--M", "2^10", "--eps0", "1",
+                                            "--out", str(out)]) == 0
+        row = _rows(out)[0]
+        assert (row["N"], row["rate_bits_per_use"]) == ("0.000000", "")
+
     def test_infeasible_error_floor_maps_to_exit_two(self):
         assert main(["bound", "--channel", BSC, "--N1", "1000",
                      "--eps", "1e-3"]) == 2
@@ -379,6 +396,15 @@ class TestSimulateVerb:
         ]) == 0
         assert _rows(out)[0]["power_hat"] == ""
 
+    def test_second_phase_cap_past_the_horizon_runs(self, tmp_path):
+        # c2 * gamma2/C overflowed to inf: an OverflowError traceback
+        out = tmp_path / "u.csv"
+        assert main(["simulate", "--variant", "uvlf_bsc", "--channel", BSC,
+                     "--M", "2^60", "--eps", "0.05", "--training", "100",
+                     "--trials", "2", "--seed", "1", "--c2", "1e307",
+                     "--out", str(out)]) == 0
+        assert len(_rows(out)) == 1
+
     def test_universal_schedule_path(self, tmp_path):
         out = tmp_path / "u.csv"
         assert main([
@@ -596,8 +622,10 @@ class TestErrorHandling:
         ["simulate", "--gamma2", "inf"],
         ["simulate", "--variant", "uvlf_bsc", "--training", "64",
          "--c2", "inf"],
+        # (M-1) e^-gamma1 overflowed: exit 0, N and eps written as inf
+        ["bound", "--M", "2^1e10"],
     ], ids=["bound-gamma2", "bound-aA", "simulate-M", "simulate-gamma2",
-            "simulate-c2"])
+            "simulate-c2", "bound-overflow"])
     def test_infinite_values_exit_one_without_a_row(self, args, tmp_path,
                                                     capsys):
         verb, *override = args
@@ -624,6 +652,12 @@ class TestErrorHandling:
         ("--M", "2^inf", "bad value for --M: '2^inf' (message count must be"),
         ("--M", "2^nan", "bad value for --M: '2^nan' (message count must be"),
         ("--M", "2^-3", "bad value for --M: '2^-3' (message count must be"),
+        # both asked numpy for a count table (7.45 GiB, 7.27 TiB) and ended
+        # in its _ArrayMemoryError traceback
+        ("--n-max", "1000000000",
+         "n_max = 1000000000 is above the cap of 10000000 symbols"),
+        ("--M", "2^1e10", "the horizon 50*gamma2/C = 9.998e+11 at gamma2 = "
+         "6.931e+09 is above the cap of 10000000 symbols"),
     ])
     def test_bad_universal_schedule_input_names_its_option(
         self, flag, value, says, tmp_path, capsys
@@ -724,63 +758,6 @@ class TestReadmeLayout:
         assert sorted(named) == sorted(modules)
 
 
-class TestFailureContract:
-    """Hand-found inputs that ended in a traceback or a non-finite cell."""
-
-    _UNIVERSAL = ["simulate", "--variant", "uvlf_bsc", "--channel", BSC,
-                  "--eps", "0.05", "--training", "100", "--trials", "2",
-                  "--seed", "1"]
-
-    # both asked numpy for a count table (7.45 GiB and 7.27 TiB) and ended
-    # in its _ArrayMemoryError traceback
-    @pytest.mark.parametrize("extra,named", [
-        (["--M", "2^60", "--n-max", "1000000000"], "n_max = 1000000000"),
-        (["--M", "2^1e10"],
-         "the horizon 50*gamma2/C = 9.998e+11 at gamma2 = 6.931e+09"),
-    ], ids=["given", "derived"])
-    def test_horizon_above_the_cap_exits_one(self, extra, named, tmp_path,
-                                             capsys):
-        out = tmp_path / "u.csv"
-        assert main(self._UNIVERSAL + extra + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {named} is above the cap of 10000000 symbols" in err
-        assert not out.exists()
-
-    def test_second_phase_cap_past_the_horizon_runs(self, tmp_path):
-        # c2 * gamma2/C overflowed to inf: an OverflowError traceback
-        out = tmp_path / "u.csv"
-        assert main(self._UNIVERSAL + ["--M", "2^60", "--c2", "1e307",
-                                       "--out", str(out)]) == 0
-        assert len(_rows(out)) == 1
-
-    _EXPLICIT_BOUND = ["bound", "--channel", BSC, "--gamma1", "8",
-                       "--gamma2", "14", "--aA", "3", "--aR", "3"]
-
-    def test_overflowing_bound_exits_one_without_a_row(self, tmp_path,
-                                                        capsys):
-        # (M-1) e^-gamma1 overflowed: exit 0, and N and eps written as inf
-        out = tmp_path / "b.csv"
-        assert main(self._EXPLICIT_BOUND + ["--M", "2^1e10",
-                                            "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "overflows at --M 2^1e+10, --gamma1 8" in err
-        assert not out.exists()
-
-    def test_vacuous_finite_bound_is_written(self, tmp_path):
-        out = tmp_path / "b.csv"
-        assert main(self._EXPLICIT_BOUND + ["--M", "2^40",
-                                            "--out", str(out)]) == 0
-        assert float(_rows(out)[0]["eps"]) > 1.0
-
-    def test_rate_cell_is_empty_when_nothing_is_sent(self, tmp_path):
-        # eps0 = 1 stops every run at time zero, so N = 0; the cell read inf
-        out = tmp_path / "b.csv"
-        assert main(self._EXPLICIT_BOUND + ["--M", "2^10", "--eps0", "1",
-                                            "--out", str(out)]) == 0
-        row = _rows(out)[0]
-        assert (row["N"], row["rate_bits_per_use"]) == ("0.000000", "")
-
-
 # The grammar fuzz: argv drawn from each verb's option table and a value
 # pool per flag.  A base argv that runs is mutated flag by flag, so both
 # exit-0 runs and every kind of refusal are reached.
@@ -803,7 +780,6 @@ _POOL = {
     "c2": ["3", "1e307"], "schemes": ["thm1", "vlsf,converse", "magic"],
     "n": ["4", "6"], "gamma": ["1", "0.5:3:0.5", "800"],
 }
-_NO_BAD = {"variant", "schemes", "workers", "n_max", "trials"}
 _BASES = {
     "bound": [{"channel": BSC, "N1": "2000", "eps": "1e-3"},
               {"channel": BSC, "M": "2^6", "gamma1": "8", "gamma2": "13",
@@ -837,7 +813,7 @@ def _argv(draw):
                               max_size=3, unique=True)):
         if dest in ("out", "trace"):
             continue
-        pool = _POOL[dest] + ([] if dest in _NO_BAD else _BAD)
+        pool = _POOL[dest] + ([] if dest == "workers" else _BAD)
         value = draw(st.sampled_from([None] + pool))
         if value is None:
             opts.pop(dest, None)
