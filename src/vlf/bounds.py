@@ -299,7 +299,7 @@ def tail_exponents(num_x, num_y):
     return k, d
 
 
-def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
+def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1):
     """Channel-independent parameter recipe for the universal decoder.
 
     gamma_1 = log M + d log n1 + (1 + delta) log log n1,
@@ -312,8 +312,7 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1, n1=None):
     _check_log_m(log_m)
     if not (math.isfinite(delta) and delta >= 0):
         raise VlfError(f"delta must be finite and >= 0, got {delta}")
-    if n1 is None:
-        n1 = int(log_m / min(int(num_x), int(num_y)))
+    n1 = int(log_m / min(int(num_x), int(num_y)))
     if n1 < 3:
         raise HorizonTooSmall(f"n1 = {n1} too small (need >= 3)")
     if d is None:

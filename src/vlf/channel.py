@@ -11,7 +11,6 @@ rates are in nats unless a caller converts for display.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,36 +285,47 @@ def gaussian_information_density(chan, x, y):
 
 
 def load_dmc(path):
-    """Read a whitespace-separated transition matrix, one row per line.
+    """Read a whitespace-separated transition matrix, one row per line of
+    UTF-8 text.
 
-    Failures name the file and the offending line, or the matrix row and
-    column that ``Dmc`` rejects (blank and comment lines are not rows).
+    Failures start "dmc matrix file <path>:" and name the offending line,
+    or the matrix row and column that ``Dmc`` rejects (blank and comment
+    lines are not rows).
     """
+    where = f"dmc matrix file {path}"
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                row = [float(tok) for tok in text.split()]
-            except ValueError as exc:
-                raise NotADistribution(
-                    f"{path}: line {lineno}: unparseable entry ({exc})"
-                ) from None
-            rows.append((lineno, row))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(enumerate(fh, start=1))
+    except UnicodeDecodeError as exc:
+        raise NotADistribution(
+            f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise NotADistribution(f"{where}: {exc.strerror}") from None
+    for lineno, line in lines:
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            row = [float(tok) for tok in text.split()]
+        except ValueError as exc:
+            raise NotADistribution(
+                f"{where}: line {lineno}: unparseable entry ({exc})"
+            ) from None
+        rows.append((lineno, row))
     if not rows:
-        raise NotADistribution(f"{path}: no matrix rows found")
+        raise NotADistribution(f"{where}: no matrix rows found")
     width = len(rows[0][1])
     for lineno, row in rows:
         if len(row) != width:
             raise DimensionMismatch(
-                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
+                f"{where}: line {lineno} has {len(row)} columns, expected {width}"
             )
     try:
         return Dmc(np.array([row for _, row in rows], dtype=float))
     except VlfError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def parse_channel_spec(spec):
@@ -336,7 +346,5 @@ def parse_channel_spec(spec):
             return bsc(value)
         return GaussianChannel(value)
     if kind == "dmc":
-        if not os.path.exists(arg):
-            raise NotADistribution(f"dmc matrix file not found: {arg!r}")
         return load_dmc(arg)
     raise NotADistribution(f"unknown channel kind {kind!r} in spec {spec!r}")

@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -58,7 +58,6 @@ from .channel import (
 from .ensemble import count_log_table, count_mi
 from .errors import (
     DimensionMismatch,
-    HorizonTooSmall,
     InsufficientTraining,
     StateExplosion,
     VlfError,
@@ -73,24 +72,28 @@ _HORIZON_CAP = 10**7  # largest n_max: each per-horizon table is then 80 MB
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Everything that determines a simulation run.
+    """Everything that determines a simulation run, checked and resolved
+    once, when the config is constructed (``dataclasses.replace`` resolves
+    the copy anew).
 
     ``px`` is the codebook input distribution (DMC variants; Gaussian
     codebooks are i.i.d. N(0, P) with P taken from the channel).  ``n_max``
-    is the horizon, by default ceil(50 * gamma2 / C), given or derived at
-    most 10^7 symbols: a run whose walk plus control symbols do not stop by
-    it is censored at tau = n_max, counted as an error, its symbols charged
-    in protocol order (phase 1, control, phase 2) and its energy summed
-    over the charged symbols only.  ``c2``
-    truncates the second communication phase of the universal variants at
-    walk time c2 * gamma2 / C (the analysis horizon of the universal
-    scheme; a float, finite and above 1): a run that would pass it is
-    censored too.  A known-channel variant has no such cap and ignores
-    c2.  The M-1 wrong codewords race literally when M is an integer
-    count small enough (``ensemble.literal_count``) and through the
-    metric's ensemble strategy otherwise.  uvlf_awgn
-    recognizes crossings from length floor(log M) on, the schedule's block
-    length, since its correlation metric is vacuously infinite at length 1.
+    is the given horizon, an integer of at least 10 * gamma2 / C, or None;
+    ``horizon``, derived, is n_max or by default ceil(50 * gamma2 / C), at
+    most 10^7 symbols either way: a run whose walk plus control symbols do
+    not stop by it is censored at tau = horizon, counted as an error, its
+    symbols charged in protocol order (phase 1, control, phase 2) and its
+    energy summed over the charged symbols only.  ``c2`` truncates the
+    second communication phase of the universal variants at walk time
+    ``c2_cap`` = ceil(min(c2 * gamma2 / C, horizon)) (the analysis horizon
+    of the universal scheme; c2 a float, finite and above 1): a run that
+    would pass it is censored too.  A known-channel variant has no such cap
+    (``c2_cap`` is None) and ignores c2.  C is the metric's drift.  The M-1
+    wrong codewords race literally when M is an integer count small enough
+    (``ensemble.literal_count``) and through the metric's ensemble strategy
+    otherwise.  uvlf_awgn recognizes crossings from length floor(log M) on,
+    the schedule's block length, since its correlation metric is vacuously
+    infinite at length 1.
     """
 
     variant: str
@@ -101,6 +104,8 @@ class SchemeConfig:
     n_max: int | None = None
     seed: int = 0
     c2: float = 2.0
+    horizon: int = field(init=False)
+    c2_cap: int | None = field(init=False)
 
     def __post_init__(self):
         kind = metric_kind(self.variant, self.channel)
@@ -113,8 +118,7 @@ class SchemeConfig:
                     f"variant {self.variant} needs a channel of shape "
                     f"{kind.shape}, got shape {shape}"
                 )
-        if self.training_len < 0:
-            raise VlfError(f"training_len must be >= 0, got {self.training_len}")
+        _check_count(self.training_len, "training_len", least=0)
         if kind.universal:
             need = 1 if kind.gaussian else self.channel.matrix.shape[0]
             if self.training_len < need:
@@ -127,10 +131,28 @@ class SchemeConfig:
                     "universal confirmation needs at least two channel inputs"
                 )
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if self.n_max is not None and self.n_max < 1:
-            raise VlfError(f"n_max must be positive, got {self.n_max}")
         if not (1 < self.c2 < math.inf):
             raise VlfError(f"c2 must be finite and exceed 1, got {self.c2}")
+        drift = _positive_drift(kind.walk_drift(self.channel, self.px),
+                                "metric drift")
+        g2 = self.params.gamma2
+        if self.n_max is None:
+            horizon = _HORIZON_MULT * g2 / drift
+            what = (f"the horizon 50*gamma2/C = {horizon:.4g} at gamma2 = "
+                    f"{g2:.4g}")
+        else:
+            horizon = _check_count(self.n_max, "n_max")
+            what = f"n_max = {horizon}"
+        if horizon > _HORIZON_CAP:
+            raise VlfError(f"{what} is above the cap of {_HORIZON_CAP} "
+                           "symbols")
+        if horizon < 10.0 * g2 / drift:  # never a derived one, 50 gamma2/C
+            raise VlfError(f"{what} is below 10*gamma2/C = "
+                           f"{10.0 * g2 / drift:.1f}")
+        object.__setattr__(self, "horizon", math.ceil(horizon))
+        # a cap past the horizon cuts nothing (and c2 * gamma2/C may be inf)
+        cap = math.ceil(min(self.c2 * g2 / drift, self.horizon))
+        object.__setattr__(self, "c2_cap", cap if kind.universal else None)
 
 
 class TrialOutcome(NamedTuple):
@@ -595,10 +617,10 @@ def metric_kind(variant, channel=None):
 
 
 class _Runtime:
-    """Thresholds, horizons, metric and competitor race of one
-    configuration, shared by all its trials.  ``race(rng, y)`` is the
-    competitor race over the outputs y: literal when
-    ``ensemble.literal_count`` gives a count, the metric's ensemble
+    """Metric tables and competitor race of one configuration, shared by
+    all its trials; every other value a trial reads is on its config.
+    ``race(rng, y)`` is the competitor race over the outputs y: literal
+    when ``ensemble.literal_count`` gives a count, the metric's ensemble
     strategy otherwise.  All of it is read-only but uvlf_bsc's absorption
     law, which its races advance as far as they read it; the law is
     sequential, so no result depends on how far it has run.
@@ -606,39 +628,18 @@ class _Runtime:
     forkserver too."""
 
     def __init__(self, cfg):
-        kind = metric_kind(cfg.variant)
         p = cfg.params
-        self.g1, self.g2, self.log_m = p.gamma1, p.gamma2, p.log_m
-        drift = _positive_drift(kind.walk_drift(cfg.channel, cfg.px),
-                                "metric drift")
-        given = cfg.n_max is not None
-        horizon = cfg.n_max if given else _HORIZON_MULT * self.g2 / drift
-        if not horizon <= _HORIZON_CAP:
-            what = (f"n_max = {horizon}" if given else
-                    f"the horizon 50*gamma2/C = {horizon:.4g} at gamma2 = "
-                    f"{self.g2:.4g}")
-            raise VlfError(f"{what} is above the cap of {_HORIZON_CAP} "
-                           "symbols")
-        self.n_max = math.ceil(horizon)
-        if self.n_max < 10.0 * self.g2 / drift:
-            raise HorizonTooSmall(
-                f"n_max = {self.n_max} is below 10*gamma2/C = "
-                f"{10.0 * self.g2 / drift:.1f}"
-            )
-        # a cap past the horizon cuts nothing (and c2 * gamma2/C may be inf)
-        self.c2_cap = (math.ceil(min(cfg.c2 * self.g2 / drift, self.n_max))
-                       if kind.universal else None)
         # uvlf_awgn's first evaluated length is the schedule's block length
-        self.metric = kind(cfg.channel, cfg.px, self.n_max,
-                           max(1, int(self.log_m)))
-        m1 = ensemble.literal_count(self.log_m)
+        self.metric = METRICS[cfg.variant](cfg.channel, cfg.px, cfg.horizon,
+                                           max(1, int(p.log_m)))
+        m1 = ensemble.literal_count(p.log_m)
         if m1 is None:
-            self.race = self.metric.ensemble_strategy(self.log_m, self.g1,
-                                                      self.g2)
+            self.race = self.metric.ensemble_strategy(p.log_m, p.gamma1,
+                                                      p.gamma2)
         else:
             self.race = functools.partial(
                 ensemble.literal_race, m1=m1, metric=self.metric,
-                gamma1=self.g1, gamma2=self.g2,
+                gamma1=p.gamma1, gamma2=p.gamma2,
             )
 
 
@@ -646,20 +647,21 @@ class _Runtime:
 # one trial
 
 
-def _true_walk(rng, rt):
-    """The true codeword's path, the one-row case of the metric kernel,
-    drawn block by block until it clears gamma_2 or reaches n_max: first
-    walk times above gamma_1 and gamma_2 (or None), the outputs drawn and,
-    for Gaussian codebooks, the running input energy (else None)."""
-    m = rt.metric
+def _true_walk(rng, cfg, m):
+    """The true codeword's path under the metric m, the one-row case of its
+    kernel, drawn block by block until it clears gamma_2 or reaches the
+    horizon: first walk times above gamma_1 and gamma_2 (or None), the
+    outputs drawn and, for Gaussian codebooks, the running input energy
+    (else None)."""
+    n_max, gammas = cfg.horizon, (cfg.params.gamma1, cfg.params.gamma2)
     taus = [None, None]
     state = m.start(1)
     ys, energy = [], []
-    while state[0] < rt.n_max and taus[1] is None:
+    while state[0] < n_max and taus[1] is None:
         t = state[0]
-        x, y = m.draw_true(rng, (1, min(m.block, rt.n_max - t)))
+        x, y = m.draw_true(rng, (1, min(m.block, n_max - t)))
         s, state = m.metric(state, x, y)
-        for i, gamma in enumerate((rt.g1, rt.g2)):
+        for i, gamma in enumerate(gammas):
             if taus[i] is None and (hit := s[0] > gamma).any():
                 taus[i] = t + int(hit.argmax()) + 1
         ys.append(y[0])
@@ -670,25 +672,26 @@ def _true_walk(rng, rt):
     return taus[0], taus[1], np.concatenate(ys), ecum
 
 
-def _outcome(rt, rng, ecum, len_c1, len_ht, stop, correct=False):
-    """The record of a run by the censoring rule ``simulate_trial`` states:
-    phase 1 took len_c1 walk symbols, the confirmation test len_ht control
-    symbols (its budget keeps len_c1 + len_ht <= n_max), and the walk stops
-    at walk time `stop`, or None when it does not stop.  Only the stop at
-    time zero has stop = len_c1 = len_ht = 0, so tau = 0 marks it.  ecum is
-    the running input energy of the walk as drawn (None for finite
-    alphabets, and at time zero); the k charged walk symbols past it, if
-    any, get energy P chi2_k drawn from rng, the trial's last draw.
+def _outcome(cfg, m, rng, ecum, len_c1, len_ht, stop, correct=False):
+    """The record of a run under the metric m by the censoring rule
+    ``simulate_trial`` states: phase 1 took len_c1 walk symbols, the
+    confirmation test len_ht control symbols (its budget keeps
+    len_c1 + len_ht <= n_max, the config's horizon), and the walk stops at
+    walk time `stop`, or None when it does not stop.  Only the stop at time
+    zero has stop = len_c1 = len_ht = 0, so tau = 0 marks it.  ecum is the
+    running input energy of the walk as drawn (None for finite alphabets,
+    and at time zero); the k charged walk symbols past it, if any, get
+    energy P chi2_k drawn from rng, the trial's last draw.
     """
-    censored = stop is None or stop + len_ht > rt.n_max
+    censored = stop is None or stop + len_ht > cfg.horizon
     if censored:
-        stop = rt.n_max - len_ht
+        stop = cfg.horizon - len_ht
     energy = 0.0
     if ecum is not None:
         walked = min(stop, ecum.size)
-        energy = float(ecum[walked - 1]) + len_ht * rt.metric.power
+        energy = float(ecum[walked - 1]) + len_ht * m.power
         if stop > walked:
-            energy += rt.metric.power * rng.chisquare(stop - walked)
+            energy += m.power * rng.chisquare(stop - walked)
     tau = int(stop + len_ht)
     return TrialOutcome(
         correct=bool(correct) and not censored,
@@ -709,13 +712,14 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
     gamma_1 crossing of the true walk or a competitor), the confirmation
     test's control symbols, then, on rejection, phase 2 (the walk continued
     to the first gamma_2 crossing).  Censoring rule: a run that does not
-    stop, or whose walk plus control symbols pass n_max, is censored at
-    tau = n_max and counts as an error.  Its symbols are charged in
-    protocol order (phase 1, the control symbols, then phase 2 up to
-    n_max), and the Gaussian energy sums exactly the charged symbols: the
-    walk's plus len_ht * P.  Charged walk symbols past the block that held
-    the gamma_2 crossing (a universal run stopped by the c2 cap) were never
-    drawn; their energy is drawn as P chi2_k after every other draw.
+    stop, or whose walk plus control symbols pass the horizon n_max
+    (``cfg.horizon``), is censored at tau = n_max and counts as an error.
+    Its symbols are charged in protocol order (phase 1, the control
+    symbols, then phase 2 up to n_max), and the Gaussian energy sums
+    exactly the charged symbols: the walk's plus len_ht * P.  Charged walk
+    symbols past the block that held the gamma_2 crossing (a universal run
+    stopped by ``cfg.c2_cap``) were never drawn; their energy is drawn as
+    P chi2_k after every other draw.
     ``_rng``, when given, is the trial's generator already keyed (see
     ``_run_chunk``).
     """
@@ -726,11 +730,11 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
            if m.universal else None)
 
     if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
-        return _outcome(rt, rng, None, 0, 0, 0)
+        return _outcome(cfg, m, rng, None, 0, 0, 0)
 
-    tau1_true, tau2_true, y, ecum = _true_walk(rng, rt)
+    tau1_true, tau2_true, y, ecum = _true_walk(rng, cfg, m)
     if tau1_true is None:
-        return _outcome(rt, rng, ecum, rt.n_max, 0, None)
+        return _outcome(cfg, m, rng, ecum, cfg.horizon, 0, None)
 
     # competitors only matter strictly before the true gamma_2 crossing
     horizon = (tau2_true - 1) if tau2_true is not None else y.size
@@ -741,19 +745,19 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
 
     decision, len_ht, _ = _block_sprt(
         m.confirmation(rng, est, c1_correct),
-        cfg.params.a_accept, cfg.params.a_reject, rt.n_max - tau_first,
+        cfg.params.a_accept, cfg.params.a_reject, cfg.horizon - tau_first,
     )
     stop, correct = None, False
     if decision == "accept":
         stop, correct = tau_first, c1_correct
     elif decision == "reject":
         cand = [t for t in (tau2_true, race.t2) if t is not None]
-        if cand and (rt.c2_cap is None or min(cand) <= rt.c2_cap):
+        if cand and (cfg.c2_cap is None or min(cand) <= cfg.c2_cap):
             stop = min(cand)
             correct = race.t2 is None or (
                 tau2_true is not None and tau2_true <= race.t2
             )
-    return _outcome(rt, rng, ecum, tau_first, len_ht, stop, correct)
+    return _outcome(cfg, m, rng, ecum, tau_first, len_ht, stop, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -813,20 +817,19 @@ def trial_records(cfg, trials, workers=1):
     spawn_key=(i,)))`` bit for bit, its key derived with its block's (see
     ``_trial_rng``), so the records are bit-identical for any worker count.
     At most 2^32 trials, so that an index is one spawn-key word.  The
-    configuration's runtime (thresholds, metric tables and competitor
-    strategy) is built once per call: with workers > 1 it is built in this
-    process and handed to each pool worker by the pool initializer, and the
+    configuration's runtime (metric tables and competitor strategy) is
+    built once per call: with workers > 1 it is built in this process and
+    handed to each pool worker by the pool initializer, and the
     min(trials, 4 * workers) chunks of trials share it.  uvlf_bsc's
     absorption law is handed over unadvanced, and each worker's copy runs
     only as far as its own races read; a race reads the same values at any
     advance.  The pool starts no more workers than there are chunks.
     """
     _check_trials(trials)
-    if workers < 1:
-        raise VlfError(f"workers must be >= 1, got {workers}")
+    workers = _check_count(workers, "workers")
     if workers == 1:
         return _run_chunk(cfg, 0, trials)
-    rt = _Runtime(cfg)  # also validates the configuration before spawning
+    rt = _Runtime(cfg)
     n_chunks = min(trials, workers * 4)
     bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
     with ProcessPoolExecutor(max_workers=min(workers, n_chunks),

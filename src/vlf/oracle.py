@@ -56,6 +56,8 @@ class LatticeWalkSpec:
         _as_step_law(self.values, self.probs)
         if not (self.a_accept > 0 and self.a_reject > 0):
             raise NotADistribution("thresholds must be positive")
+        object.__setattr__(self, "max_steps",
+                           _check_count(self.max_steps, "max_steps"))
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,7 @@ def sprt_mc(spec, samples, seed=0):
     Returns (p_accept_hat, p_reject_hat, se_accept).  Walks still in flight
     at spec.max_steps count toward neither numerator.
     """
-    v = np.asarray(spec.values, dtype=float)
-    p = np.asarray(spec.probs, dtype=float)
+    v, p = _as_step_law(spec.values, spec.probs)
     rng = np.random.default_rng(_check_seed(seed))
     samples = _check_count(samples, "samples")
     accepts = 0
@@ -188,20 +189,27 @@ class JointType:
         object.__setattr__(self, "counts", c)
 
 
-def joint_type(xn, yn, num_x=None, num_y=None):
-    """Joint type of two equal-length symbol sequences.
-
-    Alphabet sizes default to max symbol + 1; pass them explicitly to keep
-    trailing all-zero rows or columns.
-    """
-    x = np.asarray(xn, dtype=np.int64)
-    y = np.asarray(yn, dtype=np.int64)
+def _sequence_pair(xn, yn, dtype):
+    """xn and yn as arrays of dtype, checked to be two nonempty 1-D
+    sequences of one length."""
+    x = np.asarray(xn, dtype=dtype)
+    y = np.asarray(yn, dtype=dtype)
     if x.ndim != 1 or y.ndim != 1:
         raise DimensionMismatch("sequences must be 1-D")
     if x.size != y.size:
         raise DimensionMismatch(f"lengths differ: {x.size} vs {y.size}")
     if x.size == 0:
         raise DimensionMismatch("need at least one sample")
+    return x, y
+
+
+def joint_type(xn, yn, num_x=None, num_y=None):
+    """Joint type of two equal-length symbol sequences.
+
+    Alphabet sizes default to max symbol + 1; pass them explicitly to keep
+    trailing all-zero rows or columns.
+    """
+    x, y = _sequence_pair(xn, yn, np.int64)
     if np.any(x < 0) or np.any(y < 0):
         raise NotADistribution("symbols must be nonnegative integers")
     ax = int(x.max()) + 1 if num_x is None else int(num_x)
@@ -237,14 +245,7 @@ def empirical_mi(t):
 
 def empirical_correlation(xn, yn):
     """Uncentered empirical correlation sum(x y) / sqrt(sum x^2 sum y^2)."""
-    x = np.asarray(xn, dtype=float)
-    y = np.asarray(yn, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise DimensionMismatch("sequences must be 1-D")
-    if x.size != y.size:
-        raise DimensionMismatch(f"lengths differ: {x.size} vs {y.size}")
-    if x.size == 0:
-        raise DimensionMismatch("need at least one sample")
+    x, y = _sequence_pair(xn, yn, float)
     ex = float(np.dot(x, x))
     ey = float(np.dot(y, y))
     if ex == 0.0 or ey == 0.0:
@@ -360,13 +361,13 @@ class OvershootEstimate:
     samples: int = 0
 
 
-def lattice_span(values, probs=None):
-    """Span h of the step lattice: largest h with every support point an
-    integer multiple of h.  Returns 0.0 when no such h >= _SPAN_TOL exists
-    (non-arithmetic law).  Walks with a zero-valued step keep the span of the
-    remaining points."""
-    v = [abs(float(x)) for i, x in enumerate(values)
-         if abs(float(x)) > _SPAN_TOL and (probs is None or probs[i] > 0)]
+def lattice_span(values, probs):
+    """Span h of the step lattice: largest h with every support point (a
+    value of positive probability) an integer multiple of h.  Returns 0.0
+    when no such h >= _SPAN_TOL exists (non-arithmetic law).  Walks with a
+    zero-valued step keep the span of the remaining points."""
+    v = [abs(float(x)) for x, p in zip(values, probs)
+         if abs(float(x)) > _SPAN_TOL and p > 0]
     if not v:
         return 0.0
     g = v[0]
@@ -424,6 +425,11 @@ def passage_time_expansion(gamma, mean, rho, span=0.0):
 # empirical correlation tails
 
 
+def _check_level(a):
+    if not (0.0 < a < 1.0):
+        raise NotADistribution(f"a must be in (0,1), got {a}")
+
+
 def gaussian_corr_tail(n, a):
     """Closed-form asymptotic for P[rho_hat >= a] under independence:
     (1 - 4 lam^2)^{-1/4} / (lam sigma sqrt(2 pi n)) * exp{(n/2) log(1 - a^2)},
@@ -431,8 +437,7 @@ def gaussian_corr_tail(n, a):
     belongs in the denominator: the exact law rho_hat^2 ~ Beta(1/2, (n-1)/2)
     confirms the ratio exact/asymptotic tends to 1 with it and to ~0.38
     without it (see corr_tail_exact)."""
-    if not (0.0 < a < 1.0):
-        raise NotADistribution(f"a must be in (0,1), got {a}")
+    _check_level(a)
     lam = a / (1.0 - a * a)
     disc = 1.0 - 4.0 * lam * lam
     if disc <= 0.0:
@@ -449,8 +454,7 @@ def corr_tail_exact(n, a):
     """Exact P[rho_hat >= a]: rho_hat^2 ~ Beta(1/2, (n-1)/2) with a symmetric
     sign, so the one-sided tail is half the Beta survival at a^2, the
     regularized upper incomplete beta function."""
-    if not (0.0 < a < 1.0):
-        raise NotADistribution(f"a must be in (0,1), got {a}")
+    _check_level(a)
     return 0.5 * float(betaincc(0.5, (n - 1) / 2.0, a * a))
 
 

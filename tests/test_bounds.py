@@ -449,8 +449,9 @@ class TestUniversalSchedule:
         assert universal_schedule(log_m, 2, 2, 0.05).gamma1 == pytest.approx(
             universal_schedule(log_m, 2, 2, 0.05, d=1.0).gamma1
         )
-        assert universal_schedule(log_m, 3, 3, 0.2, n1=20).gamma1 == \
-            pytest.approx(universal_schedule(log_m, 3, 3, 0.2, d=3.0, n1=20).gamma1)
+        # log M = 60 nats gives n1 = floor(60 / 3) = 20 on a 3x3 alphabet
+        assert universal_schedule(60.0, 3, 3, 0.2).gamma1 == \
+            pytest.approx(universal_schedule(60.0, 3, 3, 0.2, d=3.0).gamma1)
 
     def test_error_below_floor_raises(self):
         with pytest.raises(EpsTooSmall):
@@ -473,10 +474,13 @@ class TestUniversalSchedule:
             asymptotic_schedule(2000, CH, UNIFORM2, eps=eps)
 
     def test_gaussian_variant_uses_message_length_block(self):
+        # n1 = floor(log M) = 50, the binary recipe's n1 at log M = 100
         log_m = 50.0
         p = universal_schedule_gaussian(log_m, 0.1)
-        q = universal_schedule(log_m, 2, 2, 0.1, d=0.5, n1=50)
-        assert (p.gamma1, p.gamma2, p.a_accept) == (q.gamma1, q.gamma2, q.a_accept)
+        q = universal_schedule(2.0 * log_m, 2, 2, 0.1, d=0.5)
+        assert p.a_accept == q.a_accept == math.log(50)
+        assert p.gamma1 + log_m == pytest.approx(q.gamma1, rel=1e-15)
+        assert p.gamma2 + log_m == pytest.approx(q.gamma2, rel=1e-15)
 
 
 class TestTailExponents:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlf import engine
 from vlf.channel import (
     Dmc,
     GaussianChannel,
@@ -189,7 +188,8 @@ class TestOneInputCheck:
     # passage time, the zero-drift passage times divided by zero and the
     # oracles' samplers passed a bad seed to numpy, whose error named none;
     # the zero counts divided by zero, n = 1 gave numpy's "df <= 0", and
-    # one ladder height a NaN standard error.
+    # one ladder height a NaN standard error; a walk's max_steps of 0 or
+    # 2.5 gave residual 1, and -5 a silent zero estimate from sprt_mc.
     @pytest.mark.parametrize("call,error,match", [
         (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
          NotADistribution, "row 2, column 1"),
@@ -219,7 +219,7 @@ class TestOneInputCheck:
          NotADistribution, "step probabilities sums to nan"),
         (lambda tmp: passage_time_expansion(3.0, math.nan, 0.5),
          NonPositiveDrift, "nan is not positive"),
-        (lambda tmp: engine._Runtime(_sim_cfg(ZERO_DRIFT_PX)),
+        (lambda tmp: _sim_cfg(ZERO_DRIFT_PX),
          NonPositiveDrift, "metric drift"),
         (lambda tmp: info_density_passage_times(bsc(0.11), ZERO_DRIFT_PX,
                                                 5.0, 10),
@@ -243,19 +243,26 @@ class TestOneInputCheck:
          "n must be an integer >= 2, got 1"),
         (lambda tmp: renewal_overshoot(*WALK_LAW, samples=1), VlfError,
          "samples must be an integer >= 2, got 1"),
+        (lambda tmp: LatticeWalkSpec(*WALK_LAW, 3.0, 3.0, max_steps=0),
+         VlfError, "max_steps must be an integer >= 1, got 0"),
+        (lambda tmp: LatticeWalkSpec(*WALK_LAW, 3.0, 3.0, max_steps=-5),
+         VlfError, "max_steps must be an integer >= 1, got -5"),
+        (lambda tmp: LatticeWalkSpec(*WALK_LAW, 3.0, 3.0, max_steps=2.5),
+         VlfError, "max_steps must be an integer >= 1, got 2.5"),
     ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
             "mutual_information-px", "output_distribution-px",
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
             "overshoot_constant-drift", "renewal_overshoot-drift",
             "dmc_stats-drift", "exact_passage_time-drift",
             "exact_passage_time-law",
-            "passage_time_expansion-nan", "Runtime-drift",
+            "passage_time_expansion-nan", "SchemeConfig-drift",
             "passage_times-drift", "sprt_mc-seed-1", "sprt_mc-seed1.5",
             "renewal_overshoot-seed-1", "renewal_overshoot-seed1.5",
             "corr_tail_mc-seed-1", "corr_tail_mc-seed1.5",
             "type_class_log_bound-n0", "sprt_mc-samples0",
             "corr_tail_mc-samples0", "corr_tail_mc-n1",
-            "renewal_overshoot-samples1"])
+            "renewal_overshoot-samples1", "LatticeWalkSpec-max_steps0",
+            "LatticeWalkSpec-max_steps-5", "LatticeWalkSpec-max_steps2.5"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
         with pytest.raises(error, match=match):
             call(tmp_path)
@@ -336,6 +343,37 @@ class TestParsingAndValidation:
         bad.write_text("0.5 0.4\n0.5 0.5\n")
         with pytest.raises(VlfError):
             load_dmc(str(bad))
+
+    def test_load_dmc_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# a binary channel\n\n0.7 0.3  # row 1\n   \n"
+                        "0.2 0.8\n# end\n", encoding="utf-8")
+        assert load_dmc(str(path)).matrix.tolist() == [[0.7, 0.3], [0.2, 0.8]]
+
+    # a line number counts every line of the file, blank and comment ones
+    # too; a binary file ended in a bare UnicodeDecodeError, "'utf-8' codec
+    # can't decode byte 0xff in position 0", which named no file, and a
+    # missing one in a FileNotFoundError
+    @pytest.mark.parametrize("content,error,match", [
+        (None, NotADistribution, "No such file or directory"),
+        (b"0.7 0.3\n\n0.2 x\n", NotADistribution,
+         "line 3: unparseable entry"),
+        (b"", NotADistribution, "no matrix rows found"),
+        (b"# only a comment\n\n", NotADistribution, "no matrix rows found"),
+        (b"# 2 columns\n0.7 0.3\n0.2 0.3 0.5\n", DimensionMismatch,
+         "line 3 has 3 columns, expected 2"),
+        (b"\xff\xfe0.7 0.3\n", NotADistribution,
+         "not UTF-8 text \\(invalid start byte at byte 0\\)"),
+    ], ids=["missing", "unparseable", "empty", "comments-only", "ragged",
+            "binary"])
+    def test_load_dmc_failure_names_the_file(self, content, error, match,
+                                             tmp_path):
+        path = tmp_path / "w.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(error, match=match) as err:
+            load_dmc(str(path))
+        assert str(err.value).startswith(f"dmc matrix file {path}: ")
 
     def test_dmc_rejects_nonstochastic_matrices(self):
         with pytest.raises(NotADistribution):

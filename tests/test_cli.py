@@ -458,7 +458,7 @@ class TestSimulateVerb:
     def test_worker_count_below_one_rejected(self, workers, capsys):
         args = [a if a != "400" else "20" for a in self._ARGS]
         assert main(args + ["--workers", workers]) == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
 
     def test_append_to_a_csv_of_another_schema_refused(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -579,7 +579,8 @@ class TestUnreadOptions:
         assert main(["simulate", "--variant", "vlf_dmc", "--channel", BSC,
                      *_EXPLICIT, *_SIM, "--n-max", "0",
                      "--out", str(out)]) == 1
-        assert "error: n_max must be positive" in capsys.readouterr().err
+        assert ("error: n_max must be an integer >= 1, got 0"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -656,6 +657,9 @@ class TestErrorHandling:
         # in its _ArrayMemoryError traceback
         ("--n-max", "1000000000",
          "n_max = 1000000000 is above the cap of 10000000 symbols"),
+        # exit 2, "infeasible", though a flag value, not the targets, is at
+        # fault
+        ("--n-max", "10", "n_max = 10 is below 10*gamma2/C = 1332.6"),
         ("--M", "2^1e10", "the horizon 50*gamma2/C = 9.998e+11 at gamma2 = "
          "6.931e+09 is above the cap of 10000000 symbols"),
     ])
@@ -762,9 +766,18 @@ class TestReadmeLayout:
 # pool per flag.  A base argv that runs is mutated flag by flag, so both
 # exit-0 runs and every kind of refusal are reached.
 _BAD = ["0", "-1", "nan", "inf", "1e300", "1e-300", ""]
+# matrix files the fuzz writes once per test; "{dmc}" in a pool value
+# stands for their directory
+_DMC_FILES = {
+    "w3.txt": b"# a 3x3 channel\n0.7 0.2 0.1\n\n0.1 0.7 0.2  # row 2\n"
+              b"0.2 0.1 0.7\n",
+    "ragged.txt": b"0.7 0.2 0.1\n0.5 0.5\n0.2 0.1 0.7\n",
+    "binary.bin": b"\xff\xfe\x00\x01\x80",
+}
 _POOL = {
     "channel": [BSC, "awgn:1", "bsc:0.5", "awgn:1e-300", "fiber:9",
-                "dmc:no-such-file.txt"],
+                "dmc:no-such-file.txt", "dmc:{dmc}/w3.txt",
+                "dmc:{dmc}/ragged.txt", "dmc:{dmc}/binary.bin"],
     "px": ["0.5,0.5", "0.3,0.7", "1,0", "1,1,1"],
     "variant": ["vlf_dmc", "uvlf_dmc", "uvlf_bsc", "vlf_awgn", "uvlf_awgn",
                 "magic"],
@@ -783,9 +796,13 @@ _POOL = {
 _BASES = {
     "bound": [{"channel": BSC, "N1": "2000", "eps": "1e-3"},
               {"channel": BSC, "M": "2^6", "gamma1": "8", "gamma2": "13",
-               "a_accept": "3", "a_reject": "3"}],
+               "a_accept": "3", "a_reject": "3"},
+              {"channel": "dmc:{dmc}/w3.txt", "N1": "2000", "eps": "1e-3"}],
     "simulate": [{"variant": "vlf_dmc", "channel": BSC, "M": "2^6",
                   "gamma1": "8", "gamma2": "13", "a_accept": "3",
+                  "a_reject": "3", "trials": "3", "seed": "1"},
+                 {"variant": "vlf_dmc", "channel": "dmc:{dmc}/w3.txt",
+                  "M": "2^6", "gamma1": "8", "gamma2": "13", "a_accept": "3",
                   "a_reject": "3", "trials": "3", "seed": "1"},
                  {"variant": "uvlf_bsc", "channel": BSC, "M": "2^20",
                   "eps": "0.2", "training": "64", "trials": "3", "seed": "1"},
@@ -822,6 +839,14 @@ def _argv(draw):
     return verb, opts
 
 
+@pytest.fixture(scope="class")
+def dmc_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dmc")
+    for name, content in _DMC_FILES.items():
+        (path / name).write_bytes(content)
+    return str(path)
+
+
 class TestGrammarFuzz:
     """Every argv ends in exit 0, 1 or 2 with no escaped exception; a
     refusal writes no file and names a flag or a quantity; an exit-0 CSV
@@ -830,11 +855,11 @@ class TestGrammarFuzz:
     @given(_argv())
     @settings(max_examples=250, deadline=None, derandomize=True,
               database=None)
-    def test_failure_contract(self, case):
+    def test_failure_contract(self, dmc_dir, case):
         verb, opts = case
         argv = [verb]
         for dest, value in opts.items():
-            argv += [cli._OPTIONS[dest][0], value]
+            argv += [cli._OPTIONS[dest][0], value.replace("{dmc}", dmc_dir)]
         with tempfile.TemporaryDirectory() as tmp:
             out, trace = Path(tmp, "o.csv"), Path(tmp, "t.jsonl")
             argv += ["--out", str(out)]

@@ -1,6 +1,7 @@
 """Monte Carlo engine: trial mechanics, determinism, estimates."""
 
 import ast
+import dataclasses
 import math
 import os
 import pickle
@@ -44,7 +45,9 @@ from vlf.engine import (
 from vlf.ensemble import FlipEntropyAbsorption, count_log_table, count_mi
 from vlf.errors import (
     HorizonTooSmall,
+    Infeasible,
     InsufficientTraining,
+    NonPositiveDrift,
     StateExplosion,
     VlfError,
 )
@@ -221,15 +224,62 @@ class TestConfigValidation:
             _cfg(variant="uvlf_dmc", training_len=1)
 
     def test_horizon_below_safety_floor(self):
-        with pytest.raises(HorizonTooSmall):
-            run_monte_carlo(_cfg(n_max=10), 1)
+        # a flag value, not the targets, is at fault: bad input (exit 1),
+        # where the first trial raised HorizonTooSmall, an Infeasible
+        with pytest.raises(VlfError, match=r"^n_max = 10 is below") as err:
+            _cfg(n_max=10)
+        assert not isinstance(err.value, Infeasible)
 
     def test_horizon_cap(self):
         # a horizon past it asked numpy for a count table of GiB
         cap = engine._HORIZON_CAP
-        assert engine._Runtime(_cfg(n_max=cap)).n_max == cap
+        assert _cfg(n_max=cap).horizon == cap
         with pytest.raises(VlfError, match=f"n_max = {cap + 1} is above"):
-            engine._Runtime(_cfg(n_max=cap + 1))
+            _cfg(n_max=cap + 1)
+
+    # each of these configs constructed and then failed, or ran wrongly, in
+    # its trials: zero drift and the derived horizon failed in the runtime,
+    # n_max 500.5 ran to 501, nan failed as "above the cap", training_len
+    # 64.5 ended in a TypeError traceback and 2.5 drew chi2 with 2.5
+    # degrees of freedom
+    @pytest.mark.parametrize("variant,kw,error,match", [
+        ("vlf_dmc", {"px": np.array([1.0, 0.0])}, NonPositiveDrift,
+         "metric drift"),
+        ("vlf_dmc", {"params": _params(g2=1e6)}, VlfError,
+         r"^the horizon 50\*gamma2/C = 1\.442e\+08 at gamma2 = 1e\+06 is "
+         "above the cap"),
+        ("vlf_dmc", {"n_max": 500.5}, VlfError,
+         "^n_max must be an integer >= 1, got 500.5$"),
+        ("vlf_dmc", {"n_max": math.nan}, VlfError,
+         "^n_max must be an integer >= 1, got nan$"),
+        ("uvlf_bsc", {"training_len": 64.5}, VlfError,
+         "^training_len must be an integer >= 0, got 64.5$"),
+        ("uvlf_awgn", {"training_len": 2.5}, VlfError,
+         "^training_len must be an integer >= 0, got 2.5$"),
+    ], ids=["zero-drift", "derived-horizon-above-cap", "n_max-500.5",
+            "n_max-nan", "uvlf_bsc-training-64.5", "uvlf_awgn-training-2.5"])
+    def test_config_itself_rejects_a_bad_run_input(self, variant, kw, error,
+                                                   match):
+        channel, px, training = VARIANT_SETUPS[variant]
+        args = {"variant": variant, "channel": channel, "px": px,
+                "params": _params(), "training_len": training, **kw}
+        with pytest.raises(error, match=match):
+            SchemeConfig(**args)
+
+    def test_replaced_params_resolve_the_horizon_and_cap_anew(self):
+        cfg = _variant_cfg("uvlf_bsc", _params(g2=14.0))
+        wide = dataclasses.replace(cfg, params=_params(g2=28.0))
+        drift = FlipEntropy.walk_drift(CH, UNIFORM2)
+        for c, g2 in ((cfg, 14.0), (wide, 28.0)):
+            assert c.horizon == math.ceil(50.0 * g2 / drift)
+            assert c.c2_cap == math.ceil(2.0 * g2 / drift)
+        assert wide.horizon > cfg.horizon and wide.c2_cap > cfg.c2_cap
+        assert _variant_cfg("vlf_dmc", _params()).c2_cap is None
+        # derived, never set: not a constructor argument nor replaceable
+        with pytest.raises(TypeError):
+            _cfg(horizon=5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, c2_cap=5)
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_non_positive_horizon_is_bad_input_not_infeasible(self, n_max):
@@ -246,6 +296,12 @@ class TestConfigValidation:
     def test_trial_count_validated(self):
         with pytest.raises(VlfError):
             run_monte_carlo(_cfg(), 0)
+
+    def test_worker_count_must_be_an_integer(self):
+        # range(1.5) in the pool's chunking raised a bare TypeError
+        with pytest.raises(VlfError,
+                           match="^workers must be an integer >= 1, got 1.5$"):
+            trial_records(_cfg(), 5, workers=1.5)
 
     @pytest.mark.parametrize("seed", [-3, -1, 1.5, "7", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -564,7 +620,7 @@ def _walk_energy(cfg, rt, trial_index):
     if rt.metric.universal:
         rt.metric.draw_training(rng, cfg.channel, cfg.training_len)
     rng.random()  # the stop-at-time-zero draw
-    return engine._true_walk(rng, rt)[3]
+    return engine._true_walk(rng, cfg, rt.metric)[3]
 
 
 class TestCensoringRule:
@@ -584,7 +640,7 @@ class TestCensoringRule:
         cfg = _pair_cfg(variant)
         rt = engine._Runtime(cfg)
         o = simulate_trial(cfg, 0, _runtime=rt)
-        n_max = rt.n_max
+        n_max = cfg.horizon
         assert o.censored and not o.correct
         assert o.tau == n_max
         assert o.len_c1 == n_max - budgets[0]  # the phase-1 time
@@ -602,8 +658,9 @@ class TestCensoringRule:
         # censored with all n_max = 5 symbols in phase 1, and a Gaussian
         # one is charged the energy of the 5 symbols drawn
         cfg = _variant_cfg(variant, _params(), seed=0)
+        # no config has so short a horizon (its floor is 10 gamma2 / C)
+        object.__setattr__(cfg, "horizon", 5)
         rt = engine._Runtime(cfg)
-        rt.n_max = 5
         o = simulate_trial(cfg, 0, _runtime=rt)
         assert o._replace(energy=0.0) == (0, 5, 5, 0, 0, 0.0, 1, 0)
         rng = engine._trial_rng(cfg.seed, 0)
@@ -627,7 +684,7 @@ class TestCensoringRule:
             if not o.censored:
                 continue
             censored += 1
-            assert o.tau == rt.n_max == o.len_c1 + o.len_ht + o.len_c2
+            assert o.tau == cfg.horizon == o.len_c1 + o.len_ht + o.len_c2
             ecum = _walk_energy(cfg, rt, i)
             walk = float(ecum[min(o.len_c1 + o.len_c2, ecum.size) - 1])
             assert o.energy - o.len_ht * rt.metric.power == pytest.approx(
