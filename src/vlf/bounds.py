@@ -29,6 +29,8 @@ import numpy as np
 from .channel import (
     GaussianChannel,
     _as_step_law,
+    _check_count,
+    _check_real,
     _positive_drift,
     binary_entropy,
     control_llr,
@@ -50,11 +52,6 @@ _EXP_CAP = 700.0
 _K_MAX = 2.0 ** 40  # K = C N/(1 - eps) of the solvers stays below it
 
 
-def _check_log_m(log_m):
-    if not (0 <= log_m < math.inf):
-        raise NotADistribution(f"need finite log_m >= 0, got {log_m}")
-
-
 @dataclass(frozen=True)
 class VlfParams:
     """Threshold set of one three-phase code. Message count stored as log M (nats)."""
@@ -67,18 +64,11 @@ class VlfParams:
     eps0: float = 0.0
 
     def __post_init__(self):
-        _check_log_m(self.log_m)
-        if not (0 < self.gamma1 < self.gamma2 < math.inf):
-            raise NotADistribution(
-                f"need finite 0 < gamma1 < gamma2, got {self.gamma1}, "
-                f"{self.gamma2}"
-            )
-        if not (0 < self.a_accept < math.inf and 0 < self.a_reject < math.inf):
-            raise NotADistribution(
-                "confirmation thresholds must be finite and positive"
-            )
-        if not (0.0 <= self.eps0 <= 1.0):
-            raise NotADistribution(f"eps0 must be in [0, 1], got {self.eps0}")
+        _check_real(self.log_m, "log_m", 0, math.inf, lo_in=True)
+        for name in ("gamma1", "a_accept", "a_reject"):
+            _check_real(getattr(self, name), name, 0, math.inf)
+        _check_real(self.gamma2, "gamma2", self.gamma1, math.inf)
+        _check_real(self.eps0, "eps0", 0, 1, lo_in=True, hi_in=True)
 
 
 @dataclass(frozen=True)
@@ -224,14 +214,11 @@ def achievability_bound(params, channel, px=None):
     return _report(params.log_m, eps_prime, n_prime, params.eps0)
 
 
-def _check_eps(eps):
-    if not (0 < eps < 1):
-        raise NotADistribution(f"eps must be in (0,1), got {eps}")
-
-
 def converse_bound(cap_nats, eps, n_avg):
     """Largest log M any variable-length feedback code can reach: NC/(1-eps) + h_b(eps)/(1-eps)."""
-    _check_eps(eps)
+    _check_real(cap_nats, "cap_nats", 0, math.inf, lo_in=True)
+    _check_real(eps, "eps", 0, 1)
+    _check_real(n_avg, "n_avg", 0, math.inf, lo_in=True)
     return (n_avg * cap_nats + binary_entropy(eps)) / (1.0 - eps)
 
 
@@ -253,6 +240,8 @@ def asymptotic_schedule(n1, channel, px=None, eps=None):
 
 def _asymptotic_schedule(n1, s, eps):
     """asymptotic_schedule for the walk constants s."""
+    # any N1 short of e, -inf too, is the Infeasible below
+    _check_real(n1, "N1", -math.inf, math.inf, lo_in=True)
     if n1 < math.e - 1e-9:
         raise HorizonTooSmall(f"N1 = {n1} below e, where log log N1 turns negative")
     log_n1 = math.log(n1)
@@ -264,7 +253,7 @@ def _asymptotic_schedule(n1, s, eps):
     gamma2 = log_m + log_n1
     eps0 = 0.0
     if eps is not None:
-        _check_eps(eps)
+        _check_real(eps, "eps", 0, 1)
         floor = (1.0 / n1) * (1.0 + 1.0 / log_n1)
         if eps < floor:
             raise EpsTooSmall(
@@ -291,7 +280,7 @@ def tail_exponents(num_x, num_y):
     """Polynomial exponents (k, d) of the universal metric's tail bound
     P[n I_hat >= gamma] under an independent product law:
     k = min{(|X||Y| - 2)/2, (|X| - 3/2)(|Y| - 3/2) - 1/4}, d = k + 1."""
-    ax, ay = int(num_x), int(num_y)
+    ax, ay = _check_count(num_x, "num_x"), _check_count(num_y, "num_y")
     if ax < 2 or ay < 2:
         raise DimensionMismatch("alphabets need at least two symbols")
     k = min((ax * ay - 2) / 2.0, (ax - 1.5) * (ay - 1.5) - 0.25)
@@ -308,17 +297,16 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1):
     with n1 = floor(log M / min(|X|, |Y|)) and d the polynomial tail exponent
     (override d=0.5 for the binary-symmetric specialization).
     """
-    _check_eps(eps)
-    _check_log_m(log_m)
-    if not (math.isfinite(delta) and delta >= 0):
-        raise VlfError(f"delta must be finite and >= 0, got {delta}")
-    n1 = int(log_m / min(int(num_x), int(num_y)))
+    _check_real(eps, "eps", 0, 1)
+    _check_real(log_m, "log_m", 0, math.inf, lo_in=True)
+    _check_real(delta, "delta", 0, math.inf, lo_in=True)
+    n1 = int(log_m / min(_check_count(num_x, "num_x"),
+                         _check_count(num_y, "num_y")))
     if n1 < 3:
         raise HorizonTooSmall(f"n1 = {n1} too small (need >= 3)")
     if d is None:
         d = tail_exponents(num_x, num_y)[1]
-    if not (math.isfinite(d) and d > 0):
-        raise VlfError(f"d must be finite and > 0, got {d}")
+    _check_real(d, "d", 0, math.inf)
     if eps < 1.0 / n1:
         raise EpsTooSmall(f"target eps {eps} below 1/n1 = {1.0 / n1:.3e}")
     log_n1 = math.log(n1)
@@ -355,9 +343,8 @@ def _scaled_length(s, target_eps, target_n):
     underflowed to 0 has no logarithm.  So K must lie in (0, 2^40), and an
     error names the N that puts it outside.
     """
-    _check_eps(target_eps)
-    if not (0 < target_n < math.inf):
-        raise NotADistribution(f"need finite target_n > 0, got {target_n}")
+    _check_real(target_eps, "eps", 0, 1)
+    _check_real(target_n, "N", 0, math.inf)
     k = s.drift * target_n / (1.0 - target_eps)
     if not 0.0 < k < _K_MAX:
         raise VlfError(f"N = {target_n:g} gives K = C N/(1 - eps) = {k:.3g}; "

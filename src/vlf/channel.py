@@ -70,18 +70,30 @@ def _as_step_law(values, probs):
     return v, p
 
 
-def _check_seed(seed):
-    """seed as an int, checked to be a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise VlfError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
-def _check_count(count, name, least=1):
-    """count as an int, checked to be an integer of at least `least`."""
-    if not isinstance(count, (int, np.integer)) or count < least:
-        raise VlfError(f"{name} must be an integer >= {least}, got {count!r}")
+def _check_count(count, name, least=1, most=None):
+    """count as an int, checked to be an integer (not a bool) of at least
+    `least` and, when `most` is given, at most `most`."""
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < least or (most is not None and count > most)):
+        span = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise VlfError(f"{name} must be an integer {span}, got {count!r}")
     return int(count)
+
+
+def _check_real(x, name, low, high, lo_in=False, hi_in=False):
+    """x, checked to be a Python or numpy int or float (not a bool, a
+    string, None or an array) in the interval from low to high, each end
+    closed when its flag is set; NaN lies in no interval.  The message
+    says "finite" unless the interval admits an infinity."""
+    real = (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
+    if not (real and (low <= x if lo_in else low < x)
+            and (x <= high if hi_in else x < high)):
+        finite = not (lo_in and low == -math.inf or hi_in and high == math.inf)
+        raise NotADistribution(
+            f"{name} must be a {'finite ' * finite}number in {'[('[not lo_in]}"
+            f"{low}, {high}{'])'[not hi_in]}, got {x if real else repr(x)}")
+    return x
 
 
 def _positive_drift(mean, name="mean step"):
@@ -132,10 +144,7 @@ class GaussianChannel:
     power: float
 
     def __post_init__(self):
-        if not (0 < self.power < math.inf):
-            raise NotADistribution(
-                f"power must be finite and positive, got {self.power}"
-            )
+        _check_real(self.power, "power", 0, math.inf)
 
     @property
     def capacity(self):
@@ -151,8 +160,7 @@ class GaussianChannel:
 
 def bsc(p):
     """Binary symmetric channel with flip probability p in (0, 1)."""
-    if not (0.0 < p < 1.0):
-        raise NotADistribution(f"flip probability must be in (0,1), got {p}")
+    _check_real(p, "flip probability p", 0, 1)
     return Dmc(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 

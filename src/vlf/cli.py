@@ -46,6 +46,7 @@ from .channel import (
     Dmc,
     GaussianChannel,
     _as_input_law,
+    _check_real,
     capacity,
     parse_channel_spec,
 )
@@ -86,20 +87,17 @@ def _parse_message_count(s):
     else:
         m = int(t)
         log_m = math.log(m) if m > 0 else -math.inf
-    if not 0 <= log_m < math.inf:
-        raise ValueError("message count must be finite and >= 1")
-    return log_m
+    return _check_real(log_m, "log_m", 0, math.inf, lo_in=True)
 
 
 def _parse_grid(s):
     """'start:stop:step' inclusive grid, or a single value; every value must
     be finite and positive, and the grid hold at most _GRID_CAP points,
     counted before any is made."""
-    vals = [float(p) for p in s.split(":")]
+    vals = [_check_real(float(p), "grid value", 0, math.inf)
+            for p in s.split(":")]
     if len(vals) not in (1, 3):
         raise ValueError("a grid is start:stop:step or one value")
-    if not all(math.isfinite(v) and v > 0 for v in vals):
-        raise ValueError("grid values must be finite and positive")
     if len(vals) == 1:
         return vals
     start, stop, step = vals
@@ -202,7 +200,7 @@ def _cast_options(args, verb):
         if raw is not None:
             try:
                 opt[dest] = caster(raw)
-            except ValueError as exc:
+            except (ValueError, VlfError) as exc:
                 raise VlfError(f"bad value for {flag}: {raw!r} ({exc})") from exc
     return opt
 

@@ -41,13 +41,13 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import ensemble
-from .bounds import LN2
+from .bounds import LN2, VlfParams
 from .channel import (
     Dmc,
     GaussianChannel,
     _as_input_law,
     _check_count,
-    _check_seed,
+    _check_real,
     _positive_drift,
     binary_entropy,
     control_llr,
@@ -109,6 +109,8 @@ class SchemeConfig:
 
     def __post_init__(self):
         kind = metric_kind(self.variant, self.channel)
+        if not isinstance(self.params, VlfParams):
+            raise VlfError(f"params must be a VlfParams, got {self.params!r}")
         if not kind.gaussian:
             p = _as_input_law(self.px, self.channel)
             shape = self.channel.matrix.shape
@@ -130,9 +132,8 @@ class SchemeConfig:
                 raise DimensionMismatch(
                     "universal confirmation needs at least two channel inputs"
                 )
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        if not (1 < self.c2 < math.inf):
-            raise VlfError(f"c2 must be finite and exceed 1, got {self.c2}")
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
+        _check_real(self.c2, "c2", 1, math.inf)
         drift = _positive_drift(kind.walk_drift(self.channel, self.px),
                                 "metric drift")
         g2 = self.params.gamma2
@@ -259,8 +260,6 @@ def _seed_keys(seed, index):
 def _trial_keys(seed, lo, hi):
     """The Philox keys of trials lo..hi-1 in order, derived _KEY_BLOCK
     trials at a time so a long chunk never holds them all."""
-    if not 0 <= lo <= hi <= _MAX_TRIALS:
-        raise VlfError(f"trial index out of [0, 2^32): {lo}..{hi - 1}")
     for start in range(lo, hi, _KEY_BLOCK):
         stop = min(hi, start + _KEY_BLOCK)
         yield from _seed_keys(seed, np.arange(start, stop, dtype=np.uint32))
@@ -285,7 +284,8 @@ def _trial_rng(seed, trial_index):
     The one-trial case of what ``_run_chunk`` does for a chunk, whose keys
     come _KEY_BLOCK at a time and whose one generator is re-keyed per
     trial."""
-    return next(_generators(_trial_keys(seed, trial_index, trial_index + 1)))
+    i = _check_count(trial_index, "trial index", 0, _MAX_TRIALS - 1)
+    return next(_generators(_trial_keys(seed, i, i + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -786,14 +786,6 @@ def _run_chunk(cfg, lo, hi):
     return out
 
 
-def _check_trials(trials):
-    """trials, checked to be a positive count of at most 2^32."""
-    trials = _check_count(trials, "trials")
-    if trials > _MAX_TRIALS:
-        raise VlfError(f"trials must be <= 2^32, got {trials}")
-    return trials
-
-
 def _wilson(errors, trials):
     p = errors / trials
     z2 = _Z95 * _Z95
@@ -825,7 +817,7 @@ def trial_records(cfg, trials, workers=1):
     only as far as its own races read; a race reads the same values at any
     advance.  The pool starts no more workers than there are chunks.
     """
-    _check_trials(trials)
+    trials = _check_count(trials, "trials", most=_MAX_TRIALS)
     workers = _check_count(workers, "workers")
     if workers == 1:
         return _run_chunk(cfg, 0, trials)
@@ -853,8 +845,13 @@ def run_monte_carlo(cfg, trials, workers=1):
 
 
 def aggregate_records(cfg, rec):
-    """McEstimate over the in-order records of ``trial_records``."""
-    trials = _check_trials(rec.shape[0])
+    """McEstimate over the in-order records of ``trial_records``: a 2-D
+    array of one row per trial."""
+    if not (isinstance(rec, np.ndarray) and rec.ndim == 2
+            and rec.shape[1] == len(TrialOutcome._fields)):
+        raise DimensionMismatch("records must be a 2-D array, one "
+                                "TrialOutcome row per trial")
+    trials = _check_count(rec.shape[0], "trials")
     runs = TrialOutcome(*rec.T)
     tau, energy = runs.tau, runs.energy
     errors = float(np.sum(1.0 - runs.correct))
@@ -908,10 +905,11 @@ def _passage_times(kind, dmc, px, gamma, trials, seed):
     the drift, are reported at max_steps.
     """
     p = _as_input_law(px, dmc)
+    _check_real(gamma, "gamma", 0, math.inf)
     drift = _positive_drift(kind.walk_drift(dmc, p), "metric drift")
     max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
     metric = kind(dmc, p, max_steps)
-    rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
+    rng = np.random.Generator(np.random.Philox(_check_count(seed, "seed", 0)))
     stats = metric.start(trials)[1]
     taus = np.full(trials, max_steps, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)

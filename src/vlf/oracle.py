@@ -22,7 +22,7 @@ from .channel import (
     _as_prob_vector,
     _as_step_law,
     _check_count,
-    _check_seed,
+    _check_real,
     _positive_drift,
     entropy,
 )
@@ -54,8 +54,8 @@ class LatticeWalkSpec:
 
     def __post_init__(self):
         _as_step_law(self.values, self.probs)
-        if not (self.a_accept > 0 and self.a_reject > 0):
-            raise NotADistribution("thresholds must be positive")
+        _check_real(self.a_accept, "a_accept", 0, math.inf, hi_in=True)
+        _check_real(self.a_reject, "a_reject", 0, math.inf, hi_in=True)
         object.__setattr__(self, "max_steps",
                            _check_count(self.max_steps, "max_steps"))
 
@@ -127,7 +127,7 @@ def sprt_mc(spec, samples, seed=0):
     at spec.max_steps count toward neither numerator.
     """
     v, p = _as_step_law(spec.values, spec.probs)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     samples = _check_count(samples, "samples")
     accepts = 0
     rejects = 0
@@ -157,6 +157,7 @@ def exact_passage_time(values, probs, gamma):
     200 max(gamma, 1) / mean + 1000 steps.  Returns (expected_steps,
     residual)."""
     v, p = _as_step_law(values, probs)
+    _check_real(gamma, "gamma", 0, math.inf)
     mean = _positive_drift(sum(float(a) * float(b) for a, b in zip(v, p)))
     max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
     res = exact_sprt(LatticeWalkSpec(values, probs, gamma, math.inf, max_steps))
@@ -309,6 +310,10 @@ def exact_mi_tail(n, px, py, gamma_grid):
 
 def mi_tail_bound(n, gamma, k_exp):
     """The polynomial-prefactor tail bound K1 (n+1)^k e^{-gamma}, K1 = 10."""
+    _check_count(n, "n")
+    _check_real(gamma, "gamma", 0, math.inf, lo_in=True)
+    # below its top, (n + 1)^k_exp is a float
+    _check_real(k_exp, "k_exp", 0, 700.0 / math.log1p(n), lo_in=True)
     return 10.0 * (n + 1.0) ** k_exp * math.exp(-gamma)
 
 
@@ -389,7 +394,7 @@ def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
     ladder epochs (first strictly positive partial sum) of the walk."""
     v, p = _as_step_law(values, probs)
     _positive_drift(float(np.dot(v, p)))
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     samples = _check_count(samples, "samples", least=2)  # for a covariance
     heights = np.empty(samples)
     done = 0
@@ -418,16 +423,13 @@ def renewal_overshoot(values, probs, samples=1_000_000, seed=0):
 def passage_time_expansion(gamma, mean, rho, span=0.0):
     """(gamma + rho + h/2) / mu — the renewal expansion of E[first passage];
     h = 0 drops the lattice correction for non-arithmetic walks."""
+    for name, x in (("gamma", gamma), ("rho", rho), ("span", span)):
+        _check_real(x, name, 0, math.inf, lo_in=True)
     return (gamma + rho + 0.5 * span) / _positive_drift(mean)
 
 
 # ---------------------------------------------------------------------------
 # empirical correlation tails
-
-
-def _check_level(a):
-    if not (0.0 < a < 1.0):
-        raise NotADistribution(f"a must be in (0,1), got {a}")
 
 
 def gaussian_corr_tail(n, a):
@@ -437,7 +439,8 @@ def gaussian_corr_tail(n, a):
     belongs in the denominator: the exact law rho_hat^2 ~ Beta(1/2, (n-1)/2)
     confirms the ratio exact/asymptotic tends to 1 with it and to ~0.38
     without it (see corr_tail_exact)."""
-    _check_level(a)
+    _check_count(n, "n", least=2)
+    _check_real(a, "a", 0, 1)
     lam = a / (1.0 - a * a)
     disc = 1.0 - 4.0 * lam * lam
     if disc <= 0.0:
@@ -454,7 +457,8 @@ def corr_tail_exact(n, a):
     """Exact P[rho_hat >= a]: rho_hat^2 ~ Beta(1/2, (n-1)/2) with a symmetric
     sign, so the one-sided tail is half the Beta survival at a^2, the
     regularized upper incomplete beta function."""
-    _check_level(a)
+    _check_count(n, "n", least=2)
+    _check_real(a, "a", 0, 1)
     return 0.5 * float(betaincc(0.5, (n - 1) / 2.0, a * a))
 
 
@@ -465,9 +469,11 @@ def corr_tail_mc(n, a, samples, seed=0, chunk=50_000):
     The law of x is invariant under rotations, so rotating y onto e_1 gives
     rho_hat the law of Z / sqrt(Z^2 + chi^2_{n-1}): one normal and one
     chi-square per sample, drawn ``chunk`` samples at a time."""
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     n = _check_count(n, "n", least=2)
+    _check_real(a, "a", 0, 1)
     samples = _check_count(samples, "samples")
+    chunk = _check_count(chunk, "chunk")
     hits = 0
     left = samples
     while left > 0:

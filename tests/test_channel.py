@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import numbers
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vlf.channel import (
@@ -23,8 +25,19 @@ from vlf.channel import (
     output_distribution,
     parse_channel_spec,
 )
-from vlf.bounds import VlfParams, dmc_stats, overshoot_constant
-from vlf.engine import SchemeConfig, info_density_passage_times
+from vlf.bounds import (
+    VlfParams,
+    asymptotic_schedule,
+    channel_stats,
+    converse_bound,
+    dmc_stats,
+    optimize_params,
+    overshoot_constant,
+    single_phase_bound,
+    tail_exponents,
+    universal_schedule,
+)
+from vlf.engine import SchemeConfig, info_density_passage_times, trial_records
 from vlf.errors import (
     DimensionMismatch,
     NonPositiveDrift,
@@ -33,9 +46,13 @@ from vlf.errors import (
 )
 from vlf.oracle import (
     LatticeWalkSpec,
+    corr_tail_exact,
     corr_tail_mc,
+    exact_eta_expectation,
     exact_mi_tail,
     exact_passage_time,
+    gaussian_corr_tail,
+    mi_tail_bound,
     passage_time_expansion,
     renewal_overshoot,
     sprt_mc,
@@ -177,7 +194,7 @@ THIRDS = np.full(3, 1.0 / 3.0)
 ZERO_DRIFT_PX = np.array([1.0, 0.0])  # I(px, W) = 0 on any channel
 WALK_LAW = ([1.0, -1.0], [0.6, 0.4])  # a walk with positive drift
 WALK = LatticeWalkSpec(*WALK_LAW, 3.0, 3.0)
-SEED_CHECK = "seed must be a non-negative integer"
+SEED_CHECK = "^seed must be an integer >= 0, got "
 
 
 class TestOneInputCheck:
@@ -189,7 +206,8 @@ class TestOneInputCheck:
     # oracles' samplers passed a bad seed to numpy, whose error named none;
     # the zero counts divided by zero, n = 1 gave numpy's "df <= 0", and
     # one ladder height a NaN standard error; a walk's max_steps of 0 or
-    # 2.5 gave residual 1, and -5 a silent zero estimate from sprt_mc.
+    # 2.5 gave residual 1, and -5 a silent zero estimate from sprt_mc; a
+    # chunk of 0 drew no sample and looped for ever.
     @pytest.mark.parametrize("call,error,match", [
         (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
          NotADistribution, "row 2, column 1"),
@@ -249,6 +267,8 @@ class TestOneInputCheck:
          VlfError, "max_steps must be an integer >= 1, got -5"),
         (lambda tmp: LatticeWalkSpec(*WALK_LAW, 3.0, 3.0, max_steps=2.5),
          VlfError, "max_steps must be an integer >= 1, got 2.5"),
+        (lambda tmp: corr_tail_mc(10, 0.5, 10, chunk=0),
+         VlfError, "^chunk must be an integer >= 1, got 0$"),
     ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
             "mutual_information-px", "output_distribution-px",
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
@@ -262,10 +282,125 @@ class TestOneInputCheck:
             "type_class_log_bound-n0", "sprt_mc-samples0",
             "corr_tail_mc-samples0", "corr_tail_mc-n1",
             "renewal_overshoot-samples1", "LatticeWalkSpec-max_steps0",
-            "LatticeWalkSpec-max_steps-5", "LatticeWalkSpec-max_steps2.5"])
+            "LatticeWalkSpec-max_steps-5", "LatticeWalkSpec-max_steps2.5",
+            "corr_tail_mc-chunk0"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
         with pytest.raises(error, match=match):
             call(tmp_path)
+
+
+_FUZZ_PARAMS = VlfParams(6 * math.log(2), 8.0, 13.0, 3.0, 3.0)
+# (callable, valid keyword arguments, the scalar parameters fuzzed); every
+# sampler gets a small samples and n, so a valid draw runs in milliseconds
+_SCALAR_TABLE = [
+    (bsc, {"p": 0.11}, ["p"]),
+    (GaussianChannel, {"power": 1.0}, ["power"]),
+    (VlfParams, dataclasses.asdict(_FUZZ_PARAMS),
+     ["log_m", "gamma1", "gamma2", "a_accept", "a_reject", "eps0"]),
+    (SchemeConfig, {"variant": "uvlf_bsc", "channel": bsc(0.11),
+                    "px": UNIFORM2, "params": _FUZZ_PARAMS,
+                    "training_len": 64},
+     ["params", "training_len", "n_max", "seed", "c2"]),
+    (universal_schedule, {"log_m": 60 * math.log(2), "num_x": 2, "num_y": 2,
+                          "eps": 0.05, "d": 1.0, "delta": 0.1},
+     ["log_m", "num_x", "num_y", "eps", "d", "delta"]),
+    (asymptotic_schedule, {"n1": 2000.0, "channel": bsc(0.11),
+                           "px": UNIFORM2, "eps": 1e-3}, ["n1", "eps"]),
+    (tail_exponents, {"num_x": 2, "num_y": 3}, ["num_x", "num_y"]),
+    (optimize_params, {"s": channel_stats(bsc(0.11), UNIFORM2),
+                       "target_eps": 1e-3, "target_n": 500.0},
+     ["target_eps", "target_n"]),
+    (single_phase_bound, {"s": channel_stats(bsc(0.11), UNIFORM2),
+                          "target_eps": 1e-3, "target_n": 500.0},
+     ["target_eps", "target_n"]),
+    (converse_bound, {"cap_nats": 0.3, "eps": 1e-3, "n_avg": 500.0},
+     ["cap_nats", "eps", "n_avg"]),
+    (trial_records, {"cfg": _sim_cfg(UNIFORM2), "trials": 3, "workers": 1},
+     ["trials", "workers"]),
+    (LatticeWalkSpec, {"values": (1.0, -1.0), "probs": (0.6, 0.4),
+                       "a_accept": 3.0, "a_reject": 3.0, "max_steps": 100},
+     ["a_accept", "a_reject", "max_steps"]),
+    (exact_passage_time, {"values": [1.0, -1.0], "probs": [0.6, 0.4],
+                          "gamma": 2.0}, ["gamma"]),
+    (passage_time_expansion, {"gamma": 3.0, "mean": 0.2, "rho": 0.5,
+                              "span": 0.0}, ["gamma", "rho", "span"]),
+    (mi_tail_bound, {"n": 4, "gamma": 1.0, "k_exp": 0.5},
+     ["n", "gamma", "k_exp"]),
+    (exact_mi_tail, {"n": 4, "px": UNIFORM2, "py": UNIFORM2,
+                     "gamma_grid": [0.5, 1.0]}, ["n"]),
+    (exact_eta_expectation, {"n": 4}, ["n"]),
+    (type_class_log_bound, {"type_probs": UNIFORM2, "n": 2}, ["n"]),
+    (gaussian_corr_tail, {"n": 200, "a": 0.3}, ["n", "a"]),
+    (corr_tail_exact, {"n": 10, "a": 0.5}, ["n", "a"]),
+    (corr_tail_mc, {"n": 10, "a": 0.5, "samples": 20, "seed": 0},
+     ["n", "a", "samples", "seed"]),
+    (sprt_mc, {"spec": WALK, "samples": 20, "seed": 0}, ["samples", "seed"]),
+    (renewal_overshoot, {"values": [1.0, -1.0], "probs": [0.6, 0.4],
+                         "samples": 20, "seed": 0}, ["samples", "seed"]),
+]
+_SCALAR_BAD = [None, "1", True, math.nan, math.inf, -math.inf, -1, 0, 2.5,
+               1e300]
+# what a refusal may name besides the parameter: the symbol its message
+# uses (eps, N, N1), or a quantity derived from it.  At 1e300 a schedule's
+# gamma1 absorbs the gap to gamma2, which VlfParams refuses, and a short
+# log M or N is infeasible by n1 or n_avg.
+_ALSO_NAMED = {
+    (VlfParams, "gamma1"): "gamma2",
+    (universal_schedule, "log_m"): "n1|gamma2",
+    (universal_schedule, "d"): "gamma2",
+    (universal_schedule, "delta"): "gamma2",
+    (asymptotic_schedule, "n1"): "N1|gamma2",
+    (optimize_params, "target_eps"): "eps",
+    (optimize_params, "target_n"): "N|n_avg",
+    (single_phase_bound, "target_eps"): "eps",
+    (single_phase_bound, "target_n"): "N|n_avg",
+}
+# a valid but astronomically long exact computation
+_RUNS_FOR_EVER = {(exact_passage_time, "gamma", 1e300)}
+
+
+def _numbers(obj):
+    """Every number obj holds: itself, or its fields, items or entries."""
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().tolist() if obj.dtype.kind in "biuf" else []
+    if isinstance(obj, (tuple, list)):
+        return [v for item in obj for v in _numbers(item)]
+    return [obj] if isinstance(obj, numbers.Real) else []
+
+
+@st.composite
+def _scalar_case(draw):
+    func, kwargs, params = draw(st.sampled_from(_SCALAR_TABLE))
+    param = draw(st.sampled_from(params))
+    bad = draw(st.sampled_from(_SCALAR_BAD))
+    assume((func, param, bad) not in _RUNS_FOR_EVER)
+    return func, {**kwargs, param: bad}, param, bad
+
+
+class TestScalarInputFuzz:
+    """One bad value in one scalar parameter of a library call: the call
+    returns finite numbers (an infinite one only where the drawn value is
+    stored as given) or raises a VlfError whose message names the
+    parameter, and no other exception escapes."""
+
+    # more examples than the table has cases: hypothesis draws each case
+    # once and stops
+    @given(_scalar_case())
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    def test_result_is_finite_or_refusal_names_the_parameter(self, case):
+        func, kwargs, param, bad = case
+        try:
+            result = func(**kwargs)
+        except VlfError as exc:
+            also = _ALSO_NAMED.get((func, param), param)
+            assert re.search(rf"\b({param}|{also})\b", str(exc)), (
+                param, bad, exc)
+            return
+        assert all(math.isfinite(v) or v == bad for v in _numbers(result)), (
+            param, bad, result)
 
 
 class TestControlPair:
@@ -394,5 +529,6 @@ class TestParsingAndValidation:
 
     @pytest.mark.parametrize("spec", ["awgn:inf", "awgn:1e400"])
     def test_infinite_snr_spec_rejected(self, spec):
-        with pytest.raises(NotADistribution, match="power must be finite"):
+        with pytest.raises(NotADistribution, match=re.escape(
+                "power must be a finite number in (0, inf), got inf")):
             parse_channel_spec(spec)

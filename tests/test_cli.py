@@ -646,13 +646,17 @@ class TestErrorHandling:
     @pytest.mark.parametrize("flag,value,says", [
         ("--d", "inf", "d must be"), ("--delta", "nan", "delta must be"),
         ("--eps", "inf", "eps must be"), ("--eps", "1.5", "eps must be"),
-        ("--M", "0", "bad value for --M: '0' (message count must be"),
+        ("--M", "0", "bad value for --M: '0' (log_m must be a finite number "
+         "in [0, inf), got -inf)"),
         ("--M", "3^5", "bad value for --M: '3^5' (message count base must be"),
         # an OverflowError traceback, "cannot convert float NaN to integer"
         # and "infeasible: n1 = -1 too small" (exit 2) before
-        ("--M", "2^inf", "bad value for --M: '2^inf' (message count must be"),
-        ("--M", "2^nan", "bad value for --M: '2^nan' (message count must be"),
-        ("--M", "2^-3", "bad value for --M: '2^-3' (message count must be"),
+        ("--M", "2^inf", "bad value for --M: '2^inf' (log_m must be a finite "
+         "number in [0, inf), got inf)"),
+        ("--M", "2^nan", "bad value for --M: '2^nan' (log_m must be a finite "
+         "number in [0, inf), got nan)"),
+        ("--M", "2^-3", "bad value for --M: '2^-3' (log_m must be a finite "
+         "number in [0, inf), got -2.0794415416798357)"),
         # both asked numpy for a count table (7.45 GiB, 7.27 TiB) and ended
         # in its _ArrayMemoryError traceback
         ("--n-max", "1000000000",
@@ -692,13 +696,15 @@ class TestErrorHandling:
     def test_infinite_gaussian_power_is_a_bad_channel(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert _optimize("awgn:inf", "500", "--out", str(out)) == 1
-        assert "power must be finite" in capsys.readouterr().err
+        assert ("power must be a finite number in (0, inf), got inf"
+                in capsys.readouterr().err)
         assert main([
             "simulate", "--variant", "vlf_awgn", "--channel", "awgn:1e400",
             "--M", "2^6", "--gamma1", "8", "--gamma2", "13", "--aA", "3",
             "--aR", "3", "--trials", "5", "--seed", "1", "--out", str(out),
         ]) == 1
-        assert "power must be finite" in capsys.readouterr().err
+        assert ("power must be a finite number in (0, inf), got inf"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_bad_channel_spec_exits_one(self):

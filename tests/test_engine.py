@@ -2,11 +2,14 @@
 
 import ast
 import dataclasses
+import functools
 import math
+import multiprocessing
 import os
 import pickle
 import warnings
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +47,12 @@ from vlf.engine import (
 )
 from vlf.ensemble import FlipEntropyAbsorption, count_log_table, count_mi
 from vlf.errors import (
+    DimensionMismatch,
     HorizonTooSmall,
     Infeasible,
     InsufficientTraining,
     NonPositiveDrift,
+    NotADistribution,
     StateExplosion,
     VlfError,
 )
@@ -241,7 +246,8 @@ class TestConfigValidation:
     # its trials: zero drift and the derived horizon failed in the runtime,
     # n_max 500.5 ran to 501, nan failed as "above the cap", training_len
     # 64.5 ended in a TypeError traceback and 2.5 drew chi2 with 2.5
-    # degrees of freedom
+    # degrees of freedom; params None and c2 "3" ended in an AttributeError
+    # and a TypeError traceback, and seed True ran as seed 1
     @pytest.mark.parametrize("variant,kw,error,match", [
         ("vlf_dmc", {"px": np.array([1.0, 0.0])}, NonPositiveDrift,
          "metric drift"),
@@ -256,8 +262,15 @@ class TestConfigValidation:
          "^training_len must be an integer >= 0, got 64.5$"),
         ("uvlf_awgn", {"training_len": 2.5}, VlfError,
          "^training_len must be an integer >= 0, got 2.5$"),
+        ("vlf_dmc", {"params": None}, VlfError,
+         "^params must be a VlfParams, got None$"),
+        ("uvlf_bsc", {"c2": "3"}, NotADistribution,
+         r"^c2 must be a finite number in \(1, inf\), got '3'$"),
+        ("vlf_dmc", {"seed": True}, VlfError,
+         "^seed must be an integer >= 0, got True$"),
     ], ids=["zero-drift", "derived-horizon-above-cap", "n_max-500.5",
-            "n_max-nan", "uvlf_bsc-training-64.5", "uvlf_awgn-training-2.5"])
+            "n_max-nan", "uvlf_bsc-training-64.5", "uvlf_awgn-training-2.5",
+            "params-None", "c2-string", "seed-bool"])
     def test_config_itself_rejects_a_bad_run_input(self, variant, kw, error,
                                                    match):
         channel, px, training = VARIANT_SETUPS[variant]
@@ -590,7 +603,8 @@ class TestTrialStreams:
         for index in (2**32, -1):
             with pytest.raises(VlfError, match="trial index"):
                 simulate_trial(cfg, index)
-        with pytest.raises(VlfError, match="trials must be <= 2\\^32"):
+        with pytest.raises(VlfError, match=r"^trials must be an integer in "
+                           r"\[1, 4294967296\], got 4294967297$"):
             trial_records(cfg, 2**32 + 1)
 
     def test_one_philox_per_chunk(self, monkeypatch):
@@ -799,6 +813,22 @@ class TestDeterminismAndAggregation:
         assert len(builds) == 1
         assert np.array_equal(pooled, trial_records(cfg, 40, workers=1))
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    @pytest.mark.parametrize("variant", ["vlf_dmc", "uvlf_bsc"])
+    @pytest.mark.usefixtures("force_ensemble")
+    def test_pools_started_by_spawn_and_forkserver_match_one_worker(
+            self, method, variant, monkeypatch):
+        # such workers import vlf afresh and unpickle the parent's runtime,
+        # the ensemble race with it (the forced literal_count stays here)
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        cfg = _pair_cfg(variant)
+        assert engine._Runtime(cfg).race.func is not ensemble.literal_race
+        assert np.array_equal(trial_records(cfg, 40, workers=2),
+                              trial_records(cfg, 40, workers=1))
+
     def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
         # under fork every worker starts with the pool: --workers 64
         # --trials 3 forked 64 processes for 3 chunks.  The stand-in runs
@@ -840,6 +870,19 @@ class TestDeterminismAndAggregation:
             warnings.simplefilter("error")
             with pytest.raises(VlfError, match="trials must be an integer >= 1, got 0"):
                 aggregate_records(_cfg(), np.empty((0, 8)))
+
+    # a 1-D array was read as 8 one-value trials (eps_hat 0.125 and numpy's
+    # "Degrees of freedom <= 0"), 9 columns ended in a TypeError and a list
+    # in an AttributeError
+    @pytest.mark.parametrize("rec", [np.zeros(8), np.zeros((3, 9)),
+                                     [[0.0] * 8]], ids=["1-D", "9-columns",
+                                                        "list"])
+    def test_records_must_be_a_2d_array_of_outcome_rows(self, rec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="^records must be a "
+                               "2-D array, one TrialOutcome row per trial$"):
+                aggregate_records(_cfg(), rec)
 
     def test_power_of_runs_that_send_nothing_is_none(self):
         # eps0 = 1 stops every trial at time zero: no symbol, no power ratio
