@@ -265,14 +265,16 @@ def _asymptotic_schedule(n1, s, eps):
 
 def asymptotic_schedule_for_message_count(log_m, channel, px=None, eps=None):
     """Invert the schedule: find N1 so that the recipe hands back this log M."""
+    _check_real(log_m, "log_m", 0, math.inf)
     s = channel_stats(channel, px)
     n1 = max(3.0, (log_m + s.b) / s.drift)
     for _ in range(200):
         nxt = (log_m + math.log(max(math.log(n1), 1e-9)) + s.b) / s.drift
-        if abs(nxt - n1) < 1e-12 * max(1.0, n1):
-            n1 = nxt
-            break
+        # below e the schedule refuses N1, and log N1 may be undefined
+        done = nxt < math.e or abs(nxt - n1) < 1e-12 * max(1.0, n1)
         n1 = nxt
+        if done:
+            break
     return _asymptotic_schedule(n1, s, eps)
 
 

@@ -519,7 +519,8 @@ class EmpiricalMi(_DmcMetric):
                 log_m, "the count dynamic program needs a binary-binary channel"
             )
         return functools.partial(ensemble.ensemble_binary_mi_race, metric=self,
-                                 log_m=log_m, gamma1=gamma1, gamma2=gamma2)
+                                 log_m=log_m, gamma1=gamma1, gamma2=gamma2,
+                                 memo={})
 
 
 class FlipEntropy(_DmcMetric):
@@ -622,8 +623,10 @@ class _Runtime:
     ``race(rng, y)`` is the competitor race over the outputs y: literal
     when ``ensemble.literal_count`` gives a count, the metric's ensemble
     strategy otherwise.  All of it is read-only but uvlf_bsc's absorption
-    law, which its races advance as far as they read it; the law is
-    sequential, so no result depends on how far it has run.
+    law, which its races advance as far as they read it, and uvlf_dmc's
+    memo of hit cells, which they fill as they reach each key; the law is
+    sequential and a memo entry is what the grid would give, so no result
+    depends on how far either has got.
     Picklable, so a pool can hand it to workers started by spawn or
     forkserver too."""
 
@@ -906,8 +909,14 @@ def _passage_times(kind, dmc, px, gamma, trials, seed):
     """
     p = _as_input_law(px, dmc)
     _check_real(gamma, "gamma", 0, math.inf)
+    trials = _check_count(trials, "trials")
     drift = _positive_drift(kind.walk_drift(dmc, p), "metric drift")
-    max_steps = int(math.ceil(50.0 * gamma / drift)) + 200
+    horizon = 50.0 * gamma / drift
+    if horizon > _HORIZON_CAP:
+        raise VlfError(f"the horizon 50*gamma/drift = {horizon:.4g} at gamma "
+                       f"= {gamma:.4g} is above the cap of {_HORIZON_CAP} "
+                       "symbols")
+    max_steps = int(math.ceil(horizon)) + 200
     metric = kind(dmc, p, max_steps)
     rng = np.random.Generator(np.random.Philox(_check_count(seed, "seed", 0)))
     stats = metric.start(trials)[1]

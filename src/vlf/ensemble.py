@@ -231,6 +231,7 @@ def _binary_type(u, v, j, n):
 # the rounding of gamma_1 minus the margin too: it is at most
 # 2^-53 * gamma_1, and gamma_1 > 2 L[t] >= 2 n H(Y) leaves no hit anyway.
 _ENTROPY_SLACK = 2.0 ** -40
+_NO_HIT = np.zeros(0, np.int32)  # the memo's entry for a (t, j) without hits
 
 
 def _cannot_absorb(L, t, j, gamma1):
@@ -240,7 +241,7 @@ def _cannot_absorb(L, t, j, gamma1):
     return L[t] - L[j] - L[t - j] < gamma1 - _ENTROPY_SLACK * L[t]
 
 
-def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
+def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo=None):
     """Exact competitor race for the empirical-MI metric on a binary-input,
     binary-output channel, conditional on the realized outputs.
 
@@ -256,13 +257,25 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     one cell with the float operations of a grid grown from zeros:
     old * (1 - p) + shifted * p, where a shift into an empty cell adds it
     to zero.  A one-cell shift carries each row's last cell, still empty
-    while k is below the final zero count, into the next row's first.  The metric grid over [0, j] x [0, k] follows count_mi's
-    order from 1-D slices of L = log_tbl: cells
+    while k is below the final zero count, into the next row's first.
+
+    The hit cells of step t, where the metric exceeds gamma_1, are a
+    function of (t, j) alone once the table L = log_tbl and gamma_1 are
+    fixed.  The first race to reach a (t, j) evaluates the metric grid over
+    [0, j] x [0, k] in count_mi's order from 1-D slices of L: cells
     ((L[k-v] + L[v]) + L[j-u]) + L[u], minus the row sums R[u+v] with
-    R[s] = L[t-s] + L[s] (a Hankel view), minus L[k] + L[j], plus L[t].
-    Steps where _cannot_absorb holds skip the grid.  An empty prefix
-    absorbs no mass, so its race returns no crossing before any draw.
+    R[s] = L[t-s] + L[s] (a Hankel view), minus L[k] + L[j], plus L[t];
+    a step where _cannot_absorb holds skips it and has no hit cell.  The
+    race stores the flat grid indices of the hit cells in ``memo`` under
+    (t, j), as int32, or the shared empty _NO_HIT, and every later race at
+    that (t, j) reads them instead.  A memo thus belongs to one metric and
+    one gamma_1: a runtime passes one dict to all its races, and None gives
+    the call a fresh one.  Hit cells that hold no mass are dropped before
+    the law records them.  An empty prefix absorbs no mass, so its race
+    returns no crossing before any draw.
     """
+    if memo is None:
+        memo = {}
     h = y.size
     L, px1 = metric.log_tbl, metric.px[1]
     stay = 1.0 - px1
@@ -278,7 +291,7 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
         row_sums, shape=(ones_total + 1, width), strides=(step, step),
         writeable=False)
     j = k = 0
-    absorbed = []  # (times, buffer cells, masses)
+    absorbed = []  # (time, buffer cells, masses) of each absorbing step
     total_absorbed = 0.0
     for t, bit in enumerate(bits, 1):
         n = (j + 1) * width
@@ -291,24 +304,30 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
         else:
             k += 1
             mass[1:n + 1] += moved
-        if _cannot_absorb(table, t, j, gamma1):
-            continue
-        np.add(L[t::-1], L[:t + 1], out=row_sums[:t + 1])
-        grid = (L[k::-1] + L[:k + 1]) + L[j::-1, None]
-        grid += L[:j + 1, None]
-        grid -= hankel[:j + 1, :k + 1]
-        grid -= table[k] + table[j]
-        grid += table[t]
-        cells = np.flatnonzero(grid > gamma1)
+        cells = memo.get((t, j))
+        if cells is None:
+            cells = _NO_HIT
+            if not _cannot_absorb(table, t, j, gamma1):
+                np.add(L[t::-1], L[:t + 1], out=row_sums[:t + 1])
+                grid = (L[k::-1] + L[:k + 1]) + L[j::-1, None]
+                grid += L[:j + 1, None]
+                grid -= hankel[:j + 1, :k + 1]
+                grid -= table[k] + table[j]
+                grid += table[t]
+                hits = np.flatnonzero(grid > gamma1)
+                if hits.size:
+                    cells = hits.astype(np.int32)
+            memo[t, j] = cells
         if cells.size == 0:
             continue
+        cells = cells.astype(np.intp)
         cells += cells // (k + 1) * (width - k - 1)  # grid -> buffer index
+        held = np.flatnonzero(mass[cells])  # no mass is negative
+        if held.size == 0:
+            continue
+        cells = cells[held]
         w = mass[cells]
-        if not (w > 0.0).all():  # drop hit cells that hold no mass
-            cells, w = cells[w > 0.0], w[w > 0.0]
-            if w.size == 0:
-                continue
-        absorbed.append((np.full(w.size, t), cells, w))
+        absorbed.append((t, cells, w))
         total_absorbed += float(w.sum())
         mass[cells] = 0.0
     if total_absorbed <= 0.0:
@@ -316,7 +335,9 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     drawn = rng.poisson(poisson_crosser_rate(log_m, math.log(total_absorbed)))
     if drawn == 0:
         return RaceResult(None, None)
-    t, cells, w = (np.concatenate(part) for part in zip(*absorbed))
+    times, cells, w = zip(*absorbed)
+    t = np.repeat(times, [part.size for part in w])
+    cells, w = np.concatenate(cells), np.concatenate(w)
     u, v = np.divmod(cells, width)
     ones = np.concatenate([[0], np.cumsum(y)])
     counts = _binary_type(u, v, ones[t], t)

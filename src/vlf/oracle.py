@@ -35,6 +35,10 @@ from .errors import (
 
 _ABSORB_TOL = 1e-12
 _STATE_CAP = 10**7
+# live walk values times the steps left to max_steps: the DP's work ahead if
+# its live set stopped changing.  The tests reach 4e7 at the most (gamma = 50
+# on a +-1 walk with no lower threshold, about a second).
+_WORK_CAP = 10**10
 _QUANT = 1e-12
 _SPAN_TOL = 1e-9  # lattice_span's smallest span
 
@@ -81,7 +85,9 @@ def exact_sprt(spec):
 
     States are running sums inside [-a_reject, a_accept], quantized at 1e-12
     to merge lattice points; iteration stops when at most 1e-12 of mass
-    remains unabsorbed (or at max_steps)."""
+    remains unabsorbed (or at max_steps).  A live set of more than
+    _STATE_CAP values, or one whose size times the steps left exceeds
+    _WORK_CAP, is a StateExplosion."""
     vals = [float(v) for v in spec.values]
     probs = [float(p) for p in spec.probs]
     live = {0: (0.0, 1.0)}  # key -> (value, prob)
@@ -110,8 +116,12 @@ def exact_sprt(spec):
                         nxt[k] = (nxt[k][0], nxt[k][1] + w)
                     else:
                         nxt[k] = (s2, w)
-        if len(nxt) > _STATE_CAP:
-            raise StateExplosion(f"{len(nxt)} reachable walk values exceeds {_STATE_CAP}")
+        left = spec.max_steps - step
+        if len(nxt) > _STATE_CAP or len(nxt) * left > _WORK_CAP:
+            raise StateExplosion(
+                f"{len(nxt)} live walk values with {left} of max_steps = "
+                f"{spec.max_steps} steps left: the DP's caps are "
+                f"{_STATE_CAP} values and {_WORK_CAP:.0e} value-steps")
         live = nxt
         if sum(pr for _, pr in live.values()) <= _ABSORB_TOL:
             break
@@ -154,12 +164,14 @@ def sprt_mc(spec, samples, seed=0):
 def exact_passage_time(values, probs, gamma):
     """Exact E[first time the walk strictly exceeds gamma]: ``exact_sprt``
     with no lower threshold (a_reject = inf) over a horizon of
-    200 max(gamma, 1) / mean + 1000 steps.  Returns (expected_steps,
-    residual)."""
+    200 max(gamma, 1) / mean + 1000 steps, which exact_sprt refuses past
+    its work cap.  Returns (expected_steps, residual)."""
     v, p = _as_step_law(values, probs)
     _check_real(gamma, "gamma", 0, math.inf)
     mean = _positive_drift(sum(float(a) * float(b) for a, b in zip(v, p)))
-    max_steps = int(200.0 * max(gamma, 1.0) / mean) + 1000
+    # clipped to a float that converts: past _WORK_CAP steps even one live
+    # value exceeds the work cap
+    max_steps = int(min(200.0 * max(gamma, 1.0) / mean, _WORK_CAP)) + 1000
     res = exact_sprt(LatticeWalkSpec(values, probs, gamma, math.inf, max_steps))
     return res.expected_steps, res.residual
 
@@ -425,7 +437,7 @@ def passage_time_expansion(gamma, mean, rho, span=0.0):
     h = 0 drops the lattice correction for non-arithmetic walks."""
     for name, x in (("gamma", gamma), ("rho", rho), ("span", span)):
         _check_real(x, name, 0, math.inf, lo_in=True)
-    return (gamma + rho + 0.5 * span) / _positive_drift(mean)
+    return (gamma + rho + 0.5 * span) / _check_real(mean, "mean", 0, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlf.channel import (
@@ -28,6 +28,7 @@ from vlf.channel import (
 from vlf.bounds import (
     VlfParams,
     asymptotic_schedule,
+    asymptotic_schedule_for_message_count,
     channel_stats,
     converse_bound,
     dmc_stats,
@@ -37,7 +38,12 @@ from vlf.bounds import (
     tail_exponents,
     universal_schedule,
 )
-from vlf.engine import SchemeConfig, info_density_passage_times, trial_records
+from vlf.engine import (
+    SchemeConfig,
+    empirical_mi_passage_times,
+    info_density_passage_times,
+    trial_records,
+)
 from vlf.errors import (
     DimensionMismatch,
     NonPositiveDrift,
@@ -236,7 +242,8 @@ class TestOneInputCheck:
         (lambda tmp: exact_passage_time([1, -1], [math.nan, 1], 3),
          NotADistribution, "step probabilities sums to nan"),
         (lambda tmp: passage_time_expansion(3.0, math.nan, 0.5),
-         NonPositiveDrift, "nan is not positive"),
+         NotADistribution, r"mean must be a finite number in \(0, inf\), "
+         "got nan"),
         (lambda tmp: _sim_cfg(ZERO_DRIFT_PX),
          NonPositiveDrift, "metric drift"),
         (lambda tmp: info_density_passage_times(bsc(0.11), ZERO_DRIFT_PX,
@@ -323,7 +330,16 @@ _SCALAR_TABLE = [
     (exact_passage_time, {"values": [1.0, -1.0], "probs": [0.6, 0.4],
                           "gamma": 2.0}, ["gamma"]),
     (passage_time_expansion, {"gamma": 3.0, "mean": 0.2, "rho": 0.5,
-                              "span": 0.0}, ["gamma", "rho", "span"]),
+                              "span": 0.0}, ["gamma", "mean", "rho", "span"]),
+    (info_density_passage_times, {"dmc": bsc(0.11), "px": UNIFORM2,
+                                  "gamma": 5.0, "trials": 3, "seed": 0},
+     ["gamma", "trials", "seed"]),
+    (empirical_mi_passage_times, {"dmc": bsc(0.11), "px": UNIFORM2,
+                                  "gamma": 5.0, "trials": 3, "seed": 0},
+     ["gamma", "trials", "seed"]),
+    (asymptotic_schedule_for_message_count,
+     {"log_m": 20 * math.log(2), "channel": bsc(0.11), "px": UNIFORM2,
+      "eps": 1e-3}, ["log_m", "eps"]),
     (mi_tail_bound, {"n": 4, "gamma": 1.0, "k_exp": 0.5},
      ["n", "gamma", "k_exp"]),
     (exact_mi_tail, {"n": 4, "px": UNIFORM2, "py": UNIFORM2,
@@ -354,9 +370,9 @@ _ALSO_NAMED = {
     (optimize_params, "target_n"): "N|n_avg",
     (single_phase_bound, "target_eps"): "eps",
     (single_phase_bound, "target_n"): "N|n_avg",
+    (exact_passage_time, "gamma"): "max_steps",
+    (asymptotic_schedule_for_message_count, "log_m"): "N1|gamma2",
 }
-# a valid but astronomically long exact computation
-_RUNS_FOR_EVER = {(exact_passage_time, "gamma", 1e300)}
 
 
 def _numbers(obj):
@@ -375,7 +391,6 @@ def _scalar_case(draw):
     func, kwargs, params = draw(st.sampled_from(_SCALAR_TABLE))
     param = draw(st.sampled_from(params))
     bad = draw(st.sampled_from(_SCALAR_BAD))
-    assume((func, param, bad) not in _RUNS_FOR_EVER)
     return func, {**kwargs, param: bad}, param, bad
 
 

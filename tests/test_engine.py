@@ -795,6 +795,24 @@ class TestDeterminismAndAggregation:
                     == simulate_trial(cfg, i, _runtime=rt))
 
     @pytest.mark.usefixtures("force_ensemble")
+    def test_runtime_with_a_filled_memo_pickles_to_an_equivalent_copy(self):
+        # uvlf_dmc's count-DP races fill the runtime's hit-cell memo
+        cfg = _pair_cfg("uvlf_dmc")
+        rt = engine._Runtime(cfg)
+        memo = rt.race.keywords["memo"]
+        assert memo == {}
+        for i in range(5):
+            simulate_trial(cfg, i, _runtime=rt)
+        assert memo
+        copy = pickle.loads(pickle.dumps(rt))
+        filled = copy.race.keywords["memo"]
+        assert filled.keys() == memo.keys()
+        assert all(_same(filled[key], memo[key]) for key in memo)
+        assert np.array_equal(trial_records(cfg, 40)[5:],
+                              [simulate_trial(cfg, i, _runtime=copy)
+                               for i in range(5, 40)])
+
+    @pytest.mark.usefixtures("force_ensemble")
     def test_pool_workers_use_the_runtime_built_in_the_parent(self, monkeypatch):
         # forked workers inherit the patch: a runtime built in one fails it
         test_pid = os.getpid()
@@ -1080,21 +1098,32 @@ class TestBinaryMiRace:
         monkeypatch.setattr(ensemble, "_absorbed_crossers", record_crossers)
         return seen
 
+    @staticmethod
+    def _strings(rng, count):
+        """count random output strings of 1 to 300 symbols."""
+        for _ in range(count):
+            h = int(rng.integers(1, 301))
+            yield (rng.random(h) < rng.uniform(0.2, 0.8)).astype(np.int64)
+
     @pytest.mark.parametrize("px1", [0.5, 0.7, 0.2])
     @pytest.mark.parametrize("gamma1,log_m", [(6.5, 9.0), (10.0, 12.0),
                                               (20.3, 22.0)])
     def test_equals_full_grid_reference(self, px1, gamma1, log_m,
                                         monkeypatch):
+        # one memo serves every string of a case, as one runtime's does its
+        # races: later strings read the hit cells earlier ones stored
         seen = self._record(monkeypatch)
         metric = EmpiricalMi(CH, np.array([1.0 - px1, px1]), 300)
         rng = np.random.default_rng([int(px1 * 10), int(gamma1 * 10)])
-        crossed = 0
-        for i in range(self.STRINGS):
-            h = int(rng.integers(1, 301))
-            y = (rng.random(h) < rng.uniform(0.2, 0.8)).astype(np.int64)
+        memo = {}
+        memo_race = functools.partial(ensemble.ensemble_binary_mi_race,
+                                      memo=memo)
+        crossed = reread = 0
+        for i, y in enumerate(self._strings(rng, self.STRINGS)):
+            h = y.size
+            known = len(memo)
             results, laws = [], []
-            for race in (ensemble.ensemble_binary_mi_race,
-                         _full_grid_binary_mi_race):
+            for race in (memo_race, _full_grid_binary_mi_race):
                 draws = np.random.default_rng([i, h])
                 seen.clear()
                 results.append((race(draws, y, metric, log_m, gamma1,
@@ -1108,7 +1137,36 @@ class TestBinaryMiRace:
                 else:
                     assert a == b, (i, h)
             crossed += results[0][0].t1 is not None
+            reread += len(memo) - known < h
         assert crossed >= self.STRINGS // 4
+        assert reread >= self.STRINGS // 2
+
+    @pytest.mark.parametrize("gamma1", [6.5, 10.0, 20.3])
+    def test_memo_holds_the_hit_cells_of_the_full_grid(self, gamma1):
+        # every key the races fill: the flat indices of count_mi > gamma_1
+        # over the key's whole (u, v) grid, and the shared _NO_HIT where
+        # that grid has none
+        metric = EmpiricalMi(CH, UNIFORM2, 300)
+        rng = np.random.default_rng(int(gamma1 * 10))
+        memo = {}
+        for y in self._strings(rng, 12):
+            ensemble.ensemble_binary_mi_race(
+                np.random.default_rng(y.size), y, metric, gamma1 + 2.0,
+                gamma1, gamma1 + 3.0, memo=memo)
+        hits = 0
+        for (t, j), cells in memo.items():
+            uu = np.arange(j + 1)[:, None]
+            vv = np.arange(t - j + 1)[None, :]
+            grid = count_mi(metric.log_tbl,
+                            *ensemble._binary_type(uu, vv, j, t), t)
+            want = np.flatnonzero(grid > gamma1)
+            if want.size == 0:
+                assert cells is ensemble._NO_HIT, (t, j)
+            else:
+                assert cells.dtype == np.int32, (t, j)
+                assert np.array_equal(cells, want), (t, j)
+                hits += 1
+        assert 0 < hits < len(memo)
 
     def test_skipped_steps_have_no_hit_cell(self):
         # every j at every t <= 200 and at four longer prefixes; gamma_1 at

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from vlf.bounds import channel_stats
 from vlf.channel import bsc, control_pair, information_density_table
 from vlf.ensemble import count_log_table
-from vlf.errors import VlfError
+from vlf.errors import StateExplosion, VlfError
 from vlf.oracle import (
     JointType,
     LatticeWalkSpec,
@@ -123,6 +124,21 @@ class TestPassageTimes:
     def test_negative_drift_rejected(self):
         with pytest.raises(VlfError):
             exact_passage_time([-1.0, 0.5], [0.7, 0.3], 5.0)
+
+    @pytest.mark.parametrize("gamma", [1e300, 1.7e308])
+    def test_astronomical_horizon_is_refused_at_once(self, gamma):
+        # the horizon 200 gamma / mean + 1000 is about 1e303 steps, or
+        # overflows a float; with no lower threshold the live set grows by
+        # a value a step, so the DP would never end
+        start = time.perf_counter()
+        with pytest.raises(StateExplosion, match="max_steps"):
+            exact_passage_time([1, -1], [0.6, 0.4], gamma)
+        assert time.perf_counter() - start < 0.1
+
+    def test_work_cap_keeps_a_long_exact_passage_time(self):
+        # the value before the cap: about 4e7 value-steps at the most
+        assert exact_passage_time([1, -1], [0.6, 0.4], 50.0) == (
+            254.99999999995202, 9.837931758996708e-13)
 
 
 _paired = st.integers(2, 30).flatmap(
