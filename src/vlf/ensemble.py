@@ -315,6 +315,7 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo=None):
                 grid -= table[k] + table[j]
                 grid += table[t]
                 hits = np.flatnonzero(grid > gamma1)
+                del grid  # the kept copy may reuse its heap space
                 if hits.size:
                     cells = hits.astype(np.int32)
             memo[t, j] = cells
