@@ -37,7 +37,6 @@ from .bounds import (
     single_phase_bound,
     tail_exponents,
     universal_schedule,
-    universal_schedule_gaussian,
 )
 from .channel import (
     Dmc,

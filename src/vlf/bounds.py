@@ -50,6 +50,7 @@ from .errors import (
 LN2 = math.log(2.0)
 _EXP_CAP = 700.0
 _K_MAX = 2.0 ** 40  # K = C N/(1 - eps) of the solvers stays below it
+_DELTA = 0.1  # the universal schedule's slack delta > 0, fixed
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def _asymptotic_schedule(n1, s, eps):
             raise EpsTooSmall(
                 f"target eps {eps} below the schedule floor {floor:.3e} at N1 = {n1}"
             )
-        eps0 = (eps - floor) / (1.0 - floor)
+        eps0 = _eps0_cap(eps, floor)
     return VlfParams(log_m, gamma1, gamma2, log_n1, log_n1, eps0)
 
 
@@ -290,18 +291,19 @@ def tail_exponents(num_x, num_y):
     return k, d
 
 
-def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1):
+def universal_schedule(log_m, num_x, num_y, eps, d=None):
     """Channel-independent parameter recipe for the universal decoder.
 
     gamma_1 = log M + d log n1 + (1 + delta) log log n1,
     gamma_2 = log M + (d + 1) log n1 + delta log log n1,
     a_accept = a_reject = log n1, eps0 = (eps - 1/n1)/(1 - 1/n1),
-    with n1 = floor(log M / min(|X|, |Y|)) and d the polynomial tail exponent
-    (override d=0.5 for the binary-symmetric specialization).
+    with n1 = floor(log M / min(|X|, |Y|)), delta = _DELTA, and d the
+    polynomial tail exponent unless a metric passes its own (d = 1/2 for
+    the flip-entropy and Gaussian metrics; a Gaussian channel counts as
+    |X| = |Y| = 1, so its n1 = floor(log M)).
     """
     _check_real(eps, "eps", 0, 1)
     _check_real(log_m, "log_m", 0, math.inf, lo_in=True)
-    _check_real(delta, "delta", 0, math.inf, lo_in=True)
     n1 = int(log_m / min(_check_count(num_x, "num_x"),
                          _check_count(num_y, "num_y")))
     if n1 < 3:
@@ -313,16 +315,10 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None, delta=0.1):
         raise EpsTooSmall(f"target eps {eps} below 1/n1 = {1.0 / n1:.3e}")
     log_n1 = math.log(n1)
     loglog = math.log(log_n1)
-    gamma1 = log_m + d * log_n1 + (1.0 + delta) * loglog
-    gamma2 = log_m + (d + 1.0) * log_n1 + delta * loglog
-    eps0 = (eps - 1.0 / n1) / (1.0 - 1.0 / n1)
-    return VlfParams(log_m, gamma1, gamma2, log_n1, log_n1, eps0)
-
-
-def universal_schedule_gaussian(log_m, eps, delta=0.1):
-    """Gaussian universal recipe: n1 = floor(log M), d = 1/2, the finite
-    recipe's n1 = floor(log M / min(|X|, |Y|)) at min(|X|, |Y|) = 1."""
-    return universal_schedule(log_m, 1, 1, eps, d=0.5, delta=delta)
+    gamma1 = log_m + d * log_n1 + (1.0 + _DELTA) * loglog
+    gamma2 = log_m + (d + 1.0) * log_n1 + _DELTA * loglog
+    return VlfParams(log_m, gamma1, gamma2, log_n1, log_n1,
+                     _eps0_cap(eps, 1.0 / n1))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .bounds import (
     single_phase_bound,
     tail_exponents,
     universal_schedule,
-    universal_schedule_gaussian,
 )
 from .channel import (
     Dmc,
@@ -137,8 +136,6 @@ _OPTIONS = {
     "N1": ("--N1", float, "derive the known-channel schedule from this horizon"),
     "eps": ("--eps", float, "target error probability"),
     "N": ("--N", _parse_grid, "blocklength grid start:stop:step, or one N"),
-    "d": ("--d", float, "universal schedule union-bound exponent"),
-    "delta": ("--delta", float, "universal schedule slack"),
     "training": ("--training", int, "training sequence length"),
     "trials": ("--trials", int, "number of Monte Carlo trials"),
     "seed": ("--seed", int, "RNG seed (required)"),
@@ -154,9 +151,8 @@ _THRESHOLDS = ("M", "gamma1", "gamma2", "a_accept", "a_reject", "eps0")
 _VERB_OPTS = {
     "bound": ("channel", "out", "px", *_THRESHOLDS, "N1", "eps"),
     "simulate": (
-        "channel", "out", "px", "variant", *_THRESHOLDS, "N1", "eps", "d",
-        "delta", "training", "trials", "seed", "workers", "trace", "n_max",
-        "c2",
+        "channel", "out", "px", "variant", *_THRESHOLDS, "N1", "eps",
+        "training", "trials", "seed", "workers", "trace", "n_max", "c2",
     ),
     "sweep": ("channel", "out", "px", "eps", "N", "schemes"),
     "oracle": ("channel", "out", "px", "n", "gamma"),
@@ -166,11 +162,13 @@ _VERB_OPTS = {
 @functools.cache
 def _build_parser():
     """The parser of every verb, built once per process: parse_args keeps
-    no state between calls, so each main call parses afresh."""
-    top = _Parser(prog="vlf", description=__doc__.split("\n\n")[0])
+    no state between calls, so each main call parses afresh.  A flag has
+    one spelling: no parser takes a prefix of it."""
+    top = _Parser(prog="vlf", description=__doc__.split("\n\n")[0],
+                  allow_abbrev=False)
     subs = top.add_subparsers(dest="verb")
     for verb, names in _VERB_OPTS.items():
-        sp = subs.add_parser(verb, add_help=True)
+        sp = subs.add_parser(verb, allow_abbrev=False)
         for dest in names:
             flag, _, helptext = _OPTIONS[dest]
             sp.add_argument(flag, dest=dest, type=str, default=None,
@@ -329,14 +327,10 @@ def _schedule(opt, channel, px, kind=None):
             raise VlfError("give --gamma1/--gamma2/--aA/--aR (with --M) "
                             "or --N1")
         return asymptotic_schedule(opt["N1"], channel, px, eps=opt["eps"])
-    log_m = _require(opt, "M", "--M")
-    eps = _require(opt, "eps", "--eps")
-    slack = _given(opt, delta="delta")
-    if kind.gaussian:  # its schedule fixes d = 1/2
-        return universal_schedule_gaussian(log_m, eps, **slack)
-    num_x, num_y = channel.matrix.shape
-    d = opt["d"] if opt["d"] is not None else kind.schedule_d
-    return universal_schedule(log_m, num_x, num_y, eps, d=d, **slack)
+    num_x, num_y = (1, 1) if kind.gaussian else channel.matrix.shape
+    return universal_schedule(_require(opt, "M", "--M"), num_x, num_y,
+                              _require(opt, "eps", "--eps"),
+                              d=kind.schedule_d)
 
 
 def _cmd_bound(opt):

@@ -66,8 +66,24 @@ from .errors import (
 _Z95 = 1.959963984540054
 _BLOCK = 256
 _HT_BLOCK = 64
-_HORIZON_MULT = 50.0  # default n_max in units of gamma2 / C
+_HORIZON_MULT = 50.0  # default horizon in units of gamma / C
 _HORIZON_CAP = 10**7  # largest n_max: each per-horizon table is then 80 MB
+
+
+def _horizon(gamma, drift, name, n_max=None):
+    """(horizon, what names it): the given n_max, or by default
+    50 * gamma / C for the threshold gamma called `name` and the metric
+    drift C; either is refused above _HORIZON_CAP."""
+    if n_max is None:
+        horizon = _HORIZON_MULT * gamma / drift
+        what = (f"the horizon 50*{name}/C = {horizon:.4g} at {name} = "
+                f"{gamma:.4g}")
+    else:
+        horizon = _check_count(n_max, "n_max")
+        what = f"n_max = {horizon}"
+    if horizon > _HORIZON_CAP:
+        raise VlfError(f"{what} is above the cap of {_HORIZON_CAP} symbols")
+    return horizon, what
 
 
 @dataclass(frozen=True)
@@ -137,16 +153,7 @@ class SchemeConfig:
         drift = _positive_drift(kind.walk_drift(self.channel, self.px),
                                 "metric drift")
         g2 = self.params.gamma2
-        if self.n_max is None:
-            horizon = _HORIZON_MULT * g2 / drift
-            what = (f"the horizon 50*gamma2/C = {horizon:.4g} at gamma2 = "
-                    f"{g2:.4g}")
-        else:
-            horizon = _check_count(self.n_max, "n_max")
-            what = f"n_max = {horizon}"
-        if horizon > _HORIZON_CAP:
-            raise VlfError(f"{what} is above the cap of {_HORIZON_CAP} "
-                           "symbols")
+        horizon, what = _horizon(g2, drift, "gamma2", self.n_max)
         if horizon < 10.0 * g2 / drift:  # never a derived one, 50 gamma2/C
             raise VlfError(f"{what} is below 10*gamma2/C = "
                            f"{10.0 * g2 / drift:.1f}")
@@ -321,9 +328,19 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget):
 # the metric registry
 
 
+def _cdf(mass):
+    """Cumulative sums of `mass` along its last axis, exactly 1.0 from each
+    row's last cell of positive mass on, so that a uniform draw u < 1 falls
+    in a cell of positive mass, however the sums round."""
+    cdf = np.minimum(np.cumsum(mass, axis=-1), 1.0)
+    held = mass > 0
+    last = held.shape[-1] - 1 - held[..., ::-1].argmax(axis=-1)
+    cdf[np.arange(held.shape[-1]) >= last[..., None]] = 1.0
+    return cdf
+
+
 def _categorical(rng, cdf, size):
-    u = rng.random(size)
-    return np.minimum(cdf.searchsorted(u, side="right"), len(cdf) - 1)
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 class Metric:
@@ -405,9 +422,9 @@ class _DmcMetric(Metric):
         super().__init__(channel, px, n_max, n_min)
         self.w = channel.matrix
         self.num_x, self.num_y = self.w.shape
-        self.joint_cdf = np.cumsum((px[:, None] * self.w).ravel())
-        self.px_cdf = np.cumsum(px)
-        self.row_cdfs = np.cumsum(self.w, axis=1)
+        self.joint_cdf = _cdf((px[:, None] * self.w).ravel())
+        self.px_cdf = _cdf(px)
+        self.row_cdfs = _cdf(self.w)
         if self.universal:
             self.log_tbl = count_log_table(n_max + 1)
         else:
@@ -432,6 +449,7 @@ class _GaussianMetric(Metric):
 
     channel_type = GaussianChannel
     gaussian = True
+    schedule_d = 0.5  # the Gaussian recipe's exponent
 
     @staticmethod
     def walk_drift(channel, px):
@@ -468,7 +486,7 @@ class AdditiveDmc(_DmcMetric):
         super().__init__(channel, px, n_max, n_min)
         self.dens = information_density_table(px, channel)
         joint = px[:, None] * self.w
-        self.post_cdfs = np.cumsum((joint / (px @ self.w)[None, :]).T, axis=1)
+        self.post_cdfs = _cdf((joint / (px @ self.w)[None, :]).T)
 
     def step(self, x, y):
         return self.dens[x, y]
@@ -911,12 +929,7 @@ def _passage_times(kind, dmc, px, gamma, trials, seed):
     _check_real(gamma, "gamma", 0, math.inf)
     trials = _check_count(trials, "trials")
     drift = _positive_drift(kind.walk_drift(dmc, p), "metric drift")
-    horizon = 50.0 * gamma / drift
-    if horizon > _HORIZON_CAP:
-        raise VlfError(f"the horizon 50*gamma/drift = {horizon:.4g} at gamma "
-                       f"= {gamma:.4g} is above the cap of {_HORIZON_CAP} "
-                       "symbols")
-    max_steps = int(math.ceil(horizon)) + 200
+    max_steps = math.ceil(_horizon(gamma, drift, "gamma")[0]) + 200
     metric = kind(dmc, p, max_steps)
     rng = np.random.Generator(np.random.Philox(_check_count(seed, "seed", 0)))
     stats = metric.start(trials)[1]

@@ -8,13 +8,14 @@ Two interchangeable strategies produce them:
 * literal - materialize every competitor's metric path against the realized
   output prefix (fine up to a few thousand messages);
 * ensemble - exploit that each competitor clears gamma_1 with probability
-  ~e^{-gamma_1}: the number of clearing competitors is Binomial(M-1, p),
-  replaced by Poisson with total-variation error at most (M-1)p^2
-  (astronomically small in the huge-M regime this path serves), and each
-  clearing path is drawn exactly, either by exponential tilting to the
-  per-symbol posterior (additive information-density metrics, accept with
-  probability e^{-overshoot}) or from exact absorption masses of a count
-  dynamic program (empirical-mutual-information metrics).  Against a
+  p ~ e^{-gamma_1}: the number of clearing competitors is Binomial(M-1, p),
+  and the race draws it as Poisson((M-1)p) instead.  Le Cam's bound on the
+  total-variation error, (M-1)p^2, is small only when p is: at M = 2^13
+  and gamma_1 = 3 it is about 20 and bounds nothing.  Given the count,
+  each clearing path is drawn exactly, either by exponential tilting to
+  the per-symbol posterior (additive information-density metrics, accept
+  with probability e^{-overshoot}) or from exact absorption masses of a
+  count dynamic program (empirical-mutual-information metrics).  Against a
   uniform codebook the flip-entropy metric's absorption law is the same
   for every trial: one DP serves a configuration, and the races advance it
   only as far as they read it.
@@ -241,7 +242,7 @@ def _cannot_absorb(L, t, j, gamma1):
     return L[t] - L[j] - L[t - j] < gamma1 - _ENTROPY_SLACK * L[t]
 
 
-def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo=None):
+def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo):
     """Exact competitor race for the empirical-MI metric on a binary-input,
     binary-output channel, conditional on the realized outputs.
 
@@ -269,13 +270,11 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo=None):
     race stores the flat grid indices of the hit cells in ``memo`` under
     (t, j), as int32, or the shared empty _NO_HIT, and every later race at
     that (t, j) reads them instead.  A memo thus belongs to one metric and
-    one gamma_1: a runtime passes one dict to all its races, and None gives
-    the call a fresh one.  Hit cells that hold no mass are dropped before
-    the law records them.  An empty prefix absorbs no mass, so its race
-    returns no crossing before any draw.
+    one gamma_1: a runtime passes one dict to all its races.  Hit cells
+    that hold no mass are dropped before the law records them.  An empty
+    prefix absorbs no mass, so its race returns no crossing before any
+    draw.
     """
-    if memo is None:
-        memo = {}
     h = y.size
     L, px1 = metric.log_tbl, metric.px[1]
     stay = 1.0 - px1

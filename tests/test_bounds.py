@@ -22,7 +22,6 @@ from vlf.bounds import (
     single_phase_bound,
     tail_exponents,
     universal_schedule,
-    universal_schedule_gaussian,
 )
 from vlf.channel import Dmc, GaussianChannel, bsc, control_pair
 from vlf.errors import (
@@ -400,6 +399,13 @@ class TestKnownChannelSchedule:
         with pytest.raises(EpsTooSmall):
             asymptotic_schedule(1000.0, CH, UNIFORM2, eps=1e-3)
 
+    @pytest.mark.parametrize("n1,eps", [(2000.0, 1e-3), (60.0, 0.2),
+                                        (3000.0, 0.05)])
+    def test_time_sharing_weight_is_exact(self, n1, eps):
+        floor = (1.0 / n1) * (1.0 + 1.0 / math.log(n1))
+        p = asymptotic_schedule(n1, CH, UNIFORM2, eps=eps)
+        assert p.eps0 == (eps - floor) / (1.0 - floor)
+
     def test_tiny_horizon_raises(self):
         with pytest.raises(HorizonTooSmall):
             asymptotic_schedule(2.0, CH, UNIFORM2)
@@ -444,6 +450,23 @@ class TestUniversalSchedule:
         assert p.a_accept == pytest.approx(log_n1, rel=1e-12)
         assert p.eps0 == pytest.approx(0.0, abs=1e-15)  # eps exactly 1/n1
 
+    @pytest.mark.parametrize("log_m,num_x,eps,d", [
+        (60 * LN2, 2, 0.05, 1.0), (60 * LN2, 2, 0.05, 0.5),
+        (100.0, 3, 0.2, None), (50.0, 1, 0.1, 0.5), (7.5, 2, 1 / 3, 1.0),
+    ])
+    def test_schedule_is_the_recipe_bit_for_bit(self, log_m, num_x, eps, d):
+        # delta = 0.1 and the time-sharing weight (eps - 1/n1)/(1 - 1/n1),
+        # each in the recipe's own float operations
+        p = universal_schedule(log_m, num_x, num_x, eps, d=d)
+        n1 = int(log_m / num_x)
+        d = tail_exponents(num_x, num_x)[1] if d is None else d
+        log_n1 = math.log(n1)
+        loglog = math.log(log_n1)
+        assert p == VlfParams(
+            log_m, log_m + d * log_n1 + (1.0 + 0.1) * loglog,
+            log_m + (d + 1.0) * log_n1 + 0.1 * loglog, log_n1, log_n1,
+            (eps - 1.0 / n1) / (1.0 - 1.0 / n1))
+
     def test_default_exponent_comes_from_alphabet(self):
         log_m = 60 * LN2
         assert universal_schedule(log_m, 2, 2, 0.05).gamma1 == pytest.approx(
@@ -460,11 +483,9 @@ class TestUniversalSchedule:
     @pytest.mark.parametrize("kw,name", [
         ({"eps": 0.0}, "eps"), ({"eps": 1.0}, "eps"), ({"eps": math.nan}, "eps"),
         ({"d": math.inf}, "d"), ({"d": 0.0}, "d"), ({"d": -1.0}, "d"),
-        ({"delta": math.nan}, "delta"), ({"delta": math.inf}, "delta"),
-        ({"delta": -0.1}, "delta"),
     ])
     def test_bad_inputs_name_their_argument(self, kw, name):
-        args = {"eps": 0.05, "d": 1.0, "delta": 0.1, **kw}
+        args = {"eps": 0.05, "d": 1.0, **kw}
         with pytest.raises(VlfError, match=f"^{name} must be"):
             universal_schedule(60 * LN2, 2, 2, **args)
 
@@ -474,9 +495,10 @@ class TestUniversalSchedule:
             asymptotic_schedule(2000, CH, UNIFORM2, eps=eps)
 
     def test_gaussian_variant_uses_message_length_block(self):
-        # n1 = floor(log M) = 50, the binary recipe's n1 at log M = 100
+        # |X| = |Y| = 1: n1 = floor(log M) = 50, the binary recipe's n1 at
+        # log M = 100
         log_m = 50.0
-        p = universal_schedule_gaussian(log_m, 0.1)
+        p = universal_schedule(log_m, 1, 1, 0.1, d=0.5)
         q = universal_schedule(2.0 * log_m, 2, 2, 0.1, d=0.5)
         assert p.a_accept == q.a_accept == math.log(50)
         assert p.gamma1 + log_m == pytest.approx(q.gamma1, rel=1e-15)

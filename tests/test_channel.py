@@ -309,8 +309,8 @@ _SCALAR_TABLE = [
                     "training_len": 64},
      ["params", "training_len", "n_max", "seed", "c2"]),
     (universal_schedule, {"log_m": 60 * math.log(2), "num_x": 2, "num_y": 2,
-                          "eps": 0.05, "d": 1.0, "delta": 0.1},
-     ["log_m", "num_x", "num_y", "eps", "d", "delta"]),
+                          "eps": 0.05, "d": 1.0},
+     ["log_m", "num_x", "num_y", "eps", "d"]),
     (asymptotic_schedule, {"n1": 2000.0, "channel": bsc(0.11),
                            "px": UNIFORM2, "eps": 1e-3}, ["n1", "eps"]),
     (tail_exponents, {"num_x": 2, "num_y": 3}, ["num_x", "num_y"]),
@@ -364,7 +364,6 @@ _ALSO_NAMED = {
     (VlfParams, "gamma1"): "gamma2",
     (universal_schedule, "log_m"): "n1|gamma2",
     (universal_schedule, "d"): "gamma2",
-    (universal_schedule, "delta"): "gamma2",
     (asymptotic_schedule, "n1"): "N1|gamma2",
     (optimize_params, "target_eps"): "eps",
     (optimize_params, "target_n"): "N|n_avg",

@@ -409,7 +409,7 @@ class TestSimulateVerb:
         out = tmp_path / "u.csv"
         assert main([
             "simulate", "--variant", "uvlf_bsc", "--channel", BSC,
-            "--M", "2^60", "--eps", "0.05", "--d", "1.0",
+            "--M", "2^60", "--eps", "0.05",
             "--training", "1000", "--trials", "100", "--seed", "2",
             "--out", str(out),
         ]) == 0
@@ -443,10 +443,25 @@ class TestSimulateVerb:
                                       ["--min-eval-len", "3"],
                                       ["--competitor-mode", "ensemble"],
                                       ["--honest-time-zero"],
-                                      ["--config", "exp.cfg"]])
-    def test_removed_knobs_rejected(self, flag):
-        args = [a if a != "400" else "20" for a in self._ARGS]
-        assert main(args + flag) == 1
+                                      ["--config", "exp.cfg"],
+                                      # the universal recipe takes d and
+                                      # delta from the variant
+                                      ["--d", "1"], ["--d", "inf"],
+                                      ["--delta", "0.2"],
+                                      # a flag has one spelling
+                                      ["--tri", "5"], ["--work", "2"],
+                                      ["--tri=5"]])
+    def test_removed_knobs_rejected(self, flag, tmp_path, capsys):
+        known = [a if a != "400" else "20" for a in self._ARGS]
+        universal = ["simulate", "--variant", "uvlf_awgn", "--channel",
+                     "awgn:1", "--M", "2^10", "--eps", "0.2", "--training",
+                     "64", "--trials", "20", "--seed", "1"]
+        for args in (known, universal):
+            out = tmp_path / "s.csv"
+            assert main(args + flag + ["--out", str(out)]) == 1
+            assert (f"unrecognized arguments: {' '.join(flag)}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_partial_threshold_set_rejected(self):
         assert main([
@@ -542,8 +557,7 @@ _UNREAD_CASES = {
     **{f"simulate-explicit-{flag[2:]}": (
         ["simulate", "--variant", "vlf_dmc", "--channel", BSC, *_EXPLICIT,
          *_SIM], [flag, value])
-       for flag, value in [("--N1", "2000"), ("--eps", "1e-3"), ("--d", "1"),
-                           ("--delta", "0.2")]},
+       for flag, value in [("--N1", "2000"), ("--eps", "1e-3")]},
     **{f"universal-{flag[2:]}": (
         ["simulate", "--variant", "uvlf_bsc", "--channel", BSC, "--M", "2^60",
          "--eps", "0.05", "--training", "64", *_SIM], [flag, value])
@@ -595,6 +609,23 @@ class TestErrorHandling:
                      "--N", "500", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,token", [
+        (["sweep", "--chan", BSC, "--eps", "1e-3", "--N", "500",
+          "--schemes", "converse"], "--chan bsc:0.11"),
+        (["sweep", "--channel", BSC, "--eps", "1e-3", "--N", "500",
+          "--sch=converse"], "--sch=converse"),
+        # --N is sweep's flag, a prefix of bound's --N1
+        (["bound", "--channel", BSC, "--N", "2000"], "--N 2000"),
+        (["oracle", "--channel", BSC, "--n", "4", "--gam", "1"], "--gam 1"),
+    ])
+    def test_abbreviated_flag_exits_one_and_names_it(self, argv, token,
+                                                     tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert (f"error: unrecognized arguments: {token}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_too_many_expected_crossers_exit_one(self, capsys):
         # thresholds far too low for M = 2^60: (M - 1) e^{-gamma_1} = e^31.59
         assert main(["simulate", "--variant", "vlf_dmc", "--channel", BSC,
@@ -644,7 +675,6 @@ class TestErrorHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,says", [
-        ("--d", "inf", "d must be"), ("--delta", "nan", "delta must be"),
         ("--eps", "inf", "eps must be"), ("--eps", "1.5", "eps must be"),
         ("--M", "0", "bad value for --M: '0' (log_m must be a finite number "
          "in [0, inf), got -inf)"),
@@ -678,19 +708,6 @@ class TestErrorHandling:
                 "--out", str(out)]
         assert main(argv) == 1
         assert f"error: {says}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("d", ["7", "inf"])
-    def test_d_rejected_for_gaussian_universal_schedule(self, d, tmp_path,
-                                                        capsys):
-        # universal_schedule_gaussian fixes d = 1/2
-        out = tmp_path / "u.csv"
-        assert main([
-            "simulate", "--variant", "uvlf_awgn", "--channel", "awgn:1",
-            "--M", "2^10", "--eps", "0.2", "--training", "64",
-            "--trials", "20", "--seed", "1", "--d", d, "--out", str(out),
-        ]) == 1
-        assert "--d" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_gaussian_power_is_a_bad_channel(self, tmp_path, capsys):
@@ -793,7 +810,7 @@ _POOL = {
     "a_accept": ["3", "4.83"], "a_reject": ["3", "5.82"],
     "eps0": ["0.01", "1"], "N1": ["60", "2000"], "eps": ["1e-3", "0.2"],
     "N": ["500", "200:400:200", "1e19", "200:100000:1e-9"],
-    "d": ["0.5", "1"], "delta": ["0.1"], "training": ["64", "100"],
+    "training": ["64", "100"],
     "trials": ["1", "3"], "seed": ["1", "1.5"],
     "workers": ["-1", "0", "1", "2"], "n_max": ["400", "1000000000"],
     "c2": ["3", "1e307"], "schemes": ["thm1", "vlsf,converse", "magic"],
@@ -828,8 +845,21 @@ _NAMED = re.compile(r"--[\w-]+|\b(%s)\b" % "|".join(list(cli._OPTIONS) + [
     "flip probability", "training_len", "thresholds", "header", "scheme"]))
 
 
+# removed flags, which no verb takes
+_GONE = ["--d", "--delta"]
+
+
+def _abbreviations(verb):
+    """The proper prefixes of the verb's flags that are not flags of it."""
+    flags = {cli._OPTIONS[dest][0] for dest in cli._VERB_OPTS[verb]}
+    return sorted({flag[:i] for flag in flags
+                   for i in range(3, len(flag))} - flags)
+
+
 @st.composite
 def _argv(draw):
+    """(verb, options, rogue): rogue is None or an argv tail of a flag the
+    verb must refuse, its value apart or joined by '='."""
     verb = draw(st.sampled_from(sorted(_BASES)))
     opts = dict(draw(st.sampled_from(_BASES[verb])))
     for dest in draw(st.lists(st.sampled_from(cli._VERB_OPTS[verb]),
@@ -842,7 +872,13 @@ def _argv(draw):
             opts.pop(dest, None)
         else:
             opts[dest] = value
-    return verb, opts
+    rogue = None
+    if draw(st.integers(0, 4)) == 4:
+        kind = draw(st.sampled_from([_abbreviations(verb), _GONE]))
+        flag = draw(st.sampled_from(kind))
+        value = draw(st.sampled_from(["1", "0.2", "inf", "-1", BSC]))
+        rogue = draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return verb, opts, rogue
 
 
 @pytest.fixture(scope="class")
@@ -856,16 +892,18 @@ def dmc_dir(tmp_path_factory):
 class TestGrammarFuzz:
     """Every argv ends in exit 0, 1 or 2 with no escaped exception; a
     refusal writes no file and names a flag or a quantity; an exit-0 CSV
-    holds only finite numbers, text and documented empty cells."""
+    holds only finite numbers, text and documented empty cells.  An argv
+    with an abbreviated or removed flag exits 1 and names it."""
 
     @given(_argv())
-    @settings(max_examples=250, deadline=None, derandomize=True,
+    @settings(max_examples=320, deadline=None, derandomize=True,
               database=None)
     def test_failure_contract(self, dmc_dir, case):
-        verb, opts = case
+        verb, opts, rogue = case
         argv = [verb]
         for dest, value in opts.items():
             argv += [cli._OPTIONS[dest][0], value.replace("{dmc}", dmc_dir)]
+        argv += rogue or []
         with tempfile.TemporaryDirectory() as tmp:
             out, trace = Path(tmp, "o.csv"), Path(tmp, "t.jsonl")
             argv += ["--out", str(out)]
@@ -876,6 +914,10 @@ class TestGrammarFuzz:
                     contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+            if rogue:
+                assert code == 1, argv
+                assert " ".join(rogue) in err.getvalue(), (argv,
+                                                           err.getvalue())
             if code:
                 assert not out.exists() and not trace.exists(), argv
                 assert _NAMED.search(err.getvalue()), (argv, err.getvalue())

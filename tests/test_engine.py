@@ -758,7 +758,7 @@ class TestFirstStepCrossing:
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         result = ensemble.ensemble_binary_mi_race(
-            rng, np.zeros(0, np.int64), metric, 60.0 * LN2, 0.1, 0.5)
+            rng, np.zeros(0, np.int64), metric, 60.0 * LN2, 0.1, 0.5, {})
         assert result == ensemble.RaceResult(None, None)
         assert rng.bit_generator.state == state
 
@@ -958,6 +958,60 @@ KERNEL_REFERENCES = {
         universal_gaussian_metric(x[:n], y[:n]) if n >= m.n_min else math.nan
         for n in range(1, x.size + 1)]),
 }
+
+
+class _TopUniform:
+    """A generator stand-in whose every uniform is the largest float
+    below 1."""
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def _random_dmc(rng, shape):
+    w = rng.random(shape)
+    return Dmc(w / w.sum(axis=1, keepdims=True))
+
+
+class TestCdfTables:
+    def test_tilted_draw_at_the_top_uniform_stays_in_the_alphabet(self):
+        rng = np.random.default_rng(0)
+        dmc = _random_dmc(rng, (2, 3))
+        px = rng.random(2)
+        m = AdditiveDmc(dmc, px / px.sum(), 100)
+        joint = m.px[:, None] * m.w
+        raw = np.cumsum((joint / (m.px @ m.w)).T, axis=1)
+        assert (raw[:, -1] < 1.0).any()  # a posterior row sums below 1
+        y = np.arange(3)
+        # input index 2 = num_x, then an IndexError in dens[x, y], before
+        x = m.draw_tilted(_TopUniform(), y)
+        assert x.tolist() == [1, 1, 1]
+        assert np.isfinite(m.step(x, y)).all()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_table_is_one_from_its_last_held_cell(self, seed):
+        # a zero input weight leaves cells of zero mass at the tables' ends
+        rng = np.random.default_rng(seed)
+        dmc = _random_dmc(rng, (3, 4))
+        px = np.append(rng.dirichlet(np.ones(2)), 0.0)
+        m = AdditiveDmc(dmc, px, 100)
+        joint = px[:, None] * dmc.matrix
+        tables = [(m.joint_cdf, joint.ravel()), (m.px_cdf, px),
+                  (m.row_cdfs, dmc.matrix),
+                  (m.post_cdfs, (joint / (px @ dmc.matrix)).T)]
+        for cdf, mass in tables:
+            for row, p in zip(np.atleast_2d(cdf), np.atleast_2d(mass)):
+                last = np.flatnonzero(p > 0)[-1]
+                assert (row[last:] == 1.0).all()
+                np.testing.assert_array_equal(
+                    row[:last], np.minimum(np.cumsum(p), 1.0)[:last])
+                top = row.searchsorted(np.nextafter(1.0, 0.0), side="right")
+                assert top == last
+        y = np.arange(4)
+        assert (m.draw_tilted(_TopUniform(), y) == 1).all()
+        x, y = m.draw_true(_TopUniform(), (1, 3))
+        assert (x == 1).all() and (y == 3).all()
+        assert (m.draw_inputs(_TopUniform(), 2, y) == 1).all()
 
 
 class TestCountLogTable:
