@@ -51,6 +51,8 @@ LN2 = math.log(2.0)
 _EXP_CAP = 700.0
 _K_MAX = 2.0 ** 40  # K = C N/(1 - eps) of the solvers stays below it
 _DELTA = 0.1  # the universal schedule's slack delta > 0, fixed
+_MAX_STEPS = 100  # step cap of each of optimize_params' three iterations
+_EPS_RTOL = 1e-14  # the multiplier stops at |eps'/eps - 1| <= _EPS_RTOL
 
 
 @dataclass(frozen=True)
@@ -330,6 +332,20 @@ def universal_schedule(log_m, num_x, num_y, eps, d=None):
 # its cap, 1 - eps0 = (1 - eps)/(1 - eps'), n_avg <= N reads
 #     log(M-1) <= G = K (1 - eps') - C (N' - log(M-1)/C),   K = C N/(1 - eps),
 # so the largest log M is softplus(max G), with no search over M.
+#
+# max G is the stationary point of G - lam eps' (_stationary_point) at the
+# smallest multiplier lam >= 0 with eps' <= eps.  Three iterations find it,
+# each capped at _MAX_STEPS steps, past which it raises a VlfError:
+#   * the gamma_2 gap: Newton on log psi(x) = log K_lam from x = log K_lam,
+#     right of the root, where log psi is convex and rising, so the iterates
+#     fall monotonically onto the root;
+#   * u: Newton from lo = log(Q/(1 - c_A)), left of the root, on a concave,
+#     falling function, so the first step overshoots the root and the rest
+#     fall monotonically onto it;
+#   * lam, when eps' > eps at lam = 0: K_lam <- K_lam eps'(K_lam)/eps from
+#     K_lam = K.  eps' K_lam falls only logarithmically in K_lam, so the map
+#     contracts, and its iterates alternate about the fixed point inside a
+#     bracket that shrinks monotonically (_binding_point).
 
 
 def _scaled_length(s, target_eps, target_n):
@@ -389,6 +405,23 @@ def _back_off(report_at, log_m, target_eps, target_n):
     return good
 
 
+def _newton(f, x, name):
+    """Root of f by Newton's method from x, for an f (returning its value and
+    slope) whose iterates from x fall monotonically onto the root after at
+    most one step: the first step is taken whatever its direction, and the
+    iteration stops at the first step that does not go down, which in floats
+    comes within an ulp or two of the root."""
+    value, slope = f(x)
+    x -= value / slope
+    for _ in range(_MAX_STEPS):
+        value, slope = f(x)
+        nxt = x - value / slope
+        if not nxt < x:
+            return x
+        x = nxt
+    raise VlfError(f"the {name} did not settle within {_MAX_STEPS} steps")
+
+
 def _stationary_point(lam, k, s):
     """(u, dg, a_accept, a_reject) maximizing G - lam eps'.  With
     K_lam = K + lam, c_A = C/D_accept and c_R = C/D_reject:
@@ -396,12 +429,16 @@ def _stationary_point(lam, k, s):
       * dg minimizes phi(x) = K_lam e^{-x} + x + c_R log(x + b) over x >= 0,
         free of u.  phi' = e^{-x} (psi(x) - K_lam) with
         psi(x) = e^x (1 + c_R/(x + b)) falling then rising, so the interior
-        candidate is the root on psi's rising branch, and 0 the other one;
+        candidate is the root on psi's rising branch, and 0 the other one.
+        log psi is convex, so right of its valley Newton on
+        log psi(x) = log K_lam from x = log K_lam, where log psi exceeds
+        log K_lam, falls monotonically onto the root;
       * u is the root of e^{-u} (Q + c_R u) = 1 - c_A, Q = K_lam e^{-dg} + dg
         + b + c_R (log((dg + b)/c_R) + b_reject), where that side falls.
+        log(Q + c_R u) - u - log(1 - c_A) is concave and falling, so Newton
+        from lo = log(Q/(1 - c_A)), left of the root, overshoots it once and
+        then falls monotonically onto it.
     """
-    from scipy.optimize import brentq
-
     kl = k + lam
     c_acc, c_rej = s.drift / s.div_accept, s.drift / s.div_reject
 
@@ -411,25 +448,75 @@ def _stationary_point(lam, k, s):
     def log_psi(x):
         return x + math.log1p(c_rej / (x + s.b))
 
+    def gap_eq(x):
+        return (log_psi(x) - log_kl,
+                1.0 + 1.0 / (x + s.b + c_rej) - 1.0 / (x + s.b))
+
     log_kl = math.log(kl)
     valley = max(0.0, 0.5 * (math.sqrt(c_rej * (c_rej + 4.0)) - c_rej) - s.b)
     dg = 0.0
     if log_psi(valley) < log_kl:
-        x = brentq(lambda x: log_psi(x) - log_kl, valley, log_kl)
+        x = _newton(gap_eq, log_kl, "gamma_2 gap")
         dg = x if phi(x) < phi(0.0) else 0.0
     w = dg + s.b
     log_w = math.log(w / c_rej)
     q = kl * math.exp(-dg) + w + c_rej * (log_w + s.b_reject)
     if not q > max(c_rej, 1.0 - c_acc):
         raise Infeasible(f"K + lambda = {kl:.3f} leaves no phase-1 threshold")
-    # log(Q + c_R u) - u falls for Q > c_R; it is > 0 at lo > 0, < 0 at hi
+    # log(Q + c_R u) - u falls for Q > c_R; it is > 0 at lo > 0
     lo = math.log(q) - math.log1p(-c_acc)
-    u = brentq(lambda x: math.log(q + c_rej * x) - x - math.log1p(-c_acc),
-               lo, lo / (1.0 - c_rej / q) + 1.0)
+
+    def u_eq(x):
+        r = q + c_rej * x
+        return math.log(r) - x - math.log1p(-c_acc), c_rej / r - 1.0
+
+    u = _newton(u_eq, lo, "phase-1 threshold")
     a_acc = log_kl - math.log(c_acc) - u
     if not a_acc > 0.0:
         raise Infeasible(f"K + lambda = {kl:.3f} leaves no a_accept > 0")
     return u, dg, a_acc, u + log_w
+
+
+def _binding_point(k, s, target_eps, eps_prime):
+    """The stationary point, its eps' and N' - log(M-1)/C at the multiplier
+    lam > 0 where eps' = target_eps, for eps' > target_eps at lam = 0.
+
+    With a_accept = log(K_lam/c_A) - u, eps' K_lam = c_A + K_lam e^{-u - dg}
+    falls only logarithmically in K_lam = K + lam, so the map
+    K_lam <- K_lam eps'/target_eps has slope d log(eps' K_lam)/d log K_lam,
+    small and negative (-0.04 at K = 300 on BSC 0.11), and its fixed point
+    has eps' = target_eps.  From K_lam = K the iterates land on either side
+    of that point in turn, inside a bracket [lo, hi] of lam, with eps' above
+    target_eps at lo and below it at hi, that shrinks at each step.  Where
+    dg jumps from 0 to its interior root, eps' jumps past target_eps and the
+    iterates cycle; after each step that does not halve
+    |log(eps'/target_eps)| the bracket is bisected instead, down to the
+    jump, where the point on its side below target_eps is returned.  The
+    iteration stops at |eps'/target_eps - 1| <= _EPS_RTOL, above the rounding
+    noise of eps', about 1e-15.
+    """
+    lo, hi, lam, halved = 0.0, math.inf, 0.0, True
+    for _ in range(_MAX_STEPS):
+        nxt = (k + lam) * (eps_prime / target_eps) - k
+        if nxt == math.inf:
+            raise VlfError(f"eps = {target_eps:g} puts K + lambda, about "
+                           "C/(D_accept eps), past the float range")
+        if hi < math.inf and not (halved and lo < nxt < hi):
+            nxt = 0.5 * (lo + hi)
+            if nxt in (lo, hi):
+                return below
+        point = _stationary_point(nxt, k, s)
+        terms = _theorem1_terms(LN2, *point, s)
+        if abs(terms[0] / target_eps - 1.0) <= _EPS_RTOL:
+            return point, *terms
+        halved = (abs(math.log(terms[0] / target_eps))
+                  <= 0.5 * abs(math.log(eps_prime / target_eps)))
+        if terms[0] > target_eps:
+            lo = nxt
+        else:
+            hi, below = nxt, (point, *terms)
+        lam, eps_prime = nxt, terms[0]
+    raise VlfError(f"the multiplier did not settle within {_MAX_STEPS} steps")
 
 
 def optimize_params(s, target_eps, target_n):
@@ -437,26 +524,15 @@ def optimize_params(s, target_eps, target_n):
     for the walk constants s = channel_stats(channel, px).
 
     G is maximized at the stationary point of G - lam eps' with multiplier
-    lam = 0, or, when that point has eps' > target_eps, at the lam > 0 found
-    by a root search on eps' = target_eps.  Returns (params, report).
+    lam = 0, or, when that point has eps' > target_eps, at the lam > 0 with
+    eps' = target_eps, the fixed point of K_lam <- K_lam eps'(K_lam)/eps
+    (_binding_point).  Returns (params, report).
     """
-    from scipy.optimize import brentq
-
     k = _scaled_length(s, target_eps, target_n)
-
-    def eps_prime_at(lam):
-        return _theorem1_terms(LN2, *_stationary_point(lam, k, s), s)[0]
-
     point = _stationary_point(0.0, k, s)
     eps_prime, n_rest = _theorem1_terms(LN2, *point, s)
     if eps_prime > target_eps:
-        # eps' < (c_A + 1 + c_R/b)/K_lam, so eps' < target_eps at lam_hi
-        lam_hi = (s.drift / s.div_accept + 1.0
-                  + s.drift / (s.div_reject * s.b)) / target_eps - k
-        lam = brentq(lambda l: math.log(eps_prime_at(l) / target_eps),
-                     0.0, lam_hi)
-        point = _stationary_point(lam, k, s)
-        eps_prime, n_rest = _theorem1_terms(LN2, *point, s)
+        point, eps_prime, n_rest = _binding_point(k, s, target_eps, eps_prime)
     u, dg, a_acc, a_rej = point
     g_max = k * (1.0 - eps_prime) - s.drift * n_rest
     g1 = g_max + u

@@ -344,6 +344,200 @@ class TestOptimumInU:
         assert bounds._stationary_point(0.0, 3.0, s)[1] > 0.0
 
 
+def _bisect(f, lo, hi):
+    """Root of f on [lo, hi], where f changes sign, by bisection down to
+    adjacent floats."""
+    above = f(lo) > 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (f(mid) > 0.0) == above:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _infeasible_at(k, s):
+    try:
+        bounds._stationary_point(0.0, k, s)
+    except Infeasible:
+        return True
+    return False
+
+
+def _k_grid(s):
+    """25 values of K = K_lam on a log grid from the smallest K that leaves
+    a stationary point to just under 2^40."""
+    lo, hi = 1e-6, 1e3
+    assert _infeasible_at(lo, s) and not _infeasible_at(hi, s)
+    while hi / lo > 1.0 + 1e-12:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if _infeasible_at(mid, s) else (lo, mid)
+    return np.geomspace(hi, 2.0 ** 40 * (1.0 - 1e-9), 25)
+
+
+SOLVER_CHANNELS = {"bsc0.11": (CH, UNIFORM2), "bsc0.3": (bsc(0.3), UNIFORM2),
+                   "bsc0.45": (bsc(0.45), UNIFORM2),
+                   "awgn1": (GaussianChannel(1.0), None)}
+
+
+def _ulps(residual, scale):
+    return abs(residual) / math.ulp(max(abs(scale), 1.0))
+
+
+class TestSolverRoots:
+    """_stationary_point's two Newton roots against bisection, and the
+    multiplier's fixed point against its target, on a log grid of K."""
+
+    @pytest.mark.parametrize("name", SOLVER_CHANNELS)
+    def test_gamma2_gap_root(self, name):
+        s = channel_stats(*SOLVER_CHANNELS[name])
+        c_rej = s.drift / s.div_reject
+        valley = max(0.0, 0.5 * (math.sqrt(c_rej * (c_rej + 4.0)) - c_rej)
+                     - s.b)
+
+        def log_psi(x):
+            return x + math.log1p(c_rej / (x + s.b))
+
+        interior = 0
+        for k in _k_grid(s):
+            dg = bounds._stationary_point(0.0, k, s)[1]
+            log_k = math.log(k)
+            if log_psi(valley) >= log_k:
+                assert dg == 0.0
+                continue
+            root = _bisect(lambda x: log_psi(x) - log_k, valley, log_k)
+            if dg == 0.0:
+                # the interior root does not beat the boundary dg = 0
+                phi = (lambda x: k * math.exp(-x) + x
+                       + c_rej * math.log(x + s.b))
+                assert phi(root) >= phi(0.0)
+                continue
+            interior += 1
+            assert _ulps(log_psi(dg) - log_k, log_k) <= 4
+            assert dg == pytest.approx(root, rel=1e-12)
+        assert interior >= 20
+
+    @pytest.mark.parametrize("name", SOLVER_CHANNELS)
+    def test_phase1_threshold_root(self, name):
+        s = channel_stats(*SOLVER_CHANNELS[name])
+        c_acc, c_rej = s.drift / s.div_accept, s.drift / s.div_reject
+        for k in _k_grid(s):
+            u, dg, _, _ = bounds._stationary_point(0.0, k, s)
+            w = dg + s.b
+            q = k * math.exp(-dg) + w + c_rej * (math.log(w / c_rej)
+                                                 + s.b_reject)
+
+            def f(x):
+                return math.log(q + c_rej * x) - x - math.log1p(-c_acc)
+
+            lo = math.log(q) - math.log1p(-c_acc)
+            hi = 2.0 * lo + 1.0
+            while f(hi) > 0.0:
+                hi *= 2.0
+            assert _ulps(f(u), u) <= 4
+            assert u == pytest.approx(_bisect(f, lo, hi), rel=1e-12)
+
+    @pytest.mark.parametrize("name", SOLVER_CHANNELS)
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05])
+    def test_multiplier_meets_the_target(self, name, eps):
+        s = channel_stats(*SOLVER_CHANNELS[name])
+        bound = 0
+        for k in _k_grid(s):
+            eps_prime = bounds._theorem1_terms(
+                LN2, *bounds._stationary_point(0.0, k, s), s)[0]
+            if eps_prime <= eps:
+                continue
+            bound += 1
+            point, got, _ = bounds._binding_point(k, s, eps, eps_prime)
+            assert abs(got / eps - 1.0) <= 1e-13
+            # K_lam = c_A e^{a_accept + u} >= K, so lam >= 0
+            u, _, a_acc, _ = point
+            assert s.drift / s.div_accept * math.exp(a_acc + u) >= k * (
+                1.0 - 1e-12)
+        assert bound >= 2
+
+    @pytest.mark.parametrize("eps,n", [(0.3, 251.18864315095797),
+                                       (0.27, 150.0)])
+    def test_jump_in_eps_prime_ends_below_the_target(self, eps, n):
+        # BSC 0.45: as K_lam grows past about 2.43, dg jumps from 0 to its
+        # interior root and eps' from above the target to 0.263, so no lam
+        # has eps' = eps; the search ends on the jump's feasible side
+        s = channel_stats(bsc(0.45), UNIFORM2)
+        k = bounds._scaled_length(s, eps, n)
+        eps_prime = bounds._theorem1_terms(
+            LN2, *bounds._stationary_point(0.0, k, s), s)[0]
+        assert eps_prime > eps
+        (u, dg, a_acc, _), got, _ = bounds._binding_point(k, s, eps, eps_prime)
+        assert got < eps and dg > 0.0
+        k_lam = s.drift / s.div_accept * math.exp(a_acc + u)
+        before = bounds._stationary_point(k_lam * (1.0 - 1e-12) - k, k, s)
+        assert before[1] == 0.0
+        assert bounds._theorem1_terms(LN2, *before, s)[0] > eps
+        with pytest.raises(Infeasible):
+            optimize_params(s, eps, n)
+
+    def test_slow_contraction_falls_back_to_bisection(self, monkeypatch):
+        # near that jump the fixed-point map barely contracts; bisecting
+        # after each step that does not halve |log(eps'/eps)| keeps the
+        # search to 38 stationary points, against 97 without it
+        s = channel_stats(bsc(0.45), UNIFORM2)
+        k = bounds._scaled_length(s, 0.25, 300.0)
+        eps_prime = bounds._theorem1_terms(
+            LN2, *bounds._stationary_point(0.0, k, s), s)[0]
+        calls = []
+        point_at = bounds._stationary_point
+        monkeypatch.setattr(bounds, "_stationary_point",
+                            lambda *a: calls.append(a) or point_at(*a))
+        got = bounds._binding_point(k, s, 0.25, eps_prime)[1]
+        assert abs(got / 0.25 - 1.0) <= 1e-13
+        assert len(calls) <= 50
+
+    @pytest.mark.parametrize("ch,k,name", [
+        (CH, 300.0, "gamma_2 gap"),
+        # psi dips to about 2.2 on BSC 0.45, so at K = 2 only u is solved
+        (bsc(0.45), 2.0, "phase-1 threshold"),
+    ], ids=["gap", "u"])
+    def test_exhausted_newton_cap_raises(self, ch, k, name, monkeypatch):
+        s = channel_stats(ch, UNIFORM2)
+        monkeypatch.setattr(bounds, "_MAX_STEPS", 1)
+        with pytest.raises(VlfError, match=f"^the {name} did not settle"):
+            bounds._stationary_point(0.0, k, s)
+
+    def test_exhausted_multiplier_cap_raises(self, monkeypatch):
+        def uncapped_newton(f, x, name):
+            for _ in range(60):
+                value, slope = f(x)
+                x -= value / slope
+            return x
+
+        # 60 plain Newton steps per root: only the multiplier meets the cap
+        monkeypatch.setattr(bounds, "_newton", uncapped_newton)
+        s = channel_stats(CH, UNIFORM2)
+        assert optimize_params(s, 1e-3, 500.0)[1].log_m == pytest.approx(
+            168.119757, abs=1e-6)
+        monkeypatch.setattr(bounds, "_MAX_STEPS", 1)
+        with pytest.raises(VlfError, match="^the multiplier did not settle"):
+            optimize_params(s, 1e-3, 500.0)
+
+    def test_multiplier_past_the_float_range_is_bad_input(self):
+        # K + lambda is near C/(D_accept eps), past 1.8e308 for a subnormal eps
+        s = channel_stats(CH, UNIFORM2)
+        with pytest.raises(VlfError, match="past the float range") as caught:
+            optimize_params(s, 5e-324, 1000.0)
+        assert not isinstance(caught.value, Infeasible)
+
+    def test_exhausted_cap_is_a_cli_error(self, monkeypatch, capsys,
+                                          tmp_path):
+        from vlf.cli import main
+
+        monkeypatch.setattr(bounds, "_MAX_STEPS", 1)
+        assert main(["sweep", "--channel", "bsc:0.11", "--eps", "1e-3",
+                     "--N", "500", "--schemes", "thm1",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ") and "Traceback" not in err
+
+
 def _schedule_by_composition(log_m, channel, px, eps):
     """Reference inversion: N1 from the fixed point of
     N1 = (log M + log log N1 + b)/C, then the forward recipe at that N1."""

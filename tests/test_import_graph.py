@@ -1,6 +1,6 @@
-"""Which paths load SciPy: only the Gaussian walk constants, the optimizer's
-root searches and the exact oracles import it, so a run that calls none of
-them must not pay for its import."""
+"""Which paths load SciPy: only the Gaussian walk constants and the exact
+oracles import it, so a run that calls neither, a sweep on a DMC among them,
+must not pay for its import."""
 
 import json
 import os
@@ -45,7 +45,7 @@ seen["simulate"] = scipy_modules() if code == 0 else ["exit %d" % code]
 code = cli.main(["sweep", "--channel", "bsc:0.11", "--eps", "1e-3",
                  "--N", "200:400:200", "--schemes", "thm1,vlsf,converse",
                  "--out", os.path.join(out_dir, "sweep.csv")])
-seen["sweep"] = scipy_modules("scipy.stats") if code == 0 else ["exit %d" % code]
+seen["sweep"] = scipy_modules() if code == 0 else ["exit %d" % code]
 print(json.dumps(seen))
 """
 
