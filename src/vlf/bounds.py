@@ -31,11 +31,11 @@ from .channel import (
     _as_step_law,
     _check_count,
     _check_real,
+    _divergences,
     _positive_drift,
     binary_entropy,
     control_llr,
     information_density_table,
-    kl_divergence,
     mutual_information,
 )
 from .errors import (
@@ -112,14 +112,13 @@ def dmc_stats(dmc, px):
     px = np.asarray(px, dtype=float)
     drift = _positive_drift(mutual_information(px, dmc), "I(px, W)")
     dens = information_density_table(px, dmc)
-    joint = px[:, None] * dmc.matrix
+    w = dmc.matrix
+    joint = px[:, None] * w
     b = overshoot_constant(dens.ravel(), joint.ravel())
-    xa, xr, llr = control_llr(dmc.matrix)
-    row_a, row_r = dmc.matrix[xa], dmc.matrix[xr]
-    d_acc = kl_divergence(row_a, row_r)
-    d_rej = kl_divergence(row_r, row_a)
-    b_acc = overshoot_constant(llr, row_a)
-    b_rej = overshoot_constant(-llr, row_r)
+    xa, xr, llr = control_llr(w)
+    d_acc, d_rej = map(float, _divergences(w[[xa, xr]], w[[xr, xa]]))
+    b_acc = overshoot_constant(llr, w[xa])
+    b_rej = overshoot_constant(-llr, w[xr])
     return ChannelStats(drift, b, d_acc, d_rej, b_acc, b_rej)
 
 

@@ -164,20 +164,29 @@ def bsc(p):
     return Dmc(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
+def _divergences(p, q):
+    """D(p || q) = sum_i p_i (log p_i - log q_i) along the last axis of the
+    broadcast arrays p and q, with 0 log(0/q) = 0 and +inf where p has mass
+    that q lacks; the one definition every divergence here uses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log(p) - np.log(q))
+    return np.where(p > 0, terms, 0.0).sum(axis=-1)
+
+
 def kl_divergence(p, q):
-    """D(p || q) = sum_i p_i log(p_i / q_i), with 0 log(0/q) = 0."""
+    """D(p || q) of two distributions of one shape; an infinite divergence
+    raises NotADistribution naming the first index where q lacks mass."""
     pv = _as_prob_vector(p, "p")
     qv = _as_prob_vector(q, "q")
     if pv.shape != qv.shape:
         raise DimensionMismatch(f"shapes differ: {pv.shape} vs {qv.shape}")
-    support = pv > 0
-    if np.any(qv[support] == 0):
-        i = int(np.argmax(support & (qv == 0)))
+    d = float(_divergences(pv, qv))
+    if d == math.inf:
+        i = int(np.argmax((pv > 0) & (qv == 0)))
         raise NotADistribution(
             f"p[{i}] = {pv[i]} > 0 but q[{i}] = 0; divergence infinite"
         )
-    ps = pv[support]
-    return float(np.sum(ps * (np.log(ps) - np.log(qv[support]))))
+    return d
 
 
 def entropy(p):
@@ -190,11 +199,8 @@ def entropy(p):
 def mutual_information(px, dmc):
     """I(P_X, W) = sum_x px(x) D(W(.|x) || P_Y) in nats."""
     p = _as_input_law(px, dmc)
-    w = dmc.matrix
-    py = p @ w
     mask = p > 0
-    rows = w[mask]
-    return float(np.sum(p[mask] * np.sum(rows * (np.log(rows) - np.log(py)), axis=1)))
+    return float(np.sum(p[mask] * _divergences(dmc.matrix[mask], p @ dmc.matrix)))
 
 
 def capacity(dmc):
@@ -207,12 +213,9 @@ def capacity(dmc):
     """
     w = dmc.matrix
     nx = w.shape[0]
-    logw = np.log(w)
     r = np.full(nx, 1.0 / nx)
     for _ in range(_BA_MAX_ITER):
-        py = r @ w
-        # D(W_x || P_Y) for every input row
-        div = np.sum(w * (logw - np.log(py)), axis=1)
+        div = _divergences(w, r @ w)  # D(W_x || P_Y) for every input row
         lower = float(r @ div)
         upper = float(div.max())
         if upper - lower <= _BA_TOL:
@@ -236,10 +239,7 @@ def control_pair(channel):
     lexicographically smallest (xa, xr).
     """
     w = channel.matrix if isinstance(channel, Dmc) else np.asarray(channel, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.log(w)
-        terms = w[:, None, :] * (logw[:, None, :] - logw[None, :, :])
-    div = np.where(w[:, None, :] > 0, terms, 0.0).sum(axis=2)
+    div = _divergences(w[:, None, :], w[None, :, :])
     np.fill_diagonal(div, -math.inf)
     xa, xr = divmod(int(np.argmax(div >= div.max() - 1e-15)), w.shape[0])
     return xa, xr, float(div[xa, xr])
@@ -280,7 +280,7 @@ def information_density_table(px, dmc):
     py = output_distribution(px, dmc)
     if np.any(py == 0):
         y = int(np.argmax(py == 0))
-        raise NotADistribution(f"output {y} has zero marginal mass under px")
+        raise NotADistribution(f"output {y + 1} has zero marginal mass under px")
     return np.log(dmc.matrix) - np.log(py)[None, :]
 
 

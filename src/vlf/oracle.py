@@ -392,9 +392,7 @@ def lattice_span(values, probs):
         a, b = max(g, x), min(g, x)
         while b > _SPAN_TOL:
             a, b = b, a % b
-        g = a
-        if g < _SPAN_TOL:
-            return 0.0
+        g = a  # the last remainder above _SPAN_TOL
     for x in v:
         if abs(x / g - round(x / g)) > 1e-6:
             return 0.0

@@ -46,8 +46,10 @@ from vlf.engine import (
 )
 from vlf.errors import (
     DimensionMismatch,
+    HorizonTooSmall,
     NonPositiveDrift,
     NotADistribution,
+    StateExplosion,
     VlfError,
 )
 from vlf.oracle import (
@@ -213,7 +215,8 @@ class TestOneInputCheck:
     # the zero counts divided by zero, n = 1 gave numpy's "df <= 0", and
     # one ladder height a NaN standard error; a walk's max_steps of 0 or
     # 2.5 gave residual 1, and -5 a silent zero estimate from sprt_mc; a
-    # chunk of 0 drew no sample and looped for ever.
+    # chunk of 0 drew no sample and looped for ever.  The rows from
+    # kl_divergence-shapes on pin refusals that no other test reached.
     @pytest.mark.parametrize("call,error,match", [
         (lambda tmp: Dmc(np.array([[0.5, 0.5], [math.nan, math.nan]])),
          NotADistribution, "row 2, column 1"),
@@ -276,6 +279,33 @@ class TestOneInputCheck:
          VlfError, "max_steps must be an integer >= 1, got 2.5"),
         (lambda tmp: corr_tail_mc(10, 0.5, 10, chunk=0),
          VlfError, "^chunk must be an integer >= 1, got 0$"),
+        (lambda tmp: kl_divergence([0.5, 0.5], THIRDS),
+         DimensionMismatch, r"shapes differ: \(2,\) vs \(3,\)"),
+        (lambda tmp: kl_divergence([0.5, 0.5], [1.0, 0.0]),
+         NotADistribution, r"p\[1\] = 0.5 > 0 but q\[1\] = 0"),
+        (lambda tmp: entropy([[0.5, 0.5]]),
+         DimensionMismatch, "p must be a nonempty 1-D vector"),
+        (lambda tmp: entropy([1.5, -0.5]),
+         NotADistribution, "p has negative entries"),
+        (lambda tmp: Dmc(np.array([0.5, 0.5])),
+         DimensionMismatch, r"got shape \(2,\)"),
+        (lambda tmp: Dmc(np.array([[1.0]])),
+         DimensionMismatch, r"got shape \(1, 1\)"),
+        # 0.5 * 5e-324 rounds to 0, so the second output has no mass
+        (lambda tmp: information_density_table(
+            UNIFORM2, Dmc(np.array([[1.0, 5e-324], [1.0, 5e-324]]))),
+         NotADistribution, "^output 2 has zero marginal mass"),
+        (lambda tmp: SchemeConfig("uvlf_dmc", Dmc(np.array([[0.3, 0.7]])),
+                                  [1.0], _FUZZ_PARAMS, training_len=5),
+         DimensionMismatch, "at least two channel inputs"),
+        (lambda tmp: channel_stats(bsc(0.11)),
+         NotADistribution, "explicit input distribution"),
+        (lambda tmp: asymptotic_schedule(3.0, bsc(0.45), UNIFORM2),
+         HorizonTooSmall, "yields log M"),
+        (lambda tmp: gaussian_corr_tail(100, 0.5),
+         VlfError, "prefactor complex"),
+        (lambda tmp: exact_mi_tail(400, THIRDS, THIRDS, [1.0]),
+         StateExplosion, "joint types exceeds"),
     ], ids=["Dmc-nan-row", "Dmc-nan-entry", "load_dmc-nan-row",
             "mutual_information-px", "output_distribution-px",
             "dmc_stats-px", "SchemeConfig-px", "LatticeWalkSpec-law",
@@ -290,7 +320,12 @@ class TestOneInputCheck:
             "corr_tail_mc-samples0", "corr_tail_mc-n1",
             "renewal_overshoot-samples1", "LatticeWalkSpec-max_steps0",
             "LatticeWalkSpec-max_steps-5", "LatticeWalkSpec-max_steps2.5",
-            "corr_tail_mc-chunk0"])
+            "corr_tail_mc-chunk0", "kl_divergence-shapes",
+            "kl_divergence-infinite", "entropy-2d", "entropy-negative",
+            "Dmc-1d", "Dmc-one-output", "information_density_table-zero-py",
+            "SchemeConfig-one-input", "channel_stats-no-px",
+            "asymptotic_schedule-log-m", "gaussian_corr_tail-complex",
+            "exact_mi_tail-states"])
     def test_bad_input_raises_its_error(self, call, error, match, tmp_path):
         with pytest.raises(error, match=match):
             call(tmp_path)
@@ -432,7 +467,8 @@ class TestControlPair:
             for j in range(3)
             if i != j
         )
-        assert d == pytest.approx(best, abs=1e-12)
+        # one sum computes both, so they agree bit for bit
+        assert d == best
 
     def test_empirical_kernel_with_zeros(self):
         # row 1 puts mass on output 1, which row 0 never produces

@@ -387,3 +387,7 @@ class TestOvershootEstimate:
     def test_span_of_unit_lattice(self):
         assert lattice_span([1.0, -1.0], [0.5, 0.5]) == pytest.approx(1.0)
         assert lattice_span([0.5766133643, -1.5141277326], [0.5, 0.5]) == 0.0
+        # incommensurate steps: Euclid's last remainder divides neither
+        assert lattice_span([1.0, math.sqrt(2)], [0.5, 0.5]) == 0.0
+        # no support point off zero
+        assert lattice_span([0.0, 1.0], [1.0, 0.0]) == 0.0
