@@ -239,10 +239,12 @@ def control_pair(channel):
     lexicographically smallest (xa, xr).
     """
     w = channel.matrix if isinstance(channel, Dmc) else np.asarray(channel, float)
-    div = _divergences(w[:, None, :], w[None, :, :])
-    np.fill_diagonal(div, -math.inf)
-    xa, xr = divmod(int(np.argmax(div >= div.max() - 1e-15)), w.shape[0])
-    return xa, xr, float(div[xa, xr])
+    nx = w.shape[0]
+    div = _divergences(w[:, None, :], w[None, :, :]).ravel()
+    div[::nx + 1] = -math.inf  # the diagonal, xa == xr
+    i = int(np.argmax(div >= div.max() - 1e-15))
+    xa, xr = divmod(i, nx)
+    return xa, xr, float(div[i])
 
 
 def control_llr(kernel):
@@ -255,12 +257,16 @@ def control_llr(kernel):
     index as it would at an infinite one, and the 64 values of a block
     cannot overflow, so no inf - inf NaN arises after the exit.
     """
+    kernel = np.asarray(kernel, float)
     xa, xr, _ = control_pair(kernel)
     pa, pr = kernel[xa], kernel[xr]
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.log(pa) - np.log(pr)
-    llr[(pa == 0) & (pr == 0)] = 0.0
-    np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
+    # a finite LLR is below _LLR_CAP, so without a zero cell the mask and
+    # the clip change nothing
+    if not np.isfinite(llr).all():
+        llr[(pa == 0) & (pr == 0)] = 0.0
+        np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
     return xa, xr, llr
 
 

@@ -411,12 +411,9 @@ class _DmcMetric(Metric):
         matter, so each row is one multinomial draw."""
         w = channel.matrix
         nx = w.shape[0]
-        ells = np.full(nx, lt // nx)
-        ells[: lt % nx] += 1
-        rows = np.empty_like(w)
-        for x in range(nx):
-            rows[x] = rng.multinomial(ells[x], w[x]) / ells[x]
-        return rows
+        ells = [lt // nx + (x < lt % nx) for x in range(nx)]
+        rows = [rng.multinomial(ell, row) for ell, row in zip(ells, w)]
+        return np.array(rows) / np.array(ells)[:, None]
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
@@ -431,8 +428,7 @@ class _DmcMetric(Metric):
             self.known_llr = control_llr(self.w)
 
     def draw_true(self, rng, shape):
-        cells = _categorical(rng, self.joint_cdf, shape)
-        return cells // self.num_y, cells % self.num_y
+        return np.divmod(_categorical(rng, self.joint_cdf, shape), self.num_y)
 
     def draw_inputs(self, rng, rows, y):
         return _categorical(rng, self.px_cdf, (rows, y.shape[1]))
@@ -554,9 +550,13 @@ class FlipEntropy(_DmcMetric):
         joint = px[:, None] * channel.matrix
         return LN2 - binary_entropy(float(joint[0, 1] + joint[1, 0]))
 
+    def __init__(self, channel, px, n_max, n_min=1):
+        super().__init__(channel, px, n_max, n_min)
+        self.base_tbl = np.arange(n_max + 2) * LN2 - self.log_tbl  # n log 2 - L[n]
+
     def count_metric(self, n, k):
         L = self.log_tbl
-        return n * LN2 - L[n] + L[k] + L[n - k]
+        return self.base_tbl[n] + L[k] + L[n - k]
 
     def metric(self, state, x, y):
         t, k = state
@@ -682,9 +682,12 @@ def _true_walk(rng, cfg, m):
         t = state[0]
         x, y = m.draw_true(rng, (1, min(m.block, n_max - t)))
         s, state = m.metric(state, x, y)
-        for i, gamma in enumerate(gammas):
-            if taus[i] is None and (hit := s[0] > gamma).any():
-                taus[i] = t + int(hit.argmax()) + 1
+        # s first exceeds gamma where its running maximum does (s.size if
+        # nowhere)
+        crossed = np.maximum.accumulate(s[0]).searchsorted(gammas, side="right")
+        for i, j in enumerate(crossed.tolist()):
+            if taus[i] is None and j < s.shape[1]:
+                taus[i] = t + j + 1
         ys.append(y[0])
         if m.gaussian:
             carry = energy[-1][-1] if energy else 0.0

@@ -119,8 +119,12 @@ def _absorbed_crossers(rng, metric, y, gamma2, k, t, values, states, w):
 
     The absorbed masses w come with their walk times t and the metric values
     and kernel states there; each drawn crosser continues toward gamma_2.
+    The draw is ``rng.choice(w.size, size=k, p=w / w.sum())``'s own
+    computation, without its argument checks.
     """
-    picks = rng.choice(w.size, size=k, p=w / w.sum())
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(rng.random(k), side="right")
     crossers = [
         (int(t[i]), float(values[i]), (int(t[i]), states[i:i + 1]))
         for i in picks

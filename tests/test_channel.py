@@ -14,7 +14,9 @@ from vlf.channel import (
     Dmc,
     GaussianChannel,
     bsc,
+    _LLR_CAP,
     capacity,
+    control_llr,
     control_pair,
     entropy,
     gaussian_information_density,
@@ -477,9 +479,101 @@ class TestControlPair:
         # both orders diverge: the tie breaks to the smallest pair
         assert control_pair(np.array([[1.0, 0.0], [0.0, 1.0]])) == (0, 1, math.inf)
         # an output neither row produces adds nothing
-        xa, xr, d = control_pair(np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]))
+        rows = [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]]
+        xa, xr, d = control_pair(np.array(rows))
         assert (xa, xr) == (0, 1)
         assert d == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
+        # and its LLR is 0, from an array or from a nested list
+        for kernel in (np.array(rows), rows):
+            xa, xr, llr = control_llr(kernel)
+            assert (xa, xr) == (0, 1)
+            assert llr[:2] == pytest.approx([math.log(2.0), math.log(2.0 / 3.0)])
+            assert llr[2] == 0.0
+
+
+def _reference_divergences(rows):
+    """D(W_a || W_r) of every ordered pair a != r, by loops over the
+    outputs: 0 log(0/q) = 0 and +inf where q lacks mass.  Logs and each
+    pair's sum come from numpy (np.log of one float, np.sum of one pair's
+    terms), so equal definitions give equal floats."""
+    def divergence(p, q):
+        terms = []
+        for pi, qi in zip(p, q):
+            if pi == 0.0:
+                terms.append(0.0)
+            elif qi == 0.0:
+                terms.append(math.inf)
+            else:
+                terms.append(pi * (float(np.log(pi)) - float(np.log(qi))))
+        return float(np.sum(terms))
+
+    nx = len(rows)
+    return {(a, r): divergence(rows[a], rows[r])
+            for a in range(nx) for r in range(nx) if a != r}
+
+
+def _tied_pairs(div):
+    """The ordered pairs within 1e-15 of the largest divergence."""
+    top = max(div.values())
+    return sorted(pair for pair, d in div.items() if d >= top - 1e-15)
+
+
+def _reference_control_llr(rows):
+    """control_llr by loops: the lexicographically first tied pair, and per
+    output the LLR, 0 where neither row has mass and +-_LLR_CAP where one
+    row lacks it."""
+    div = _reference_divergences(rows)
+    xa, xr = _tied_pairs(div)[0]
+    llr = []
+    for pa, pr in zip(rows[xa], rows[xr]):
+        if pa == 0.0 and pr == 0.0:
+            llr.append(0.0)
+        elif pr == 0.0:
+            llr.append(_LLR_CAP)
+        elif pa == 0.0:
+            llr.append(-_LLR_CAP)
+        else:
+            llr.append(float(np.log(pa)) - float(np.log(pr)))
+    return xa, xr, div[xa, xr], llr
+
+
+def _random_kernel(rng, case):
+    """A random kernel of 2-5 inputs and 2-11 outputs: "plain", "one_row"
+    (zero cells in one row), "all_rows" (an output no row gives), "ties"
+    (at least three rows alternating one row and its mirror image, so
+    several pairs score the same) or "mixed" (zero cells anywhere)."""
+    nx, ny = int(rng.integers(2, 6)), int(rng.integers(2, 12))
+    w = rng.random((nx, ny)) ** 2 + 1e-3
+    w[np.arange(nx), rng.integers(ny, size=nx)] += 0.5  # every row has mass
+    if case == "one_row":
+        w[rng.integers(nx), rng.random(ny) < 0.4] = 0.0
+    elif case == "all_rows":
+        w[:, rng.integers(ny)] = 0.0
+    elif case == "ties":
+        row = w[0] / w[0].sum()
+        w = np.array([row, row[::-1]] * 3)[: max(nx, 3)]
+    elif case == "mixed":
+        w[rng.random((nx, ny)) < 0.3] = 0.0
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestControlPairReference:
+    CASES = ("plain", "one_row", "all_rows", "ties", "mixed")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pair_and_llr_equal_the_loop_reference(self, case):
+        # 60 seeded kernels per case, 300 in all
+        rng = np.random.default_rng(self.CASES.index(case))
+        for _ in range(60):
+            w = _random_kernel(rng, case)
+            xa, xr, d, llr = _reference_control_llr(w.tolist())
+            assert control_pair(w) == (xa, xr, d)
+            got = control_llr(w)
+            assert got[:2] == (xa, xr)
+            assert got[2].tolist() == llr
+            if case == "ties":
+                assert len(_tied_pairs(_reference_divergences(w.tolist()))) >= 2
 
 
 class TestGaussianInformationDensity:

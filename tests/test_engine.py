@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import types
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -763,6 +764,54 @@ class TestFirstStepCrossing:
         assert rng.bit_generator.state == state
 
 
+class _ScriptedWalk:
+    """A one-row metric whose true walk takes the given values, `block`
+    symbols per kernel call."""
+
+    gaussian = False
+
+    def __init__(self, values, block):
+        self.values, self.block = np.asarray(values, float), block
+
+    def start(self, rows):
+        return 0, None
+
+    def draw_true(self, rng, shape):
+        return np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+
+    def metric(self, state, x, y):
+        t, b = state[0], x.shape[1]
+        return self.values[None, t:t + b], (t + b, None)
+
+
+class TestTrueWalkCrossings:
+    """_true_walk's first times strictly above gamma_1 = 2 and gamma_2 = 5,
+    over blocks of four symbols."""
+
+    @pytest.mark.parametrize("values,taus", [
+        # a value equal to gamma does not cross it
+        ([2, 2, 1, 2, 2, 2.5, 5, 5.5], (6, 8)),
+        # crossings at a block's first symbol
+        ([0, 1, 2, 2, 3, 4, 5, 5, 6, 0, 0, 0], (5, 9)),
+        # both thresholds first crossed at the same symbol
+        ([0, 1, 9, 0, 0, 0, 0, 0], (3, 3)),
+        # gamma_1 crossed in one block, gamma_2 in the next
+        ([0, 1, 3, 0, 4, 6, 0, 0], (3, 6)),
+        # no crossing before the horizon, then gamma_1 alone
+        ([0, 1, 2, 1, 0, 2, 2, 1], (None, None)),
+        ([0, 1, 2, 1, 0, 4, 5, 1], (6, None)),
+    ])
+    def test_first_times_above_each_threshold(self, values, taus):
+        params = dataclasses.replace(_params(), gamma1=2.0, gamma2=5.0)
+        cfg = types.SimpleNamespace(horizon=len(values), params=params)
+        tau1, tau2, y, energy = engine._true_walk(
+            None, cfg, _ScriptedWalk(values, 4))
+        assert (tau1, tau2) == taus
+        # the walk draws whole blocks up to the gamma_2 crossing
+        assert y.size == (len(values) if tau2 is None else -(-tau2 // 4) * 4)
+        assert energy is None
+
+
 class TestPoissonCrosserRate:
     def test_no_crossing_mass_expects_no_crossers(self):
         assert ensemble.poisson_crosser_rate(60.0 * LN2, -math.inf) == 0.0
@@ -1329,6 +1378,29 @@ class TestFlipEntropyAbsorption:
         assert np.array_equal(trial_records(cfg, 40)[5:],
                               [simulate_trial(cfg, i, _runtime=copy)
                                for i in range(5, 40)])
+
+
+class TestCrosserDraw:
+    def test_draw_equals_generator_choice(self, monkeypatch):
+        # _absorbed_crossers picks its cells as rng.choice(w.size, k, p=...)
+        # does and leaves the generator where choice leaves it; laws of 1 to
+        # 3,000 cells with masses down to 1e-20
+        seen = []
+        monkeypatch.setattr(ensemble, "_first_to_gamma2",
+                            lambda rng, metric, crossers, y, gamma2:
+                            seen.append([c[0] for c in crossers]))
+        laws = np.random.default_rng(7)
+        for seed in range(300):
+            size = int(laws.integers(1, 3001))
+            w = laws.random(size) * 10.0 ** laws.uniform(-20.0, 0.0, size)
+            k = int(laws.integers(1, 5))
+            cells = np.arange(size)
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            ensemble._absorbed_crossers(got, None, None, None, k, cells,
+                                        cells.astype(float), cells[:, None], w)
+            assert seen.pop() == want.choice(size, size=k,
+                                             p=w / w.sum()).tolist()
+            assert got.random() == want.random()
 
 
 class TestAllVariantsRun:
