@@ -164,12 +164,14 @@ def bsc(p):
     return Dmc(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
-def _divergences(p, q):
+def _divergences(p, q, logs=None):
     """D(p || q) = sum_i p_i (log p_i - log q_i) along the last axis of the
     broadcast arrays p and q, with 0 log(0/q) = 0 and +inf where p has mass
-    that q lacks; the one definition every divergence here uses."""
+    that q lacks; the one definition every divergence here uses.  ``logs``
+    is (log p, log q) when the caller has taken them already."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * (np.log(p) - np.log(q))
+        log_p, log_q = (np.log(p), np.log(q)) if logs is None else logs
+        terms = p * (log_p - log_q)
     return np.where(p > 0, terms, 0.0).sum(axis=-1)
 
 
@@ -239,8 +241,15 @@ def control_pair(channel):
     lexicographically smallest (xa, xr).
     """
     w = channel.matrix if isinstance(channel, Dmc) else np.asarray(channel, float)
+    with np.errstate(divide="ignore"):
+        return _control_pair(w, np.log(w))
+
+
+def _control_pair(w, log_w):
+    """control_pair of the kernel matrix w from its logs log_w."""
     nx = w.shape[0]
-    div = _divergences(w[:, None, :], w[None, :, :]).ravel()
+    div = _divergences(w[:, None, :], w[None, :, :],
+                       (log_w[:, None, :], log_w[None, :, :])).ravel()
     div[::nx + 1] = -math.inf  # the diagonal, xa == xr
     i = int(np.argmax(div >= div.max() - 1e-15))
     xa, xr = divmod(i, nx)
@@ -258,14 +267,14 @@ def control_llr(kernel):
     cannot overflow, so no inf - inf NaN arises after the exit.
     """
     kernel = np.asarray(kernel, float)
-    xa, xr, _ = control_pair(kernel)
-    pa, pr = kernel[xa], kernel[xr]
     with np.errstate(divide="ignore", invalid="ignore"):
-        llr = np.log(pa) - np.log(pr)
+        log_w = np.log(kernel)
+        xa, xr, _ = _control_pair(kernel, log_w)
+        llr = log_w[xa] - log_w[xr]
     # a finite LLR is below _LLR_CAP, so without a zero cell the mask and
     # the clip change nothing
     if not np.isfinite(llr).all():
-        llr[(pa == 0) & (pr == 0)] = 0.0
+        llr[(kernel[xa] == 0) & (kernel[xr] == 0)] = 0.0
         np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
     return xa, xr, llr
 

@@ -237,6 +237,7 @@ def _binary_type(u, v, j, n):
 # 2^-53 * gamma_1, and gamma_1 > 2 L[t] >= 2 n H(Y) leaves no hit anyway.
 _ENTROPY_SLACK = 2.0 ** -40
 _NO_HIT = np.zeros(0, np.int32)  # the memo's entry for a (t, j) without hits
+_EXACT_STEPS = 53  # a uniform race's exact start: numerators up to 2^53
 
 
 def _cannot_absorb(L, t, j, gamma1):
@@ -264,6 +265,16 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo):
     to zero.  A one-cell shift carries each row's last cell, still empty
     while k is below the final zero count, into the next row's first.
 
+    Against a uniform codebook (px_1 = 1/2) the DP starts exactly: its
+    first steps only halve and add, and after t <= 53 steps with j ones and
+    k zeros every cell is C(j, u) C(k, v) 2^-t, a numerator of at most 2^t,
+    so the in-place DP's floats equal the outer product of the exact pmfs
+    C(j, u) 2^-j and C(k, v) 2^-k bit for bit (C(53, 26) < 2^53).  The race
+    writes that product for the leading steps where _cannot_absorb holds,
+    capped at 53 and at h, and runs the loop from the next step; at any
+    other px_1 it starts from a single 1.0.  The skipped steps store no
+    memo key.
+
     The hit cells of step t, where the metric exceeds gamma_1, are a
     function of (t, j) alone once the table L = log_tbl and gamma_1 are
     fixed.  The first race to reach a (t, j) evaluates the metric grid over
@@ -287,16 +298,25 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo):
     ones_total = sum(bits)
     width = h - ones_total + 1
     mass = np.zeros((ones_total + 1) * width + 1)
-    mass[0] = 1.0
+    start = j = 0
+    if px1 == 0.5:
+        while start < min(h, _EXACT_STEPS) and _cannot_absorb(
+                table, start + 1, j + bits[start], gamma1):
+            j += bits[start]
+            start += 1
+    k = start - j
+    pmf_u, pmf_v = (np.array([math.comb(n, i) for i in range(n + 1)], float)
+                    * 0.5 ** n for n in (j, k))
+    box = mass[:(j + 1) * width].reshape(j + 1, width)
+    box[:, :k + 1] = np.multiply.outer(pmf_u, pmf_v)
     row_sums = np.zeros(h + 1)
     step = row_sums.strides[0]
     hankel = np.lib.stride_tricks.as_strided(
         row_sums, shape=(ones_total + 1, width), strides=(step, step),
         writeable=False)
-    j = k = 0
     absorbed = []  # (time, buffer cells, masses) of each absorbing step
     total_absorbed = 0.0
-    for t, bit in enumerate(bits, 1):
+    for t, bit in enumerate(bits[start:], start + 1):
         n = (j + 1) * width
         live = mass[:n]
         moved = live * px1
@@ -317,7 +337,7 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo):
                 grid -= hankel[:j + 1, :k + 1]
                 grid -= table[k] + table[j]
                 grid += table[t]
-                hits = np.flatnonzero(grid > gamma1)
+                hits = (grid > gamma1).ravel().nonzero()[0]
                 del grid  # the kept copy may reuse its heap space
                 if hits.size:
                     cells = hits.astype(np.int32)
@@ -326,11 +346,13 @@ def ensemble_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2, memo):
             continue
         cells = cells.astype(np.intp)
         cells += cells // (k + 1) * (width - k - 1)  # grid -> buffer index
-        held = np.flatnonzero(mass[cells])  # no mass is negative
+        w = mass[cells]
+        # no mass is negative; .nonzero()[0] skips np.flatnonzero's wrapper,
+        # which costs more than the search on a few hundred cells
+        held = w.nonzero()[0]
         if held.size == 0:
             continue
-        cells = cells[held]
-        w = mass[cells]
+        cells, w = cells[held], w[held]
         absorbed.append((t, cells, w))
         total_absorbed += float(w.sum())
         mass[cells] = 0.0

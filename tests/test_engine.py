@@ -1172,6 +1172,16 @@ def _full_grid_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
     )
 
 
+class _ReadCountingMemo(dict):
+    """A race memo that counts the lookups finding a stored key."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key in self
+        return super().get(key, default)
+
+
 class TestBinaryMiRace:
     """The in-place count DP against the full-grid reference on random
     output strings, at thresholds low enough for crossers: the same
@@ -1208,23 +1218,28 @@ class TestBinaryMiRace:
             h = int(rng.integers(1, 301))
             yield (rng.random(h) < rng.uniform(0.2, 0.8)).astype(np.int64)
 
-    @pytest.mark.parametrize("px1", [0.5, 0.7, 0.2])
-    @pytest.mark.parametrize("gamma1,log_m", [(6.5, 9.0), (10.0, 12.0),
-                                              (20.3, 22.0)])
-    def test_equals_full_grid_reference(self, px1, gamma1, log_m,
+    # gamma_1 = 40 can first absorb at step 58 or later on its strings, so
+    # each uniform race longer than 53 symbols writes the product of 53
+    # steps and runs its loop from step 54: the exact start at its cap
+    @pytest.mark.parametrize("gamma1,log_m,px1", [
+        *((g, m, p) for p in (0.5, 0.7, 0.2)
+          for g, m in ((6.5, 9.0), (10.0, 12.0), (20.3, 22.0))),
+        (40.0, 42.0, 0.5),
+    ])
+    def test_equals_full_grid_reference(self, gamma1, log_m, px1,
                                         monkeypatch):
         # one memo serves every string of a case, as one runtime's does its
         # races: later strings read the hit cells earlier ones stored
         seen = self._record(monkeypatch)
         metric = EmpiricalMi(CH, np.array([1.0 - px1, px1]), 300)
         rng = np.random.default_rng([int(px1 * 10), int(gamma1 * 10)])
-        memo = {}
+        memo = _ReadCountingMemo()
         memo_race = functools.partial(ensemble.ensemble_binary_mi_race,
                                       memo=memo)
         crossed = reread = 0
         for i, y in enumerate(self._strings(rng, self.STRINGS)):
             h = y.size
-            known = len(memo)
+            known = memo.reads
             results, laws = [], []
             for race in (memo_race, _full_grid_binary_mi_race):
                 draws = np.random.default_rng([i, h])
@@ -1240,36 +1255,76 @@ class TestBinaryMiRace:
                 else:
                     assert a == b, (i, h)
             crossed += results[0][0].t1 is not None
-            reread += len(memo) - known < h
+            reread += memo.reads > known
         assert crossed >= self.STRINGS // 4
         assert reread >= self.STRINGS // 2
+
+    def test_uniform_dp_equals_the_exact_binomial_product(self):
+        # the full-grid DP's mass after 53 steps at px_1 = 1/2 against the
+        # outer product of C(j, u) 2^-j and C(k, v) 2^-k; past the cap the
+        # DP's numerators exceed 2^53 and its rounding shows
+        def pmf(n):
+            return np.array([math.comb(n, i) for i in range(n + 1)],
+                            float) * 0.5 ** n
+
+        def grown(y):
+            mass = np.ones((1, 1))
+            for bit in y.tolist():
+                shape = (mass.shape[0] + bit, mass.shape[1] + 1 - bit)
+                out = np.zeros(shape)
+                out[:mass.shape[0], :mass.shape[1]] += mass * 0.5
+                out[bit:, 1 - bit:] += mass * 0.5
+                mass = out
+            return mass
+
+        rng = np.random.default_rng(53)
+        beyond = 0
+        for _ in range(200):
+            y = (rng.random(64) < rng.uniform(0.2, 0.8)).astype(np.int64)
+            for t in (ensemble._EXACT_STEPS, 64):
+                j = int(y[:t].sum())
+                same = _same(grown(y[:t]),
+                             np.multiply.outer(pmf(j), pmf(t - j)))
+                if t == 64:
+                    beyond += not same
+                else:
+                    assert same, y[:t]
+        assert beyond > 0
 
     @pytest.mark.parametrize("gamma1", [6.5, 10.0, 20.3])
     def test_memo_holds_the_hit_cells_of_the_full_grid(self, gamma1):
         # every key the races fill: the flat indices of count_mi > gamma_1
         # over the key's whole (u, v) grid, and the shared _NO_HIT where
-        # that grid has none
-        metric = EmpiricalMi(CH, UNIFORM2, 300)
+        # that grid has none.  A uniform race stores no key before its
+        # first step that can absorb; at px_1 = 0.7 the races start at
+        # t = 0 and fill keys of both kinds
         rng = np.random.default_rng(int(gamma1 * 10))
-        memo = {}
-        for y in self._strings(rng, 12):
-            ensemble.ensemble_binary_mi_race(
-                np.random.default_rng(y.size), y, metric, gamma1 + 2.0,
-                gamma1, gamma1 + 3.0, memo=memo)
-        hits = 0
-        for (t, j), cells in memo.items():
-            uu = np.arange(j + 1)[:, None]
-            vv = np.arange(t - j + 1)[None, :]
-            grid = count_mi(metric.log_tbl,
-                            *ensemble._binary_type(uu, vv, j, t), t)
-            want = np.flatnonzero(grid > gamma1)
-            if want.size == 0:
-                assert cells is ensemble._NO_HIT, (t, j)
-            else:
-                assert cells.dtype == np.int32, (t, j)
-                assert np.array_equal(cells, want), (t, j)
-                hits += 1
-        assert 0 < hits < len(memo)
+        strings = list(self._strings(rng, 12))
+        filled = []
+        for px in (UNIFORM2, np.array([0.3, 0.7])):
+            metric = EmpiricalMi(CH, px, 300)
+            memo = {}
+            for y in strings:
+                ensemble.ensemble_binary_mi_race(
+                    np.random.default_rng(y.size), y, metric, gamma1 + 2.0,
+                    gamma1, gamma1 + 3.0, memo=memo)
+            hits = 0
+            for (t, j), cells in memo.items():
+                uu = np.arange(j + 1)[:, None]
+                vv = np.arange(t - j + 1)[None, :]
+                grid = count_mi(metric.log_tbl,
+                                *ensemble._binary_type(uu, vv, j, t), t)
+                want = np.flatnonzero(grid > gamma1)
+                if want.size == 0:
+                    assert cells is ensemble._NO_HIT, (t, j)
+                else:
+                    assert cells.dtype == np.int32, (t, j)
+                    assert np.array_equal(cells, want), (t, j)
+                    hits += 1
+            filled.append((hits, len(memo)))
+        (uniform_hits, uniform_keys), (hits, keys) = filled
+        assert 0 < uniform_hits <= uniform_keys
+        assert 0 < hits < keys
 
     def test_skipped_steps_have_no_hit_cell(self):
         # every j at every t <= 200 and at four longer prefixes; gamma_1 at
