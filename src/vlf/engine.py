@@ -352,9 +352,14 @@ class Metric:
     (rows, width) array of sufficient statistics; x holds the codeword
     symbols, shape (rows, b), and y the outputs, shape (1, b) or (rows, b).
     It returns the metric after each step, shape (rows, b), and the new
-    state.  The base kernel sums per-symbol steps ``step(x, y)``, and its
-    ensemble strategy tilts toward ``draw_tilted(rng, y)``, the posterior of
-    the input given each output.  Subclasses add ``walk_drift(channel, px)``,
+    state.  The base kernel sums per-symbol steps ``step(x, y)``.  Its
+    ensemble strategy is ``ensemble.proposal_race`` over three hooks: the
+    proposal sampler ``draw_proposal(rng, y)``, which here draws each input
+    from its posterior given the output (exponential tilting), the log
+    bound ``proposal_bound(y)`` on the likelihood ratio above gamma_1, here
+    0, and ``log_ratio(value, state)``, the log of P(x^tau) / Q(x^tau | y)
+    at a crossing, here -value: the metric is the log likelihood ratio
+    itself.  Subclasses add ``walk_drift(channel, px)``,
     the training draw ``draw_training(rng, channel, training_len)`` (the
     estimated kernel, or noise variance, as plain data), the samplers
     ``draw_true(rng, shape)`` (true symbols and outputs) and
@@ -381,10 +386,16 @@ class Metric:
         v = s + np.add.accumulate(self.step(x, y), axis=1)
         return v, (t + v.shape[1], v[:, -1:])
 
+    def proposal_bound(self, y):
+        return 0.0
+
+    def log_ratio(self, value, state):
+        return -value
+
     def ensemble_strategy(self, log_m, gamma1, gamma2):
         """The ensemble race at these thresholds, as a picklable callable
         (rng, y); raises StateExplosion when the metric has none."""
-        return functools.partial(ensemble.tilted_race, metric=self,
+        return functools.partial(ensemble.proposal_race, metric=self,
                                  log_m=log_m, gamma1=gamma1, gamma2=gamma2)
 
     @staticmethod
@@ -487,7 +498,7 @@ class AdditiveDmc(_DmcMetric):
     def step(self, x, y):
         return self.dens[x, y]
 
-    def draw_tilted(self, rng, y):
+    def draw_proposal(self, rng, y):
         u = rng.random(y.shape)
         return (u[..., None] >= self.post_cdfs[y]).sum(axis=-1)
 
@@ -498,18 +509,64 @@ class AdditiveGaussian(_GaussianMetric):
     def step(self, x, y):
         return gaussian_information_density(self.channel, x, y)
 
-    def draw_tilted(self, rng, y):
+    def draw_proposal(self, rng, y):
         p = self.power
         post_sd = math.sqrt(p / (p + 1.0))
         return y * (p / (p + 1.0)) + post_sd * rng.standard_normal(y.size)
 
 
+def _kt_regret(n, size):
+    """R(n), the largest log-ratio over count vectors of n symbols on an
+    alphabet of `size` between the maximum-likelihood i.i.d. probability
+    and the Krichevsky-Trofimov (Dirichlet(1/2)) mixture's: its value on a
+    constant sequence.  R rises with n."""
+    half = 0.5 * size
+    return (math.lgamma(n + half) + math.lgamma(0.5) - math.lgamma(n + 0.5)
+            - math.lgamma(half))
+
+
 class EmpiricalMi(_DmcMetric):
-    """uvlf_dmc: n * I(joint type of the codeword and output prefixes)."""
+    """uvlf_dmc: n * I(joint type of the codeword and output prefixes).
+
+    Its ensemble race proposes from a Krichevsky-Trofimov mixture per
+    output symbol b: theta_b ~ Dirichlet(1/2, ..., 1/2) over the inputs,
+    then x_t ~ theta_{y_t}.  For n_b outputs b among t, that mixture's
+    probability is at most e^{R(n_b)} below the maximum-likelihood one
+    (``_kt_regret``), and P(x^t) is at most the maximum-likelihood law of
+    the input type, so P / Q <= e^{-t I_t + sum_b R(n_b)}: at a gamma_1
+    crossing within the horizon, log P / Q < sum_b R(n_b(h)) - gamma_1,
+    the bound ``proposal_bound`` returns.
+    """
 
     universal = True
     block = 2 * _HT_BLOCK
     dtype = np.int64
+
+    def __init__(self, channel, px, n_max, n_min=1):
+        super().__init__(channel, px, n_max, n_min)
+        # 0 log 0 = 0: a zero-mass input makes P zero only where it occurs
+        self.log_px = [math.log(p) if p > 0 else -math.inf for p in px]
+
+    def proposal_bound(self, y):
+        return sum(_kt_regret(int(n), self.num_x)
+                   for n in np.bincount(y, minlength=self.num_y))
+
+    def draw_proposal(self, rng, y):
+        cdfs = _cdf(rng.dirichlet(np.full(self.num_x, 0.5), size=self.num_y))
+        u = rng.random(y.shape)
+        return (u[..., None] >= cdfs[y]).sum(axis=-1)
+
+    def log_ratio(self, value, state):
+        """log P(x^t) - log Q(x^t | y^t) from the joint counts c[x, b] of
+        the kernel state at t."""
+        c = state[1].reshape(self.num_x, self.num_y).tolist()
+        half = 0.5 * self.num_x
+        log_p = sum(n * lp for n, lp in zip(map(sum, c), self.log_px) if n)
+        log_q = 0.0
+        for col in zip(*c):
+            log_q += math.lgamma(half) - math.lgamma(sum(col) + half)
+            log_q += sum(math.lgamma(k + 0.5) - math.lgamma(0.5) for k in col)
+        return log_p - log_q
 
     def start(self, rows):
         return 0, np.zeros((rows, self.num_x * self.num_y), self.dtype)
@@ -525,16 +582,18 @@ class EmpiricalMi(_DmcMetric):
             np.moveaxis(a, 2, 0) for a in (cum, grid.sum(axis=3), grid.sum(axis=2))
         )
         n = np.arange(t + 1, t + b + 1)
-        return count_mi(self.log_tbl, cells, rows, cols, n), (t + b, cum[:, -1])
+        # a sum, not cum[:, -1], so that a kernel call over no symbols
+        # returns its state unchanged
+        last = counts + onehot.sum(axis=1)
+        return count_mi(self.log_tbl, cells, rows, cols, n), (t + b, last)
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):
         if (self.num_x, self.num_y) != (2, 2):
             self._no_ensemble(
-                log_m, "the count dynamic program needs a binary-binary channel"
+                log_m, "the mixture proposal race is checked only on a "
+                "binary-binary channel so far"
             )
-        return functools.partial(ensemble.ensemble_binary_mi_race, metric=self,
-                                 log_m=log_m, gamma1=gamma1, gamma2=gamma2,
-                                 memo={})
+        return super().ensemble_strategy(log_m, gamma1, gamma2)
 
 
 class FlipEntropy(_DmcMetric):
@@ -641,12 +700,9 @@ class _Runtime:
     ``race(rng, y)`` is the competitor race over the outputs y: literal
     when ``ensemble.literal_count`` gives a count, the metric's ensemble
     strategy otherwise.  All of it is read-only but uvlf_bsc's absorption
-    law, which its races advance as far as they read it, and uvlf_dmc's
-    memo of hit cells, which they fill as they reach each key; the law is
-    sequential and a memo entry is what the grid would give, so no result
-    depends on how far either has got.
-    Picklable, so a pool can hand it to workers started by spawn or
-    forkserver too."""
+    law, which its races advance as far as they read it; the law is
+    sequential, so no result depends on how far it has got.  Picklable, so
+    a pool can hand it to workers started by spawn or forkserver too."""
 
     def __init__(self, cfg):
         p = cfg.params

@@ -25,6 +25,7 @@ from .channel import (
     _check_real,
     _positive_drift,
     entropy,
+    information_density_table,
 )
 from .errors import (
     DimensionMismatch,
@@ -41,6 +42,7 @@ _STATE_CAP = 10**7
 _WORK_CAP = 10**10
 _QUANT = 1e-12
 _SPAN_TOL = 1e-9  # lattice_span's smallest span
+_RACE_CODEWORDS = 2**16  # exact_race_law's largest enumeration
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,58 @@ def exact_mi_tail(n, px, py, gamma_grid):
         ni = n * empirical_mi(t)
         tails[ni >= grid - 1e-15] += math.exp(logp)
     return np.minimum(tails, 1.0)
+
+
+def exact_race_law(y, px, gamma1, metric="mi", channel=None):
+    """The exact first-crossing law of one competitor codeword against the
+    output string y, by enumerating every codeword x in X^h, h = len(y)
+    (at most _RACE_CODEWORDS of them: h <= 16 for binary inputs, h <= 10
+    for ternary), each of probability prod px(x_t).
+
+    Each prefix of length n is scored by `metric`: "mi", n * I of the joint
+    type of x^n and y^n; "flip", n (log 2 - h_b(k/n)) with k the flips
+    between x^n and y^n (binary inputs); or "density", the cumulative
+    information density of `channel` under px.  tau is the first n whose
+    score exceeds gamma1.  Returns (p, law): law[n - 1] = P[tau = n] for
+    n = 1..h, and p = P[tau <= h], their sum.
+    """
+    yv = np.asarray(y)
+    if yv.ndim != 1 or yv.size == 0 or yv.dtype.kind not in "iu" \
+            or np.any(yv < 0):
+        raise DimensionMismatch("y must be a nonempty 1-D sequence of "
+                                "output indices")
+    p = _as_prob_vector(px, "px")
+    _check_real(gamma1, "gamma1", -math.inf, math.inf)
+    kx, h = p.size, yv.size
+    if kx ** h > _RACE_CODEWORDS:
+        raise StateExplosion(f"|X|^h = {kx}^{h} codewords exceeds "
+                             f"{_RACE_CODEWORDS}")
+    x = np.indices((kx,) * h).reshape(h, -1).T  # every codeword, one a row
+    n = np.arange(1, h + 1)
+    if metric == "density":
+        if channel is None:
+            raise VlfError('metric "density" needs a channel')
+        score = np.cumsum(information_density_table(p, channel)[x, yv],
+                          axis=1)
+    elif metric == "flip":
+        if kx != 2:
+            raise DimensionMismatch('metric "flip" needs binary inputs')
+        k = np.cumsum(x != yv, axis=1)
+        score = n * math.log(2.0) - (_xlogx(n) - _xlogx(k) - _xlogx(n - k))
+    elif metric == "mi":
+        outputs = range(int(yv.max()) + 1)
+        score = _xlogx(n) - sum(_xlogx(np.cumsum(yv == b)) for b in outputs)
+        for a in range(kx):
+            row = [np.cumsum((x == a) & (yv == b), axis=1) for b in outputs]
+            score = score + sum(map(_xlogx, row)) - _xlogx(sum(row))
+    else:
+        raise VlfError(f'metric must be "mi", "flip" or "density", got '
+                       f"{metric!r}")
+    above = score > gamma1
+    crossed = above.any(axis=1)
+    law = np.bincount(above.argmax(axis=1)[crossed],
+                      weights=p[x[crossed]].prod(axis=1), minlength=h)
+    return float(law.sum()), law
 
 
 def mi_tail_bound(n, gamma, k_exp):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import vlf
 from vlf import cli, engine, ensemble
@@ -57,7 +58,13 @@ from vlf.errors import (
     StateExplosion,
     VlfError,
 )
-from vlf.oracle import empirical_mi, joint_type, universal_gaussian_metric
+from vlf.oracle import (
+    _compositions,
+    empirical_mi,
+    exact_race_law,
+    joint_type,
+    universal_gaussian_metric,
+)
 
 LN2 = math.log(2.0)
 CH = bsc(0.11)
@@ -464,7 +471,7 @@ class TestCompetitorModeResolution:
         with pytest.raises(StateExplosion):
             run_monte_carlo(cfg, 1)
 
-    def test_count_dp_needs_a_binary_binary_channel(self):
+    def test_mixture_race_needs_a_binary_binary_channel(self):
         ternary = Dmc(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
         cfg = SchemeConfig(
             variant="uvlf_dmc", channel=ternary, px=np.full(3, 1.0 / 3.0),
@@ -751,17 +758,25 @@ class TestFirstStepCrossing:
         assert all(r == ensemble.RaceResult(None, None) for r in empty)
         assert all(o.len_c1 == 1 for o in outs)
 
-    def test_count_dp_race_over_an_empty_prefix_draws_nothing(self):
+    @pytest.mark.parametrize("kind", [AdditiveDmc, EmpiricalMi])
+    def test_proposal_race_over_an_empty_prefix_keeps_nothing(self, kind):
         # n I of one joint sample is 0, so uvlf_dmc never races an empty
-        # prefix from a trial; called directly, the count DP absorbs no
-        # mass and returns before any draw
-        metric = EmpiricalMi(CH, UNIFORM2, 300)
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        result = ensemble.ensemble_binary_mi_race(
-            rng, np.zeros(0, np.int64), metric, 60.0 * LN2, 0.1, 0.5, {})
+        # prefix from a trial; called directly, the race draws its Poisson
+        # count and that many empty proposals, none of which crosses, so
+        # it draws no uniform
+        metric = kind(CH, UNIFORM2, 300)
+        y = np.zeros(0, np.int64)
+        log_m, gamma1 = 12.0 * LN2, 6.0
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        result = ensemble.proposal_race(rng, y, metric, log_m, gamma1, 8.0)
         assert result == ensemble.RaceResult(None, None)
-        assert rng.bit_generator.state == state
+        assert metric.proposal_bound(y) == 0.0
+        proposals = replay.poisson(ensemble.poisson_crosser_rate(log_m,
+                                                                 -gamma1))
+        assert proposals > 0
+        for _ in range(proposals):
+            assert metric.draw_proposal(replay, y).size == 0
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class _ScriptedWalk:
@@ -842,24 +857,6 @@ class TestDeterminismAndAggregation:
         for i in range(6):
             assert (simulate_trial(cfg, i, _runtime=copy)
                     == simulate_trial(cfg, i, _runtime=rt))
-
-    @pytest.mark.usefixtures("force_ensemble")
-    def test_runtime_with_a_filled_memo_pickles_to_an_equivalent_copy(self):
-        # uvlf_dmc's count-DP races fill the runtime's hit-cell memo
-        cfg = _pair_cfg("uvlf_dmc")
-        rt = engine._Runtime(cfg)
-        memo = rt.race.keywords["memo"]
-        assert memo == {}
-        for i in range(5):
-            simulate_trial(cfg, i, _runtime=rt)
-        assert memo
-        copy = pickle.loads(pickle.dumps(rt))
-        filled = copy.race.keywords["memo"]
-        assert filled.keys() == memo.keys()
-        assert all(_same(filled[key], memo[key]) for key in memo)
-        assert np.array_equal(trial_records(cfg, 40)[5:],
-                              [simulate_trial(cfg, i, _runtime=copy)
-                               for i in range(5, 40)])
 
     @pytest.mark.usefixtures("force_ensemble")
     def test_pool_workers_use_the_runtime_built_in_the_parent(self, monkeypatch):
@@ -1033,7 +1030,7 @@ class TestCdfTables:
         assert (raw[:, -1] < 1.0).any()  # a posterior row sums below 1
         y = np.arange(3)
         # input index 2 = num_x, then an IndexError in dens[x, y], before
-        x = m.draw_tilted(_TopUniform(), y)
+        x = m.draw_proposal(_TopUniform(), y)
         assert x.tolist() == [1, 1, 1]
         assert np.isfinite(m.step(x, y)).all()
 
@@ -1057,7 +1054,7 @@ class TestCdfTables:
                 top = row.searchsorted(np.nextafter(1.0, 0.0), side="right")
                 assert top == last
         y = np.arange(4)
-        assert (m.draw_tilted(_TopUniform(), y) == 1).all()
+        assert (m.draw_proposal(_TopUniform(), y) == 1).all()
         x, y = m.draw_true(_TopUniform(), (1, 3))
         assert (x == 1).all() and (y == 3).all()
         assert (m.draw_inputs(_TopUniform(), 2, y) == 1).all()
@@ -1125,19 +1122,23 @@ def _full_grid_absorption(metric, gamma1):
     return cum, absorbed
 
 
-def _full_grid_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
-    """Reference for ensemble_binary_mi_race: the (u, v) mass grown by one
-    row or column from zeros at every step, and count_mi evaluated over the
-    whole grid at every step."""
-    h = y.size
-    if h < 1:
-        return ensemble.RaceResult(None, None)
+def _binary_type(u, v, j, n):
+    """Counts of the 2x2 joint type with u codeword ones against the j output
+    ones and v against the n - j output zeros: cells (x, y) = 00, 10, 01, 11,
+    row sums and column sums."""
+    return [n - j - v, v, j - u, u], [n - u - v, u + v], [n - j, j]
+
+
+def _full_grid_binary_mi_mass(y, metric, gamma1):
+    """The exact absorbed mass P[tau <= h] of the empirical-MI race on a
+    binary-binary channel: the count DP over (u, v) = (codeword ones against
+    output ones, against output zeros), the mass grown by one row or column
+    from zeros at every step, and count_mi evaluated over the whole grid."""
     log_tbl, px1 = metric.log_tbl, metric.px[1]
     j = 0
     mass = np.ones((1, 1))
-    absorbed = []  # (times, u, v, masses)
-    total_absorbed = 0.0
-    for t in range(1, h + 1):
+    total = 0.0
+    for t in range(1, y.size + 1):
         if int(y[t - 1]) == 1:
             grown = np.zeros((mass.shape[0] + 1, mass.shape[1]))
             grown[:-1, :] += mass * (1.0 - px1)
@@ -1150,202 +1151,136 @@ def _full_grid_binary_mi_race(rng, y, metric, log_m, gamma1, gamma2):
         mass = grown
         uu = np.arange(mass.shape[0])[:, None]
         vv = np.arange(mass.shape[1])[None, :]
-        grid = count_mi(log_tbl, *ensemble._binary_type(uu, vv, j, t), t)
-        hit = (grid > gamma1) & (mass > 0.0)
-        if hit.any():
-            ui, vi = np.nonzero(hit)
-            w = mass[ui, vi]
-            absorbed.append((np.full(w.size, t), ui, vi, w))
-            total_absorbed += float(w.sum())
-            mass[ui, vi] = 0.0
-    if total_absorbed <= 0.0:
-        return ensemble.RaceResult(None, None)
-    k = rng.poisson(ensemble.poisson_crosser_rate(log_m, math.log(total_absorbed)))
-    if k == 0:
-        return ensemble.RaceResult(None, None)
-    t, u, v, w = (np.concatenate(part) for part in zip(*absorbed))
-    ones = np.concatenate([[0], np.cumsum(y)])
-    counts = ensemble._binary_type(u, v, ones[t], t)
-    cells = np.stack(counts[0], axis=1)[:, [0, 2, 1, 3]]  # kernel order
-    return ensemble._absorbed_crossers(
-        rng, metric, y, gamma2, k, t, count_mi(log_tbl, *counts, t), cells, w
-    )
+        grid = count_mi(log_tbl, *_binary_type(uu, vv, j, t), t)
+        hit = grid > gamma1
+        total += float(mass[hit].sum())
+        mass[hit] = 0.0
+    return total
 
 
-class _ReadCountingMemo(dict):
-    """A race memo that counts the lookups finding a stored key."""
+def _random_case(seed, kind, h):
+    """A random 2x2 DMC with crossovers in [0.02, 0.3], a random codebook
+    law with px_1 in [0.3, 0.7], a metric of `kind` on them and an output
+    string of h symbols drawn through the channel."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.02, 0.3, 2)
+    channel = Dmc(np.array([[1.0 - a, a], [b, 1.0 - b]]))
+    px1 = rng.uniform(0.3, 0.7)
+    metric = kind(channel, np.array([1.0 - px1, px1]), h)
+    return metric, metric.draw_true(rng, (1, h))[1][0]
 
-    reads = 0
 
-    def get(self, key, default=None):
-        self.reads += key in self
-        return super().get(key, default)
+def _weighed_races(metric, y, gamma1, proposals, seed, monkeypatch):
+    """Races of about `proposals` proposals in all over the outputs y, 100
+    proposals a race: the acceptance weight P / Q 1{tau <= h} of each
+    proposal, the keep log-probability log_ratio + gamma_1 - B of each
+    crossing one, and the first-crossing times of the kept crossers."""
+    bound = metric.proposal_bound(y)
+    ratios, kept, count = [], [], [0]
+    draw, ratio = metric.draw_proposal, metric.log_ratio
+
+    def counted_draw(rng, y):
+        count[0] += 1
+        return draw(rng, y)
+
+    def recorded_ratio(value, state):
+        ratios.append(ratio(value, state))
+        return ratios[-1]
+
+    monkeypatch.setattr(metric, "draw_proposal", counted_draw)
+    monkeypatch.setattr(metric, "log_ratio", recorded_ratio)
+    monkeypatch.setattr(ensemble, "_first_to_gamma2",
+                        lambda rng, metric, crossers, y, gamma2:
+                        kept.extend(c[0] for c in crossers))
+    log_m = math.log(100.0) + gamma1 - bound
+    rng = np.random.default_rng(seed)
+    for _ in range(proposals // 100):
+        ensemble.proposal_race(rng, y, metric, log_m, gamma1, gamma1 + 1.0)
+    weights = np.zeros(count[0])
+    weights[:len(ratios)] = np.exp(ratios)
+    return weights, np.array(ratios) + gamma1 - bound, np.array(kept)
 
 
-class TestBinaryMiRace:
-    """The in-place count DP against the full-grid reference on random
-    output strings, at thresholds low enough for crossers: the same
-    absorbed mass, the same absorption law handed to the crosser draw, an
-    equal RaceResult and an equal next draw."""
+def _within_4_se(weights, p):
+    se = float(weights.std(ddof=1)) / math.sqrt(weights.size)
+    return abs(float(weights.mean()) - p) <= 4.0 * se
 
-    STRINGS = 34  # per (px, threshold) case: 306 strings in all
 
-    @staticmethod
-    def _record(monkeypatch):
-        """Capture what both races hand to poisson_crosser_rate (the log of
-        the absorbed mass) and to _absorbed_crossers (times, metric values,
-        kernel states and masses of the absorbed cells)."""
-        seen = []
-        rate, crossers = (ensemble.poisson_crosser_rate,
-                          ensemble._absorbed_crossers)
+class TestProposalRace:
+    """proposal_race against exact laws: the proposals' acceptance weights
+    estimate P[tau <= h], and the kept crossers' first-crossing times follow
+    the exact law of tau given tau <= h."""
 
-        def record_rate(log_m, log_p_cross):
-            seen.append(log_p_cross)
-            return rate(log_m, log_p_cross)
+    @pytest.mark.parametrize("kind,score", [(AdditiveDmc, "density"),
+                                            (EmpiricalMi, "mi")])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_enumerated_law(self, kind, score, seed, monkeypatch):
+        # every codeword of 14 symbols, enumerated by the oracle; gamma_1
+        # is n I = 3, or half the highest density path any codeword has
+        metric, y = _random_case(seed, kind, 14)
+        gamma1 = 3.0 if score == "mi" else 0.5 * float(
+            np.cumsum(metric.dens[:, y].max(axis=0)).max())
+        p, law = exact_race_law(y, metric.px, gamma1, score, metric.channel)
+        assert p > 0.0
+        weights, keep, kept = _weighed_races(metric, y, gamma1, 4000, seed,
+                                             monkeypatch)
+        assert _within_4_se(weights, p)
+        assert (keep <= 0.0).all()
+        assert kept.size >= 50
+        seen = np.bincount(kept - 1, minlength=y.size)
+        assert seen[law == 0.0].sum() == 0
+        want = law / p * kept.size
+        # the least likely times, pooled until they are expected 5 times
+        order = np.argsort(want)
+        cut = int(np.searchsorted(np.cumsum(want[order]), 5.0)) + 1
+        pooled, rest = order[:cut], order[cut:]
+        assert rest.size >= 1
+        obs = [seen[pooled].sum(), *seen[rest]]
+        exp = [want[pooled].sum(), *want[rest]]
+        assert scipy.stats.chisquare(obs, exp).pvalue > 1e-3
 
-        def record_crossers(rng, metric, y, gamma2, k, *law):
-            seen.extend(law)
-            return crossers(rng, metric, y, gamma2, k, *law)
+    @pytest.mark.parametrize("px1", [0.5, 0.3])
+    def test_mixture_weights_estimate_the_full_grid_mass(self, px1,
+                                                         monkeypatch):
+        # random output strings of 60 to 120 symbols at gamma_1 = 12
+        metric = EmpiricalMi(CH, np.array([1.0 - px1, px1]), 120)
+        strings = np.random.default_rng(int(px1 * 10))
+        for i in range(2):
+            h = int(strings.integers(60, 121))
+            y = (strings.random(h) < strings.uniform(0.3, 0.7)).astype(np.int64)
+            mass = _full_grid_binary_mi_mass(y, metric, 12.0)
+            assert mass > 0.0
+            with monkeypatch.context() as patch:
+                weights, keep, _ = _weighed_races(metric, y, 12.0, 3000, i,
+                                                  patch)
+            assert _within_4_se(weights, mass), (i, h)
+            assert (keep <= 0.0).all()
 
-        monkeypatch.setattr(ensemble, "poisson_crosser_rate", record_rate)
-        monkeypatch.setattr(ensemble, "_absorbed_crossers", record_crossers)
-        return seen
+    @pytest.mark.parametrize("size,most", [(2, 200), (3, 40)])
+    def test_regret_bound_is_the_largest_regret(self, size, most):
+        # log of the maximum-likelihood probability over the KT mixture's,
+        # at every count vector of n symbols
+        for n in range(most + 1):
+            worst = max(
+                sum(c * math.log(c / n) for c in counts if c)
+                - math.lgamma(0.5 * size) + math.lgamma(n + 0.5 * size)
+                - sum(math.lgamma(c + 0.5) - math.lgamma(0.5) for c in counts)
+                for counts in _compositions(n, size))
+            assert engine._kt_regret(n, size) == pytest.approx(
+                worst, rel=1e-12, abs=1e-12), n
 
-    @staticmethod
-    def _strings(rng, count):
-        """count random output strings of 1 to 300 symbols."""
-        for _ in range(count):
-            h = int(rng.integers(1, 301))
-            yield (rng.random(h) < rng.uniform(0.2, 0.8)).astype(np.int64)
-
-    # gamma_1 = 40 can first absorb at step 58 or later on its strings, so
-    # each uniform race longer than 53 symbols writes the product of 53
-    # steps and runs its loop from step 54: the exact start at its cap
-    @pytest.mark.parametrize("gamma1,log_m,px1", [
-        *((g, m, p) for p in (0.5, 0.7, 0.2)
-          for g, m in ((6.5, 9.0), (10.0, 12.0), (20.3, 22.0))),
-        (40.0, 42.0, 0.5),
-    ])
-    def test_equals_full_grid_reference(self, gamma1, log_m, px1,
-                                        monkeypatch):
-        # one memo serves every string of a case, as one runtime's does its
-        # races: later strings read the hit cells earlier ones stored
-        seen = self._record(monkeypatch)
-        metric = EmpiricalMi(CH, np.array([1.0 - px1, px1]), 300)
-        rng = np.random.default_rng([int(px1 * 10), int(gamma1 * 10)])
-        memo = _ReadCountingMemo()
-        memo_race = functools.partial(ensemble.ensemble_binary_mi_race,
-                                      memo=memo)
-        crossed = reread = 0
-        for i, y in enumerate(self._strings(rng, self.STRINGS)):
-            h = y.size
-            known = memo.reads
-            results, laws = [], []
-            for race in (memo_race, _full_grid_binary_mi_race):
-                draws = np.random.default_rng([i, h])
-                seen.clear()
-                results.append((race(draws, y, metric, log_m, gamma1,
-                                     gamma1 + 3.0), draws.random()))
-                laws.append(list(seen))
-            assert results[0] == results[1], (i, h)
-            assert len(laws[0]) == len(laws[1]), (i, h)
-            for a, b in zip(*laws):
-                if isinstance(a, np.ndarray):
-                    assert _same(a, b), (i, h)
-                else:
-                    assert a == b, (i, h)
-            crossed += results[0][0].t1 is not None
-            reread += memo.reads > known
-        assert crossed >= self.STRINGS // 4
-        assert reread >= self.STRINGS // 2
-
-    def test_uniform_dp_equals_the_exact_binomial_product(self):
-        # the full-grid DP's mass after 53 steps at px_1 = 1/2 against the
-        # outer product of C(j, u) 2^-j and C(k, v) 2^-k; past the cap the
-        # DP's numerators exceed 2^53 and its rounding shows
-        def pmf(n):
-            return np.array([math.comb(n, i) for i in range(n + 1)],
-                            float) * 0.5 ** n
-
-        def grown(y):
-            mass = np.ones((1, 1))
-            for bit in y.tolist():
-                shape = (mass.shape[0] + bit, mass.shape[1] + 1 - bit)
-                out = np.zeros(shape)
-                out[:mass.shape[0], :mass.shape[1]] += mass * 0.5
-                out[bit:, 1 - bit:] += mass * 0.5
-                mass = out
-            return mass
-
-        rng = np.random.default_rng(53)
-        beyond = 0
-        for _ in range(200):
-            y = (rng.random(64) < rng.uniform(0.2, 0.8)).astype(np.int64)
-            for t in (ensemble._EXACT_STEPS, 64):
-                j = int(y[:t].sum())
-                same = _same(grown(y[:t]),
-                             np.multiply.outer(pmf(j), pmf(t - j)))
-                if t == 64:
-                    beyond += not same
-                else:
-                    assert same, y[:t]
-        assert beyond > 0
-
-    @pytest.mark.parametrize("gamma1", [6.5, 10.0, 20.3])
-    def test_memo_holds_the_hit_cells_of_the_full_grid(self, gamma1):
-        # every key the races fill: the flat indices of count_mi > gamma_1
-        # over the key's whole (u, v) grid, and the shared _NO_HIT where
-        # that grid has none.  A uniform race stores no key before its
-        # first step that can absorb; at px_1 = 0.7 the races start at
-        # t = 0 and fill keys of both kinds
-        rng = np.random.default_rng(int(gamma1 * 10))
-        strings = list(self._strings(rng, 12))
-        filled = []
-        for px in (UNIFORM2, np.array([0.3, 0.7])):
-            metric = EmpiricalMi(CH, px, 300)
-            memo = {}
-            for y in strings:
-                ensemble.ensemble_binary_mi_race(
-                    np.random.default_rng(y.size), y, metric, gamma1 + 2.0,
-                    gamma1, gamma1 + 3.0, memo=memo)
-            hits = 0
-            for (t, j), cells in memo.items():
-                uu = np.arange(j + 1)[:, None]
-                vv = np.arange(t - j + 1)[None, :]
-                grid = count_mi(metric.log_tbl,
-                                *ensemble._binary_type(uu, vv, j, t), t)
-                want = np.flatnonzero(grid > gamma1)
-                if want.size == 0:
-                    assert cells is ensemble._NO_HIT, (t, j)
-                else:
-                    assert cells.dtype == np.int32, (t, j)
-                    assert np.array_equal(cells, want), (t, j)
-                    hits += 1
-            filled.append((hits, len(memo)))
-        (uniform_hits, uniform_keys), (hits, keys) = filled
-        assert 0 < uniform_hits <= uniform_keys
-        assert 0 < hits < keys
-
-    def test_skipped_steps_have_no_hit_cell(self):
-        # every j at every t <= 200 and at four longer prefixes; gamma_1 at
-        # the largest value below the full grid's maximum (the hardest
-        # threshold a skip must respect) and just around n H(Y)
-        L = count_log_table(401)
-        for t in [*range(1, 201), 250, 300, 350, 400]:
-            for j in range(t + 1):
-                uu = np.arange(j + 1)[:, None]
-                vv = np.arange(t - j + 1)[None, :]
-                grid = count_mi(L, *ensemble._binary_type(uu, vv, j, t), t)
-                top = grid.max()
-                entropy = L[t] - L[j] - L[t - j]
-                near = 1e-9 * (1.0 + L[t])
-                for gamma1 in (np.nextafter(top, -np.inf), entropy - near,
-                               entropy + near):
-                    if ensemble._cannot_absorb(L, t, j, gamma1):
-                        assert top <= gamma1, (t, j, gamma1)
-                assert not ensemble._cannot_absorb(L, t, j, entropy)
-                assert ensemble._cannot_absorb(L, t, j, entropy + 1e-6 * (
-                    1.0 + L[t]))
+    def test_tiny_gamma1_is_a_state_explosion(self):
+        # at M = 2^20 and gamma_1 = 6, (M - 1) e^{-gamma_1} = e^7.86 is
+        # below the cap of 10^4 = e^9.21, but the mixture race proposes
+        # e^B times as many paths, B = 2 R(75) = 5.47 over 75 output ones
+        # and 75 zeros: e^13.33, past the cap
+        metric = EmpiricalMi(CH, UNIFORM2, 300)
+        y = np.arange(150) % 2
+        assert metric.proposal_bound(y) == pytest.approx(5.47, abs=0.01)
+        with pytest.raises(StateExplosion, match=r"^expected number of "
+                           r"proposals or crossers e\^13\.33 exceeds 10000"):
+            ensemble.proposal_race(np.random.default_rng(0), y, metric,
+                                   20 * LN2, 6.0, 8.0)
 
 
 def _same(a, b):
@@ -1415,6 +1350,19 @@ class TestFlipEntropyAbsorption:
         hits += sum(same_race(FlipEntropyAbsorption(metric, 10.0), int(h))
                     for h in absorbing[:6])
         assert hits >= 8
+
+    @pytest.mark.parametrize("gamma1", [2.0, 3.37, 5.1])
+    def test_law_equals_the_enumerated_law(self, gamma1):
+        # against every codeword of 16 symbols, enumerated by the oracle;
+        # the law is the same for any output string
+        metric = FlipEntropy(CH, UNIFORM2, 16)
+        law = FlipEntropyAbsorption(metric, gamma1)
+        law.advance(16)
+        y = np.random.default_rng(16).integers(0, 2, 16)
+        p, tau = exact_race_law(y, UNIFORM2, gamma1, "flip")
+        assert p > 0.0
+        assert law.cum[16] == pytest.approx(p, rel=1e-12)
+        np.testing.assert_allclose(law.cum[1:], np.cumsum(tau), rtol=1e-12)
 
     @pytest.mark.usefixtures("force_ensemble")
     def test_partly_advanced_runtime_pickles_to_an_equivalent_copy(self):

@@ -84,7 +84,7 @@ PAIR_DIGESTS = {
     ("vlf_awgn", "ensemble"):
         "c9d5a40505ff80cf8e2f6be339447f53198983b918a97e095deb4c1834d7d332",
     ("uvlf_dmc", "ensemble"):
-        "f917c15cd0178e3ecf981f1754f2f89ef2d045ed80e8165af1560fc9f68c9a0b",
+        "ba65c3e2bc4bcc1ddebe92e5305a3456b326ab639b9eca68c2e9673fe435a9af",
     ("uvlf_bsc", "ensemble"):
         "766d27d89669a931f4f89fa2d321c0df932ff60a66b0dc8eafb9b2750ecccf04",
 }
@@ -113,12 +113,13 @@ def test_known_channel_benchmark_config_records():
 
 
 def test_count_dp_benchmark_config_records():
-    # mc_universal_dp's config: uvlf_dmc at M = 2^60 on the count DP
+    # mc_universal_dp's config: uvlf_dmc at M = 2^60 on the mixture
+    # proposal race
     params = universal_schedule(60 * LN2, 2, 2, 0.05, d=1.0)
     cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                        params=params, training_len=100_000, seed=10_000)
     _check(_records_digest(trial_records(cfg, 40)),
-           "e892a43ab2d2ce0f8469bd9326f7964810479bafd61b274cfec27070236839db")
+           "c8852202413d39ca657216815f788a22d0e0f15ecd98a34c436d6c4d74b36e96")
 
 
 def test_trace_file_bytes(tmp_path):

@@ -1,18 +1,27 @@
 """Exact dynamic-programming recomputations against independent routes."""
 
+import ast
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlf import oracle
 from vlf.bounds import channel_stats
-from vlf.channel import bsc, control_pair, information_density_table
+from vlf.channel import (
+    Dmc,
+    binary_entropy,
+    bsc,
+    control_pair,
+    information_density_table,
+)
 from vlf.ensemble import count_log_table
-from vlf.errors import StateExplosion, VlfError
+from vlf.errors import DimensionMismatch, StateExplosion, VlfError
 from vlf.oracle import (
     JointType,
     LatticeWalkSpec,
@@ -22,6 +31,7 @@ from vlf.oracle import (
     empirical_mi,
     exact_eta_expectation,
     exact_mi_tail,
+    exact_race_law,
     exact_passage_time,
     exact_sprt,
     gaussian_corr_tail,
@@ -288,6 +298,78 @@ class TestInformationTail:
         grid = np.array([0.5, 1.0, 2.0, 4.0])
         vals = exact_mi_tail(8, UNIFORM2, UNIFORM2, grid)
         assert np.all(np.diff(vals) <= 1e-15)
+
+
+def _enumerated_race_law(y, px, gamma1, score):
+    """exact_race_law's (p, law) one codeword at a time, each prefix scored
+    by `score`."""
+    law = np.zeros(len(y))
+    for x in itertools.product(range(len(px)), repeat=len(y)):
+        prob = math.prod(px[a] for a in x)
+        for n in range(1, len(y) + 1):
+            if score(x[:n], y[:n]) > gamma1:
+                law[n - 1] += prob
+                break
+    return law.sum(), law
+
+
+class TestExactRaceLaw:
+    W32 = Dmc(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+    PX3 = np.array([0.2, 0.5, 0.3])
+    Y = [1, 0, 0, 1, 1, 1, 0]
+
+    @pytest.mark.parametrize("metric", ["mi", "density", "flip"])
+    def test_equals_a_codeword_by_codeword_enumeration(self, metric):
+        dens = information_density_table(self.PX3, self.W32)
+        px, gamma1 = self.PX3, 1.3
+        if metric == "mi":
+            def score(x, y):
+                return len(x) * empirical_mi(joint_type(x, y, 3, 2))
+        elif metric == "density":
+            def score(x, y):
+                return sum(dens[a, b] for a, b in zip(x, y))
+        else:
+            px = np.array([0.4, 0.6])
+
+            def score(x, y):
+                n, k = len(x), sum(a != b for a, b in zip(x, y))
+                return n * (math.log(2.0) - binary_entropy(k / n))
+        p, law = exact_race_law(self.Y, px, gamma1, metric, self.W32)
+        want_p, want_law = _enumerated_race_law(self.Y, px, gamma1, score)
+        assert p > 0.0 and law.sum() == pytest.approx(p, rel=1e-15)
+        assert p == pytest.approx(want_p, rel=1e-12)
+        np.testing.assert_allclose(law, want_law, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("args,kwargs,error,match", [
+        (([[0, 1]], UNIFORM2, 1.0), {}, DimensionMismatch, "1-D"),
+        (([], UNIFORM2, 1.0), {}, DimensionMismatch, "nonempty"),
+        (([0, -1], UNIFORM2, 1.0), {}, DimensionMismatch, "output indices"),
+        (([0.5, 1.0], UNIFORM2, 1.0), {}, DimensionMismatch, "output indices"),
+        (([0, 1], UNIFORM2, math.nan), {}, VlfError, "gamma1"),
+        (([0, 1], UNIFORM2, 1.0), {"metric": "nI"}, VlfError, "metric must"),
+        (([0, 1], UNIFORM2, 1.0), {"metric": "density"}, VlfError,
+         "needs a channel"),
+        (([0, 1], [0.2, 0.3, 0.5], 1.0), {"metric": "flip"},
+         DimensionMismatch, "binary inputs"),
+        (([0] * 17, UNIFORM2, 1.0), {}, StateExplosion, "2\\^17"),
+        (([0] * 11, [0.2, 0.3, 0.5], 1.0), {}, StateExplosion, "3\\^11"),
+    ])
+    def test_refusals_name_the_argument(self, args, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            exact_race_law(*args, **kwargs)
+
+    def test_depends_on_no_engine_module(self):
+        # the oracle checks the engine's races, so it must not share code
+        # with them
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert imported == {"__future__", "dataclasses", "math", "numpy",
+                            "scipy.special", "channel", "errors"}
 
 
 class TestTypeClassBound:

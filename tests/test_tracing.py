@@ -13,8 +13,8 @@ _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _PATCHED = [
     (engine, "simulate_trial"), (engine, "count_log_table"),
     (engine, "_run_chunk"), (ensemble, "literal_race"),
-    (ensemble, "tilted_race"), (ensemble, "ensemble_binary_mi_race"),
-    (ensemble, "poisson_crosser_rate"), (ensemble, "FlipEntropyAbsorption"),
+    (ensemble, "proposal_race"), (ensemble, "poisson_crosser_rate"),
+    (ensemble, "FlipEntropyAbsorption"),
     (bounds, "channel_stats"), (bounds, "scaled_m_exp"),
     (cli, "optimize_params"), (cli, "single_phase_bound"), (cli, "capacity"),
     (cli, "main"),
