@@ -354,8 +354,9 @@ class Metric:
     It returns the metric after each step, shape (rows, b), and the new
     state.  The base kernel sums per-symbol steps ``step(x, y)``.  Its
     ensemble strategy is ``ensemble.proposal_race`` over three hooks: the
-    proposal sampler ``draw_proposal(rng, y)``, which here draws each input
-    from its posterior given the output (exponential tilting), the log
+    proposal sampler ``draw_proposal(rng, y, rows)``, `rows` paths of shape
+    (rows, y.size), which here draws each input from its posterior given
+    the output (exponential tilting) as `rows` one-path draws would, the log
     bound ``proposal_bound(y)`` on the likelihood ratio above gamma_1, here
     0, and ``log_ratio(value, state)``, the log of P(x^tau) / Q(x^tau | y)
     at a crossing, here -value: the metric is the log likelihood ratio
@@ -498,8 +499,8 @@ class AdditiveDmc(_DmcMetric):
     def step(self, x, y):
         return self.dens[x, y]
 
-    def draw_proposal(self, rng, y):
-        u = rng.random(y.shape)
+    def draw_proposal(self, rng, y, rows):
+        u = rng.random((rows, y.size))
         return (u[..., None] >= self.post_cdfs[y]).sum(axis=-1)
 
 
@@ -509,10 +510,11 @@ class AdditiveGaussian(_GaussianMetric):
     def step(self, x, y):
         return gaussian_information_density(self.channel, x, y)
 
-    def draw_proposal(self, rng, y):
+    def draw_proposal(self, rng, y, rows):
         p = self.power
         post_sd = math.sqrt(p / (p + 1.0))
-        return y * (p / (p + 1.0)) + post_sd * rng.standard_normal(y.size)
+        return y * (p / (p + 1.0)) + post_sd * rng.standard_normal(
+            (rows, y.size))
 
 
 def _kt_regret(n, size):
@@ -530,12 +532,13 @@ class EmpiricalMi(_DmcMetric):
 
     Its ensemble race proposes from a Krichevsky-Trofimov mixture per
     output symbol b: theta_b ~ Dirichlet(1/2, ..., 1/2) over the inputs,
-    then x_t ~ theta_{y_t}.  For n_b outputs b among t, that mixture's
-    probability is at most e^{R(n_b)} below the maximum-likelihood one
-    (``_kt_regret``), and P(x^t) is at most the maximum-likelihood law of
-    the input type, so P / Q <= e^{-t I_t + sum_b R(n_b)}: at a gamma_1
-    crossing within the horizon, log P / Q < sum_b R(n_b(h)) - gamma_1,
-    the bound ``proposal_bound`` returns.
+    drawn afresh for each proposal path, then x_t ~ theta_{y_t}.  For n_b
+    outputs b among t, that mixture's probability is at most e^{R(n_b)}
+    below the maximum-likelihood one (``_kt_regret``), and P(x^t) is at
+    most the maximum-likelihood law of the input type, so
+    P / Q <= e^{-t I_t + sum_b R(n_b)}: at a gamma_1 crossing within the
+    horizon, log P / Q < sum_b R(n_b(h)) - gamma_1, the bound
+    ``proposal_bound`` returns.
     """
 
     universal = True
@@ -551,10 +554,11 @@ class EmpiricalMi(_DmcMetric):
         return sum(_kt_regret(int(n), self.num_x)
                    for n in np.bincount(y, minlength=self.num_y))
 
-    def draw_proposal(self, rng, y):
-        cdfs = _cdf(rng.dirichlet(np.full(self.num_x, 0.5), size=self.num_y))
-        u = rng.random(y.shape)
-        return (u[..., None] >= cdfs[y]).sum(axis=-1)
+    def draw_proposal(self, rng, y, rows):
+        cdfs = _cdf(rng.dirichlet(np.full(self.num_x, 0.5),
+                                  size=(rows, self.num_y)))
+        u = rng.random((rows, y.size))
+        return (u[..., None] >= cdfs[np.arange(rows)[:, None], y]).sum(axis=-1)
 
     def log_ratio(self, value, state):
         """log P(x^t) - log Q(x^t | y^t) from the joint counts c[x, b] of
@@ -574,18 +578,20 @@ class EmpiricalMi(_DmcMetric):
     def metric(self, state, x, y):
         t, counts = state
         nx, ny = self.num_x, self.num_y
-        onehot = (x * ny + y)[..., None] == np.arange(nx * ny)
-        cum = counts[:, None, :] + np.cumsum(onehot, axis=1)
-        grid = cum.reshape(cum.shape[:2] + (nx, ny))
-        b = x.shape[1]
-        cells, rows, cols = (
-            np.moveaxis(a, 2, 0) for a in (cum, grid.sum(axis=3), grid.sum(axis=2))
+        rows, b = x.shape
+        # cell-major, (rows, cells, b): the cumsum runs along the contiguous
+        # last axis
+        onehot = (x * ny + y)[:, None, :] == np.arange(nx * ny)[:, None]
+        cum = counts[:, :, None] + np.cumsum(onehot, axis=2)
+        grid = cum.reshape(rows, nx, ny, b)
+        cells, row_sums, col_sums = (
+            a.transpose(1, 0, 2) for a in (cum, grid.sum(axis=2), grid.sum(axis=1))
         )
         n = np.arange(t + 1, t + b + 1)
-        # a sum, not cum[:, -1], so that a kernel call over no symbols
+        # a sum, not cum[..., -1], so that a kernel call over no symbols
         # returns its state unchanged
-        last = counts + onehot.sum(axis=1)
-        return count_mi(self.log_tbl, cells, rows, cols, n), (t + b, last)
+        last = counts + onehot.sum(axis=2)
+        return count_mi(self.log_tbl, cells, row_sums, col_sums, n), (t + b, last)
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):
         if (self.num_x, self.num_y) != (2, 2):

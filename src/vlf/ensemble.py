@@ -21,9 +21,9 @@ Two interchangeable strategies produce them:
   count DP, ``FlipEntropyAbsorption``, serves a configuration, and the
   races advance it only as far as they read it.
 
-Both work on the kernel of an ``engine.Metric``: the literal race is its
-chunked-rows case, and the ensemble strategies score each proposal and
-continue each gamma_1 crosser toward gamma_2 with its one-row case.  The
+Both work on the kernel of an ``engine.Metric``: the literal race and the
+proposals are its chunked-rows case, and the ensemble strategies continue
+each gamma_1 crosser toward gamma_2 with its one-row case.  The
 count tables ``count_log_table`` and ``count_mi``, which the engine's
 ``EmpiricalMi`` and ``FlipEntropy`` kernels sum from, live here too.
 
@@ -167,30 +167,37 @@ def proposal_race(rng, y, metric, log_m, gamma1, gamma2):
     the competitor law P at every gamma_1 crossing:
     log P(x^tau) / Q(x^tau | y^tau) <= B - gamma_1, with
     B = ``metric.proposal_bound(y)``.  So the race proposes
-    Poisson((M-1) e^{B - gamma_1}) paths, one at a time, takes each one's
-    first gamma_1 crossing tau <= h, and keeps it with probability
+    Poisson((M-1) e^{B - gamma_1}) paths in chunks of at most _CHUNK rows,
+    one kernel call a chunk, takes each path's first gamma_1 crossing
+    tau <= h, and keeps it with probability
     e^{log_ratio + gamma_1 - B} <= 1, where log_ratio =
     ``metric.log_ratio(value, state)`` reads the metric value at tau and
     the kernel state there, from a second kernel call over x^tau.  The
     kept paths are the crossers, Poisson((M-1) P[tau <= h]) of them with
     the exact law of their first gamma_1 crossing; each continues toward
-    gamma_2 with fresh codeword symbols.  A proposal draws its path, and
-    one uniform only if the path crosses.
+    gamma_2 with fresh codeword symbols.  A chunk draws its paths, then
+    one uniform for each path that crosses, in row order.  Over an empty
+    prefix nothing crosses, and the race draws only its count.
     """
     bound = metric.proposal_bound(y)
+    proposals = rng.poisson(poisson_crosser_rate(log_m, bound - gamma1))
+    if y.size == 0:
+        return RaceResult(None, None)
     crossers = []
-    for _ in range(rng.poisson(poisson_crosser_rate(log_m, bound - gamma1))):
-        x = metric.draw_proposal(rng, y)
-        s, _ = metric.metric(metric.start(1), x[None, :], y[None, :])
-        t = _first_exceed(s, gamma1)
-        if t is None:
-            continue
-        value = float(s[0, t - 1])
-        _, state = metric.metric(metric.start(1), x[None, :t], y[None, :t])
-        if rng.random() >= math.exp(metric.log_ratio(value, state)
-                                    + gamma1 - bound):
-            continue
-        crossers.append((t, value, state))
+    for left in range(proposals, 0, -_CHUNK):
+        rows = min(left, _CHUNK)
+        x = metric.draw_proposal(rng, y, rows)
+        s, _ = metric.metric(metric.start(rows), x, y[None, :])
+        hit = s > gamma1
+        for r in hit.any(axis=1).nonzero()[0]:
+            t = int(hit[r].argmax()) + 1
+            value = float(s[r, t - 1])
+            _, state = metric.metric(metric.start(1), x[r:r + 1, :t],
+                                     y[None, :t])
+            if rng.random() >= math.exp(metric.log_ratio(value, state)
+                                        + gamma1 - bound):
+                continue
+            crossers.append((t, value, state))
     if not crossers:
         return RaceResult(None, None)
     return RaceResult(

@@ -762,8 +762,9 @@ class TestFirstStepCrossing:
     def test_proposal_race_over_an_empty_prefix_keeps_nothing(self, kind):
         # n I of one joint sample is 0, so uvlf_dmc never races an empty
         # prefix from a trial; called directly, the race draws its Poisson
-        # count and that many empty proposals, none of which crosses, so
-        # it draws no uniform
+        # count, as a vlf_* race over an empty prefix must to keep its
+        # stream, and then nothing: no path over no outputs crosses, so no
+        # proposal is kept and no uniform is drawn
         metric = kind(CH, UNIFORM2, 300)
         y = np.zeros(0, np.int64)
         log_m, gamma1 = 12.0 * LN2, 6.0
@@ -774,9 +775,9 @@ class TestFirstStepCrossing:
         proposals = replay.poisson(ensemble.poisson_crosser_rate(log_m,
                                                                  -gamma1))
         assert proposals > 0
-        for _ in range(proposals):
-            assert metric.draw_proposal(replay, y).size == 0
         assert rng.bit_generator.state == replay.bit_generator.state
+        paths = metric.draw_proposal(replay, y, proposals)
+        assert paths.shape == (proposals, 0)
 
 
 class _ScriptedWalk:
@@ -1030,7 +1031,7 @@ class TestCdfTables:
         assert (raw[:, -1] < 1.0).any()  # a posterior row sums below 1
         y = np.arange(3)
         # input index 2 = num_x, then an IndexError in dens[x, y], before
-        x = m.draw_proposal(_TopUniform(), y)
+        x = m.draw_proposal(_TopUniform(), y, 1)[0]
         assert x.tolist() == [1, 1, 1]
         assert np.isfinite(m.step(x, y)).all()
 
@@ -1054,10 +1055,51 @@ class TestCdfTables:
                 top = row.searchsorted(np.nextafter(1.0, 0.0), side="right")
                 assert top == last
         y = np.arange(4)
-        assert (m.draw_proposal(_TopUniform(), y) == 1).all()
+        assert (m.draw_proposal(_TopUniform(), y, 1) == 1).all()
         x, y = m.draw_true(_TopUniform(), (1, 3))
         assert (x == 1).all() and (y == 3).all()
         assert (m.draw_inputs(_TopUniform(), 2, y) == 1).all()
+
+
+class TestProposalDraws:
+    """draw_proposal(rng, y, rows): one call hands out `rows` proposal
+    paths, shape (rows, h), for one kernel call over them."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: AdditiveDmc(CH, UNIFORM2, 100),
+        lambda rng: AdditiveDmc(_random_dmc(rng, (3, 2)),
+                                rng.dirichlet(np.ones(3)), 100),
+        lambda rng: AdditiveGaussian(GaussianChannel(1.0), None, 100),
+    ], ids=["bsc", "3x2", "awgn"])
+    def test_rows_are_consecutive_one_row_draws(self, make):
+        # so a race of 0 or 1 proposals draws what a race drawing one path
+        # at a time draws, and keeps its records
+        rng = np.random.default_rng(3)
+        metric = make(rng)
+        y = metric.draw_true(rng, (1, 100))[1][0]
+        many, one = np.random.default_rng(4), np.random.default_rng(4)
+        got = metric.draw_proposal(many, y, 7)
+        want = np.concatenate([metric.draw_proposal(one, y, 1)
+                               for _ in range(7)])
+        assert got.shape == (7, y.size)
+        assert _same(got, want)
+        assert many.bit_generator.state == one.bit_generator.state
+
+    def test_mixture_draws_a_theta_per_row_and_output(self):
+        # with theta_b ~ Dirichlet(1/2, 1/2) per output b, the codeword ones
+        # among a row's n outputs b are Beta-Binomial(n, 1/2, 1/2), and
+        # independent across b and across rows; one theta shared by the
+        # rows would make them Binomial(n, theta)
+        n, rows = 20, 4000
+        metric = EmpiricalMi(CH, UNIFORM2, 2 * n)
+        y = np.repeat([0, 1], n)
+        x = metric.draw_proposal(np.random.default_rng(8), y, rows)
+        ones = [x[:, :n].sum(axis=1), x[:, n:].sum(axis=1)]
+        want = scipy.stats.betabinom.pmf(np.arange(n + 1), n, 0.5, 0.5) * rows
+        for k in ones:
+            seen = np.bincount(k, minlength=n + 1)
+            assert scipy.stats.chisquare(seen, want).pvalue > 1e-3
+        assert abs(np.corrcoef(*ones)[0, 1]) < 4.0 / math.sqrt(rows)
 
 
 class TestCountLogTable:
@@ -1067,6 +1109,14 @@ class TestCountLogTable:
         assert tbl[0] == 0.0
         assert tbl[1] == 0.0
         assert tbl[3] == pytest.approx(3 * math.log(3))
+
+
+def _random_metric(kind, shape):
+    """A metric of `kind` on a random DMC of `shape` with a random codebook
+    law, and the generator, seeded by the shape, that drew them."""
+    rng = np.random.default_rng(shape[1])
+    return kind(_random_dmc(rng, shape), rng.dirichlet(np.ones(shape[0])),
+                400), rng
 
 
 class TestMetricKernelsMatchTheirDefinitions:
@@ -1085,11 +1135,7 @@ class TestMetricKernelsMatchTheirDefinitions:
         np.testing.assert_allclose(got[live], want[live], rtol=1e-12,
                                    atol=1e-9)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_one_row_and_chunked_rows(self, variant):
-        channel, px, _ = VARIANT_SETUPS[variant]
-        metric = METRICS[variant](channel, px, 400, n_min=6)
-        rng = np.random.default_rng(11)
+    def _one_row_and_chunked_rows(self, metric, rng):
         # one row: the true walk's case, symbols and outputs drawn jointly
         x, y = metric.draw_true(rng, (1, self.LENGTH))
         self._check(metric, self._run(metric, x, y)[0], x[0], y[0])
@@ -1098,6 +1144,44 @@ class TestMetricKernelsMatchTheirDefinitions:
         got = self._run(metric, xs, y)
         for r in range(self.ROWS):
             self._check(metric, got[r], xs[r], y[0])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_row_and_chunked_rows(self, variant):
+        channel, px, _ = VARIANT_SETUPS[variant]
+        metric = METRICS[variant](channel, px, 400, n_min=6)
+        self._one_row_and_chunked_rows(metric, np.random.default_rng(11))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", [AdditiveDmc, EmpiricalMi])
+    def test_one_row_and_chunked_rows_off_the_binary_channel(self, kind,
+                                                             shape):
+        self._one_row_and_chunked_rows(*_random_metric(kind, shape))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", [AdditiveDmc, EmpiricalMi])
+    def test_lockstep_rows(self, kind, shape):
+        # the passage-time helpers' case: each row its own outputs, y of
+        # shape (rows, 1), one symbol a call, the state carried between calls
+        metric, rng = _random_metric(kind, shape)
+        x, y = metric.draw_true(rng, (self.ROWS, self.SPLIT))
+        state, got = metric.start(self.ROWS), []
+        for t in range(self.SPLIT):
+            s, state = metric.metric(state, x[:, t:t + 1], y[:, t:t + 1])
+            got.append(s)
+        got = np.concatenate(got, axis=1)
+        for r in range(self.ROWS):
+            self._check(metric, got[r], x[r], y[r])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+    def test_empirical_mi_over_no_symbols_keeps_its_state(self, shape):
+        metric, rng = _random_metric(EmpiricalMi, shape)
+        x, y = metric.draw_true(rng, (self.ROWS, self.SPLIT))
+        for state in (metric.start(self.ROWS), metric.metric(
+                metric.start(self.ROWS), x, y)[1]):
+            s, kept = metric.metric(state, x[:, :0], y[:, :0])
+            assert s.shape == (self.ROWS, 0)
+            assert kept[0] == state[0]
+            assert _same(kept[1], state[1])
 
 
 def _full_grid_absorption(metric, gamma1):
@@ -1179,9 +1263,9 @@ def _weighed_races(metric, y, gamma1, proposals, seed, monkeypatch):
     ratios, kept, count = [], [], [0]
     draw, ratio = metric.draw_proposal, metric.log_ratio
 
-    def counted_draw(rng, y):
-        count[0] += 1
-        return draw(rng, y)
+    def counted_draw(rng, y, rows):
+        count[0] += rows
+        return draw(rng, y, rows)
 
     def recorded_ratio(value, state):
         ratios.append(ratio(value, state))

@@ -84,7 +84,7 @@ PAIR_DIGESTS = {
     ("vlf_awgn", "ensemble"):
         "c9d5a40505ff80cf8e2f6be339447f53198983b918a97e095deb4c1834d7d332",
     ("uvlf_dmc", "ensemble"):
-        "ba65c3e2bc4bcc1ddebe92e5305a3456b326ab639b9eca68c2e9673fe435a9af",
+        "696121e32166186fb6348d5c66ea88ceef155d878eaca56f7e127a3d9396f8b8",
     ("uvlf_bsc", "ensemble"):
         "766d27d89669a931f4f89fa2d321c0df932ff60a66b0dc8eafb9b2750ecccf04",
 }
@@ -112,14 +112,14 @@ def test_known_channel_benchmark_config_records():
            "1e3c4396898b0df590fa4b47931919ab3e9657fa2e57cc76837857eb710b6417")
 
 
-def test_count_dp_benchmark_config_records():
+def test_universal_benchmark_config_records():
     # mc_universal_dp's config: uvlf_dmc at M = 2^60 on the mixture
     # proposal race
     params = universal_schedule(60 * LN2, 2, 2, 0.05, d=1.0)
     cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                        params=params, training_len=100_000, seed=10_000)
     _check(_records_digest(trial_records(cfg, 40)),
-           "c8852202413d39ca657216815f788a22d0e0f15ecd98a34c436d6c4d74b36e96")
+           "0615eb95a361f35268b16710a39442aa502239ac1fcee07d4591a3f69322886b")
 
 
 def test_trace_file_bytes(tmp_path):
