@@ -172,7 +172,7 @@ def _divergences(p, q, logs=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p, log_q = (np.log(p), np.log(q)) if logs is None else logs
         terms = p * (log_p - log_q)
-    return np.where(p > 0, terms, 0.0).sum(axis=-1)
+    return np.add.reduce(np.where(p > 0, terms, 0.0), axis=-1)
 
 
 def kl_divergence(p, q):
@@ -251,7 +251,7 @@ def _control_pair(w, log_w):
     div = _divergences(w[:, None, :], w[None, :, :],
                        (log_w[:, None, :], log_w[None, :, :])).ravel()
     div[::nx + 1] = -math.inf  # the diagonal, xa == xr
-    i = int(np.argmax(div >= div.max() - 1e-15))
+    i = int((div >= np.maximum.reduce(div) - 1e-15).argmax())
     xa, xr = divmod(i, nx)
     return xa, xr, float(div[i])
 

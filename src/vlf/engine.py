@@ -343,6 +343,18 @@ def _categorical(rng, cdf, size):
     return cdf.searchsorted(rng.random(size), side="right")
 
 
+def _through_cdfs(u, cdfs, row):
+    """The categorical draw of each uniform u < 1: the number of values at
+    or below u in its CDF row, ``cdfs[..., j].take(row)`` for cut point j
+    (CDFs along the last axis of ``cdfs``, each from ``_cdf``).  One flat
+    take per inner cut point; the last, exactly 1.0, is never at or below
+    u."""
+    x = np.zeros(u.shape, np.int64)
+    for j in range(cdfs.shape[-1] - 1):
+        x += u >= cdfs[..., j].take(row)
+    return x
+
+
 class Metric:
     """Decoding metric of one variant over walks of at most n_max steps.
 
@@ -352,15 +364,19 @@ class Metric:
     (rows, width) array of sufficient statistics; x holds the codeword
     symbols, shape (rows, b), and y the outputs, shape (1, b) or (rows, b).
     It returns the metric after each step, shape (rows, b), and the new
-    state.  The base kernel sums per-symbol steps ``step(x, y)``.  Its
-    ensemble strategy is ``ensemble.proposal_race`` over three hooks: the
-    proposal sampler ``draw_proposal(rng, y, rows)``, `rows` paths of shape
-    (rows, y.size), which here draws each input from its posterior given
-    the output (exponential tilting) as `rows` one-path draws would, the log
-    bound ``proposal_bound(y)`` on the likelihood ratio above gamma_1, here
-    0, and ``log_ratio(value, state)``, the log of P(x^tau) / Q(x^tau | y)
-    at a crossing, here -value: the metric is the log likelihood ratio
-    itself.  Subclasses add ``walk_drift(channel, px)``,
+    state; over b = 0 symbols, the state unchanged.  The base kernel sums
+    per-symbol steps ``step(x, y)``.  Its ensemble strategy is
+    ``ensemble.proposal_race`` over four hooks: the proposal sampler
+    ``draw_proposal(rng, y, rows)``, `rows` paths of shape (rows, y.size),
+    which here draws each input from its posterior given the output
+    (exponential tilting) as `rows` one-path draws would; the log bound
+    ``proposal_bound(y)`` on the likelihood ratio above gamma_1, here 0;
+    ``state_at(s, x, y, r, t)``, the kernel state at step t of row r of a
+    call from the start over x against the outputs y (1-D) that returned
+    the metric s, equal to a call's over x[r, :t] alone, here
+    (t, s[r:r + 1, t - 1:t]); and ``log_ratio(value, state)``, the log of
+    P(x^tau) / Q(x^tau | y) at a crossing, here -value: the metric is the
+    log likelihood ratio itself.  Subclasses add ``walk_drift(channel, px)``,
     the training draw ``draw_training(rng, channel, training_len)`` (the
     estimated kernel, or noise variance, as plain data), the samplers
     ``draw_true(rng, shape)`` (true symbols and outputs) and
@@ -385,10 +401,13 @@ class Metric:
     def metric(self, state, x, y):
         t, s = state
         v = s + np.add.accumulate(self.step(x, y), axis=1)
-        return v, (t + v.shape[1], v[:, -1:])
+        return v, (t + v.shape[1], v[:, -1:] if v.shape[1] else s)
 
     def proposal_bound(self, y):
         return 0.0
+
+    def state_at(self, s, x, y, r, t):
+        return t, s[r:r + 1, t - 1:t]
 
     def log_ratio(self, value, state):
         return -value
@@ -500,8 +519,7 @@ class AdditiveDmc(_DmcMetric):
         return self.dens[x, y]
 
     def draw_proposal(self, rng, y, rows):
-        u = rng.random((rows, y.size))
-        return (u[..., None] >= self.post_cdfs[y]).sum(axis=-1)
+        return _through_cdfs(rng.random((rows, y.size)), self.post_cdfs, y)
 
 
 class AdditiveGaussian(_GaussianMetric):
@@ -555,10 +573,14 @@ class EmpiricalMi(_DmcMetric):
                    for n in np.bincount(y, minlength=self.num_y))
 
     def draw_proposal(self, rng, y, rows):
-        cdfs = _cdf(rng.dirichlet(np.full(self.num_x, 0.5),
-                                  size=(rows, self.num_y)))
+        ny = self.num_y
+        cdfs = _cdf(rng.dirichlet(np.full(self.num_x, 0.5), size=(rows, ny)))
         u = rng.random((rows, y.size))
-        return (u[..., None] >= cdfs[np.arange(rows)[:, None], y]).sum(axis=-1)
+        return _through_cdfs(u, cdfs, np.arange(0, rows * ny, ny)[:, None] + y)
+
+    def state_at(self, s, x, y, r, t):
+        return t, np.bincount(x[r, :t] * self.num_y + y[:t],
+                              minlength=self.num_x * self.num_y)[None, :]
 
     def log_ratio(self, value, state):
         """log P(x^t) - log Q(x^t | y^t) from the joint counts c[x, b] of
@@ -578,20 +600,21 @@ class EmpiricalMi(_DmcMetric):
     def metric(self, state, x, y):
         t, counts = state
         nx, ny = self.num_x, self.num_y
+        cells = nx * ny
         rows, b = x.shape
-        # cell-major, (rows, cells, b): the cumsum runs along the contiguous
-        # last axis
-        onehot = (x * ny + y)[:, None, :] == np.arange(nx * ny)[:, None]
-        cum = counts[:, :, None] + np.cumsum(onehot, axis=2)
-        grid = cum.reshape(rows, nx, ny, b)
-        cells, row_sums, col_sums = (
-            a.transpose(1, 0, 2) for a in (cum, grid.sum(axis=2), grid.sum(axis=1))
-        )
-        n = np.arange(t + 1, t + b + 1)
-        # a sum, not cum[..., -1], so that a kernel call over no symbols
-        # returns its state unchanged
-        last = counts + onehot.sum(axis=2)
-        return count_mi(self.log_tbl, cells, row_sums, col_sums, n), (t + b, last)
+        # cell-outer, (cells, rows, b): the running counts run along the
+        # contiguous last axis, and the cell, row and column counts share
+        # one stack for count_mi's one gather
+        onehot = (x * ny + y)[None] == np.arange(cells)[:, None, None]
+        stack = np.empty((cells + nx + ny, rows, b), np.int64)
+        cum = np.add.accumulate(onehot, axis=2, dtype=np.int64,
+                                out=stack[:cells])
+        cum += counts.T[:, :, None]
+        grid = cum.reshape(nx, ny, rows, b)
+        np.add.reduce(grid, axis=1, out=stack[cells:cells + nx])
+        np.add.reduce(grid, axis=0, out=stack[cells + nx:])
+        s = count_mi(self.log_tbl, stack, nx, ny, slice(t + 1, t + b + 1))
+        return s, (t + b, cum[:, :, -1].T if b else counts)
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):
         if (self.num_x, self.num_y) != (2, 2):
@@ -624,10 +647,11 @@ class FlipEntropy(_DmcMetric):
         return self.base_tbl[n] + L[k] + L[n - k]
 
     def metric(self, state, x, y):
-        t, k = state
+        t, k0 = state
         b = x.shape[1]
-        k = k + np.cumsum(x != y, axis=1)
-        return self.count_metric(np.arange(t + 1, t + b + 1), k), (t + b, k[:, -1:])
+        k = k0 + np.cumsum(x != y, axis=1)
+        return (self.count_metric(np.arange(t + 1, t + b + 1), k),
+                (t + b, k[:, -1:] if b else k0))
 
     def draw_inputs(self, rng, rows, y):
         # a uniform per symbol decides the flip; y xor flip has law px
@@ -662,7 +686,8 @@ class Correlation(_GaussianMetric):
             v = -0.5 * n * np.log1p(-r2)
         np.nan_to_num(v, copy=False, nan=-math.inf, posinf=math.inf)
         v[:, : max(0, self.n_min - t - 1)] = -math.inf
-        last = np.stack([sxy[:, -1], sxx[:, -1], syy[:, -1]], axis=1)
+        last = (np.stack([sxy[:, -1], sxx[:, -1], syy[:, -1]], axis=1)
+                if x.shape[1] else stats)
         return v, (t + x.shape[1], last)
 
     def ensemble_strategy(self, log_m, gamma1, gamma2):

@@ -172,12 +172,13 @@ def proposal_race(rng, y, metric, log_m, gamma1, gamma2):
     tau <= h, and keeps it with probability
     e^{log_ratio + gamma_1 - B} <= 1, where log_ratio =
     ``metric.log_ratio(value, state)`` reads the metric value at tau and
-    the kernel state there, from a second kernel call over x^tau.  The
-    kept paths are the crossers, Poisson((M-1) P[tau <= h]) of them with
-    the exact law of their first gamma_1 crossing; each continues toward
-    gamma_2 with fresh codeword symbols.  A chunk draws its paths, then
-    one uniform for each path that crosses, in row order.  Over an empty
-    prefix nothing crosses, and the race draws only its count.
+    the kernel state there, which ``metric.state_at`` reads off the
+    chunk's kernel call.  The kept paths are the crossers,
+    Poisson((M-1) P[tau <= h]) of them with the exact law of their first
+    gamma_1 crossing; each continues toward gamma_2 with fresh codeword
+    symbols.  A chunk draws its paths, then one uniform for each path that
+    crosses, in row order.  Over an empty prefix nothing crosses, and the
+    race draws only its count.
     """
     bound = metric.proposal_bound(y)
     proposals = rng.poisson(poisson_crosser_rate(log_m, bound - gamma1))
@@ -192,8 +193,7 @@ def proposal_race(rng, y, metric, log_m, gamma1, gamma2):
         for r in hit.any(axis=1).nonzero()[0]:
             t = int(hit[r].argmax()) + 1
             value = float(s[r, t - 1])
-            _, state = metric.metric(metric.start(1), x[r:r + 1, :t],
-                                     y[None, :t])
+            state = metric.state_at(s, x, y, r, t)
             if rng.random() >= math.exp(metric.log_ratio(value, state)
                                         + gamma1 - bound):
                 continue
@@ -222,21 +222,26 @@ def count_log_table(n_max):
     return table
 
 
-def count_mi(log_tbl, cells, rows, cols, n):
-    """n * I of joint types given by their counts, from L = count_log_table.
+def count_mi(log_tbl, counts, nx, ny, n):
+    """n * I of joint types on nx x ny cells given by their counts, from
+    L = count_log_table.
 
-    ``cells``, ``rows`` and ``cols`` are sequences of broadcastable count
-    arrays: the cell counts, the row sums and the column sums.  Returns
-    sum L[c] - sum L[r] - sum L[s] + L[n], each sum taken in order.
+    ``counts`` is one int64 stack: along its first axis the nx * ny cell
+    counts, then the nx row sums, then the ny column sums.  One gather
+    through L serves them all.  Returns sum L[c] - sum L[r] - sum L[s] +
+    L[n], each sum taken in order.
     """
+    terms = log_tbl.take(counts)
 
-    def total(counts):
-        out = log_tbl[counts[0]]
-        for c in counts[1:]:
-            out = out + log_tbl[c]
+    def total(part):  # in place, into the gathered terms
+        out = part[0]
+        for term in part[1:]:
+            out += term
         return out
 
-    return total(cells) - total(rows) - total(cols) + log_tbl[n]
+    cells = nx * ny
+    return (total(terms[:cells]) - total(terms[cells:cells + nx])
+            - total(terms[cells + nx:]) + log_tbl[n])
 
 
 class FlipEntropyAbsorption:

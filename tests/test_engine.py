@@ -1061,6 +1061,39 @@ class TestCdfTables:
         assert (m.draw_inputs(_TopUniform(), 2, y) == 1).all()
 
 
+class _SparseDraws:
+    """A generator stand-in: its Dirichlet draws put zero mass on about a
+    third of the cells, so mixture CDF rows hold zero-mass cells in the
+    middle and at the end, and every seventh uniform is the largest float
+    below 1."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def dirichlet(self, alpha, size):
+        theta = self.rng.dirichlet(alpha, size)
+        theta[self.rng.random(theta.shape) < 0.35] = 0.0
+        theta[theta.sum(axis=-1) == 0.0, -1] = 1.0
+        return theta / theta.sum(axis=-1, keepdims=True)
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u.reshape(-1)[::7] = np.nextafter(1.0, 0.0)
+        return u
+
+
+def _broadcast_proposal(metric, rng, y, rows):
+    """draw_proposal by the (rows, h, |X|) broadcast compare of each uniform
+    against its whole CDF row, the last column included."""
+    if isinstance(metric, EmpiricalMi):
+        cdfs = engine._cdf(rng.dirichlet(np.full(metric.num_x, 0.5),
+                                         size=(rows, metric.num_y)))
+        u = rng.random((rows, y.size))
+        return (u[..., None] >= cdfs[np.arange(rows)[:, None], y]).sum(axis=-1)
+    u = rng.random((rows, y.size))
+    return (u[..., None] >= metric.post_cdfs[y]).sum(axis=-1)
+
+
 class TestProposalDraws:
     """draw_proposal(rng, y, rows): one call hands out `rows` proposal
     paths, shape (rows, h), for one kernel call over them."""
@@ -1101,6 +1134,27 @@ class TestProposalDraws:
             assert scipy.stats.chisquare(seen, want).pvalue > 1e-3
         assert abs(np.corrcoef(*ones)[0, 1]) < 4.0 / math.sqrt(rows)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", [AdditiveDmc, EmpiricalMi])
+    def test_gather_equals_the_broadcast_form(self, kind, shape, sparse):
+        # one flat take per inner cut point, the last (exactly 1.0) skipped,
+        # draws what the (rows, h, |X|) compare with every cut point draws
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        px = rng.dirichlet(np.ones(shape[0]))
+        if sparse:
+            # an input never sent: a zero-mass cell in every tilted
+            # posterior, at the end of a binary one, in the middle otherwise
+            px[shape[0] // 2] = 0.0
+            px /= px.sum()
+        metric = kind(_random_dmc(rng, shape), px, 200)
+        y = rng.integers(shape[1], size=60)
+        make = _SparseDraws if sparse else np.random.default_rng
+        for rows in (1, 5):
+            got = metric.draw_proposal(make(rows), y, rows)
+            want = _broadcast_proposal(metric, make(rows), y, rows)
+            assert _same(got, want), rows
+
 
 class TestCountLogTable:
     def test_values_and_zero_convention(self):
@@ -1117,6 +1171,31 @@ def _random_metric(kind, shape):
     rng = np.random.default_rng(shape[1])
     return kind(_random_dmc(rng, shape), rng.dirichlet(np.ones(shape[0])),
                 400), rng
+
+
+def _views_empirical_mi(metric, state, x, y):
+    """The EmpiricalMi kernel before the stacked gather: a (rows, cells, b)
+    one-hot, and n I summed over transposed views of the cell, row and
+    column counts, one log-table gather for each count array."""
+    t, counts = state
+    nx, ny = metric.num_x, metric.num_y
+    rows, b = x.shape
+    tbl = metric.log_tbl
+    onehot = (x * ny + y)[:, None, :] == np.arange(nx * ny)[:, None]
+    cum = counts[:, :, None] + np.cumsum(onehot, axis=2)
+    grid = cum.reshape(rows, nx, ny, b)
+
+    def total(parts):
+        out = tbl[parts[0]]
+        for part in parts[1:]:
+            out = out + tbl[part]
+        return out
+
+    cells, row_sums, col_sums = (
+        a.transpose(1, 0, 2) for a in (cum, grid.sum(axis=2), grid.sum(axis=1)))
+    s = (total(cells) - total(row_sums) - total(col_sums)
+         + tbl[np.arange(t + 1, t + b + 1)])
+    return s, (t + b, counts + onehot.sum(axis=2))
 
 
 class TestMetricKernelsMatchTheirDefinitions:
@@ -1172,16 +1251,49 @@ class TestMetricKernelsMatchTheirDefinitions:
         for r in range(self.ROWS):
             self._check(metric, got[r], x[r], y[r])
 
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
-    def test_empirical_mi_over_no_symbols_keeps_its_state(self, shape):
-        metric, rng = _random_metric(EmpiricalMi, shape)
-        x, y = metric.draw_true(rng, (self.ROWS, self.SPLIT))
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(METRICS[v], *VARIANT_SETUPS[v][:2], 400, n_min=6)
+          for v in VARIANTS),
+        lambda: _random_metric(EmpiricalMi, (2, 3))[0],
+        lambda: _random_metric(EmpiricalMi, (3, 2))[0],
+    ], ids=[*VARIANTS, "uvlf_dmc-2x3", "uvlf_dmc-3x2"])
+    def test_over_no_symbols_keeps_its_state(self, make):
+        metric = make()
+        x, y = metric.draw_true(np.random.default_rng(12),
+                                (self.ROWS, self.SPLIT))
         for state in (metric.start(self.ROWS), metric.metric(
                 metric.start(self.ROWS), x, y)[1]):
             s, kept = metric.metric(state, x[:, :0], y[:, :0])
             assert s.shape == (self.ROWS, 0)
             assert kept[0] == state[0]
             assert _same(kept[1], state[1])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 4)])
+    def test_stacked_empirical_mi_equals_the_per_view_kernel(self, shape):
+        # one gather of the stacked cell, row and column counts sums n I in
+        # the per-view kernel's order, bit for bit
+        metric, rng = _random_metric(EmpiricalMi, shape)
+        nx, ny = shape
+        for rows in (1, 3, 256):
+            # a carried state: each kernel's own end state after 40 symbols
+            x0 = rng.integers(nx, size=(rows, 40))
+            y0 = rng.integers(ny, size=(1, 40))
+            starts = [(metric.start(rows), metric.start(rows)),
+                      (metric.metric(metric.start(rows), x0, y0)[1],
+                       _views_empirical_mi(metric, metric.start(rows), x0,
+                                           y0)[1])]
+            for b in (0, 1, 150):
+                x = rng.integers(nx, size=(rows, b))
+                # one output row for all paths, and one per path
+                for y in (rng.integers(ny, size=(1, b)),
+                          rng.integers(ny, size=(rows, b))):
+                    for new, old in starts:
+                        got, (t, counts) = metric.metric(new, x, y)
+                        want, (t_want, counts_want) = _views_empirical_mi(
+                            metric, old, x, y)
+                        assert _same(got, want), (rows, b)
+                        assert t == t_want
+                        assert _same(counts, counts_want), (rows, b)
 
 
 def _full_grid_absorption(metric, gamma1):
@@ -1208,9 +1320,10 @@ def _full_grid_absorption(metric, gamma1):
 
 def _binary_type(u, v, j, n):
     """Counts of the 2x2 joint type with u codeword ones against the j output
-    ones and v against the n - j output zeros: cells (x, y) = 00, 10, 01, 11,
-    row sums and column sums."""
-    return [n - j - v, v, j - u, u], [n - u - v, u + v], [n - j, j]
+    ones and v against the n - j output zeros, stacked as count_mi reads
+    them: cells (x, y) = 00, 10, 01, 11, row sums and column sums."""
+    return np.stack(np.broadcast_arrays(
+        n - j - v, v, j - u, u, n - u - v, u + v, n - j, j))
 
 
 def _full_grid_binary_mi_mass(y, metric, gamma1):
@@ -1235,7 +1348,7 @@ def _full_grid_binary_mi_mass(y, metric, gamma1):
         mass = grown
         uu = np.arange(mass.shape[0])[:, None]
         vv = np.arange(mass.shape[1])[None, :]
-        grid = count_mi(log_tbl, *_binary_type(uu, vv, j, t), t)
+        grid = count_mi(log_tbl, _binary_type(uu, vv, j, t), 2, 2, t)
         hit = grid > gamma1
         total += float(mass[hit].sum())
         mass[hit] = 0.0
@@ -1365,6 +1478,25 @@ class TestProposalRace:
                            r"proposals or crossers e\^13\.33 exceeds 10000"):
             ensemble.proposal_race(np.random.default_rng(0), y, metric,
                                    20 * LN2, 6.0, 8.0)
+
+    @pytest.mark.parametrize("variant", ["vlf_dmc", "vlf_awgn", "uvlf_dmc"])
+    def test_state_at_equals_a_call_over_the_prefix(self, variant):
+        # the race reads each crossing row's kernel state at tau off the
+        # chunk's kernel call; at every row and every tau a crossing can
+        # take, 1 and h among them, it is a call over x[r, :tau]'s state
+        metric = METRICS[variant](*VARIANT_SETUPS[variant][:2], 100)
+        rng = np.random.default_rng(21)
+        h, rows = 12, 6
+        y = metric.draw_true(rng, (1, h))[1][0]
+        x = metric.draw_proposal(rng, y, rows)
+        s, _ = metric.metric(metric.start(rows), x, y[None, :])
+        for r in range(rows):
+            for t in range(1, h + 1):
+                want = metric.metric(metric.start(1), x[r:r + 1, :t],
+                                     y[None, :t])[1]
+                got = metric.state_at(s, x, y, r, t)
+                assert got[0] == want[0] == t
+                assert _same(got[1], want[1]), (r, t)
 
 
 def _same(a, b):
