@@ -64,7 +64,7 @@ from .errors import (
 )
 
 _Z95 = 1.959963984540054
-_BLOCK = 256
+_BLOCK = 256  # true-walk symbols per kernel call
 _HT_BLOCK = 64
 _HORIZON_MULT = 50.0  # default horizon in units of gamma / C
 _HORIZON_CAP = 10**7  # largest n_max: each per-horizon table is then 80 MB
@@ -313,14 +313,13 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget):
         vals = draw_llr(min(_HT_BLOCK, budget - used))
         if vals.size == 0:
             break
-        csum = s + np.add.accumulate(vals)
-        exit_mask = (csum > a_accept) | (csum < -a_reject)
-        if exit_mask.any():
-            i = int(exit_mask.argmax())
-            decision = "accept" if csum[i] > a_accept else "reject"
-            return decision, used + i + 1, float(csum[i])
-        s = float(csum[-1])
-        used += vals.size
+        csum = (s + np.add.accumulate(vals)).tolist()
+        for i, c in enumerate(csum):
+            if c > a_accept or c < -a_reject:
+                decision = "accept" if c > a_accept else "reject"
+                return decision, used + i + 1, c
+        s = csum[-1]
+        used += len(csum)
     return None, used, s
 
 
@@ -389,7 +388,6 @@ class Metric:
     gaussian = universal = False
     shape = None  # the channel shape the metric needs, if any
     schedule_d = None  # union-bound exponent d of the universal schedule
-    block = _BLOCK  # true-walk symbols per kernel call
     width, dtype = 1, float
 
     def __init__(self, channel, px, n_max, n_min=1):
@@ -560,7 +558,6 @@ class EmpiricalMi(_DmcMetric):
     """
 
     universal = True
-    block = 2 * _HT_BLOCK
     dtype = np.int64
 
     def __init__(self, channel, px, n_max, n_min=1):
@@ -574,7 +571,10 @@ class EmpiricalMi(_DmcMetric):
 
     def draw_proposal(self, rng, y, rows):
         ny = self.num_y
-        cdfs = _cdf(rng.dirichlet(np.full(self.num_x, 0.5), size=(rows, ny)))
+        # rng.dirichlet's own gamma path: each theta is its gammas times the
+        # reciprocal of their sequential sum, bit for bit
+        g = rng.standard_gamma(0.5, size=(rows, ny, self.num_x))
+        cdfs = _cdf(g * (1.0 / g.cumsum(axis=-1)[..., -1:]))
         u = rng.random((rows, y.size))
         return _through_cdfs(u, cdfs, np.arange(0, rows * ny, ny)[:, None] + y)
 
@@ -767,7 +767,7 @@ def _true_walk(rng, cfg, m):
     ys, energy = [], []
     while state[0] < n_max and taus[1] is None:
         t = state[0]
-        x, y = m.draw_true(rng, (1, min(m.block, n_max - t)))
+        x, y = m.draw_true(rng, (1, min(_BLOCK, n_max - t)))
         s, state = m.metric(state, x, y)
         # s first exceeds gamma where its running maximum does (s.size if
         # nowhere)

@@ -53,6 +53,9 @@ class RaceResult:
     t2: int | None
 
 
+_NONE = RaceResult(None, None)  # frozen, so one instance serves every race
+
+
 def _first_exceed(s, gamma):
     """Earliest step (1-based column) at which any row of the metric paths s
     exceeds gamma, or None."""
@@ -143,7 +146,7 @@ def literal_race(rng, y, m1, metric, gamma1, gamma2):
     """Race m1 explicit competitors against the outputs y: the chunked-rows
     case of the metric kernel, _CHUNK codewords at a time."""
     if y.size < 1:
-        return RaceResult(None, None)
+        return _NONE
     t1 = t2 = None
     for left in range(m1, 0, -_CHUNK):
         rows = min(left, _CHUNK)
@@ -183,7 +186,7 @@ def proposal_race(rng, y, metric, log_m, gamma1, gamma2):
     bound = metric.proposal_bound(y)
     proposals = rng.poisson(poisson_crosser_rate(log_m, bound - gamma1))
     if y.size == 0:
-        return RaceResult(None, None)
+        return _NONE
     crossers = []
     for left in range(proposals, 0, -_CHUNK):
         rows = min(left, _CHUNK)
@@ -199,7 +202,7 @@ def proposal_race(rng, y, metric, log_m, gamma1, gamma2):
                 continue
             crossers.append((t, value, state))
     if not crossers:
-        return RaceResult(None, None)
+        return _NONE
     return RaceResult(
         min(c[0] for c in crossers),
         _first_to_gamma2(rng, metric, crossers, y, gamma2),
@@ -313,10 +316,10 @@ class FlipEntropyAbsorption:
         if h > self.t:  # at least doubling keeps the concatenations few
             self.advance(max(h, 2 * self.t))
         if h < 1 or self.cum[h] <= 0.0:
-            return RaceResult(None, None)
+            return _NONE
         k = rng.poisson(poisson_crosser_rate(log_m, math.log(self.cum[h])))
         if k == 0:
-            return RaceResult(None, None)
+            return _NONE
         n = self.absorbed[0].searchsorted(h, side="right")  # t <= h
         return _absorbed_crossers(
             rng, self.metric, y[:h], gamma2, k,

@@ -138,6 +138,26 @@ def _sprt(values, a_accept, a_reject, budget=math.inf):
     return engine._block_sprt(_llr_list(values), a_accept, a_reject, budget)
 
 
+def _mask_sprt(draw_llr, a_accept, a_reject, budget):
+    """_block_sprt with its exit found by a mask over each block's partial
+    sums, .any() and .argmax(), for the exit scan to be checked against."""
+    s = 0.0
+    used = 0
+    while used < budget:
+        vals = draw_llr(min(engine._HT_BLOCK, budget - used))
+        if vals.size == 0:
+            break
+        csum = s + np.add.accumulate(vals)
+        exit_mask = (csum > a_accept) | (csum < -a_reject)
+        if exit_mask.any():
+            i = int(exit_mask.argmax())
+            decision = "accept" if csum[i] > a_accept else "reject"
+            return decision, used + i + 1, float(csum[i])
+        s = float(csum[-1])
+        used += vals.size
+    return None, used, s
+
+
 class TestSprt:
     def test_accepts_at_first_strict_upcrossing(self):
         decision, steps, s = _sprt([0.5, 0.6, 2.1, 9.9], 3.0, 3.0)
@@ -178,6 +198,34 @@ class TestSprt:
                 "accept" if head > 0 else "reject", 2)
             assert got[2] == math.copysign(cap, head)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exit_scan_equals_the_mask_form(self, seed):
+        # LLRs of a few exact binary fractions, so partial sums land on the
+        # thresholds exactly, the caps, and runs over several blocks whose
+        # sums carry from one block to the next
+        rng = np.random.default_rng(seed)
+        if seed % 2:  # a drift small enough to last several blocks
+            pool, p = [-0.25, 0.25, 0.5], None
+        else:
+            pool = [-1.0, -0.5, 0.25, 0.5, 1.0, _LLR_CAP, -_LLR_CAP]
+            p = [0.2, 0.2, 0.2, 0.2, 0.16, 0.02, 0.02]
+        a, r = rng.choice([0.5, 2.0, 3.0, 8.0, 40.0], size=2).tolist()
+        for n in (1, 63, 64, 65, 200):
+            values = rng.choice(pool, size=n, p=p)
+            for budget in (math.inf, 1, 64, 100):
+                got = _sprt(values, a, r, budget)
+                want = _mask_sprt(_llr_list(values), a, r, budget)
+                assert got == want and type(got[2]) is float
+
+    def test_exit_scan_at_exact_thresholds_over_blocks(self):
+        # the sum sits on the threshold at the end of the second block and
+        # exits on the first step of the third
+        for values, want in (([0.5] * 129, ("accept", 129, 64.5)),
+                             ([-0.5] * 150, ("reject", 129, -64.5))):
+            got = _sprt(values, 64.0, 64.0)
+            assert got == _mask_sprt(_llr_list(values), 64.0, 64.0,
+                                     math.inf) == want
+
     def test_thresholds_must_be_positive(self):
         with pytest.raises(VlfError):
             VlfParams(LN2, 8.0, 14.0, 0.0, 3.0)
@@ -203,7 +251,7 @@ class TestZeroCellTraining:
             [1, 37, 36, 1, 0, 0.0, 0, 0],
             [1, 29, 28, 1, 0, 0.0, 0, 0],
             [1, 14, 13, 1, 0, 0.0, 0, 0],
-            [1, 41, 40, 1, 0, 0.0, 0, 0],
+            [1, 42, 40, 2, 0, 0.0, 0, 0],
         ]
 
 
@@ -781,13 +829,12 @@ class TestFirstStepCrossing:
 
 
 class _ScriptedWalk:
-    """A one-row metric whose true walk takes the given values, `block`
-    symbols per kernel call."""
+    """A one-row metric whose true walk takes the given values."""
 
     gaussian = False
 
-    def __init__(self, values, block):
-        self.values, self.block = np.asarray(values, float), block
+    def __init__(self, values):
+        self.values = np.asarray(values, float)
 
     def start(self, rows):
         return 0, None
@@ -817,11 +864,13 @@ class TestTrueWalkCrossings:
         ([0, 1, 2, 1, 0, 2, 2, 1], (None, None)),
         ([0, 1, 2, 1, 0, 4, 5, 1], (6, None)),
     ])
-    def test_first_times_above_each_threshold(self, values, taus):
+    def test_first_times_above_each_threshold(self, values, taus,
+                                              monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK", 4)
         params = dataclasses.replace(_params(), gamma1=2.0, gamma2=5.0)
         cfg = types.SimpleNamespace(horizon=len(values), params=params)
         tau1, tau2, y, energy = engine._true_walk(
-            None, cfg, _ScriptedWalk(values, 4))
+            None, cfg, _ScriptedWalk(values))
         assert (tau1, tau2) == taus
         # the walk draws whole blocks up to the gamma_2 crossing
         assert y.size == (len(values) if tau2 is None else -(-tau2 // 4) * 4)
@@ -1062,19 +1111,20 @@ class TestCdfTables:
 
 
 class _SparseDraws:
-    """A generator stand-in: its Dirichlet draws put zero mass on about a
-    third of the cells, so mixture CDF rows hold zero-mass cells in the
-    middle and at the end, and every seventh uniform is the largest float
-    below 1."""
+    """A generator stand-in: about 35% of its gamma draws are zero, with at
+    least one positive draw per row, so mixture CDF rows hold zero-mass
+    cells in the middle and at the end, and every seventh uniform is the
+    largest float below 1."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def dirichlet(self, alpha, size):
-        theta = self.rng.dirichlet(alpha, size)
-        theta[self.rng.random(theta.shape) < 0.35] = 0.0
-        theta[theta.sum(axis=-1) == 0.0, -1] = 1.0
-        return theta / theta.sum(axis=-1, keepdims=True)
+    def standard_gamma(self, shape, size):
+        g = self.rng.standard_gamma(shape, size)
+        zero = self.rng.random(g.shape) < 0.35
+        zero[zero.all(axis=-1), -1] = False
+        g[zero] = 0.0
+        return g
 
     def random(self, size):
         u = self.rng.random(size)
@@ -1086,8 +1136,8 @@ def _broadcast_proposal(metric, rng, y, rows):
     """draw_proposal by the (rows, h, |X|) broadcast compare of each uniform
     against its whole CDF row, the last column included."""
     if isinstance(metric, EmpiricalMi):
-        cdfs = engine._cdf(rng.dirichlet(np.full(metric.num_x, 0.5),
-                                         size=(rows, metric.num_y)))
+        g = rng.standard_gamma(0.5, size=(rows, metric.num_y, metric.num_x))
+        cdfs = engine._cdf(g * (1.0 / g.cumsum(axis=-1)[..., -1:]))
         u = rng.random((rows, y.size))
         return (u[..., None] >= cdfs[np.arange(rows)[:, None], y]).sum(axis=-1)
     u = rng.random((rows, y.size))
@@ -1133,6 +1183,31 @@ class TestProposalDraws:
             seen = np.bincount(k, minlength=n + 1)
             assert scipy.stats.chisquare(seen, want).pvalue > 1e-3
         assert abs(np.corrcoef(*ones)[0, 1]) < 4.0 / math.sqrt(rows)
+
+    @pytest.mark.parametrize("nx", [2, 3, 4, 9])
+    def test_gamma_mixture_is_numpys_dirichlet(self, nx, monkeypatch):
+        # rng.dirichlet at alpha >= 0.1 scales each row of gammas by the
+        # reciprocal of their sequential sum; a pairwise sum, as
+        # np.add.reduce takes from 8 cells on, could differ in the last bit
+        thetas = []
+
+        def spy(mass):
+            thetas.append(mass)
+            return cdf(mass)
+
+        cdf = engine._cdf
+        monkeypatch.setattr(engine, "_cdf", spy)
+        rng = np.random.default_rng(nx)
+        metric = EmpiricalMi(_random_dmc(rng, (nx, 3)),
+                             rng.dirichlet(np.ones(nx)), 100)
+        y = rng.integers(3, size=40)
+        for rows in (1, 3, 256):
+            got, want = np.random.default_rng(rows), np.random.default_rng(rows)
+            metric.draw_proposal(got, y, rows)
+            theta = want.dirichlet(np.full(nx, 0.5), size=(rows, 3))
+            want.random((rows, y.size))
+            assert _same(thetas.pop(), theta), rows
+            assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])

@@ -72,7 +72,7 @@ PAIR_DIGESTS = {
     ("vlf_dmc", "literal"):
         "0b2abf450ae9856fe1cf86ec1f6c5411b622df0c774576f7b71f0cb3dbf4f8eb",
     ("uvlf_dmc", "literal"):
-        "f1d657d873d56cd91867ee7a2ca97d9cdd4c1db4baf35a239fa88f80057ee2fe",
+        "e3dca11a7211e46242626793e6f3281fcfc456c694373ee234d251e3e937f769",
     ("uvlf_bsc", "literal"):
         "8fbf43ce2cf9a6c54dfb7193e4f86e7219abdf16c7989f383adb60b753702222",
     ("vlf_awgn", "literal"):
@@ -84,7 +84,7 @@ PAIR_DIGESTS = {
     ("vlf_awgn", "ensemble"):
         "c9d5a40505ff80cf8e2f6be339447f53198983b918a97e095deb4c1834d7d332",
     ("uvlf_dmc", "ensemble"):
-        "696121e32166186fb6348d5c66ea88ceef155d878eaca56f7e127a3d9396f8b8",
+        "30cc9c7a571f08302961f9cd0f81c66cb96511c032f4c8168003ff40b0e8199a",
     ("uvlf_bsc", "ensemble"):
         "766d27d89669a931f4f89fa2d321c0df932ff60a66b0dc8eafb9b2750ecccf04",
 }
@@ -119,7 +119,7 @@ def test_universal_benchmark_config_records():
     cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                        params=params, training_len=100_000, seed=10_000)
     _check(_records_digest(trial_records(cfg, 40)),
-           "0615eb95a361f35268b16710a39442aa502239ac1fcee07d4591a3f69322886b")
+           "0835a5df8d3b1314b1de9d483a7165c073a20cd0f333a3cdb3e5079e422ced2b")
 
 
 def test_trace_file_bytes(tmp_path):
