@@ -242,23 +242,39 @@ def control_pair(channel):
     """
     w = channel.matrix if isinstance(channel, Dmc) else np.asarray(channel, float)
     with np.errstate(divide="ignore"):
-        return _control_pair(w, np.log(w))
+        xa, xr, d = _control_pair(w, np.log(w))
+    return int(xa), int(xr), float(d)
 
 
 def _control_pair(w, log_w):
-    """control_pair of the kernel matrix w from its logs log_w."""
-    nx = w.shape[0]
-    div = _divergences(w[:, None, :], w[None, :, :],
-                       (log_w[:, None, :], log_w[None, :, :])).ravel()
-    div[::nx + 1] = -math.inf  # the diagonal, xa == xr
-    i = int((div >= np.maximum.reduce(div) - 1e-15).argmax())
-    xa, xr = divmod(i, nx)
-    return xa, xr, float(div[i])
+    """control_pair of each kernel matrix along the last two axes of w,
+    from its logs log_w: (xa, xr, divergence), each indexed by the leading
+    axes (a scalar for one kernel)."""
+    nx = w.shape[-2]
+    div = _divergences(w[..., :, None, :], w[..., None, :, :],
+                       (log_w[..., :, None, :], log_w[..., None, :, :]))
+    div = div.reshape(w.shape[:-2] + (nx * nx,))
+    div[..., ::nx + 1] = -math.inf  # the diagonal, xa == xr
+    top = np.maximum.reduce(div, axis=-1, keepdims=True)
+    i = (div >= top - 1e-15).argmax(axis=-1)
+    xa, xr = np.divmod(i, nx)
+    return xa, xr, np.take_along_axis(div, i[..., None], -1)[..., 0]
+
+
+def _rows(w, x):
+    """Row x of each kernel matrix along the last two axes of w, x an array
+    over the leading axes."""
+    return np.take_along_axis(w, np.expand_dims(x, (-2, -1)), -2)[..., 0, :]
 
 
 def control_llr(kernel):
     """(x_accept, x_reject, llr): the control pair of a kernel matrix and
     the confirmation test's LLR log W(y|xa) - log W(y|xr) of each output y.
+
+    A stack of kernels along leading axes gives each kernel's own result,
+    bit for bit: xa and xr are integer arrays over the leading axes and
+    llr has one row per kernel.  A 2-D kernel is the case with no leading
+    axis: xa and xr are numpy integers and llr one row.
 
     An output neither row gives (an empirical kernel's zero cells) tells
     nothing: its LLR is 0.  A zero cell in one row makes an LLR infinite;
@@ -270,11 +286,11 @@ def control_llr(kernel):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(kernel)
         xa, xr, _ = _control_pair(kernel, log_w)
-        llr = log_w[xa] - log_w[xr]
-    # a finite LLR is below _LLR_CAP, so without a zero cell the mask and
-    # the clip change nothing
+        llr = _rows(log_w, xa) - _rows(log_w, xr)
+    # a finite LLR is below _LLR_CAP, so in a row without a zero cell the
+    # mask and the clip change nothing
     if not np.isfinite(llr).all():
-        llr[(kernel[xa] == 0) & (kernel[xr] == 0)] = 0.0
+        llr[(_rows(kernel, xa) == 0) & (_rows(kernel, xr) == 0)] = 0.0
         np.clip(llr, -_LLR_CAP, _LLR_CAP, out=llr)
     return xa, xr, llr
 

@@ -219,6 +219,7 @@ _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _KEY_BLOCK = 4096  # trials whose keys are derived in one pass
+_TRIAL_BLOCK = 256  # universal trials whose confirmation is scored at once
 _MAX_TRIALS = 1 << 32  # trial indices fit one uint32 spawn-key word
 
 
@@ -328,13 +329,12 @@ def _block_sprt(draw_llr, a_accept, a_reject, budget):
 
 
 def _cdf(mass):
-    """Cumulative sums of `mass` along its last axis, exactly 1.0 from each
-    row's last cell of positive mass on, so that a uniform draw u < 1 falls
-    in a cell of positive mass, however the sums round."""
+    """Cumulative sums of `mass` along its last axis, at most 1.0 and
+    exactly 1.0 from the first cell where the running sum reaches the row's
+    total, so that a uniform draw u < 1 falls in a cell of positive mass,
+    however the sums round."""
     cdf = np.minimum(np.cumsum(mass, axis=-1), 1.0)
-    held = mass > 0
-    last = held.shape[-1] - 1 - held[..., ::-1].argmax(axis=-1)
-    cdf[np.arange(held.shape[-1]) >= last[..., None]] = 1.0
+    cdf[cdf == cdf[..., -1:]] = 1.0
     return cdf
 
 
@@ -379,9 +379,11 @@ class Metric:
     the training draw ``draw_training(rng, channel, training_len)`` (the
     estimated kernel, or noise variance, as plain data), the samplers
     ``draw_true(rng, shape)`` (true symbols and outputs) and
-    ``draw_inputs(rng, rows, y)`` (competitor symbols), and the LLR sampler
-    ``confirmation(rng, est, right)`` of the confirmation test, which scores
-    with the estimate est, or the true channel when est is None.
+    ``draw_inputs(rng, rows, y)`` (competitor symbols), and the
+    confirmation test in two parts: the block hook ``scorers(ests)``, which
+    maps a block of trials' estimates to one scorer per trial (the known
+    channel's for an estimate of None) and draws nothing, and the LLR
+    sampler ``confirmation(rng, scorer, right)``.
     """
 
     channel_type = Dmc
@@ -427,7 +429,8 @@ class _DmcMetric(Metric):
     """Finite alphabets: categorical samplers, count tables for the universal
     metrics, and a confirmation test scored by ``control_llr`` of the
     decoder's kernel (the true one or the training estimate), its control
-    symbols drawn from the true channel's rows."""
+    symbols drawn from the true channel's rows.  A scorer is the
+    (x_accept, x_reject, llr) of one kernel."""
 
     @staticmethod
     def walk_drift(channel, px):
@@ -462,15 +465,24 @@ class _DmcMetric(Metric):
     def draw_inputs(self, rng, rows, y):
         return _categorical(rng, self.px_cdf, (rows, y.shape[1]))
 
-    def confirmation(self, rng, est, right):
-        xa, xr, llr = self.known_llr if est is None else control_llr(est)
+    def scorers(self, ests):
+        """The known kernel's scorer per trial, or one ``control_llr`` call
+        over the block's stacked estimates."""
+        if not self.universal:
+            return [self.known_llr] * len(ests)
+        xa, xr, llr = control_llr(np.stack(ests))
+        return [*zip(xa.tolist(), xr.tolist(), llr)]
+
+    def confirmation(self, rng, scorer, right):
+        xa, xr, llr = scorer
         cdf = self.row_cdfs[xa if right else xr]
         return lambda b: llr[_categorical(rng, cdf, b)]
 
 
 class _GaussianMetric(Metric):
     """Codebooks N(0, P) over unit noise: normal samplers, and antipodal
-    controls scored with the known (unit) or estimated noise variance."""
+    controls scored with the known (unit) or estimated noise variance.  A
+    scorer is the LLR's slope 2 sqrt(P) / sigma^2 in the control output."""
 
     channel_type = GaussianChannel
     gaussian = True
@@ -498,8 +510,10 @@ class _GaussianMetric(Metric):
     def draw_inputs(self, rng, rows, y):
         return rng.standard_normal((rows, y.shape[1])) * self.sd_x
 
-    def confirmation(self, rng, est, right):
-        slope = 2.0 * self.sd_x / (1.0 if est is None else est)
+    def scorers(self, ests):
+        return [2.0 * self.sd_x / (1.0 if est is None else est) for est in ests]
+
+    def confirmation(self, rng, slope, right):
         mean = self.sd_x if right else -self.sd_x
         return lambda b: slope * (mean + rng.standard_normal(b))
 
@@ -816,7 +830,7 @@ def _outcome(cfg, m, rng, ecum, len_c1, len_ht, stop, correct=False):
     )
 
 
-def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
+def simulate_trial(cfg, trial_index, _runtime=None, _rng=None, _scorer=None):
     """Play one full protocol run; deterministic in (cfg.seed, trial_index).
 
     The run's timeline is phase 1 (up to walk time tau_first, the first
@@ -831,14 +845,20 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
     symbols past the block that held the gamma_2 crossing (a universal run
     stopped by ``cfg.c2_cap``) were never drawn; their energy is drawn as
     P chi2_k after every other draw.
-    ``_rng``, when given, is the trial's generator already keyed (see
-    ``_run_chunk``).
+    A universal run's first draws are its training; the estimate is then
+    scored for the confirmation test, which draws nothing.  Here that is
+    a block of one trial, ``Metric.scorers`` over its one estimate.
+    ``_rng``, when given, is the trial's generator already keyed, and
+    ``_scorer``, when given, its scorer from a larger block, the generator
+    then past the training draw (see ``_run_chunk``).
     """
     rt = _runtime if _runtime is not None else _Runtime(cfg)
     m = rt.metric
     rng = _rng if _rng is not None else _trial_rng(cfg.seed, trial_index)
-    est = (m.draw_training(rng, cfg.channel, cfg.training_len)
-           if m.universal else None)
+    if _scorer is None:
+        est = (m.draw_training(rng, cfg.channel, cfg.training_len)
+               if m.universal else None)
+        _scorer = m.scorers([est])[0]
 
     if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
         return _outcome(cfg, m, rng, None, 0, 0, 0)
@@ -855,7 +875,7 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None):
     tau_first = tau1_true if c1_correct else race.t1
 
     decision, len_ht, _ = _block_sprt(
-        m.confirmation(rng, est, c1_correct),
+        m.confirmation(rng, _scorer, c1_correct),
         cfg.params.a_accept, cfg.params.a_reject, cfg.horizon - tau_first,
     )
     stop, correct = None, False
@@ -888,12 +908,36 @@ def _set_worker_runtime(rt):
 def _run_chunk(cfg, lo, hi):
     """Records of trials lo..hi-1, from the worker's runtime, or from a
     runtime built here outside a pool.  One generator serves the chunk,
-    re-keyed before each trial to that trial's own stream."""
+    re-keyed before each trial to that trial's own stream, and
+    ``simulate_trial`` plays each trial once.
+
+    A universal metric's trials run in blocks of _TRIAL_BLOCK, in two
+    passes: the first draws each trial's training, the first draws of its
+    stream, and saves the generator state it leaves; one ``scorers`` call
+    then scores the block's estimates, and the second pass restores each
+    state and plays the rest of the trial.  Every trial draws the same
+    numbers in the same order as alone.  A known metric has no training:
+    its trials run in one pass.
+    """
     rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
+    m = rt.metric
     out = np.empty((hi - lo, len(TrialOutcome._fields)))
     rngs = _generators(_trial_keys(cfg.seed, lo, hi))
-    for i, rng in enumerate(rngs, lo):
-        out[i - lo] = simulate_trial(cfg, i, _runtime=rt, _rng=rng)
+    if not m.universal:
+        for i, rng in enumerate(rngs, lo):
+            out[i - lo] = simulate_trial(cfg, i, _runtime=rt, _rng=rng)
+        return out
+    for start in range(lo, hi, _TRIAL_BLOCK):
+        ests, states = [], []
+        for rng in itertools.islice(rngs, _TRIAL_BLOCK):
+            ests.append(m.draw_training(rng, cfg.channel, cfg.training_len))
+            states.append(rng.bit_generator.state)
+        # rng is the chunk's one generator, set to each trial's state in turn
+        for i, (state, scorer) in enumerate(zip(states, m.scorers(ests)),
+                                            start):
+            rng.bit_generator.state = state
+            out[i - lo] = simulate_trial(cfg, i, _runtime=rt, _rng=rng,
+                                         _scorer=scorer)
     return out
 
 

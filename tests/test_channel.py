@@ -575,6 +575,42 @@ class TestControlPairReference:
             if case == "ties":
                 assert len(_tied_pairs(_reference_divergences(w.tolist()))) >= 2
 
+    def test_stacked_kernels_score_as_their_own_calls(self):
+        # the same 300 kernels, grouped by shape and shuffled, so a stack
+        # mixes clipped and unclipped rows and tied pairs
+        groups = {}
+        for case in self.CASES:
+            rng = np.random.default_rng(self.CASES.index(case))
+            for _ in range(60):
+                w = _random_kernel(rng, case)
+                groups.setdefault(w.shape, []).append((case, w))
+        order = np.random.default_rng(7)
+        mixed = set()
+        for (nx, ny), block in groups.items():
+            order.shuffle(block)
+            kernels = np.stack([w for _, w in block])
+            xa, xr, llr = control_llr(kernels)
+            assert xa.shape == xr.shape == (len(block),)
+            assert llr.shape == (len(block), ny)
+            for (case, w), a, r, row in zip(block, xa.tolist(), xr.tolist(),
+                                            llr):
+                one = control_llr(w)
+                assert (a, r) == one[:2]
+                assert row.tobytes() == one[2].tobytes()
+            capped = (np.abs(llr) == _LLR_CAP).any(axis=1)
+            if capped.any() and not capped.all():
+                mixed.add("clipped")
+            if len({case == "ties" for case, _ in block}) == 2:
+                mixed.add("ties")
+            # two leading axes score as one
+            even = 2 * (len(block) // 2)
+            xa2, xr2, llr2 = control_llr(
+                kernels[:even].reshape(2, even // 2, nx, ny))
+            assert xa2.ravel().tolist() == xa[:even].tolist()
+            assert xr2.ravel().tolist() == xr[:even].tolist()
+            assert llr2.reshape(even, ny).tobytes() == llr[:even].tobytes()
+        assert mixed == {"clipped", "ties"}
+
 
 class TestGaussianInformationDensity:
     def test_mean_density_matches_capacity_by_quadrature(self):

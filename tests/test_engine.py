@@ -683,6 +683,66 @@ def _pair_cfg(variant):
                         seed=5)
 
 
+class TestTrialBlocks:
+    """A chunk scores a block of universal trials' estimates in one call,
+    between a pass that draws each trial's training and one that plays the
+    rest; every record must be the trial's own, at any block boundary."""
+
+    # variant, channel, px, training_len, race; four training symbols on
+    # bsc(0.11) and nine on the 2x3 channel leave zero cells in many
+    # estimates, so a block holds clipped and unclipped LLRs
+    CASES = {
+        "uvlf_bsc": ("uvlf_bsc", CH, UNIFORM2, 4, "literal"),
+        "uvlf_dmc-2x2": ("uvlf_dmc", CH, UNIFORM2, 4, "ensemble"),
+        "uvlf_dmc-2x3": ("uvlf_dmc", Dmc([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]),
+                         UNIFORM2, 9, "literal"),
+        "uvlf_awgn": ("uvlf_awgn", GaussianChannel(1.0), None, 64, "literal"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_records_at_block_boundaries_are_each_trials_own(
+            self, case, request):
+        variant, channel, px, training, race = self.CASES[case]
+        if race == "ensemble":
+            request.getfixturevalue("force_ensemble")
+        cfg = SchemeConfig(variant=variant, channel=channel, px=px,
+                           params=_params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
+                           training_len=training, seed=5)
+        rt = engine._Runtime(cfg)
+        assert (rt.race.func is ensemble.literal_race) == (race == "literal")
+        B = engine._TRIAL_BLOCK
+        n = 2 * B + 3
+        solo = np.array([simulate_trial(cfg, i, _runtime=rt)
+                         for i in range(n)])
+        if not rt.metric.gaussian:
+            capped = [(np.abs(control_llr(_estimate(cfg, i))[2])
+                       == _LLR_CAP).any() for i in range(B)]
+            assert any(capped) and not all(capped)
+        for trials in (1, B - 1, B, B + 1, n):
+            assert np.array_equal(trial_records(cfg, trials), solo[:trials])
+        assert np.array_equal(engine._run_chunk(cfg, 3, n), solo[3:])
+        assert np.array_equal(trial_records(cfg, n, workers=2), solo)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chunk_plays_each_trial_through_simulate_trial_once(
+            self, variant, monkeypatch):
+        # the benchmark's tracer counts trials and times them by wrapping
+        # the module-level simulate_trial, which _run_chunk must call
+        played = Counter()
+        play = engine.simulate_trial
+
+        def counting(cfg, trial_index, *args, **kwargs):
+            played[trial_index] += 1
+            return play(cfg, trial_index, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_TRIAL_BLOCK", 4)
+        monkeypatch.setattr(engine, "simulate_trial", counting)
+        cfg = _pair_cfg(variant)
+        rec = engine._run_chunk(cfg, 3, 14)
+        assert played == Counter(range(3, 14))
+        assert np.array_equal(rec, [play(cfg, i) for i in range(3, 14)])
+
+
 def _walk_energy(cfg, rt, trial_index):
     """The running input energy of a trial's true walk, replayed from the
     trial's RNG stream."""
