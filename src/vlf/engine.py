@@ -568,7 +568,11 @@ class EmpiricalMi(_DmcMetric):
     most the maximum-likelihood law of the input type, so
     P / Q <= e^{-t I_t + sum_b R(n_b)}: at a gamma_1 crossing within the
     horizon, log P / Q < sum_b R(n_b(h)) - gamma_1, the bound
-    ``proposal_bound`` returns.
+    ``proposal_bound`` returns.  Nothing here assumes an alphabet size, so
+    every finite alphabet gets this race.  Its rate (M - 1) e^{B - gamma_1}
+    has B about ((|X| - 1) |Y| / 2) log h over h outputs: under the
+    universal schedule, gamma_1 - log M = d log n1 + 1.1 log log n1, it
+    grows with the horizon where d < (|X| - 1) |Y| / 2, as on 3x2.
     """
 
     universal = True
@@ -629,14 +633,6 @@ class EmpiricalMi(_DmcMetric):
         np.add.reduce(grid, axis=0, out=stack[cells + nx:])
         s = count_mi(self.log_tbl, stack, nx, ny, slice(t + 1, t + b + 1))
         return s, (t + b, cum[:, :, -1].T if b else counts)
-
-    def ensemble_strategy(self, log_m, gamma1, gamma2):
-        if (self.num_x, self.num_y) != (2, 2):
-            self._no_ensemble(
-                log_m, "the mixture proposal race is checked only on a "
-                "binary-binary channel so far"
-            )
-        return super().ensemble_strategy(log_m, gamma1, gamma2)
 
 
 class FlipEntropy(_DmcMetric):

@@ -519,14 +519,15 @@ class TestCompetitorModeResolution:
         with pytest.raises(StateExplosion):
             run_monte_carlo(cfg, 1)
 
-    def test_mixture_race_needs_a_binary_binary_channel(self):
+    def test_mixture_race_runs_on_a_ternary_channel(self):
         ternary = Dmc(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
         cfg = SchemeConfig(
             variant="uvlf_dmc", channel=ternary, px=np.full(3, 1.0 / 3.0),
             params=_params(log2m=60.0, g1=50.0, g2=60.0), training_len=64,
         )
-        with pytest.raises(StateExplosion, match="binary-binary channel"):
-            run_monte_carlo(cfg, 1)
+        assert engine._Runtime(cfg).race.func is ensemble.proposal_race
+        est = run_monte_carlo(cfg, 5)
+        assert est.trials == 5 and est.n_hat > 0.0
 
 
 def _estimate(cfg, trial_index=0):
@@ -1078,15 +1079,33 @@ class TestDeterminismAndAggregation:
 
 
 class TestCompetitorStrategiesAgree:
-    @pytest.mark.parametrize("variant", ENSEMBLE_VARIANTS)
+    # variant, channel, px, training_len, gamma_1, gamma_2, trials: each
+    # ensemble variant on its test setup, and uvlf_dmc's mixture race on a
+    # 2x3 and a 3x2 DMC.  Ternary inputs raise the mixture's bound B from
+    # about (1/2) log n_b to log n_b per output symbol, so 3x2 races 2 nats
+    # higher; both run fewer trials, so each adds about 1-2 s
+    CASES = {
+        **{v: (v, *VARIANT_SETUPS[v], 7.0, 12.0, 4000)
+           for v in ENSEMBLE_VARIANTS},
+        "uvlf_dmc-2x3": ("uvlf_dmc", Dmc([[0.8, 0.15, 0.05],
+                                          [0.05, 0.15, 0.8]]),
+                         UNIFORM2, 64, 7.0, 12.0, 2500),
+        "uvlf_dmc-3x2": ("uvlf_dmc", Dmc([[0.85, 0.15], [0.5, 0.5],
+                                          [0.15, 0.85]]),
+                         np.full(3, 1.0 / 3.0), 64, 9.0, 14.0, 1000),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
     def test_small_scale_and_large_scale_runs_are_consistent(
-        self, variant, request
+        self, case, request
     ):
-        cfg = _variant_cfg(variant, _params(log2m=6.0, g1=7.0, g2=12.0, a=3.0),
-                           seed=0)
-        lit = run_monte_carlo(cfg, 4000)
+        variant, channel, px, training, g1, g2, trials = self.CASES[case]
+        cfg = SchemeConfig(variant=variant, channel=channel, px=px,
+                           params=_params(log2m=6.0, g1=g1, g2=g2, a=3.0),
+                           training_len=training, seed=0)
+        lit = run_monte_carlo(cfg, trials)
         request.getfixturevalue("force_ensemble")
-        ens = run_monte_carlo(cfg, 4000)
+        ens = run_monte_carlo(cfg, trials)
         # same protocol, two competitor implementations: CIs must overlap
         assert lit.eps_lo <= ens.eps_hi and ens.eps_lo <= lit.eps_hi
         assert lit.n_lo <= ens.n_hi and ens.n_lo <= lit.n_hi
@@ -1490,15 +1509,21 @@ def _full_grid_binary_mi_mass(y, metric, gamma1):
     return total
 
 
-def _random_case(seed, kind, h):
-    """A random 2x2 DMC with crossovers in [0.02, 0.3], a random codebook
-    law with px_1 in [0.3, 0.7], a metric of `kind` on them and an output
-    string of h symbols drawn through the channel."""
+def _random_case(seed, kind, h, shape=(2, 2)):
+    """A random DMC of `shape`, a random codebook law, a metric of `kind` on
+    them and an output string of h symbols drawn through the channel.  A
+    2x2 channel has crossovers in [0.02, 0.3] and px_1 in [0.3, 0.7];
+    another shape has Dirichlet(0.7) rows and a Dirichlet(2) px."""
     rng = np.random.default_rng(seed)
-    a, b = rng.uniform(0.02, 0.3, 2)
-    channel = Dmc(np.array([[1.0 - a, a], [b, 1.0 - b]]))
-    px1 = rng.uniform(0.3, 0.7)
-    metric = kind(channel, np.array([1.0 - px1, px1]), h)
+    if shape == (2, 2):
+        a, b = rng.uniform(0.02, 0.3, 2)
+        channel = Dmc(np.array([[1.0 - a, a], [b, 1.0 - b]]))
+        px1 = rng.uniform(0.3, 0.7)
+        px = np.array([1.0 - px1, px1])
+    else:
+        channel = Dmc(rng.dirichlet(np.full(shape[1], 0.7), shape[0]))
+        px = rng.dirichlet(np.full(shape[0], 2.0))
+    metric = kind(channel, px, h)
     return metric, metric.draw_true(rng, (1, h))[1][0]
 
 
@@ -1543,19 +1568,27 @@ class TestProposalRace:
     estimate P[tau <= h], and the kept crossers' first-crossing times follow
     the exact law of tau given tau <= h."""
 
+    # channel shape, h and proposals: the oracle enumerates at most 2^16
+    # codewords, so h <= 10 for ternary inputs, and the mixture bound B
+    # grows with |X|, so those strings get twice the proposals to keep at
+    # least 50 crossers
+    @pytest.mark.parametrize("shape,h,proposals", [
+        ((2, 2), 14, 4000), ((2, 3), 14, 4000), ((3, 2), 10, 8000),
+    ], ids=["2x2", "2x3", "3x2"])
     @pytest.mark.parametrize("kind,score", [(AdditiveDmc, "density"),
                                             (EmpiricalMi, "mi")])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_the_enumerated_law(self, kind, score, seed, monkeypatch):
-        # every codeword of 14 symbols, enumerated by the oracle; gamma_1
+    def test_matches_the_enumerated_law(self, kind, score, seed, shape, h,
+                                        proposals, monkeypatch):
+        # every codeword of h symbols, enumerated by the oracle; gamma_1
         # is n I = 3, or half the highest density path any codeword has
-        metric, y = _random_case(seed, kind, 14)
+        metric, y = _random_case(seed, kind, h, shape)
         gamma1 = 3.0 if score == "mi" else 0.5 * float(
             np.cumsum(metric.dens[:, y].max(axis=0)).max())
         p, law = exact_race_law(y, metric.px, gamma1, score, metric.channel)
         assert p > 0.0
-        weights, keep, kept = _weighed_races(metric, y, gamma1, 4000, seed,
-                                             monkeypatch)
+        weights, keep, kept = _weighed_races(metric, y, gamma1, proposals,
+                                             seed, monkeypatch)
         assert _within_4_se(weights, p)
         assert (keep <= 0.0).all()
         assert kept.size >= 50

@@ -136,6 +136,21 @@ def test_trace_file_bytes(tmp_path):
            "b7e6d5b75d9c8aede99aaac761c922e7f4c74045038b171896641bf634fdc2fc")
 
 
+def test_universal_simulate_on_a_2x3_channel_trace_bytes(tmp_path):
+    # uvlf_dmc at M = 2^60 races the mixture proposals on a non-binary
+    # alphabet; the trace holds every record, exactly (energies are 0.0)
+    (tmp_path / "w23.txt").write_text("0.8 0.15 0.05\n0.05 0.15 0.8\n")
+    trace = tmp_path / "t.jsonl"
+    assert main([
+        "simulate", "--variant", "uvlf_dmc",
+        "--channel", f"dmc:{tmp_path / 'w23.txt'}", "--M", "2^60",
+        "--eps", "0.05", "--training", "200", "--trials", "100",
+        "--seed", "7", "--trace", str(trace), "--out", str(tmp_path / "s.csv"),
+    ]) == 0
+    _check(hashlib.sha256(trace.read_bytes()).hexdigest(),
+           "0271bda621a95d83ca7ca58ad189d2ace74e9b2e581c9975b14d48148e024aec")
+
+
 @pytest.mark.parametrize("spec,digest", [
     (BSC, "4f5530cd8b74e840f981298b21e1fd54b08bfb564da0fd630698cded2aef53cd"),
     ("awgn:1",
