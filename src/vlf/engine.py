@@ -219,7 +219,8 @@ _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _KEY_BLOCK = 4096  # trials whose keys are derived in one pass
-_TRIAL_BLOCK = 256  # universal trials whose confirmation is scored at once
+_TRIAL_BLOCK = 256  # trials whose first draws are scored at once
+_WALK_STAGE = 32  # first walk blocks per kernel call in a block of trials
 _MAX_TRIALS = 1 << 32  # trial indices fit one uint32 spawn-key word
 
 
@@ -377,9 +378,12 @@ class Metric:
     P(x^tau) / Q(x^tau | y) at a crossing, here -value: the metric is the
     log likelihood ratio itself.  Subclasses add ``walk_drift(channel, px)``,
     the training draw ``draw_training(rng, channel, training_len)`` (the
-    estimated kernel, or noise variance, as plain data), the samplers
-    ``draw_true(rng, shape)`` (true symbols and outputs) and
-    ``draw_inputs(rng, rows, y)`` (competitor symbols), and the
+    estimated kernel, or noise variance, as plain data), the true walk's
+    sampler in two parts, ``draw_raw(rng, shape)`` (the raw draws of the
+    true symbols and outputs, all of them the rng makes) and
+    ``true_symbols(raw)`` (the symbols and outputs they map to, element by
+    element, so raw draws stacked along axis -2 map to stacked rows), the
+    competitor sampler ``draw_inputs(rng, rows, y)``, and the
     confirmation test in two parts: the block hook ``scorers(ests)``, which
     maps a block of trials' estimates to one scorer per trial (the known
     channel's for an estimate of None) and draws nothing, and the LLR
@@ -397,6 +401,10 @@ class Metric:
 
     def start(self, rows):
         return 0, np.zeros((rows, self.width), self.dtype)
+
+    def draw_true(self, rng, shape):
+        """The true symbols and outputs, shape `shape` each."""
+        return self.true_symbols(self.draw_raw(rng, shape))
 
     def metric(self, state, x, y):
         t, s = state
@@ -459,8 +467,14 @@ class _DmcMetric(Metric):
         else:
             self.known_llr = control_llr(self.w)
 
-    def draw_true(self, rng, shape):
-        return np.divmod(_categorical(rng, self.joint_cdf, shape), self.num_y)
+    @staticmethod
+    def draw_raw(rng, shape):
+        return rng.random(shape)
+
+    def true_symbols(self, u):
+        cell = _through_cdfs(u, self.joint_cdf, 0)
+        x = cell // self.num_y
+        return x, cell - x * self.num_y
 
     def draw_inputs(self, rng, rows, y):
         return _categorical(rng, self.px_cdf, (rows, y.shape[1]))
@@ -503,9 +517,14 @@ class _GaussianMetric(Metric):
         self.power = channel.power
         self.sd_x = math.sqrt(channel.power)
 
-    def draw_true(self, rng, shape):
-        x = self.sd_x * rng.standard_normal(shape)
-        return x, x + rng.standard_normal(shape)
+    @staticmethod
+    def draw_raw(rng, shape):
+        # the inputs' normals, then the noise's: two draws of `shape`
+        return rng.standard_normal((2, *shape))
+
+    def true_symbols(self, z):
+        x = self.sd_x * z[0]
+        return x, x + z[1]
 
     def draw_inputs(self, rng, rows, y):
         return rng.standard_normal((rows, y.shape[1])) * self.sd_x
@@ -528,7 +547,7 @@ class AdditiveDmc(_DmcMetric):
         self.post_cdfs = _cdf((joint / (px @ self.w)[None, :]).T)
 
     def step(self, x, y):
-        return self.dens[x, y]
+        return self.dens.take(x * self.num_y + y)
 
     def draw_proposal(self, rng, y, rows):
         return _through_cdfs(rng.random((rows, y.size)), self.post_cdfs, y)
@@ -576,10 +595,11 @@ class EmpiricalMi(_DmcMetric):
     """
 
     universal = True
-    dtype = np.int64
 
     def __init__(self, channel, px, n_max, n_min=1):
         super().__init__(channel, px, n_max, n_min)
+        # counts are at most n_max; narrow ones halve the kernel's stack
+        self.dtype = np.int16 if n_max < 2**15 else np.int32
         # 0 log 0 = 0: a zero-mass input makes P zero only where it occurs
         self.log_px = [math.log(p) if p > 0 else -math.inf for p in px]
 
@@ -622,10 +642,10 @@ class EmpiricalMi(_DmcMetric):
         rows, b = x.shape
         # cell-outer, (cells, rows, b): the running counts run along the
         # contiguous last axis, and the cell, row and column counts share
-        # one stack for count_mi's one gather
+        # one stack for count_mi
         onehot = (x * ny + y)[None] == np.arange(cells)[:, None, None]
-        stack = np.empty((cells + nx + ny, rows, b), np.int64)
-        cum = np.add.accumulate(onehot, axis=2, dtype=np.int64,
+        stack = np.empty((cells + nx + ny, rows, b), self.dtype)
+        cum = np.add.accumulate(onehot, axis=2, dtype=self.dtype,
                                 out=stack[:cells])
         cum += counts.T[:, :, None]
         grid = cum.reshape(nx, ny, rows, b)
@@ -765,32 +785,88 @@ class _Runtime:
 # one trial
 
 
-def _true_walk(rng, cfg, m):
+def _walk_block(m, gammas, state, x, y):
+    """The walks of the kernel state `state` extended by the symbols x
+    against the outputs y, shape (rows, b) each: the new state and, per
+    row, the first walk time in the block strictly above each gamma, or
+    None."""
+    t = state[0]
+    s, state = m.metric(state, x, y)
+    firsts = []
+    for g in gammas:
+        above = s > g
+        firsts.append([t + j + 1 if hit else None for j, hit in zip(
+            above.argmax(axis=1).tolist(), above.any(axis=1).tolist())])
+    return state, list(zip(*firsts))
+
+
+def _true_walk(rng, cfg, m, walk=None):
     """The true codeword's path under the metric m, the one-row case of its
     kernel, drawn block by block until it clears gamma_2 or reaches the
     horizon: first walk times above gamma_1 and gamma_2 (or None), the
     outputs drawn and, for Gaussian codebooks, the running input energy
-    (else None)."""
+    (else None).  `walk`, when given, is a walk already drawn to a block's
+    end, (first times, kernel state, output blocks, energy blocks), as
+    ``_first_blocks`` stages it; the path continues from there, and draws
+    nothing if that block held its gamma_2 crossing."""
     n_max, gammas = cfg.horizon, (cfg.params.gamma1, cfg.params.gamma2)
-    taus = [None, None]
-    state = m.start(1)
-    ys, energy = [], []
+    taus, state, ys, energy = walk or ((None, None), m.start(1), [], [])
     while state[0] < n_max and taus[1] is None:
-        t = state[0]
-        x, y = m.draw_true(rng, (1, min(_BLOCK, n_max - t)))
-        s, state = m.metric(state, x, y)
-        # s first exceeds gamma where its running maximum does (s.size if
-        # nowhere)
-        crossed = np.maximum.accumulate(s[0]).searchsorted(gammas, side="right")
-        for i, j in enumerate(crossed.tolist()):
-            if taus[i] is None and j < s.shape[1]:
-                taus[i] = t + j + 1
+        x, y = m.draw_true(rng, (1, min(_BLOCK, n_max - state[0])))
+        state, (crossed,) = _walk_block(m, gammas, state, x, y)
+        taus = [old if old is not None else new
+                for old, new in zip(taus, crossed)]
         ys.append(y[0])
         if m.gaussian:
             carry = energy[-1][-1] if energy else 0.0
             energy.append(carry + np.cumsum(x[0] * x[0]))
-    ecum = np.concatenate(energy) if energy else None
-    return taus[0], taus[1], np.concatenate(ys), ecum
+    return taus[0], taus[1], _joined(ys), _joined(energy)
+
+
+def _joined(blocks):
+    """The blocks as one array: the block itself if there is one, None if
+    there are none."""
+    if len(blocks) > 1:
+        return np.concatenate(blocks)
+    return blocks[0] if blocks else None
+
+
+def _first_draws(cfg, m, rng):
+    """A trial's draws before its first kernel call, in stream order: the
+    training (universal metrics), the stop-at-time-zero uniform and, unless
+    it stops the run, the raw draws of the first walk block.  Returns
+    (estimate or None, raw draws or None)."""
+    est = (m.draw_training(rng, cfg.channel, cfg.training_len)
+           if m.universal else None)
+    if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
+        return est, None
+    return est, m.draw_raw(rng, (min(_BLOCK, cfg.horizon),))
+
+
+def _first_blocks(cfg, m, raws):
+    """The first walk block of each raw draw of `raws` (one trial's each,
+    ``_first_draws``), as ``_true_walk`` continues it, scored _WALK_STAGE
+    walks to a kernel call: stacked rows, one mapping to symbols, one
+    kernel call, one running maximum.  A generator, so that only one
+    call's rows are held at a time."""
+    gammas = (cfg.params.gamma1, cfg.params.gamma2)
+    for j in range(0, len(raws), _WALK_STAGE):
+        x, y = m.true_symbols(np.stack(raws[j:j + _WALK_STAGE], axis=-2))
+        (t, stats), crossed = _walk_block(m, gammas, m.start(len(y)), x, y)
+        ecum = np.cumsum(x * x, axis=1) if m.gaussian else None
+        for r, taus in enumerate(crossed):
+            yield (taus, (t, stats[r:r + 1]), [y[r]],
+                   [] if ecum is None else [ecum[r]])
+
+
+def _score_block(cfg, m, drawn):
+    """The block scoring of a block of trials' draws `drawn`, in trial
+    order (``_first_draws``): per trial, (scorer, first walk block or None
+    for a run stopped at time zero), lazily.  One ``scorers`` call scores
+    the block's estimates, and ``_first_blocks`` the walks."""
+    walks = _first_blocks(cfg, m, [raw for _, raw in drawn if raw is not None])
+    for scorer, (_, raw) in zip(m.scorers([est for est, _ in drawn]), drawn):
+        yield scorer, None if raw is None else next(walks)
 
 
 def _outcome(cfg, m, rng, ecum, len_c1, len_ht, stop, correct=False):
@@ -826,7 +902,7 @@ def _outcome(cfg, m, rng, ecum, len_c1, len_ht, stop, correct=False):
     )
 
 
-def simulate_trial(cfg, trial_index, _runtime=None, _rng=None, _scorer=None):
+def simulate_trial(cfg, trial_index, _runtime=None, _staged=None):
     """Play one full protocol run; deterministic in (cfg.seed, trial_index).
 
     The run's timeline is phase 1 (up to walk time tau_first, the first
@@ -841,25 +917,25 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None, _scorer=None):
     symbols past the block that held the gamma_2 crossing (a universal run
     stopped by ``cfg.c2_cap``) were never drawn; their energy is drawn as
     P chi2_k after every other draw.
-    A universal run's first draws are its training; the estimate is then
-    scored for the confirmation test, which draws nothing.  Here that is
-    a block of one trial, ``Metric.scorers`` over its one estimate.
-    ``_rng``, when given, is the trial's generator already keyed, and
-    ``_scorer``, when given, its scorer from a larger block, the generator
-    then past the training draw (see ``_run_chunk``).
+    A run's first draws, up to its first kernel call, are its training
+    (universal metrics), the stop-at-time-zero uniform and the first walk
+    block's (``_first_draws``).  They are scored as a block of one trial
+    here: ``Metric.scorers`` over the one estimate, which draws nothing,
+    and the kernel over the first block (``_first_blocks``).  ``_staged``,
+    when given, is (generator, scorer, first walk block) from a larger
+    block, the generator keyed to the trial and past those draws (see
+    ``_run_chunk``).
     """
     rt = _runtime if _runtime is not None else _Runtime(cfg)
     m = rt.metric
-    rng = _rng if _rng is not None else _trial_rng(cfg.seed, trial_index)
-    if _scorer is None:
-        est = (m.draw_training(rng, cfg.channel, cfg.training_len)
-               if m.universal else None)
-        _scorer = m.scorers([est])[0]
-
-    if rng.random() < cfg.params.eps0:  # an error, as Theorem 1 counts it
+    if _staged is None:
+        rng = _trial_rng(cfg.seed, trial_index)
+        _staged = rng, *next(_score_block(cfg, m, [_first_draws(cfg, m, rng)]))
+    rng, scorer, walk = _staged
+    if walk is None:  # stopped at time zero, an error
         return _outcome(cfg, m, rng, None, 0, 0, 0)
 
-    tau1_true, tau2_true, y, ecum = _true_walk(rng, cfg, m)
+    tau1_true, tau2_true, y, ecum = _true_walk(rng, cfg, m, walk)
     if tau1_true is None:
         return _outcome(cfg, m, rng, ecum, cfg.horizon, 0, None)
 
@@ -871,7 +947,7 @@ def simulate_trial(cfg, trial_index, _runtime=None, _rng=None, _scorer=None):
     tau_first = tau1_true if c1_correct else race.t1
 
     decision, len_ht, _ = _block_sprt(
-        m.confirmation(rng, _scorer, c1_correct),
+        m.confirmation(rng, scorer, c1_correct),
         cfg.params.a_accept, cfg.params.a_reject, cfg.horizon - tau_first,
     )
     stop, correct = None, False
@@ -907,33 +983,31 @@ def _run_chunk(cfg, lo, hi):
     re-keyed before each trial to that trial's own stream, and
     ``simulate_trial`` plays each trial once.
 
-    A universal metric's trials run in blocks of _TRIAL_BLOCK, in two
-    passes: the first draws each trial's training, the first draws of its
-    stream, and saves the generator state it leaves; one ``scorers`` call
-    then scores the block's estimates, and the second pass restores each
-    state and plays the rest of the trial.  Every trial draws the same
-    numbers in the same order as alone.  A known metric has no training:
-    its trials run in one pass.
+    Trials run in blocks of _TRIAL_BLOCK, in two passes.  The first makes
+    each trial's draws up to its first kernel call (``_first_draws``: the
+    training, the stop-at-time-zero uniform, the first walk block's raw
+    draws) and saves the generator state they leave.  The block is then
+    scored at once (``_score_block``: one ``scorers`` call over the
+    estimates, one kernel call per _WALK_STAGE first walk blocks), and the
+    second pass restores each state and plays the rest of the trial,
+    continuing its walk only where the first block did not clear gamma_2.
+    Every trial draws the same numbers in the same order as alone.
     """
     rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
     m = rt.metric
     out = np.empty((hi - lo, len(TrialOutcome._fields)))
     rngs = _generators(_trial_keys(cfg.seed, lo, hi))
-    if not m.universal:
-        for i, rng in enumerate(rngs, lo):
-            out[i - lo] = simulate_trial(cfg, i, _runtime=rt, _rng=rng)
-        return out
     for start in range(lo, hi, _TRIAL_BLOCK):
-        ests, states = [], []
+        drawn, states = [], []
         for rng in itertools.islice(rngs, _TRIAL_BLOCK):
-            ests.append(m.draw_training(rng, cfg.channel, cfg.training_len))
+            drawn.append(_first_draws(cfg, m, rng))
             states.append(rng.bit_generator.state)
         # rng is the chunk's one generator, set to each trial's state in turn
-        for i, (state, scorer) in enumerate(zip(states, m.scorers(ests)),
-                                            start):
+        for i, (state, staged) in enumerate(
+                zip(states, _score_block(cfg, m, drawn)), start):
             rng.bit_generator.state = state
-            out[i - lo] = simulate_trial(cfg, i, _runtime=rt, _rng=rng,
-                                         _scorer=scorer)
+            out[i - lo] = simulate_trial(cfg, i, _runtime=rt,
+                                         _staged=(rng, *staged))
     return out
 
 

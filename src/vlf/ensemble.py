@@ -229,22 +229,23 @@ def count_mi(log_tbl, counts, nx, ny, n):
     """n * I of joint types on nx x ny cells given by their counts, from
     L = count_log_table.
 
-    ``counts`` is one int64 stack: along its first axis the nx * ny cell
-    counts, then the nx row sums, then the ny column sums.  One gather
-    through L serves them all.  Returns sum L[c] - sum L[r] - sum L[s] +
-    L[n], each sum taken in order.
+    ``counts`` is one integer stack: along its first axis the nx * ny cell
+    counts, then the nx row sums, then the ny column sums.  Returns
+    sum L[c] - sum L[r] - sum L[s] + L[n], each sum taken in order.  Each
+    slab of counts is gathered through L on its own and summed in place, so
+    no gather of the whole stack is held, nor the platform-integer copy of
+    its indices that ``take`` makes of a narrower stack.
     """
-    terms = log_tbl.take(counts)
 
-    def total(part):  # in place, into the gathered terms
-        out = part[0]
-        for term in part[1:]:
-            out += term
+    def total(part):
+        out = log_tbl.take(part[0])
+        for c in part[1:]:
+            out += log_tbl.take(c)
         return out
 
     cells = nx * ny
-    return (total(terms[:cells]) - total(terms[cells:cells + nx])
-            - total(terms[cells + nx:]) + log_tbl[n])
+    return (total(counts[:cells]) - total(counts[cells:cells + nx])
+            - total(counts[cells + nx:]) + log_tbl[n])
 
 
 class FlipEntropyAbsorption:
