@@ -15,10 +15,11 @@ joint type), ``uvlf_bsc`` (unknown binary channel, flip entropy
 n(log 2 - h_b(flip rate))), ``vlf_awgn`` (known Gaussian channel,
 information density) and ``uvlf_awgn`` (unknown noise, empirical correlation
 -(n/2) log(1 - rho_hat^2)); the universal ones estimate the channel from a
-training sequence.  Each metric has one vectorized kernel: the true
-message's walk is its one-row case, the literal competitor race its
-chunked-rows case and the passage-time helpers its lockstep case.  The M-1
-competitors are resolved by the strategies in ``ensemble``.
+training sequence.  Each metric has one vectorized kernel: a block of
+trials' first true-walk blocks are its stacked-rows case and the rest of a
+true walk its one-row case, the literal competitor race its chunked-rows
+case and the passage-time helpers its lockstep case.  The M-1 competitors
+are resolved by the strategies in ``ensemble``.
 
 Trial i draws the stream of ``Philox(SeedSequence(seed, spawn_key=(i,)))``
 bit for bit, so results are bit-identical however trials are scheduled
@@ -617,8 +618,9 @@ class EmpiricalMi(_DmcMetric):
         return _through_cdfs(u, cdfs, np.arange(0, rows * ny, ny)[:, None] + y)
 
     def state_at(self, s, x, y, r, t):
-        return t, np.bincount(x[r, :t] * self.num_y + y[:t],
-                              minlength=self.num_x * self.num_y)[None, :]
+        counts = np.bincount(x[r, :t] * self.num_y + y[:t],
+                             minlength=self.num_x * self.num_y)
+        return t, counts.astype(self.dtype)[None, :]
 
     def log_ratio(self, value, state):
         """log P(x^t) - log Q(x^t | y^t) from the joint counts c[x, b] of
@@ -847,7 +849,7 @@ def _first_blocks(cfg, m, raws):
     """The first walk block of each raw draw of `raws` (one trial's each,
     ``_first_draws``), as ``_true_walk`` continues it, scored _WALK_STAGE
     walks to a kernel call: stacked rows, one mapping to symbols, one
-    kernel call, one running maximum.  A generator, so that only one
+    kernel call, one crossing search.  A generator, so that only one
     call's rows are held at a time."""
     gammas = (cfg.params.gamma1, cfg.params.gamma2)
     for j in range(0, len(raws), _WALK_STAGE):
@@ -983,23 +985,28 @@ def _run_chunk(cfg, lo, hi):
     re-keyed before each trial to that trial's own stream, and
     ``simulate_trial`` plays each trial once.
 
-    Trials run in blocks of _TRIAL_BLOCK, in two passes.  The first makes
-    each trial's draws up to its first kernel call (``_first_draws``: the
-    training, the stop-at-time-zero uniform, the first walk block's raw
+    Every variant runs its trials in blocks, in two passes.  The first
+    makes each trial's draws up to its first kernel call (``_first_draws``:
+    the training, the stop-at-time-zero uniform, the first walk block's raw
     draws) and saves the generator state they leave.  The block is then
     scored at once (``_score_block``: one ``scorers`` call over the
     estimates, one kernel call per _WALK_STAGE first walk blocks), and the
     second pass restores each state and plays the rest of the trial,
     continuing its walk only where the first block did not clear gamma_2.
-    Every trial draws the same numbers in the same order as alone.
+    A universal block holds _TRIAL_BLOCK trials, so that one
+    ``control_llr`` call scores them all; a known one, whose scorers batch
+    nothing, holds one walk stage.  Every trial draws the same numbers in
+    the same order as alone.
     """
     rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
     m = rt.metric
     out = np.empty((hi - lo, len(TrialOutcome._fields)))
     rngs = _generators(_trial_keys(cfg.seed, lo, hi))
-    for start in range(lo, hi, _TRIAL_BLOCK):
+    # a known block holds no more trials' draws than one walk stage needs
+    size = _TRIAL_BLOCK if m.universal else _WALK_STAGE
+    for start in range(lo, hi, size):
         drawn, states = [], []
-        for rng in itertools.islice(rngs, _TRIAL_BLOCK):
+        for rng in itertools.islice(rngs, size):
             drawn.append(_first_draws(cfg, m, rng))
             states.append(rng.bit_generator.state)
         # rng is the chunk's one generator, set to each trial's state in turn

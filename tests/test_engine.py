@@ -685,37 +685,98 @@ def _pair_cfg(variant):
 
 
 class TestTrialBlocks:
-    """A chunk scores a block of universal trials' estimates in one call,
-    between a pass that draws each trial's training and one that plays the
-    rest; every record must be the trial's own, at any block boundary."""
+    """A chunk draws each trial's first draws (training, the stop-at-time-
+    zero uniform, the first walk block) in one pass, scores the block's
+    estimates in one call and its first walk blocks a stage at a time, and
+    plays the rest of each trial in a second pass; every record must be the
+    trial's own, at any block or stage boundary."""
 
-    # variant, channel, px, training_len, race; four training symbols on
-    # bsc(0.11) and nine on the 2x3 channel leave zero cells in many
-    # estimates, so a block holds clipped and unclipped LLRs
+    # eps0 = 0.2 stops about a fifth of the runs at time zero, inside the
+    # staged blocks; every true walk clears gamma_2 = 13 in its first
+    # block, about half clear 88 only past it, and n_max = 150 makes the
+    # first block the whole horizon
+    SETTLE = _params(log2m=6.0, g1=8.0, g2=13.0, a=3.0, eps0=0.2)
+    PAST = _params(log2m=3.0, g1=60.0, g2=88.0, a=3.0, eps0=0.2)
+    SHORT = _params(log2m=6.0, g1=2.0, g2=5.0, a=3.0, eps0=0.2)
+    D23 = Dmc([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+    G = GaussianChannel(1.0)
+    # variant, channel, px, training_len, race, params, n_max, c2; four
+    # training symbols on bsc(0.11) and nine on the 2x3 channel leave zero
+    # cells in many estimates, so a block holds clipped and unclipped LLRs
     CASES = {
-        "uvlf_bsc": ("uvlf_bsc", CH, UNIFORM2, 4, "literal"),
-        "uvlf_dmc-2x2": ("uvlf_dmc", CH, UNIFORM2, 4, "ensemble"),
-        "uvlf_dmc-2x3": ("uvlf_dmc", Dmc([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]),
-                         UNIFORM2, 9, "literal"),
-        "uvlf_awgn": ("uvlf_awgn", GaussianChannel(1.0), None, 64, "literal"),
+        "vlf_dmc": ("vlf_dmc", CH, UNIFORM2, 0, "literal", SETTLE, None, 2.0),
+        "vlf_dmc-past": ("vlf_dmc", CH, UNIFORM2, 0, "ensemble", PAST, None,
+                         2.0),
+        "vlf_dmc-short": ("vlf_dmc", CH, UNIFORM2, 0, "literal", SHORT, 150,
+                          2.0),
+        "vlf_awgn-past": ("vlf_awgn", G, None, 0, "literal", PAST, None, 2.0),
+        "vlf_awgn-short": ("vlf_awgn", G, None, 0, "ensemble", SHORT, 150,
+                           2.0),
+        "uvlf_bsc": ("uvlf_bsc", CH, UNIFORM2, 4, "literal", SETTLE, None,
+                     2.0),
+        "uvlf_bsc-c2_cap": ("uvlf_bsc", CH, UNIFORM2, 4, "literal", PAST,
+                            None, 1.05),
+        "uvlf_dmc-2x2": ("uvlf_dmc", CH, UNIFORM2, 4, "ensemble", SETTLE,
+                         None, 2.0),
+        "uvlf_dmc-2x3": ("uvlf_dmc", D23, UNIFORM2, 9, "literal", SETTLE,
+                         None, 2.0),
+        "uvlf_dmc-2x3-ensemble": ("uvlf_dmc", D23, UNIFORM2, 9, "ensemble",
+                                  SETTLE, None, 2.0),
+        "uvlf_awgn": ("uvlf_awgn", G, None, 64, "literal", SETTLE, None, 2.0),
+        "uvlf_awgn-past": ("uvlf_awgn", G, None, 64, "literal", PAST, None,
+                           2.0),
     }
+
+    def _case(self, case, request):
+        """The case's config and runtime, the race checked."""
+        (variant, channel, px, training, race, params, n_max,
+         c2) = self.CASES[case]
+        if race == "ensemble":
+            request.getfixturevalue("force_ensemble")
+        cfg = SchemeConfig(variant=variant, channel=channel, px=px,
+                           params=params, training_len=training, n_max=n_max,
+                           seed=5, c2=c2)
+        rt = engine._Runtime(cfg)
+        assert (rt.race.func is ensemble.literal_race) == (race == "literal")
+        return cfg, rt
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_staged_walks_continue_as_the_unstaged_walk(self, case, request):
+        # a block's first walk blocks, scored together and continued one
+        # by one, against _true_walk drawing each trial's walk on its own
+        cfg, rt = self._case(case, request)
+        m, B = rt.metric, engine._TRIAL_BLOCK
+        rngs = [engine._trial_rng(cfg.seed, i) for i in range(B)]
+        drawn = [engine._first_draws(cfg, m, rng) for rng in rngs]
+        staged = engine._score_block(cfg, m, drawn)
+        settled = set()  # whether the first block held the gamma_2 crossing
+        for i, (rng, (_, walk)) in enumerate(zip(rngs, staged)):
+            want = _replayed_walk(cfg, rt, i)
+            if walk is None:
+                assert want is None, i
+                continue
+            got = engine._true_walk(rng, cfg, m, walk)
+            assert got[:2] == want[:2], i
+            for a, b in zip(got[2:], want[2:]):
+                assert (a is None and b is None) or _same(a, b), i
+            settled.add(want[1] is not None and want[1] <= engine._BLOCK)
+        assert settled == ({True, False} if cfg.params is self.PAST
+                           else {True})
 
     @pytest.mark.parametrize("case", CASES)
     def test_records_at_block_boundaries_are_each_trials_own(
             self, case, request):
-        variant, channel, px, training, race = self.CASES[case]
-        if race == "ensemble":
-            request.getfixturevalue("force_ensemble")
-        cfg = SchemeConfig(variant=variant, channel=channel, px=px,
-                           params=_params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
-                           training_len=training, seed=5)
-        rt = engine._Runtime(cfg)
-        assert (rt.race.func is ensemble.literal_race) == (race == "literal")
+        cfg, rt = self._case(case, request)
         B = engine._TRIAL_BLOCK
         n = 2 * B + 3
         solo = np.array([simulate_trial(cfg, i, _runtime=rt)
                          for i in range(n)])
-        if not rt.metric.gaussian:
+        runs = TrialOutcome(*solo.T)
+        assert runs.stopped_at_zero[:B].any()
+        assert (cfg.horizon < engine._BLOCK) == (cfg.n_max is not None)
+        if cfg.c2 < 2.0:
+            assert cfg.c2_cap < cfg.horizon and runs.censored.any()
+        if rt.metric.universal and not rt.metric.gaussian:
             capped = [(np.abs(control_llr(_estimate(cfg, i))[2])
                        == _LLR_CAP).any() for i in range(B)]
             assert any(capped) and not all(capped)
@@ -744,14 +805,21 @@ class TestTrialBlocks:
         assert np.array_equal(rec, [play(cfg, i) for i in range(3, 14)])
 
 
-def _walk_energy(cfg, rt, trial_index):
-    """The running input energy of a trial's true walk, replayed from the
-    trial's RNG stream."""
+def _replayed_walk(cfg, rt, trial_index):
+    """A trial's true walk (first times above gamma_1 and gamma_2, outputs,
+    running input energy), replayed from the trial's RNG stream by the
+    unstaged ``_true_walk``; None for a run stopped at time zero."""
     rng = engine._trial_rng(cfg.seed, trial_index)
     if rt.metric.universal:
         rt.metric.draw_training(rng, cfg.channel, cfg.training_len)
-    rng.random()  # the stop-at-time-zero draw
-    return engine._true_walk(rng, cfg, rt.metric)[3]
+    if rng.random() < cfg.params.eps0:  # the stop-at-time-zero draw
+        return None
+    return engine._true_walk(rng, cfg, rt.metric)
+
+
+def _walk_energy(cfg, rt, trial_index):
+    """The running input energy of a trial's true walk."""
+    return _replayed_walk(cfg, rt, trial_index)[3]
 
 
 class TestCensoringRule:
@@ -1349,7 +1417,7 @@ def _views_empirical_mi(metric, state, x, y):
         a.transpose(1, 0, 2) for a in (cum, grid.sum(axis=2), grid.sum(axis=1)))
     s = (total(cells) - total(row_sums) - total(col_sums)
          + tbl[np.arange(t + 1, t + b + 1)])
-    return s, (t + b, counts + onehot.sum(axis=2))
+    return s, (t + b, counts + onehot.sum(axis=2, dtype=counts.dtype))
 
 
 class TestMetricKernelsMatchTheirDefinitions:
@@ -1574,7 +1642,8 @@ class TestProposalRace:
     # least 50 crossers
     @pytest.mark.parametrize("shape,h,proposals", [
         ((2, 2), 14, 4000), ((2, 3), 14, 4000), ((3, 2), 10, 8000),
-    ], ids=["2x2", "2x3", "3x2"])
+        ((3, 3), 10, 8000),
+    ], ids=["2x2", "2x3", "3x2", "3x3"])
     @pytest.mark.parametrize("kind,score", [(AdditiveDmc, "density"),
                                             (EmpiricalMi, "mi")])
     @pytest.mark.parametrize("seed", range(3))
