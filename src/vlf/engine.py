@@ -21,13 +21,10 @@ true walk its one-row case, the literal competitor race its chunked-rows
 case and the passage-time helpers its lockstep case.  The M-1 competitors
 are resolved by the strategies in ``ensemble``.
 
-Trial i draws the stream of ``Philox(SeedSequence(seed, spawn_key=(i,)))``
-bit for bit, so results are bit-identical however trials are scheduled
-across workers.  No per-trial SeedSequence is built: numpy's seeding hash
-is replayed here, the trial index entering only its last mixing stage, so
-one uint32 pass gives the Philox keys of a block of trials, and a chunk
-re-keys one generator per trial (counter 0, empty buffer, as a fresh
-Philox starts).
+Trial i draws the stream of ``Philox(seed).jumped(i)`` bit for bit: the
+seed's one Philox key, with the trial index in counter word 2.  Results
+are thus bit-identical however trials are scheduled across workers.  A
+chunk builds one Philox and sets its counter to each trial's in turn.
 """
 
 from __future__ import annotations
@@ -214,88 +211,29 @@ class McEstimate:
 # ---------------------------------------------------------------------------
 # per-trial RNG streams
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-_KEY_BLOCK = 4096  # trials whose keys are derived in one pass
 _TRIAL_BLOCK = 256  # trials whose first draws are scored at once
 _WALK_STAGE = 32  # first walk blocks per kernel call in a block of trials
-_MAX_TRIALS = 1 << 32  # trial indices fit one uint32 spawn-key word
+_MAX_TRIALS = 1 << 32  # trials in one run
 
 
-def _hasher(init, mult):
-    """numpy's running hashmix: each call xors with the hash constant,
-    advances it by `mult`, multiplies by the new one and folds the top half
-    in.  Works alike on Python ints and uint32 arrays."""
-    const = init
-
-    def hashmix(v):
-        nonlocal const
-        xor, const = const, const * mult & _MASK32
-        v = (v ^ xor) * const & _MASK32
-        return v ^ (v >> 16)
-
-    return hashmix
-
-
-def _mix(x, y):
-    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _seed_keys(seed, index):
-    """The Philox keys ``generate_state(2, np.uint64)`` of
-    ``np.random.SeedSequence(seed, spawn_key=(i,))`` for each i of the uint32
-    array `index`, shape (index.size, 2).
-
-    numpy's hash is replayed word for word: the seed's little-endian 32-bit
-    words, zero-padded to the pool's four, fill and mix the pool, words
-    past the fourth are mixed in after, and the index word last, so only
-    that stage and the output hash run on arrays.
-    """
-    words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
-    words += [0] * (4 - len(words))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:] + [index]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    out = np.array([*map(_hasher(_INIT_B, _MULT_B), pool)], dtype=np.uint64)
-    return (out[0::2] | out[1::2] << 32).T  # little-endian word pairs
-
-
-def _trial_keys(seed, lo, hi):
-    """The Philox keys of trials lo..hi-1 in order, derived _KEY_BLOCK
-    trials at a time so a long chunk never holds them all."""
-    for start in range(lo, hi, _KEY_BLOCK):
-        stop = min(hi, start + _KEY_BLOCK)
-        yield from _seed_keys(seed, np.arange(start, stop, dtype=np.uint32))
-
-
-def _generators(keys):
-    """One Generator, re-keyed to each Philox key of `keys` in turn and
-    yielded: counter 0 and an empty buffer, the state in which
-    ``Philox(SeedSequence)`` starts, so it draws that Philox's stream."""
-    rng = np.random.Generator(np.random.Philox(0))
-    fresh = rng.bit_generator.state  # counter 0, empty buffer, no spare half
-    for key in keys:
-        fresh["state"]["key"] = key
-        rng.bit_generator.state = fresh
+def _generators(seed, lo, hi):
+    """One Generator, set to the stream of ``Philox(seed).jumped(i)`` for
+    each trial i of lo..hi-1 in turn and yielded: the seed's Philox key at
+    counter (0, 0, i, 0), with an empty buffer and no spare half."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    state = rng.bit_generator.state  # counter 0, empty buffer, no spare half
+    for i in range(lo, hi):
+        state["state"]["counter"][2] = i
+        rng.bit_generator.state = state
         yield rng
 
 
 def _trial_rng(seed, trial_index):
     """Trial `trial_index`'s generator, the stream of
-    ``Philox(SeedSequence(seed, spawn_key=(trial_index,)))`` bit for bit: a
-    Philox at counter 0 under the key ``_seed_keys`` derives for the index.
-    The one-trial case of what ``_run_chunk`` does for a chunk, whose keys
-    come _KEY_BLOCK at a time and whose one generator is re-keyed per
-    trial."""
+    ``Philox(seed).jumped(trial_index)`` bit for bit.  The one-trial case
+    of ``_generators``, whose one Philox serves a chunk."""
     i = _check_count(trial_index, "trial index", 0, _MAX_TRIALS - 1)
-    return next(_generators(_trial_keys(seed, i, i + 1)))
+    return next(_generators(seed, i, i + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +920,7 @@ def _set_worker_runtime(rt):
 def _run_chunk(cfg, lo, hi):
     """Records of trials lo..hi-1, from the worker's runtime, or from a
     runtime built here outside a pool.  One generator serves the chunk,
-    re-keyed before each trial to that trial's own stream, and
+    set before each trial to that trial's own stream (``_generators``), and
     ``simulate_trial`` plays each trial once.
 
     Every variant runs its trials in blocks, in two passes.  The first
@@ -1001,7 +939,7 @@ def _run_chunk(cfg, lo, hi):
     rt = _WORKER_RUNTIME if _WORKER_RUNTIME is not None else _Runtime(cfg)
     m = rt.metric
     out = np.empty((hi - lo, len(TrialOutcome._fields)))
-    rngs = _generators(_trial_keys(cfg.seed, lo, hi))
+    rngs = _generators(cfg.seed, lo, hi)
     # a known block holds no more trials' draws than one walk stage needs
     size = _TRIAL_BLOCK if m.universal else _WALK_STAGE
     for start in range(lo, hi, size):
@@ -1037,12 +975,11 @@ def trial_records(cfg, trials, workers=1):
     """Records of trials 0..trials-1 in index order, one row per trial with
     the TrialOutcome fields as floats (see ``TrialOutcome.from_record``).
 
-    Trial i draws the stream of ``Philox(SeedSequence(cfg.seed,
-    spawn_key=(i,)))`` bit for bit, its key derived with its block's (see
-    ``_trial_rng``), so the records are bit-identical for any worker count.
-    At most 2^32 trials, so that an index is one spawn-key word.  The
-    configuration's runtime (metric tables and competitor strategy) is
-    built once per call: with workers > 1 it is built in this process and
+    Trial i draws the stream of ``Philox(cfg.seed).jumped(i)`` bit for
+    bit (see ``_trial_rng``), so the records are bit-identical for any
+    worker count.  At most 2^32 trials.  The configuration's runtime
+    (metric tables and competitor strategy) is built once per call: with
+    workers > 1 it is built in this process and
     handed to each pool worker by the pool initializer, and the
     min(trials, 4 * workers) chunks of trials share it.  uvlf_bsc's
     absorption law is handed over unadvanced, and each worker's copy runs

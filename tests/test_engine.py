@@ -235,23 +235,26 @@ class TestSprt:
 
 class TestZeroCellTraining:
     def test_infinite_llrs_leave_no_warning_and_no_trace(self):
-        # four training symbols on bsc(0.11) often see no flip: trials 1
-        # and 2 estimate the kernel [[1, 0], [0, 1]], whose LLRs are both
-        # infinite, and trials 0 and 3 a kernel with one zero cell
+        # four training symbols on bsc(0.11) often see no flip: some
+        # trials estimate the kernel [[1, 0], [0, 1]], whose LLRs are both
+        # infinite, and the others a kernel with one zero cell
         cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                            params=_params(log2m=6.0, g1=8.0, g2=13.0, a=3.0),
                            training_len=4, seed=3)
         kernels = [_estimate(cfg, i) for i in range(4)]
-        assert all((k == 0.0).any() for k in kernels)
+        identity = [np.array_equal(k, np.eye(2)) for k in kernels]
+        one_zero = [(k == 0.0).sum() == 1 for k in kernels]
+        assert any(identity) and any(one_zero)
+        assert all(a or b for a, b in zip(identity, one_zero))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = trial_records(cfg, 4)
         # the records the SPRT gave before infinite LLRs were capped
         assert rec.tolist() == [
-            [1, 37, 36, 1, 0, 0.0, 0, 0],
-            [1, 29, 28, 1, 0, 0.0, 0, 0],
-            [1, 14, 13, 1, 0, 0.0, 0, 0],
-            [1, 42, 40, 2, 0, 0.0, 0, 0],
+            [1, 24, 23, 1, 0, 0.0, 0, 0],
+            [1, 37, 35, 2, 0, 0.0, 0, 0],
+            [1, 23, 22, 1, 0, 0.0, 0, 0],
+            [1, 23, 22, 1, 0, 0.0, 0, 0],
         ]
 
 
@@ -615,47 +618,46 @@ STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**41]
 
 class TestTrialStreams:
     """Each trial's generator draws the stream of
-    Generator(Philox(SeedSequence(seed, spawn_key=(trial_index,)))), numpy's
-    own derivation, which these tests alone construct."""
+    Generator(Philox(seed).jumped(trial_index)), numpy's own, which these
+    tests alone construct."""
 
     @staticmethod
-    def _reference_key(seed, i):
-        seq = np.random.SeedSequence(seed, spawn_key=(i,))
-        return seq.generate_state(2, np.uint64).tolist()
+    def _reference(seed, i):
+        return np.random.Generator(np.random.Philox(seed).jumped(i))
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    @pytest.mark.parametrize("lo,hi", [
-        (0, 3), (engine._KEY_BLOCK - 3, engine._KEY_BLOCK + 3),
-        (2**32 - 3, 2**32),
-    ])
-    def test_block_keys_match_numpy_seed_sequence(self, seed, lo, hi):
-        keys = [k.tolist() for k in engine._trial_keys(seed, lo, hi)]
-        assert keys == [self._reference_key(seed, i) for i in range(lo, hi)]
+    @pytest.mark.parametrize("lo,hi", [(0, 3), (2**32 - 3, 2**32)])
+    def test_chunk_generator_draws_each_jumped_stream(self, seed, lo, hi):
+        # each trial reads its buffer part way before the next is set
+        rngs = engine._generators(seed, lo, hi)
+        for i, rng in enumerate(rngs, lo):
+            np.testing.assert_array_equal(rng.random(9),
+                                          self._reference(seed, i).random(9))
+        assert i == hi - 1
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("index", [0, 1, 2, 2**32 - 3, 2**32 - 2,
+                                       2**32 - 1])
+    def test_trial_rng_is_the_jumped_stream(self, seed, index):
+        rng = engine._trial_rng(seed, index)
+        np.testing.assert_array_equal(rng.random(9),
+                                      self._reference(seed, index).random(9))
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 7])
-    def test_rekeyed_generator_draws_each_fresh_stream(self, seed):
+    def test_reset_generator_draws_each_fresh_stream(self, seed):
         # each trial leaves a half-used 32-bit draw and a part-read Philox
         # buffer behind; the next trial's stream must not see either
         def draws(g):
             return [g.random(5), g.standard_normal(3),
                     g.integers(0, 2**32, 3, dtype=np.uint32)]
 
-        rngs = engine._generators(engine._trial_keys(seed, 5, 9))
-        for i, rng in enumerate(rngs, 5):
-            fresh = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=(i,))))
-            for a, b in zip(draws(rng), draws(fresh)):
+        for i, rng in enumerate(engine._generators(seed, 5, 9), 5):
+            for a, b in zip(draws(rng), draws(self._reference(seed, i))):
                 np.testing.assert_array_equal(a, b)
             assert rng.bit_generator.state["has_uint32"] == 1
 
-    def test_trial_rng_is_the_fresh_stream(self):
-        fresh = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(10**41, spawn_key=(12,))))
-        rng = engine._trial_rng(10**41, 12)
-        np.testing.assert_array_equal(rng.random(9), fresh.random(9))
-
-    def test_trial_index_past_one_spawn_word_is_rejected(self):
-        # index 2^32 would be a two-word spawn key
+    def test_trial_index_past_the_run_size_limit_is_rejected(self):
+        # a run holds at most 2^32 trials, indices 0 to 2^32 - 1
         cfg = _cfg()
         for index in (2**32, -1):
             with pytest.raises(VlfError, match="trial index"):
@@ -1918,8 +1920,7 @@ class TestPassageTimeHelpers:
             helper(CH, UNIFORM2, 10.0, 20, seed=-1)
 
     # the first passage times over gamma = 5 of 8 walks, drawn from the
-    # stream of Philox(seed); the values were recorded while the helpers
-    # still keyed it through the engine's own replay of SeedSequence(seed)
+    # stream of Philox(seed), which is also trial 0's stream of a run
     @pytest.mark.parametrize("seed,mi,dens", [
         (0, [8, 20, 39, 13, 8, 8, 21, 8], [9, 24, 49, 13, 9, 9, 16, 9]),
         (2**64 + 7, [23, 15, 8, 17, 15, 8, 33, 8],

@@ -18,7 +18,10 @@ digest.
 
 The digests were recorded with numpy ``GOLDEN_NUMPY``; numpy's stream
 policy (NEP 19) lets a numpy release change a generator's stream, so a
-mismatch under another numpy version says that first.
+mismatch under another numpy version says that first.  Trial i of a run
+draws ``Generator(Philox(seed).jumped(i))``, and ``test_trial_streams``
+pins the first draws of a few such streams with no engine code: if it
+fails too, numpy's Philox stream changed; if it holds, the engine did.
 """
 
 import hashlib
@@ -56,6 +59,18 @@ def _check(digest, expected):
     )
 
 
+def test_trial_streams():
+    # numpy's side of the engine digests below: the first draws of trial
+    # i's stream for two seeds and four trial indices
+    rows = []
+    for seed in (5, 10_000):
+        for i in (0, 1, 255, 256):
+            g = np.random.Generator(np.random.Philox(seed).jumped(i))
+            rows.append([*g.random(4), *g.standard_normal(4)])
+    _check(_records_digest(rows),
+           "d2c822c2491efa012f1adb88b57d4c54697a3a54cd4fcd323a2bba327177cf27")
+
+
 # channel, codebook and training length of each variant's pair config
 PAIR_SETUPS = {
     "vlf_dmc": (CH, UNIFORM2, 0),
@@ -70,23 +85,23 @@ PAIR_PARAMS = VlfParams(log_m=6.0 * LN2, gamma1=8.0, gamma2=13.0,
 # (variant, race) -> trial_records digest of the pair config, 200 trials
 PAIR_DIGESTS = {
     ("vlf_dmc", "literal"):
-        "0b2abf450ae9856fe1cf86ec1f6c5411b622df0c774576f7b71f0cb3dbf4f8eb",
+        "3d080bb01db7f1b8a9e80cb935073f0e5ff509a56f05f520059be5c7786f33cc",
     ("uvlf_dmc", "literal"):
-        "e3dca11a7211e46242626793e6f3281fcfc456c694373ee234d251e3e937f769",
+        "86243aaa572701b42c75a95edd3d03b4c626619bd95c94aba1a9d663ab5ebf97",
     ("uvlf_bsc", "literal"):
-        "8fbf43ce2cf9a6c54dfb7193e4f86e7219abdf16c7989f383adb60b753702222",
+        "d4c602e12b5f9015034c64fc0a45432217f5e003444a0eed0a4bb19730d31b1a",
     ("vlf_awgn", "literal"):
-        "3b5b4a780220fb3c035e8f1fb4fd0f99ce570c45d8788953395446a8dce9893f",
+        "e601fc9aac14a6b3936f53515c3caa5bce22e229a5b6ce53c2c0fc959d6e74a4",
     ("uvlf_awgn", "literal"):
-        "ee6bb3a25f44b845639bd36ae957af0cb74d8558aba978d953ea01fdf33448c0",
+        "f3c8a6b5cbf166b5ba84a5bf6a99ce4014bbc8b85df5fe544b09c584dfb9779c",
     ("vlf_dmc", "ensemble"):
-        "36c7a726e149a400bdf1485a675643c1d7d2daa0e0e091769b5fd0ea5d36fae8",
+        "74cafaf784079ba315e9d0b3e83c11b432546200498c7fd4f7998c49a68d7f2f",
     ("vlf_awgn", "ensemble"):
-        "c9d5a40505ff80cf8e2f6be339447f53198983b918a97e095deb4c1834d7d332",
+        "4473241bd3e836dfdf3358731e18389a59aa7e7e6413116bef4becf3e88d89da",
     ("uvlf_dmc", "ensemble"):
-        "30cc9c7a571f08302961f9cd0f81c66cb96511c032f4c8168003ff40b0e8199a",
+        "f0c3cefcc0df52a213bb70520a2a8623b9d0e199e6b49de78f0cca738502fbf6",
     ("uvlf_bsc", "ensemble"):
-        "766d27d89669a931f4f89fa2d321c0df932ff60a66b0dc8eafb9b2750ecccf04",
+        "7435a3b8b338d7828a3e288d9b2badbdbe987bd1b7c428f2031b7e75af237c19",
 }
 
 
@@ -109,7 +124,7 @@ def test_known_channel_benchmark_config_records():
     cfg = SchemeConfig(variant="vlf_dmc", channel=CH, px=UNIFORM2,
                        params=params, seed=10_000)
     _check(_records_digest(trial_records(cfg, 40)),
-           "1e3c4396898b0df590fa4b47931919ab3e9657fa2e57cc76837857eb710b6417")
+           "9ee3ce62650bf862c162c6ac56858136f27133192ebfe83083f52b8897222e0c")
 
 
 def test_universal_benchmark_config_records():
@@ -119,7 +134,7 @@ def test_universal_benchmark_config_records():
     cfg = SchemeConfig(variant="uvlf_dmc", channel=CH, px=UNIFORM2,
                        params=params, training_len=100_000, seed=10_000)
     _check(_records_digest(trial_records(cfg, 40)),
-           "0835a5df8d3b1314b1de9d483a7165c073a20cd0f333a3cdb3e5079e422ced2b")
+           "cb931940456ebe6b47c853d95c0210355c7eb405ce5f3f6a2544d0305da28ab1")
 
 
 def test_trace_file_bytes(tmp_path):
@@ -133,7 +148,7 @@ def test_trace_file_bytes(tmp_path):
         "--trace", str(trace), "--out", str(tmp_path / "s.csv"),
     ]) == 0
     _check(hashlib.sha256(trace.read_bytes()).hexdigest(),
-           "b7e6d5b75d9c8aede99aaac761c922e7f4c74045038b171896641bf634fdc2fc")
+           "563c36db590a8609e4d52b6fe14951a2628207705366a59c0be5a820dd5d2de2")
 
 
 def test_universal_simulate_on_a_2x3_channel_trace_bytes(tmp_path):
@@ -148,7 +163,7 @@ def test_universal_simulate_on_a_2x3_channel_trace_bytes(tmp_path):
         "--seed", "7", "--trace", str(trace), "--out", str(tmp_path / "s.csv"),
     ]) == 0
     _check(hashlib.sha256(trace.read_bytes()).hexdigest(),
-           "0271bda621a95d83ca7ca58ad189d2ace74e9b2e581c9975b14d48148e024aec")
+           "6f3019d4593ef7c929ede2cb477918a0f60b72c2c92ce72453cfe792a2f5ed29")
 
 
 @pytest.mark.parametrize("spec,digest", [
